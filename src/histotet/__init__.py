@@ -10,7 +10,6 @@ density-parameter tuning and an L1 convergence benchmark.
 from .densities import (
     BaryQuadratic,
     Density,
-    density_moment,
     edge_density,
     edge_ortho_quadratic,
     face_density,
@@ -30,7 +29,6 @@ from .element import (
     assemble_D,
     assemble_H,
     classical_project,
-    evaluate,
     lambda_basis,
     reconstruct,
     unisolvence_check,
@@ -41,7 +39,6 @@ from .experiment import (
     TuneResult,
     TuningGrid,
     compute_dofs,
-    compute_dofs_mesh,
     convergence_study,
     grid_search,
     l1_error,
@@ -58,8 +55,6 @@ from .simplex import (
     EDGE_PAIRS,
     FACE_VERTEX_INDICES,
     REFERENCE_TET,
-    EdgeFrame,
-    FaceFrame,
     GeometryError,
     Tetrahedron,
     simplex_moment,

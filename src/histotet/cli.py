@@ -467,6 +467,8 @@ def main(argv=None):
         "project": cmd_project,
     }
     try:
+        if args.threads < 1:
+            raise CliError(f"--threads must be >= 1, got {args.threads}")
         return handlers[args.command](args)
     except CliError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -17,9 +17,9 @@ unions of collapsed Gauss-Jacobi rules:
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .quadrature import SimplexRule, simplex_rule_weighted
+from .simplex import dirichlet_expectation
 
 #: Concentration-style parameters below this are rejected: the moment
 #: matrices degenerate as the parameters approach zero.
@@ -31,20 +31,6 @@ def _check_param(name, value):
     if not np.isfinite(v) or v < PARAM_FLOOR:
         raise ValueError(f"{name} must be >= {PARAM_FLOOR}, got {value!r}")
     return v
-
-
-def _dirichlet_expectation(weight_exponents, monomial_exponents):
-    """E[prod lambda^p] under the normalized density prod lambda^e."""
-    e = np.asarray(weight_exponents, dtype=float)
-    p = np.asarray(monomial_exponents, dtype=float)
-    ep = e + p
-    log_ratio = (
-        np.sum(gammaln(ep + 1.0))
-        - gammaln(e.size + ep.sum())
-        - np.sum(gammaln(e + 1.0))
-        + gammaln(e.size + e.sum())
-    )
-    return float(np.exp(log_ratio))
 
 
 @dataclass(frozen=True)
@@ -66,7 +52,7 @@ class Density:
     def moment(self, monomial_exponents):
         """Expectation of a barycentric monomial under the density."""
         return sum(
-            c * _dirichlet_expectation(e, monomial_exponents)
+            c * dirichlet_expectation(e, monomial_exponents)
             for c, e in self.components
         )
 
@@ -135,11 +121,6 @@ def edge_density(zeta, nu):
     z = _check_param("zeta", zeta)
     v = _check_param("nu", nu)
     return Density("edge", "beta", ((1.0, (z - 1.0, v - 1.0)),))
-
-
-def density_moment(density, monomial_exponents):
-    """Expectation of a barycentric monomial under a density (closed form)."""
-    return density.moment(monomial_exponents)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from .densities import (
     BaryQuadratic,
     Density,
     VOLUME_BASIS_EXPONENTS,
-    _PAIR_POSITION,
     edge_density,
     edge_ortho_quadratic,
     face_density,
@@ -69,11 +68,6 @@ class Poly2OnTet:
 
     def __call__(self, lam):
         return lambda_basis(lam) @ self.coeffs
-
-
-def evaluate(poly, lam):
-    """Evaluate a Poly2OnTet at barycentric coordinates."""
-    return poly(lam)
 
 
 @dataclass(frozen=True)
@@ -175,16 +169,24 @@ class StrategyConfig:
         )
 
 
+#: Barycentric indices of the volume's native coordinates.
+VOLUME_VERTICES = (0, 1, 2, 3)
+
+
 @dataclass(frozen=True)
 class Functional:
     """One degree of freedom: an expectation over a face, the volume or an edge.
 
-    weight_poly is None for a plain average and the enrichment quadratic for
-    a weighted moment.
+    The domain is density.space.  vertices is the one lift between the
+    density's native coordinates and the tetrahedron's barycentrics: native
+    coordinate r is lambda_{vertices[r]}, and every other lambda vanishes on
+    the domain.  Face j has FACE_VERTEX_INDICES[j], the volume
+    VOLUME_VERTICES, and the edge from vertex i to j has (j, i), because its
+    parameter t is lambda_j.  weight_poly is None for a plain average and the
+    enrichment quadratic for a weighted moment.
     """
 
-    domain: str  # 'face' | 'volume' | 'edge'
-    index: object  # face index 0..3, None for volume, or an edge pair (i, j)
+    vertices: tuple
     density: Density
     weight_poly: BaryQuadratic | None
 
@@ -195,60 +197,42 @@ def build_functionals(cfg):
         face = face_density("dirichlet", cfg.alpha)
     else:
         face = face_density("uniform")
-    funcs = [Functional("face", j, face, None) for j in range(4)]
+    funcs = [Functional(FACE_VERTEX_INDICES[j], face, None) for j in range(4)]
 
     if cfg.kind == "classical":
         return tuple(funcs)
 
     if cfg.kind == "face_volume":
         q = face_ortho_quadratic(face)
-        funcs += [Functional("face", j, face, q) for j in range(4)]
+        funcs += [Functional(FACE_VERTEX_INDICES[j], face, q) for j in range(4)]
         interior = volume_density("dirichlet", gamma=cfg.beta)
-        rho1, rho2 = volume_ortho_pair(interior)
         funcs += [
-            Functional("volume", None, interior, rho1),
-            Functional("volume", None, interior, rho2),
+            Functional(VOLUME_VERTICES, interior, rho)
+            for rho in volume_ortho_pair(interior)
         ]
     elif cfg.kind == "volumetric":
         interior = cfg.volume_density()
         funcs += [
-            Functional("volume", None, interior, psi)
+            Functional(VOLUME_VERTICES, interior, psi)
             for psi in volumetric_psi(interior)
         ]
     else:  # edge_face
         dens = edge_density(cfg.zeta, cfg.nu)
         q = edge_ortho_quadratic(dens)
-        funcs += [Functional("edge", pair, dens, q) for pair in EDGE_PAIRS]
+        funcs += [Functional((j, i), dens, q) for i, j in EDGE_PAIRS]
     return tuple(funcs)
 
 
-def _restrict_to_face(lam_exponents, j):
-    """Face-coordinate exponents of a lambda-monomial on face j, or None if it
-    vanishes there (any positive power of lambda_j)."""
-    if lam_exponents[j] > 0:
-        return None
-    return tuple(lam_exponents[i] for i in FACE_VERTEX_INDICES[j])
-
-
-def _restrict_to_edge(lam_exponents, pair):
-    """(t, 1-t) exponents of a lambda-monomial on an edge, or None if zero."""
-    i, j = pair
-    for k in range(4):
-        if k not in pair and lam_exponents[k] > 0:
-            return None
-    return (lam_exponents[j], lam_exponents[i])
-
-
 def apply_functional_to_monomial(func, lam_exponents):
-    """Exact value of a functional on a single lambda-monomial."""
-    if func.domain == "volume":
-        restricted = tuple(lam_exponents)
-    elif func.domain == "face":
-        restricted = _restrict_to_face(lam_exponents, func.index)
-    else:
-        restricted = _restrict_to_edge(lam_exponents, func.index)
-    if restricted is None:
+    """Exact value of a functional on a single lambda-monomial.
+
+    The monomial vanishes on the domain if it has a positive power of a
+    lambda outside func.vertices; otherwise it restricts to the native
+    monomial with the exponents at func.vertices.
+    """
+    if any(e > 0 for k, e in enumerate(lam_exponents) if k not in func.vertices):
         return 0.0
+    restricted = tuple(lam_exponents[k] for k in func.vertices)
     if func.weight_poly is None:
         return func.density.moment(restricted)
     return sum(
@@ -277,7 +261,8 @@ def _functional_matrix(functionals, columns=LAMBDA_EXPONENTS):
 
 
 # ---------------------------------------------------------------------------
-# Closed-form matrix entries for the Dirichlet families.
+# Closed-form matrix entries for the Dirichlet families: independent oracles
+# for the moment engine, which assembles every matrix.
 
 
 def dfv_entries(alpha, beta):
@@ -335,26 +320,6 @@ def det_dvol_closed(gamma):
     )
 
 
-def _dfv_matrix(alpha, beta):
-    d, v, u, w = dfv_entries(alpha, beta)
-    rows = [[0.0 if j in pair else d for pair in EDGE_PAIRS] for j in range(4)]
-    rows.append([v, u, u, u, u, w])
-    rows.append([u, v, u, u, w, u])
-    return np.array(rows)
-
-
-_ANTIPODAL = {0: 5, 1: 4, 2: 3, 3: 2, 4: 1, 5: 0}
-
-
-def _dvol_matrix(gamma):
-    s, t, z = dvol_entries(gamma)
-    mat = np.full((6, 6), t)
-    for m in range(6):
-        mat[m, m] = s
-        mat[m, _ANTIPODAL[m]] = z
-    return mat
-
-
 @dataclass(frozen=True)
 class QuadMomentMatrix:
     """The 6x6 enriched-moment matrix of a strategy in the pair basis."""
@@ -363,22 +328,16 @@ class QuadMomentMatrix:
     matrix: np.ndarray
 
 
-def assemble_D(cfg):
-    """Assemble the 6x6 enriched-moment matrix from analytic density moments.
+def _enriched_block(functionals):
+    # Six enriched functionals against the six pair monomials.
+    return _functional_matrix(functionals[4:], LAMBDA_EXPONENTS[4:])
 
-    For the Dirichlet face-volume and volumetric families the known
-    closed-form entries are used directly; other densities go through the
-    general moment engine.  Both paths agree (tested).
-    """
+
+def assemble_D(cfg):
+    """Assemble the 6x6 enriched-moment matrix with the moment engine."""
     if cfg.kind == "classical":
         raise ValueError("the classical strategy has no enriched moment matrix")
-    if cfg.kind == "face_volume":
-        return QuadMomentMatrix(cfg.kind, _dfv_matrix(cfg.alpha, cfg.beta))
-    if cfg.kind == "volumetric" and cfg.volume_variant in ("dirichlet", "uniform"):
-        gamma = 1.0 if cfg.volume_variant == "uniform" else cfg.gamma
-        return QuadMomentMatrix(cfg.kind, _dvol_matrix(gamma))
-    funcs = build_functionals(cfg)[4:]
-    return QuadMomentMatrix(cfg.kind, _functional_matrix(funcs, LAMBDA_EXPONENTS[4:]))
+    return QuadMomentMatrix(cfg.kind, _enriched_block(build_functionals(cfg)))
 
 
 def edge_diagonal_entry(zeta, nu):
@@ -414,7 +373,10 @@ def unisolvence_check(cfg):
     that all LU pivots stay above PIVOT_RTOL times the largest entry.
     A failed check is reported, not raised.
     """
-    dmat = assemble_D(cfg).matrix
+    return _report(cfg, assemble_D(cfg).matrix)
+
+
+def _report(cfg, dmat):
     det = float(np.linalg.det(dmat))
 
     closed = None
@@ -473,13 +435,14 @@ class ElementOperator:
 
 
 def _assemble_operator(cfg, functionals):
-    h = _functional_matrix(functionals)
     # Enriched moments annihilate affine monomials by the orthogonality
-    # construction; enforce the structural zero block instead of keeping
-    # the ~1e-17 round-off of the moment sums.
-    h[4:, :4] = 0.0
-    report = unisolvence_check(cfg) if cfg.kind != "classical" else None
-    if report is not None and not report.rank6:
+    # construction, so their lower-left block is a structural zero rather
+    # than the ~1e-17 round-off of the moment sums.
+    h = np.zeros((10, 10))
+    h[:4] = _functional_matrix(functionals[:4])
+    h[4:, 4:] = _enriched_block(functionals)
+    report = _report(cfg, h[4:, 4:])
+    if not report.rank6:
         raise UnisolvenceError(
             f"strategy {cfg.method_id} ({cfg.params_text()}) is not unisolvent: "
             f"det={report.det:.3e}"

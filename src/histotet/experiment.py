@@ -24,7 +24,7 @@ from .element import (
 )
 from .mesh import build_mesh
 from .quadrature import simplex_rule_plain
-from .simplex import FACE_VERTEX_INDICES, Tetrahedron
+from .simplex import Tetrahedron
 from .targets import TargetFunction
 
 #: Target size (in scalars) of one chunk's function-value block.
@@ -64,7 +64,7 @@ def _table_from_functionals(functionals, m):
     groups = {}
     order = []
     for row, func in enumerate(functionals):
-        key = (func.domain, func.index, id(func.density))
+        key = (func.vertices, id(func.density))
         if key not in groups:
             groups[key] = (func, [])
             order.append(key)
@@ -76,21 +76,11 @@ def _table_from_functionals(functionals, m):
     for key in order:
         rep, members = groups[key]
         rule = rep.density.rule(m)
-        if rep.domain == "face":
-            lam = np.zeros((len(rule), 4))
-            lam[:, list(FACE_VERTEX_INDICES[rep.index])] = rule.nodes
-            native = rule.nodes
-        elif rep.domain == "volume":
-            lam = rule.nodes
-            native = rule.nodes
-        else:  # edge
-            i, j = rep.index
-            t = rule.nodes[:, 0]
-            lam = np.zeros((len(rule), 4))
-            lam[:, i] = 1.0 - t
-            lam[:, j] = t
-            native = t
+        lam = np.zeros((len(rule), 4))
+        lam[:, list(rep.vertices)] = rule.nodes
         blocks.append(lam)
+        # Edge quadratics are polynomials in t, the first native coordinate.
+        native = rule.nodes[:, 0] if rep.density.space == "edge" else rule.nodes
         for row, poly in members:
             w = rule.weights if poly is None else rule.weights * poly(native)
             row_weights.append((row, start, w))
@@ -128,27 +118,13 @@ def compute_dofs(f, tet, cfg, settings=QuadSettings()):
     return _dofs_for_cells(f, verts[None], table)[0]
 
 
-def compute_dofs_mesh(f, mesh, cfg, settings=QuadSettings(), threads=1):
-    """Degrees of freedom of a function on every cell of a mesh."""
-    table = build_dof_table(cfg, settings)
-    verts = mesh.cell_vertex_array
-    slices = _chunk_slices(len(mesh), _CHUNK_BUDGET // len(table.nodes))
-    out = np.empty((len(mesh), table.weights.shape[0]))
-
-    def work(sl):
-        out[sl] = _dofs_for_cells(f, verts[sl], table)
-
-    _run_chunks(work, slices, threads)
-    return out
-
-
 def _run_chunks(work, slices, threads):
+    """[work(sl) for sl in slices], on a pool of `threads` workers when there
+    is more than one chunk; results come back in slice order."""
     if threads <= 1 or len(slices) <= 1:
-        for sl in slices:
-            work(sl)
-        return
+        return [work(sl) for sl in slices]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(work, slices))
+        return list(pool.map(work, slices))
 
 
 @dataclass
@@ -196,10 +172,8 @@ class _ErrorEngine:
         vols = mesh.cell_volumes()
         n_pts = len(self.table.nodes) + len(self.err_nodes)
         slices = _chunk_slices(len(mesh), _CHUNK_BUDGET // n_pts)
-        partials = np.zeros(len(slices))
 
-        def work(idx):
-            sl = slices[idx]
+        def work(sl):
             dofs = _dofs_for_cells(f, verts[sl], self.table)
             coeffs = self.coefficients(dofs)
             if f_err_values is None:
@@ -208,14 +182,15 @@ class _ErrorEngine:
                 fe = f_err_values[sl]
             recon = coeffs @ self.err_basis_t
             cell_err = np.abs(fe - recon) @ self.err_weights
-            partials[idx] = float(cell_err @ vols[sl])
+            bad = np.flatnonzero(~np.isfinite(cell_err))
+            if bad.size:
+                raise ValueError(
+                    f"non-finite L1 error for function {f.id} on mesh n={mesh.n} "
+                    f"({self.cfg.method_id}), first at cell {sl.start + bad[0]}"
+                )
+            return float(cell_err @ vols[sl])
 
-        if threads <= 1 or len(slices) <= 1:
-            for idx in range(len(slices)):
-                work(idx)
-        else:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                list(pool.map(work, range(len(slices))))
+        partials = np.array(_run_chunks(work, slices, threads))
         # Fixed summation order keeps the result thread-count independent.
         return float(partials.sum())
 

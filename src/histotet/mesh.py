@@ -50,19 +50,6 @@ class TetMesh:
     def cell(self, i):
         return Tetrahedron(self.cell_vertex_array[i])
 
-    def locate(self, point, tol=1e-12):
-        """Index of the first cell containing `point` (barycentric test).
-
-        Diagnostic helper; boundary ties are broken by the first match in
-        cell order.  Returns -1 if no cell contains the point.
-        """
-        p = np.asarray(point, dtype=float)
-        for i in range(len(self.cells)):
-            lam = self.cell(i).barycentric(p)
-            if np.all(lam >= -tol):
-                return i
-        return -1
-
 
 def build_mesh(n):
     """Build the Kuhn-split tetrahedral mesh with grid parameter n >= 2.

@@ -21,12 +21,32 @@ FACE_VERTEX_INDICES = tuple(tuple(i for i in range(4) if i != j) for j in range(
 EDGE_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
+def dirichlet_expectation(weight_exponents, monomial_exponents):
+    """E[prod lambda^p] under the normalized Dirichlet density prod lambda^e.
+
+    The simplex dimension is the number of exponents minus one.  Equals
+    prod Gamma(e_i + p_i + 1) Gamma(n + sum e) / (Gamma(n + sum(e + p))
+    prod Gamma(e_i + 1)) with n = len(e), evaluated in log-gamma form so
+    large exponents do not overflow.  Inputs are not checked.
+    """
+    e = np.asarray(weight_exponents, dtype=float)
+    p = np.asarray(monomial_exponents, dtype=float)
+    ep = e + p
+    log_ratio = (
+        np.sum(gammaln(ep + 1.0))
+        - gammaln(e.size + ep.sum())
+        - np.sum(gammaln(e + 1.0))
+        + gammaln(e.size + e.sum())
+    )
+    return float(np.exp(log_ratio))
+
+
 def simplex_moment(exponents, d=None):
     """Normalized monomial moment of barycentric coordinates on a d-simplex.
 
     Computes (1/|S_d|) * integral over S_d of prod_i lambda_i^{e_i}, which
-    equals d! * prod_i Gamma(e_i + 1) / Gamma(d + 1 + sum_i e_i).  Evaluated
-    in log-gamma form so large Dirichlet exponents do not overflow.
+    equals d! * prod_i Gamma(e_i + 1) / Gamma(d + 1 + sum_i e_i): the
+    Dirichlet expectation under the uniform density.
 
     Parameters
     ----------
@@ -46,8 +66,7 @@ def simplex_moment(exponents, d=None):
         raise ValueError(f"need d+1 exponents for a {d}-simplex, got {e.size}")
     if np.any(e <= -1.0):
         raise ValueError("all exponents must be > -1")
-    log_m = gammaln(d + 1) + np.sum(gammaln(e + 1.0)) - gammaln(d + 1 + e.sum())
-    return float(np.exp(log_m))
+    return dirichlet_expectation(np.zeros(e.size), e)
 
 
 class Tetrahedron:
@@ -90,59 +109,3 @@ REFERENCE_TET = Tetrahedron(
     [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
 )
 
-
-class FaceFrame:
-    """Face of a tetrahedron opposite vertex j, with its fixed mu-labeling.
-
-    The face coordinates mu_1, mu_2, mu_3 are the tetrahedron's barycentric
-    coordinates with index != j, taken in ascending index order.
-    """
-
-    def __init__(self, tet, j):
-        if j not in range(4):
-            raise ValueError("face index must be 0..3")
-        self.tet = tet
-        self.opposite = j
-        self.vertex_indices = FACE_VERTEX_INDICES[j]
-
-    def lift(self, mu):
-        """Embed face coordinates (..., 3) as tetrahedron barycentrics (..., 4)."""
-        mu = np.asarray(mu, dtype=float)
-        lam = np.zeros(mu.shape[:-1] + (4,))
-        lam[..., list(self.vertex_indices)] = mu
-        return lam
-
-    def point(self, mu):
-        return self.tet.point(self.lift(mu))
-
-    @property
-    def area(self):
-        a, b, c = (self.tet.vertices[i] for i in self.vertex_indices)
-        return 0.5 * np.linalg.norm(np.cross(b - a, c - a))
-
-
-class EdgeFrame:
-    """Edge from vertex i to vertex j, parametrized x(t) = (1-t) v_i + t v_j."""
-
-    def __init__(self, tet, i, j):
-        if not (0 <= i < j <= 3):
-            raise ValueError("edge indices must satisfy 0 <= i < j <= 3")
-        self.tet = tet
-        self.pair = (i, j)
-
-    def lift(self, t):
-        """Barycentric coordinates along the edge for parameters t (...,)."""
-        t = np.asarray(t, dtype=float)
-        lam = np.zeros(t.shape + (4,))
-        i, j = self.pair
-        lam[..., i] = 1.0 - t
-        lam[..., j] = t
-        return lam
-
-    def point(self, t):
-        return self.tet.point(self.lift(t))
-
-    @property
-    def length(self):
-        i, j = self.pair
-        return float(np.linalg.norm(self.tet.vertices[j] - self.tet.vertices[i]))

@@ -77,6 +77,15 @@ def test_converge_unwritable_outdir(tmp_path):
     assert exc.value.code == 3
 
 
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_threads_below_one_rejected(tmp_path, capsys, threads):
+    code = run(["converge", "--functions", "f1", "--n", "3", "--strategy", "classical",
+                "--threads", threads, "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert f"--threads must be >= 1, got {threads}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_converge_timing_flag(tmp_path):
     out = tmp_path / "timed"
     assert run([

@@ -3,7 +3,6 @@ import pytest
 
 from histotet import (
     BaryQuadratic,
-    density_moment,
     edge_density,
     edge_ortho_quadratic,
     face_density,
@@ -222,12 +221,12 @@ def test_orthogonality_two_paths_agree():
 def test_face_mean_is_third_for_every_alpha():
     for alpha in PARAM_GRID:
         dens = face_density("dirichlet", alpha)
-        assert density_moment(dens, (1, 0, 0)) == pytest.approx(1 / 3, rel=1e-14)
+        assert dens.moment((1, 0, 0)) == pytest.approx(1 / 3, rel=1e-14)
 
 
 def test_face_pair_moment_alpha2():
     dens = face_density("dirichlet", 2.0)
-    assert density_moment(dens, (1, 1, 0)) == pytest.approx(2 / 21, rel=1e-14)
+    assert dens.moment((1, 1, 0)) == pytest.approx(2 / 21, rel=1e-14)
 
 
 def test_every_density_has_unit_mass():
@@ -242,7 +241,7 @@ def test_every_density_has_unit_mass():
     densities += [edge_density(z, n) for z in (0.5, 2.0) for n in (1.0, 3.0)]
     for dens in densities:
         zero = (0,) * (dens.dim + 1)
-        assert density_moment(dens, zero) == pytest.approx(1.0, abs=1e-14)
+        assert dens.moment(zero) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_param_floor_enforced():

@@ -10,7 +10,6 @@ from histotet import (
     assemble_D,
     assemble_H,
     classical_project,
-    evaluate,
     lambda_basis,
     reconstruct,
     unisolvence_check,
@@ -18,6 +17,7 @@ from histotet import (
 from histotet.densities import face_density, volume_density
 from histotet.element import (
     LAMBDA_EXPONENTS,
+    VOLUME_VERTICES,
     Functional,
     _assemble_operator,
     _functional_matrix,
@@ -30,6 +30,7 @@ from histotet.element import (
     edge_diagonal_entry,
 )
 from histotet.densities import face_ortho_quadratic, volume_ortho_pair
+from histotet.simplex import EDGE_PAIRS, FACE_VERTEX_INDICES
 
 PARAM_GRID = (0.5, 1.0, 2.0, 5.0)
 
@@ -88,8 +89,8 @@ def test_symmetric_quadratic_matrix_from_moment_engine():
     vdens = volume_density("symmetric-quadratic")
     q = face_ortho_quadratic(fdens)
     rho1, rho2 = volume_ortho_pair(vdens)
-    funcs = [Functional("face", j, fdens, q) for j in range(4)]
-    funcs += [Functional("volume", None, vdens, rho1), Functional("volume", None, vdens, rho2)]
+    funcs = [Functional(FACE_VERTEX_INDICES[j], fdens, q) for j in range(4)]
+    funcs += [Functional(VOLUME_VERTICES, vdens, rho1), Functional(VOLUME_VERTICES, vdens, rho2)]
     mat = _functional_matrix(tuple(funcs), LAMBDA_EXPONENTS[4:])
     expected = (
         np.array(
@@ -108,11 +109,53 @@ def test_symmetric_quadratic_matrix_from_moment_engine():
     np.testing.assert_allclose(mat, expected, rtol=1e-12, atol=1e-19)
 
 
+def dfv_layout(alpha, beta):
+    d, v, u, w = dfv_entries(alpha, beta)
+    rows = [[0.0 if j in pair else d for pair in EDGE_PAIRS] for j in range(4)]
+    rows += [[v, u, u, u, u, w], [u, v, u, u, w, u]]
+    return np.array(rows)
+
+
+def dvol_layout(gamma):
+    s, t, z = dvol_entries(gamma)
+    mat = np.full((6, 6), t)
+    np.fill_diagonal(mat, s)
+    mat[np.arange(6), 5 - np.arange(6)] = z  # antipodal pair: no shared index
+    return mat
+
+
+ORACLE_GRID = (1e-3, 0.01, 0.1, 0.5, 1.0, 2.0, 5.0, 8.0)
+
+
 def test_closed_entries_match_moment_engine():
+    for alpha in ORACLE_GRID:
+        for beta in ORACLE_GRID:
+            mat = assemble_D(StrategyConfig.face_volume(alpha, beta)).matrix
+            np.testing.assert_allclose(mat, dfv_layout(alpha, beta), rtol=1e-10, atol=0.0)
+    for gamma in ORACLE_GRID:
+        mat = assemble_D(StrategyConfig.volumetric(gamma=gamma)).matrix
+        np.testing.assert_allclose(mat, dvol_layout(gamma), rtol=1e-10, atol=0.0)
     for cfg in CONFIGS:
-        mat = assemble_D(cfg).matrix
-        engine = _functional_matrix(build_functionals(cfg)[4:], LAMBDA_EXPONENTS[4:])
-        np.testing.assert_allclose(mat, engine, rtol=1e-12, atol=1e-20)
+        op = assemble_H(cfg)
+        assert np.array_equal(op.h[4:, 4:], assemble_D(cfg).matrix)
+        assert op.report.det == unisolvence_check(cfg).det
+
+
+def test_functional_lifts_onto_their_domain():
+    from histotet.experiment import _table_from_functionals
+
+    for cfg in CONFIGS[:3]:
+        for func in build_functionals(cfg):
+            nodes = _table_from_functionals((func,), 4).nodes
+            others = [k for k in range(4) if k not in func.vertices]
+            assert np.max(np.abs(nodes[:, others]), initial=0.0) == 0.0
+            np.testing.assert_allclose(nodes.sum(axis=1), 1.0, atol=1e-14)
+            assert np.array_equal(nodes[:, list(func.vertices)], func.density.rule(4).nodes)
+    # faces keep ascending vertex labels; on edge (i, j) the parameter t is lambda_j
+    for j in range(4):
+        assert FACE_VERTEX_INDICES[j] == tuple(sorted(set(range(4)) - {j}))
+    edge_funcs = build_functionals(StrategyConfig.edge_face(2.0, 2.0))[4:]
+    assert [f.vertices for f in edge_funcs] == [(j, i) for i, j in EDGE_PAIRS]
 
 
 def test_fv_determinant_example1():
@@ -221,9 +264,9 @@ def test_reconstruct_monomials_and_basis_columns():
 
 def test_evaluate_basics():
     poly = Poly2OnTet([0, 0, 0, 0, 1, 0, 0, 0, 0, 0])  # lambda1 * lambda2
-    assert evaluate(poly, [0.25, 0.25, 0.25, 0.25]) == pytest.approx(1 / 16)
+    assert poly([0.25, 0.25, 0.25, 0.25]) == pytest.approx(1 / 16)
     one = Poly2OnTet([1, 1, 1, 1, 0, 0, 0, 0, 0, 0])
-    assert evaluate(one, [0.1, 0.2, 0.3, 0.4]) == pytest.approx(1.0, abs=1e-15)
+    assert one([0.1, 0.2, 0.3, 0.4]) == pytest.approx(1.0, abs=1e-15)
     np.testing.assert_allclose(
         lambda_basis([1, 0, 0, 0]), [1, 0, 0, 0, 0, 0, 0, 0, 0, 0], atol=1e-15
     )

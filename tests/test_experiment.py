@@ -11,7 +11,6 @@ from histotet import (
     assemble_H,
     build_mesh,
     compute_dofs,
-    compute_dofs_mesh,
     convergence_study,
     grid_search,
     l1_error,
@@ -112,24 +111,40 @@ def test_projector_consistency(rng):
             np.testing.assert_allclose(re_dofs, dofs, atol=1e-9)
 
 
-def test_compute_dofs_mesh_matches_single_cells():
-    mesh = build_mesh(2)
-    cfg = StrategyConfig.edge_face(2.0, 2.0)
-    f = TARGETS["f3"]
-    table = compute_dofs_mesh(f, mesh, cfg)
-    assert table.shape == (6, 10)
-    for i in (0, 3, 5):
-        single = compute_dofs(f, mesh.cell(i), cfg)
-        np.testing.assert_allclose(table[i], single, atol=1e-14)
+def test_thread_count_does_not_change_results(monkeypatch):
+    from histotet import experiment
 
-
-def test_thread_count_does_not_change_results():
     mesh = build_mesh(6)
-    cfg = StrategyConfig.volumetric_blend(0.5, 2.0)
+    engine = experiment._ErrorEngine(StrategyConfig.volumetric_blend(0.5, 2.0), QuadSettings())
     f = TARGETS["f2"]
-    serial = l1_error(f, mesh, cfg, threads=1)
-    threaded = l1_error(f, mesh, cfg, threads=4)
+    single_chunk = engine.l1_on_mesh(f, mesh, threads=1)
+    # 750 cells fit in one default chunk; shrink the budget to 200 cells per
+    # chunk, so that threads=2 really runs on the pool.
+    n_pts = len(engine.table.nodes) + len(engine.err_nodes)
+    monkeypatch.setattr(experiment, "_CHUNK_BUDGET", 200 * n_pts)
+    assert len(experiment._chunk_slices(len(mesh), 200)) == 4
+    serial = engine.l1_on_mesh(f, mesh, threads=1)
+    threaded = engine.l1_on_mesh(f, mesh, threads=2)
     assert serial == threaded  # bitwise: fixed chunking and reduction order
+    # Chunk partials are summed after each chunk's dot product, so another
+    # chunk size may round differently in the last bits.
+    assert serial == pytest.approx(single_chunk, rel=1e-14)
+
+
+def test_non_finite_error_raises():
+    mesh = build_mesh(4)
+
+    def poisoned(p):
+        values = np.sin(p[..., 0])
+        corner = np.unravel_index(np.argmax(p.sum(axis=-1)), values.shape)
+        values[corner] = np.nan  # one point per call, next to the corner (1, 1, 1)
+        return values
+
+    f = TargetFunction("poisoned", poisoned)
+    with pytest.raises(ValueError, match=r"function poisoned on mesh n=4") as info:
+        l1_error(f, mesh, StrategyConfig.classical())
+    cell = int(str(info.value).rsplit("cell ", 1)[1])
+    assert np.any(np.all(mesh.cell_vertex_array[cell] == 1.0, axis=-1))
 
 
 def test_l1_error_is_deterministic():

@@ -2,11 +2,7 @@ import numpy as np
 import pytest
 
 from histotet import (
-    EDGE_PAIRS,
-    FACE_VERTEX_INDICES,
     REFERENCE_TET,
-    EdgeFrame,
-    FaceFrame,
     GeometryError,
     Tetrahedron,
     simplex_moment,
@@ -86,32 +82,3 @@ def test_degenerate_tet_raises():
     flat = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0.3, 0.4, 0.0]]
     with pytest.raises(GeometryError):
         Tetrahedron(flat)
-
-
-def test_face_frame_labeling(rng):
-    tet = make_random_tet(rng)
-    for j in range(4):
-        frame = FaceFrame(tet, j)
-        assert frame.vertex_indices == FACE_VERTEX_INDICES[j]
-        assert frame.vertex_indices == tuple(sorted(set(range(4)) - {j}))
-        mu = rng.dirichlet(np.ones(3), size=20)
-        lam = frame.lift(mu)
-        assert np.max(np.abs(lam[:, j])) == 0.0
-        np.testing.assert_allclose(lam.sum(axis=1), 1.0, atol=1e-14)
-        # back through the tet chart: lifted points carry the same barycentrics
-        np.testing.assert_allclose(
-            tet.barycentric(frame.point(mu)), lam, atol=1e-12
-        )
-        assert frame.area > 0.0
-
-
-def test_edge_frame_parametrization(rng):
-    tet = make_random_tet(rng)
-    t = rng.random(25)
-    for i, j in EDGE_PAIRS:
-        frame = EdgeFrame(tet, i, j)
-        lam = tet.barycentric(frame.point(t))
-        np.testing.assert_allclose(lam[:, i], 1.0 - t, atol=1e-14)
-        np.testing.assert_allclose(lam[:, j], t, atol=1e-14)
-        others = [k for k in range(4) if k not in (i, j)]
-        np.testing.assert_allclose(lam[:, others], 0.0, atol=1e-14)
