@@ -2,18 +2,22 @@
 runs and single-element projection dumps.
 
     histotet check     [--strategy ...] [parameter grids]
-    histotet tune      --strategy {fv|vol|ef} [grids] [--n ...] [--functions ...]
-    histotet converge  [--strategy ...] [--n ...] [--functions ...] [--out DIR]
-    histotet project   [--strategy ...] [--functions fid] [--tet coords]
+    histotet tune      --strategy {fv|vol|ef} [grids] [--functions ...] [--n ...]
+    histotet converge  [--strategy ...] [parameters] [--functions ...] [--n ...]
+    histotet project   [--strategy one] [parameters] [--functions fid] [--tet coords]
 
-All parameter flags accept comma-separated candidate lists; `check` and
-`tune` sweep them, `converge` and `project` expect single values.  Exit
-codes: 0 success, 2 validation or check failure, 3 unwritable output
-directory.
+The parameter flags (--alpha, --beta for fv; --theta, --gamma for vol;
+--zeta, --nu for ef) accept comma-separated lists; `check` and `tune` sweep
+them, `converge` and `project` expect single values.  --functions and
+--quad-m exist on all but `check`; --n, --error-degree, --threads and --out
+on `tune` and `converge` only.  Exit codes: 0 success, 2 invalid input or a
+failed check, 3 unwritable output directory; any other error is a bug and
+surfaces with a traceback.
 """
 
 import argparse
 import csv
+import functools
 import json
 import sys
 import time
@@ -23,7 +27,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .element import StrategyConfig, assemble_H, reconstruct, unisolvence_check
+from .element import (
+    METHODS,
+    StrategyConfig,
+    assemble_H,
+    classical_project,
+    reconstruct,
+    unisolvence_check,
+)
 from .experiment import (
     QuadSettings,
     TuningGrid,
@@ -32,7 +43,7 @@ from .experiment import (
     grid_search,
 )
 from .plots import loglog_svg
-from .simplex import REFERENCE_TET, Tetrahedron
+from .simplex import REFERENCE_TET, GeometryError, Tetrahedron
 from .targets import TARGETS, TargetFunction, get_targets
 
 #: Series colors: classical blue, face-volume red, volumetric green,
@@ -44,10 +55,20 @@ _METHOD_COLORS = {
     "ef": "#17becf",
 }
 
-_DEFAULT_GRID = (0.5, 1.0, 1.5, 2.0, 3.0, 5.0)
-_DEFAULT_THETA_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
-
 _CSV_HEADER = ["function", "n", "method", "params", "l1_error", "seconds"]
+
+_DEFAULT_GRID = (0.5, 1.0, 1.5, 2.0, 3.0, 5.0)
+
+#: Each METHODS parameter's flag: help text, default candidate grid (check,
+#: tune) and default single value (converge, project).
+_PARAM_FLAGS = {
+    "alpha": ("face concentration value(s)", _DEFAULT_GRID, 2.0),
+    "beta": ("interior concentration value(s)", _DEFAULT_GRID, 2.0),
+    "theta": ("blend weight value(s) in [0,1]", (0.0, 0.25, 0.5, 0.75, 1.0), 0.5),
+    "gamma": ("interior concentration value(s)", _DEFAULT_GRID, 2.0),
+    "zeta": ("edge Beta parameter value(s)", _DEFAULT_GRID, 2.0),
+    "nu": ("edge Beta parameter value(s)", _DEFAULT_GRID, 2.0),
+}
 
 
 class CliError(Exception):
@@ -76,7 +97,7 @@ def _parse_function_ids(text):
             continue
         if ".." in tok:
             lo, hi = tok.split("..", 1)
-            if not (lo.startswith("f") and hi.startswith("f")):
+            if not all(end[:1] == "f" and end[1:].isdigit() for end in (lo, hi)):
                 raise CliError(f"bad function range {tok!r}")
             ids.extend(f"f{i}" for i in range(int(lo[1:]), int(hi[1:]) + 1))
         else:
@@ -84,23 +105,25 @@ def _parse_function_ids(text):
     return ids
 
 
-def _single(values, name):
-    if len(values) != 1:
-        raise CliError(f"--{name} expects a single value here, got {list(values)}")
-    return values[0]
+def _at_least(value, floor, flag):
+    if value < floor:
+        raise CliError(f"{flag} must be >= {floor}, got {value}")
+    return value
 
 
-def _add_common_flags(parser):
+def _add_strategy_flags(parser):
     parser.add_argument("--strategy", default=None, help="classical|fv|vol|ef|all")
-    parser.add_argument("--alpha", default=None, help="face concentration value(s)")
-    parser.add_argument("--beta", default=None, help="interior concentration value(s)")
-    parser.add_argument("--theta", default=None, help="blend weight value(s) in [0,1]")
-    parser.add_argument("--gamma", default=None, help="interior concentration value(s)")
-    parser.add_argument("--zeta", default=None, help="edge Beta parameter value(s)")
-    parser.add_argument("--nu", default=None, help="edge Beta parameter value(s)")
-    parser.add_argument("--n", default=None, help="mesh grid parameters, e.g. 5,10,15")
+    for name, (help_text, _, _) in _PARAM_FLAGS.items():
+        parser.add_argument(f"--{name}", default=None, help=help_text)
+
+
+def _add_target_flags(parser):
     parser.add_argument("--functions", default=None, help="target ids, e.g. f1,f3 or f1..f8")
     parser.add_argument("--quad-m", type=int, default=8, help="Gauss points per direction for DOFs")
+
+
+def _add_mesh_run_flags(parser):
+    parser.add_argument("--n", default=None, help="mesh grid parameters, e.g. 5,10,15")
     parser.add_argument("--error-degree", type=int, default=8, help="exactness degree of the L1 error rule")
     parser.add_argument("--threads", type=int, default=1, help="worker threads for mesh loops")
     parser.add_argument("--out", default=".", help="output directory for CSV/SVG files")
@@ -113,42 +136,56 @@ def build_parser():
     )
     parser.add_argument("--version", action="version", version=f"histotet {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    # No prefix matching: check and project would read --n as --nu.
+    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p_check = sub.add_parser("check", help="unisolvence diagnostics over a parameter grid")
-    _add_common_flags(p_check)
+    p_check = add_parser("check", help="unisolvence diagnostics over a parameter grid")
+    _add_strategy_flags(p_check)
+    p_check.set_defaults(handler=cmd_check)
 
-    p_tune = sub.add_parser("tune", help="bi-parametric grid search for optimal densities")
-    _add_common_flags(p_tune)
+    p_tune = add_parser("tune", help="bi-parametric grid search for optimal densities")
+    _add_strategy_flags(p_tune)
+    _add_target_flags(p_tune)
+    _add_mesh_run_flags(p_tune)
     p_tune.add_argument(
         "--holdout",
         default=None,
         help="function ids to exclude from the tuning objective",
     )
+    p_tune.set_defaults(handler=cmd_tune)
 
-    p_conv = sub.add_parser("converge", help="L1 convergence study (CSV + SVG)")
-    _add_common_flags(p_conv)
+    p_conv = add_parser("converge", help="L1 convergence study (CSV + SVG)")
+    _add_strategy_flags(p_conv)
+    _add_target_flags(p_conv)
+    _add_mesh_run_flags(p_conv)
     p_conv.add_argument(
         "--timing",
         action="store_true",
         help="write measured wall time into the seconds column "
         "(default writes 0.000 so reruns are byte-identical)",
     )
+    p_conv.set_defaults(handler=cmd_converge)
 
-    p_proj = sub.add_parser("project", help="single-element reconstruction dump")
-    _add_common_flags(p_proj)
+    p_proj = add_parser("project", help="single-element reconstruction dump")
+    _add_strategy_flags(p_proj)
+    _add_target_flags(p_proj)
     p_proj.add_argument(
         "--tet",
         default=None,
         help="12 comma-separated vertex coordinates (default: reference tetrahedron)",
     )
+    p_proj.set_defaults(handler=cmd_project)
 
     return parser
 
 
 def _settings(args):
-    if args.quad_m < 1 or args.error_degree < 1:
-        raise CliError("--quad-m and --error-degree must be >= 1")
-    return QuadSettings(dof_points=args.quad_m, error_degree=args.error_degree)
+    """QuadSettings of a mesh run (tune, converge), after checking --threads."""
+    _at_least(args.threads, 1, "--threads")
+    return QuadSettings(
+        dof_points=_at_least(args.quad_m, 1, "--quad-m"),
+        error_degree=_at_least(args.error_degree, 1, "--error-degree"),
+    )
 
 
 def _out_dir(args):
@@ -164,67 +201,75 @@ def _out_dir(args):
     return out
 
 
-def _grid(args, name, default):
-    raw = getattr(args, name)
-    return default if raw is None else _parse_floats(raw)
+def _method_ids(text):
+    """Method ids named by --strategy ('all' names every METHODS entry)."""
+    if text == "all":
+        return list(METHODS)
+    ids = [tok.strip() for tok in text.split(",") if tok.strip()]
+    for method in ids:
+        if method not in METHODS:
+            raise CliError(f"unknown strategy {method!r}")
+    if not ids:
+        raise CliError("--strategy names no strategy")
+    return ids
 
 
-def _strategy_configs(args):
-    """Single-valued strategy configs for converge/project."""
-    choice = args.strategy or "all"
-    alpha = _grid(args, "alpha", (2.0,))
-    beta = _grid(args, "beta", (2.0,))
-    theta = _grid(args, "theta", (0.5,))
-    gamma = _grid(args, "gamma", (2.0,))
-    zeta = _grid(args, "zeta", (2.0,))
-    nu = _grid(args, "nu", (2.0,))
-    by_id = {
-        "classical": lambda: StrategyConfig.classical(),
-        "fv": lambda: StrategyConfig.face_volume(
-            _single(alpha, "alpha"), _single(beta, "beta")
-        ),
-        "vol": lambda: StrategyConfig.volumetric_blend(
-            _single(theta, "theta"), _single(gamma, "gamma")
-        ),
-        "ef": lambda: StrategyConfig.edge_face(
-            _single(zeta, "zeta"), _single(nu, "nu")
-        ),
-    }
-    if choice == "all":
-        ids = ["classical", "fv", "vol", "ef"]
-    else:
-        ids = [tok.strip() for tok in choice.split(",") if tok.strip()]
-    try:
-        return [by_id[i]() for i in ids]
-    except KeyError as err:
-        raise CliError(f"unknown strategy {err.args[0]!r}") from None
-
-
-def _check_rows(args):
-    choice = args.strategy or "fv,vol,ef"
-    ids = [tok.strip() for tok in choice.split(",") if tok.strip()]
-    rows = []
-    for sid in ids:
-        if sid == "fv":
-            for a, b in product(_grid(args, "alpha", _DEFAULT_GRID), _grid(args, "beta", _DEFAULT_GRID)):
-                rows.append(StrategyConfig.face_volume(a, b))
-        elif sid == "vol":
-            for t, g in product(_grid(args, "theta", _DEFAULT_THETA_GRID), _grid(args, "gamma", _DEFAULT_GRID)):
-                rows.append(StrategyConfig.volumetric_blend(t, g))
-        elif sid == "ef":
-            for z, v in product(_grid(args, "zeta", _DEFAULT_GRID), _grid(args, "nu", _DEFAULT_GRID)):
-                rows.append(StrategyConfig.edge_face(z, v))
-        elif sid == "classical":
-            continue  # nothing to check: no enriched moment matrix
+def _parameters(args, method, single=False):
+    """(grids, configs) of one method: each parameter's values from its flag
+    or default (one value each when `single`), and the admissible
+    StrategyConfig of every combination."""
+    grids = []
+    for name in METHODS[method][1]:
+        _, grid, value = _PARAM_FLAGS[name]
+        raw = getattr(args, name)
+        if raw is None:
+            values = (value,) if single else grid
         else:
-            raise CliError(f"unknown strategy {sid!r}")
-    return rows
+            values = _parse_floats(raw)
+        if not values:
+            raise CliError(f"--{name} candidate grid must be nonempty")
+        if single and len(values) != 1:
+            raise CliError(f"--{name} expects a single value here, got {list(values)}")
+        grids.append(values)
+    try:
+        configs = [StrategyConfig.of(method, *params) for params in product(*grids)]
+    except ValueError as err:
+        raise CliError(str(err)) from None
+    return grids, configs
+
+
+def _targets(text, default, holdout=None):
+    """(ids, TargetFunctions) named by --functions, minus the holdout ids."""
+    ids = _parse_function_ids(text) if text else default
+    if not ids:
+        raise CliError("--functions names no target function")
+    if holdout:
+        held = set(_parse_function_ids(holdout))
+        ids = [i for i in ids if i not in held]
+        if not ids:
+            raise CliError("holdout removed every validation function")
+    try:
+        return ids, get_targets(ids)
+    except KeyError as err:
+        raise CliError(str(err.args[0])) from None
+
+
+def _mesh_ns(text, default):
+    ns = _parse_ints(text) if text else default
+    if not ns:
+        raise CliError("--n names no mesh")
+    for n in ns:
+        _at_least(n, 2, "--n")
+    return ns
 
 
 def cmd_check(args):
-    configs = _check_rows(args)
+    configs = []
+    for method in _method_ids(args.strategy or "fv,vol,ef"):
+        if METHODS[method][1]:  # classical has no enriched moment matrix
+            configs += _parameters(args, method)[1]
     if not configs:
-        raise CliError("nothing to check (empty strategy list)")
+        raise CliError("nothing to check: classical has no enriched moment matrix")
     header = f"{'strategy':<9}{'params':<28}{'det':>13}{'closed':>13}{'rel_err':>10}{'rank6':>7}{'spd':>6}{'cond':>11}"
     print(header)
     print("-" * len(header))
@@ -269,28 +314,11 @@ def _write_metadata(out, args, extra):
 
 def cmd_tune(args):
     kind = args.strategy
-    if kind not in ("fv", "vol", "ef"):
+    if kind not in METHODS or not METHODS[kind][1]:
         raise CliError("tune needs --strategy fv, vol or ef")
-    if kind == "fv":
-        first, second = _grid(args, "alpha", _DEFAULT_GRID), _grid(args, "beta", _DEFAULT_GRID)
-    elif kind == "vol":
-        first, second = _grid(args, "theta", _DEFAULT_THETA_GRID), _grid(args, "gamma", _DEFAULT_GRID)
-    else:
-        first, second = _grid(args, "zeta", _DEFAULT_GRID), _grid(args, "nu", _DEFAULT_GRID)
-    if not first or not second:
-        raise CliError("candidate grids must be nonempty")
-
-    ids = _parse_function_ids(args.functions) if args.functions else sorted(TARGETS)
-    if args.holdout:
-        held = set(_parse_function_ids(args.holdout))
-        ids = [i for i in ids if i not in held]
-        if not ids:
-            raise CliError("holdout removed every validation function")
-    try:
-        functions = get_targets(ids)
-    except KeyError as err:
-        raise CliError(str(err.args[0])) from None
-    ns = _parse_ints(args.n) if args.n else (5, 10, 15)
+    (first, second), _ = _parameters(args, kind)
+    ids, functions = _targets(args.functions, sorted(TARGETS), args.holdout)
+    ns = _mesh_ns(args.n, (5, 10, 15))
 
     settings = _settings(args)
     out = _out_dir(args)
@@ -325,16 +353,13 @@ def cmd_tune(args):
 
 
 def cmd_converge(args):
-    methods = _strategy_configs(args)
-    ids = _parse_function_ids(args.functions) if args.functions else sorted(TARGETS)
-    try:
-        functions = get_targets(ids)
-    except KeyError as err:
-        raise CliError(str(err.args[0])) from None
-    ns = _parse_ints(args.n) if args.n else (5, 10, 15, 20, 25)
-    for n in ns:
-        if n < 2:
-            raise CliError(f"mesh parameter n must be >= 2, got {n}")
+    methods = [
+        cfg
+        for method in _method_ids(args.strategy or "all")
+        for cfg in _parameters(args, method, single=True)[1]
+    ]
+    ids, functions = _targets(args.functions, sorted(TARGETS))
+    ns = _mesh_ns(args.n, (5, 10, 15, 20, 25))
 
     settings = _settings(args)
     out = _out_dir(args)
@@ -405,27 +430,27 @@ _SAMPLE_BARY = np.array(
 
 
 def cmd_project(args):
-    configs = _strategy_configs(args)
-    if len(configs) > 1:
-        configs = [c for c in configs if c.kind == "face_volume"]
-    cfg = configs[0]
-    ids = _parse_function_ids(args.functions) if args.functions else ["f4"]
+    methods = _method_ids(args.strategy or "fv")
+    if len(methods) != 1:
+        raise CliError(f"project takes exactly one strategy, got {methods}")
+    (cfg,) = _parameters(args, methods[0], single=True)[1]
+    ids, functions = _targets(args.functions, ["f4"])
     if len(ids) != 1:
         raise CliError("project expects exactly one function id")
-    try:
-        (f,) = get_targets(ids)
-    except KeyError as err:
-        raise CliError(str(err.args[0])) from None
+    (f,) = functions
 
     if args.tet:
         coords = _parse_floats(args.tet)
         if len(coords) != 12:
             raise CliError("--tet needs 12 coordinates (4 vertices x 3)")
-        tet = Tetrahedron(np.asarray(coords).reshape(4, 3))
+        try:
+            tet = Tetrahedron(np.asarray(coords).reshape(4, 3))
+        except GeometryError as err:
+            raise CliError(f"--tet: {err}") from None
     else:
         tet = REFERENCE_TET
 
-    settings = _settings(args)
+    settings = QuadSettings(dof_points=_at_least(args.quad_m, 1, "--quad-m"))
     dofs = compute_dofs(f, tet, cfg, settings)
 
     print(f"strategy : {cfg.method_id} ({cfg.params_text()})")
@@ -434,8 +459,6 @@ def cmd_project(args):
     print("dofs     :", " ".join(f"{d: .10e}" for d in dofs))
 
     if cfg.kind == "classical":
-        from .element import classical_project
-
         poly = classical_project(dofs)
         print("matrix cond : n/a (closed-form affine reconstruction)")
     else:
@@ -458,22 +481,10 @@ def cmd_project(args):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "check": cmd_check,
-        "tune": cmd_tune,
-        "converge": cmd_converge,
-        "project": cmd_project,
-    }
+    args = build_parser().parse_args(argv)
     try:
-        if args.threads < 1:
-            raise CliError(f"--threads must be >= 1, got {args.threads}")
-        return handlers[args.command](args)
+        return args.handler(args)
     except CliError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

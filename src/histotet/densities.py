@@ -276,21 +276,14 @@ def _volume_hk_for(density):
 def volume_ortho_pair(density):
     """The two interior quadratics (seeds lambda_1 lambda_2 and lambda_1 lambda_3)
     orthogonal to all affine functions under a volume density."""
-    if density.space != "volume":
-        raise ValueError("expected a volume density")
-    hk = _volume_hk_for(density)
-    if hk is not None:
-        h, k = hk
-        return _pair_quadratic(0, 1, h, k), _pair_quadratic(0, 2, h, k)
-    seeds = (_pair_quadratic(0, 1, 0.0, 0.0), _pair_quadratic(0, 2, 0.0, 0.0))
-    return tuple(gram_schmidt_enrich(s, density) for s in seeds)
+    return tuple(volumetric_psi(density)[:2])
 
 
 def volumetric_psi(density):
     """Six interior quadratics, one per coordinate pair, orthogonal to affines.
 
-    Closed-form constants for Dirichlet-type densities; general densities
-    (blends) fall back to the Gram-Schmidt construction.
+    Closed-form constants for the uniform, dirichlet and symmetric-quadratic
+    densities; general densities (blends) use the Gram-Schmidt construction.
     """
     if density.space != "volume":
         raise ValueError("expected a volume density")
@@ -316,15 +309,13 @@ def edge_ortho_quadratic(density):
     return gram_schmidt_enrich(BaryQuadratic("edge", [0.0, 0.0, 1.0]), density)
 
 
-def gram_schmidt_enrich(seed, density, space=None):
+def gram_schmidt_enrich(seed, density):
     """Remove from `seed` its projection onto the affine span under `density`.
 
     The result is orthogonal to every affine function with respect to the
     density's inner product and keeps the seed's quadratic part (monic in
     the seed).  Raises if the seed has no quadratic part.
     """
-    if space is not None and space != seed.space:
-        raise ValueError("seed space does not match requested space")
     if seed.space != density.space:
         raise ValueError("seed and density live on different domains")
 

@@ -70,13 +70,26 @@ class Poly2OnTet:
         return lambda_basis(lam) @ self.coeffs
 
 
+#: Method id -> (StrategyConfig kind, parameter names in order): each
+#: strategy is one two-parameter density family, classical has none.
+METHODS = {
+    "classical": ("classical", ()),
+    "fv": ("face_volume", ("alpha", "beta")),
+    "vol": ("volumetric", ("theta", "gamma")),
+    "ef": ("edge_face", ("zeta", "nu")),
+}
+
+_METHOD_OF_KIND = {kind: method for method, (kind, _) in METHODS.items()}
+
+
 @dataclass(frozen=True)
 class StrategyConfig:
     """Which reconstruction scheme to use, with its density parameters.
 
     Use the classmethod constructors; positional construction is internal.
     The face averages use the dirichlet(alpha) density for the face-volume
-    strategy and the uniform density otherwise.
+    strategy and the uniform density otherwise.  The volumetric density is
+    always the blend theta * uniform + (1 - theta) * dirichlet(gamma).
     """
 
     kind: str
@@ -86,87 +99,69 @@ class StrategyConfig:
     gamma: float | None = None
     zeta: float | None = None
     nu: float | None = None
-    volume_variant: str | None = None
+
+    @classmethod
+    def of(cls, method, *params):
+        """Config of a method id from its parameters in METHODS order."""
+        if method not in METHODS:
+            raise ValueError(f"unknown strategy {method!r}")
+        kind, names = METHODS[method]
+        if len(params) != len(names):
+            raise ValueError(f"{method} takes parameters {names}, got {params}")
+        return cls(kind, **{name: float(p) for name, p in zip(names, params)})
 
     @classmethod
     def classical(cls):
-        return cls(kind="classical")
+        return cls.of("classical")
 
     @classmethod
     def face_volume(cls, alpha, beta):
-        return cls(kind="face_volume", alpha=float(alpha), beta=float(beta))
+        return cls.of("fv", alpha, beta)
 
     @classmethod
-    def volumetric(cls, variant="dirichlet", gamma=None, theta=None):
-        return cls(
-            kind="volumetric",
-            gamma=None if gamma is None else float(gamma),
-            theta=None if theta is None else float(theta),
-            volume_variant=variant,
+    def volumetric(cls, variant="dirichlet", gamma=None):
+        """dirichlet(gamma) and uniform: the blend at theta=0 and theta=1."""
+        if variant == "dirichlet" and gamma is not None:
+            return cls.volumetric_blend(0.0, gamma)
+        if variant == "uniform" and gamma is None:
+            return cls.volumetric_blend(1.0, 1.0)
+        raise ValueError(
+            "the volume variants are 'dirichlet' with gamma and 'uniform' "
+            f"without; got {variant!r} with gamma={gamma!r}"
         )
 
     @classmethod
     def volumetric_blend(cls, theta, gamma):
-        return cls.volumetric(variant="blend", gamma=gamma, theta=theta)
+        return cls.of("vol", theta, gamma)
 
     @classmethod
     def edge_face(cls, zeta, nu):
-        return cls(kind="edge_face", zeta=float(zeta), nu=float(nu))
+        return cls.of("ef", zeta, nu)
 
     def __post_init__(self):
-        if self.kind not in ("classical", "face_volume", "volumetric", "edge_face"):
+        if self.kind not in _METHOD_OF_KIND:
             raise ValueError(f"unknown strategy kind {self.kind!r}")
-        for name in ("alpha", "beta", "gamma", "zeta", "nu"):
+        for name in METHODS[self.method_id][1]:
             value = getattr(self, name)
-            if value is not None and value < PARAM_FLOOR:
+            if value is None or not np.isfinite(value):
+                raise ValueError(f"{self.method_id} needs a finite {name}, got {value!r}")
+            elif name == "theta":
+                if not 0.0 <= value <= 1.0:
+                    raise ValueError(f"theta must lie in [0, 1], got {value!r}")
+            elif value < PARAM_FLOOR:
                 raise ValueError(
                     f"{name}={value!r} is below the admissible floor {PARAM_FLOOR}"
                 )
-        if self.theta is not None and not 0.0 <= self.theta <= 1.0:
-            raise ValueError(f"theta must lie in [0, 1], got {self.theta!r}")
-        if self.kind == "volumetric":
-            allowed = ("uniform", "symmetric-quadratic", "dirichlet", "blend")
-            if self.volume_variant not in allowed:
-                raise ValueError(
-                    f"volume_variant must be one of {allowed}, got "
-                    f"{self.volume_variant!r}"
-                )
-            if self.volume_variant in ("dirichlet", "blend") and self.gamma is None:
-                raise ValueError(f"{self.volume_variant!r} volume density needs gamma")
-            if self.volume_variant == "blend" and self.theta is None:
-                raise ValueError("blend volume density needs theta")
 
     @property
     def method_id(self):
-        return {
-            "classical": "classical",
-            "face_volume": "fv",
-            "volumetric": "vol",
-            "edge_face": "ef",
-        }[self.kind]
+        return _METHOD_OF_KIND[self.kind]
 
     def params_text(self):
-        def fmt(x):
-            return f"{x:g}"
-
-        if self.kind == "classical":
+        names = METHODS[self.method_id][1]
+        if not names:
             return "-"
-        if self.kind == "face_volume":
-            return f"alpha={fmt(self.alpha)};beta={fmt(self.beta)}"
-        if self.kind == "edge_face":
-            return f"zeta={fmt(self.zeta)};nu={fmt(self.nu)}"
-        if self.volume_variant == "blend":
-            return f"theta={fmt(self.theta)};gamma={fmt(self.gamma)}"
-        if self.volume_variant == "dirichlet":
-            return f"gamma={fmt(self.gamma)}"
-        return f"variant={self.volume_variant}"
-
-    def volume_density(self):
-        if self.kind != "volumetric":
-            raise ValueError("only volumetric strategies carry a volume density")
-        return volume_density(
-            self.volume_variant, gamma=self.gamma, theta=self.theta
-        )
+        return ";".join(f"{name}={getattr(self, name):g}" for name in names)
 
 
 #: Barycentric indices of the volume's native coordinates.
@@ -211,7 +206,7 @@ def build_functionals(cfg):
             for rho in volume_ortho_pair(interior)
         ]
     elif cfg.kind == "volumetric":
-        interior = cfg.volume_density()
+        interior = volume_density("blend", gamma=cfg.gamma, theta=cfg.theta)
         funcs += [
             Functional(VOLUME_VERTICES, interior, psi)
             for psi in volumetric_psi(interior)
@@ -382,8 +377,9 @@ def _report(cfg, dmat):
     closed = None
     if cfg.kind == "face_volume":
         closed = det_dfv_closed(cfg.alpha, cfg.beta)
-    elif cfg.kind == "volumetric" and cfg.volume_variant in ("dirichlet", "uniform"):
-        closed = det_dvol_closed(1.0 if cfg.volume_variant == "uniform" else cfg.gamma)
+    elif cfg.kind == "volumetric" and cfg.theta in (0.0, 1.0):
+        # theta=0 is dirichlet(gamma), theta=1 the uniform law dirichlet(1)
+        closed = det_dvol_closed(cfg.gamma if cfg.theta == 0.0 else 1.0)
     rel = None if closed is None else abs(det - closed) / abs(closed)
 
     spd = None
@@ -494,9 +490,7 @@ def classical_project(face_averages):
     avg = np.asarray(face_averages, dtype=float)
     if avg.shape != (4,):
         raise ValueError("expected 4 face averages")
-    coeffs = np.zeros(10)
-    coeffs[:4] = avg.sum() - 3.0 * avg
-    return Poly2OnTet(coeffs)
+    return Poly2OnTet(classical_coefficients(avg))
 
 
 def classical_coefficients(face_averages):

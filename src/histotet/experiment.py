@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .element import (
+    METHODS,
     StrategyConfig,
     assemble_H,
     build_functionals,
@@ -248,37 +249,18 @@ def convergence_study(
     return rows
 
 
-#: Parameter-axis names of each tunable strategy kind.
-TUNABLE_AXES = {
-    "fv": ("alpha", "beta"),
-    "vol": ("theta", "gamma"),
-    "ef": ("zeta", "nu"),
-}
-
-
-def config_for(kind, first, second):
-    """StrategyConfig of a tunable kind from its two grid parameters."""
-    if kind == "fv":
-        return StrategyConfig.face_volume(first, second)
-    if kind == "vol":
-        return StrategyConfig.volumetric_blend(theta=first, gamma=second)
-    if kind == "ef":
-        return StrategyConfig.edge_face(first, second)
-    raise ValueError(f"unknown tunable strategy kind {kind!r}")
-
-
 @dataclass(frozen=True)
 class TuningGrid:
     """Candidate parameter grid plus the validation protocol."""
 
-    kind: str  # 'fv' | 'vol' | 'ef'
+    kind: str  # a METHODS id with parameters: 'fv' | 'vol' | 'ef'
     first: tuple
     second: tuple
     functions: tuple
     ns: tuple
 
     def __post_init__(self):
-        if self.kind not in TUNABLE_AXES:
+        if self.kind not in METHODS or not METHODS[self.kind][1]:
             raise ValueError(f"unknown tunable strategy kind {self.kind!r}")
         if not self.first or not self.second:
             raise ValueError("candidate grids must be nonempty")
@@ -337,7 +319,7 @@ def grid_search(grid, settings=QuadSettings(), threads=1, meshes=None):
     engines = {}
     for a in grid.first:
         for b in grid.second:
-            engines[(a, b)] = _ErrorEngine(config_for(grid.kind, a, b), settings)
+            engines[(a, b)] = _ErrorEngine(StrategyConfig.of(grid.kind, a, b), settings)
 
     surface = np.zeros((len(grid.first), len(grid.second)))
     any_engine = next(iter(engines.values()))
@@ -357,7 +339,7 @@ def grid_search(grid, settings=QuadSettings(), threads=1, meshes=None):
 
     return TuneResult(
         kind=grid.kind,
-        axes=TUNABLE_AXES[grid.kind],
+        axes=METHODS[grid.kind][1],
         best=best,
         best_error=best_error,
         surface=surface,

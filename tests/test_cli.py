@@ -3,6 +3,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from histotet import cli
 from histotet.cli import main
 
 
@@ -24,6 +25,53 @@ def test_check_rejects_below_floor(capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "floor" in err
+
+
+def test_check_reports_blend_endpoint_closed_forms(capsys):
+    assert run(["check", "--strategy", "vol", "--theta", "0,1", "--gamma", "0.5,2,5"]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[2:-1]]
+    assert len(rows) == 6
+    for _, params, det, closed, rel, *_ in rows:
+        assert closed != "-", params
+        assert float(rel) < 1e-9, params
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--n", "5"],
+    ["check", "--out", "somewhere"],
+    ["project", "--threads", "2"],
+    ["project", "--error-degree", "4"],
+])
+def test_commands_reject_flags_they_do_not_read(argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["converge", "--functions", ","], "no target"),
+    (["converge", "--n", ","], "no mesh"),
+    (["converge", "--strategy", ","], "no strategy"),
+    (["converge", "--functions", "fx..f3"], "bad function range"),
+    (["converge", "--strategy", "vol", "--theta", "2"], "theta"),
+    (["tune", "--strategy", "ef", "--n", "1"], "--n must be >= 2, got 1"),
+    (["tune", "--strategy", "vol", "--gamma", "1e-6"], "floor"),
+    (["converge", "--quad-m", "0"], "--quad-m must be >= 1"),
+])
+def test_bad_input_exits_2(tmp_path, capsys, argv, message):
+    assert run(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_internal_error_propagates(tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("internal failure")
+
+    monkeypatch.setattr(cli, "convergence_study", broken)
+    with pytest.raises(ValueError, match="internal failure"):
+        run(["converge", "--functions", "f1", "--n", "3", "--strategy", "classical",
+             "--out", str(tmp_path)])
 
 
 def test_converge_csv_schema_and_determinism(tmp_path):
@@ -151,3 +199,14 @@ def test_project_quadratic_is_reproduced(capsys):
     assert code == 0
     drift = float(out.split("max |dofs(reconstruction) - dofs| :")[1].split()[0])
     assert drift < 1e-9
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--strategy", "vol,ef"], "exactly one strategy"),
+    (["--strategy", "all"], "exactly one strategy"),
+    (["--functions", "f1,f2"], "exactly one function"),
+    (["--tet", "0,0,0,1,0,0,2,0,0,3,0,0"], "degenerate"),
+])
+def test_project_rejects_bad_input(capsys, argv, message):
+    assert run(["project", *argv]) == 2
+    assert message in capsys.readouterr().err

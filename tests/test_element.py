@@ -17,6 +17,7 @@ from histotet import (
 from histotet.densities import face_density, volume_density
 from histotet.element import (
     LAMBDA_EXPONENTS,
+    METHODS,
     VOLUME_VERTICES,
     Functional,
     _assemble_operator,
@@ -181,6 +182,10 @@ def test_vol_determinants_on_grid():
         assert rep.closed_form_det == det_dvol_closed(gamma)
         assert rep.rel_error < 1e-9
         assert rep.rank6 and rep.spd
+        # theta=1 is the uniform law whatever gamma is
+        rep = unisolvence_check(StrategyConfig.volumetric_blend(1.0, gamma))
+        assert rep.closed_form_det == det_dvol_closed(1.0)
+        assert rep.rel_error < 1e-9
 
 
 def test_vol_determinant_gamma1_value():
@@ -325,6 +330,32 @@ def test_volumetric_config_validation():
     with pytest.raises(ValueError):
         StrategyConfig.volumetric(variant="dirichlet")  # missing gamma
     with pytest.raises(ValueError):
-        StrategyConfig.volumetric(variant="blend", gamma=2.0)  # missing theta
+        StrategyConfig.volumetric(variant="blend", gamma=2.0)  # blends use volumetric_blend
     with pytest.raises(ValueError):
         StrategyConfig.volumetric(variant="nope", gamma=2.0)
+
+
+def test_volume_variants_are_blend_members():
+    for gamma in ORACLE_GRID:
+        cfg = StrategyConfig.volumetric("dirichlet", gamma=gamma)
+        assert cfg == StrategyConfig.volumetric_blend(0, gamma)
+    assert StrategyConfig.volumetric("uniform") == StrategyConfig.volumetric_blend(1, 1)
+
+
+def test_methods_table_drives_configs():
+    assert [f.name for f in dataclasses.fields(StrategyConfig)] == [
+        "kind", "alpha", "beta", "theta", "gamma", "zeta", "nu"
+    ]
+    for method, (kind, names) in METHODS.items():
+        cfg = StrategyConfig.of(method, *[0.5] * len(names))
+        assert (cfg.kind, cfg.method_id) == (kind, method)
+        expected = ";".join(f"{name}=0.5" for name in names) or "-"
+        assert cfg.params_text() == expected
+        with pytest.raises(ValueError):
+            StrategyConfig.of(method, *[0.5] * (len(names) + 1))
+    assert StrategyConfig.face_volume(2, 3) == StrategyConfig.of("fv", 2, 3)
+    assert StrategyConfig.edge_face(2, 3) == StrategyConfig.of("ef", 2, 3)
+    with pytest.raises(ValueError):
+        StrategyConfig.of("symmetric-quadratic")
+    with pytest.raises(ValueError):
+        StrategyConfig.of("fv", float("nan"), 1.0)
