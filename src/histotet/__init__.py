@@ -16,13 +16,10 @@ from .densities import (
     face_ortho_quadratic,
     gram_schmidt_enrich,
     volume_density,
-    volume_ortho_pair,
     volumetric_psi,
 )
 from .element import (
     ElementOperator,
-    Poly2OnTet,
-    QuadMomentMatrix,
     StrategyConfig,
     UnisolvenceError,
     UnisolvenceReport,
@@ -45,7 +42,6 @@ from .experiment import (
 )
 from .mesh import TetMesh, build_mesh
 from .quadrature import (
-    QuadRule1D,
     SimplexRule,
     gauss_jacobi,
     simplex_rule_plain,

@@ -105,6 +105,16 @@ def _parse_function_ids(text):
     return ids
 
 
+def _distinct(values, flag):
+    """values, after checking that no entry repeats."""
+    seen = set()
+    for value in values:
+        if value in seen:
+            raise CliError(f"{flag} names {value} more than once")
+        seen.add(value)
+    return values
+
+
 def _at_least(value, floor, flag):
     if value < floor:
         raise CliError(f"{flag} must be >= {floor}, got {value}")
@@ -211,7 +221,7 @@ def _method_ids(text):
             raise CliError(f"unknown strategy {method!r}")
     if not ids:
         raise CliError("--strategy names no strategy")
-    return ids
+    return _distinct(ids, "--strategy")
 
 
 def _parameters(args, method, single=False):
@@ -225,7 +235,7 @@ def _parameters(args, method, single=False):
         if raw is None:
             values = (value,) if single else grid
         else:
-            values = _parse_floats(raw)
+            values = _distinct(_parse_floats(raw), f"--{name}")
         if not values:
             raise CliError(f"--{name} candidate grid must be nonempty")
         if single and len(values) != 1:
@@ -240,11 +250,16 @@ def _parameters(args, method, single=False):
 
 def _targets(text, default, holdout=None):
     """(ids, TargetFunctions) named by --functions, minus the holdout ids."""
-    ids = _parse_function_ids(text) if text else default
+    ids = _distinct(_parse_function_ids(text) if text else default, "--functions")
     if not ids:
         raise CliError("--functions names no target function")
     if holdout:
-        held = set(_parse_function_ids(holdout))
+        held = _parse_function_ids(holdout)
+        for fid in held:
+            if fid not in TARGETS:
+                raise CliError(f"--holdout: unknown function id {fid!r}")
+            if fid not in ids:
+                raise CliError(f"--holdout names {fid}, which --functions does not")
         ids = [i for i in ids if i not in held]
         if not ids:
             raise CliError("holdout removed every validation function")
@@ -255,7 +270,7 @@ def _targets(text, default, holdout=None):
 
 
 def _mesh_ns(text, default):
-    ns = _parse_ints(text) if text else default
+    ns = _distinct(_parse_ints(text) if text else default, "--n")
     if not ns:
         raise CliError("--n names no mesh")
     for n in ns:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quadrature import SimplexRule, simplex_rule_weighted
-from .simplex import dirichlet_expectation
+from .simplex import EDGE_PAIRS, dirichlet_expectation
 
 #: Concentration-style parameters below this are rejected: the moment
 #: matrices degenerate as the parameters approach zero.
@@ -57,17 +57,15 @@ class Density:
         )
 
     def rule(self, m):
-        """Weighted simplex rule (mass 1) with m Gauss points per direction."""
-        if len(self.components) == 1:
-            coef, exps = self.components[0]
-            return simplex_rule_weighted(self.dim, exps, m)
+        """Weighted simplex rule (mass 1) with m Gauss points per direction:
+        the union of the component rules, weights scaled by coefficient."""
         parts = [
             (coef, simplex_rule_weighted(self.dim, exps, m))
             for coef, exps in self.components
         ]
         nodes = np.concatenate([r.nodes for _, r in parts])
         weights = np.concatenate([coef * r.weights for coef, r in parts])
-        return SimplexRule(d=self.dim, nodes=nodes, weights=weights, exponents=None)
+        return SimplexRule(nodes, weights)
 
 
 def _symmetric_quadratic_components(ncoords):
@@ -214,23 +212,13 @@ def _face_sum_of_squares_minus(c):
     return BaryQuadratic("face", [1.0 - c] * 3 + [-2.0] * 3)
 
 
-_PAIR_POSITION = {
-    (0, 1): 0,
-    (0, 2): 1,
-    (0, 3): 2,
-    (1, 2): 3,
-    (1, 3): 4,
-    (2, 3): 5,
-}
-
-
 def _pair_quadratic(i, j, h, k):
     # lambda_i lambda_j + h - k (lambda_i + lambda_j), constant via sum lambda = 1
     coeffs = np.zeros(10)
     coeffs[:4] = h
     coeffs[i] -= k
     coeffs[j] -= k
-    coeffs[4 + _PAIR_POSITION[(i, j)]] = 1.0
+    coeffs[4 + EDGE_PAIRS.index((i, j))] = 1.0
     return BaryQuadratic("volume", coeffs)
 
 #: Constants of the symmetric-quadratic families (verified by moments in tests).
@@ -273,12 +261,6 @@ def _volume_hk_for(density):
     return None
 
 
-def volume_ortho_pair(density):
-    """The two interior quadratics (seeds lambda_1 lambda_2 and lambda_1 lambda_3)
-    orthogonal to all affine functions under a volume density."""
-    return tuple(volumetric_psi(density)[:2])
-
-
 def volumetric_psi(density):
     """Six interior quadratics, one per coordinate pair, orthogonal to affines.
 
@@ -288,13 +270,12 @@ def volumetric_psi(density):
     if density.space != "volume":
         raise ValueError("expected a volume density")
     hk = _volume_hk_for(density)
-    pairs = sorted(_PAIR_POSITION, key=_PAIR_POSITION.get)
     if hk is not None:
         h, k = hk
-        return [_pair_quadratic(i, j, h, k) for i, j in pairs]
+        return [_pair_quadratic(i, j, h, k) for i, j in EDGE_PAIRS]
     return [
         gram_schmidt_enrich(_pair_quadratic(i, j, 0.0, 0.0), density)
-        for i, j in pairs
+        for i, j in EDGE_PAIRS
     ]
 
 
@@ -318,21 +299,13 @@ def gram_schmidt_enrich(seed, density):
     """
     if seed.space != density.space:
         raise ValueError("seed and density live on different domains")
+    # In every basis the first dim + 1 monomials span the affines: 1 and t on
+    # an edge, the coordinates (whose sum is 1) on a face or the volume.
+    n = density.dim + 1
+    if not np.any(seed.coeffs[n:]):
+        raise ValueError("seed is affine; nothing to orthogonalize")
+    affine = _BASIS_BY_SPACE[seed.space][:n]
 
-    if seed.space == "edge":
-        if seed.coeffs[2] == 0.0:
-            raise ValueError("seed is affine; nothing to orthogonalize")
-        affine = [(0, 0), (1, 0)]  # 1, t
-    elif seed.space == "face":
-        if not np.any(seed.coeffs[3:]):
-            raise ValueError("seed is affine; nothing to orthogonalize")
-        affine = list(FACE_BASIS_EXPONENTS[:3])  # the mu span contains constants
-    else:
-        if not np.any(seed.coeffs[4:]):
-            raise ValueError("seed is affine; nothing to orthogonalize")
-        affine = list(VOLUME_BASIS_EXPONENTS[:4])
-
-    n = len(affine)
     gram = np.empty((n, n))
     rhs = np.empty(n)
     for r, er in enumerate(affine):

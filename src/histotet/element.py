@@ -24,13 +24,9 @@ from .densities import (
     face_density,
     face_ortho_quadratic,
     volume_density,
-    volume_ortho_pair,
     volumetric_psi,
 )
 from .simplex import EDGE_PAIRS, FACE_VERTEX_INDICES
-
-#: Exponent tuples of the ten quadratic basis monomials (Lambda order).
-LAMBDA_EXPONENTS = VOLUME_BASIS_EXPONENTS
 
 #: Condition number above which assembly warns about ill-conditioning.
 CONDITION_WARN = 1e12
@@ -53,21 +49,6 @@ def lambda_basis(lam):
     cols = [lam[..., i] for i in range(4)]
     cols += [lam[..., i] * lam[..., j] for i, j in EDGE_PAIRS]
     return np.stack(cols, axis=-1)
-
-
-@dataclass(frozen=True)
-class Poly2OnTet:
-    """Quadratic polynomial on a tetrahedron, ten coefficients in Lambda order."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=float).copy())
-        if self.coeffs.shape != (10,):
-            raise ValueError("Poly2OnTet needs 10 coefficients")
-
-    def __call__(self, lam):
-        return lambda_basis(lam) @ self.coeffs
 
 
 #: Method id -> (StrategyConfig kind, parameter names in order): each
@@ -203,7 +184,7 @@ def build_functionals(cfg):
         interior = volume_density("dirichlet", gamma=cfg.beta)
         funcs += [
             Functional(VOLUME_VERTICES, interior, rho)
-            for rho in volume_ortho_pair(interior)
+            for rho in volumetric_psi(interior)[:2]
         ]
     elif cfg.kind == "volumetric":
         interior = volume_density("blend", gamma=cfg.gamma, theta=cfg.theta)
@@ -237,16 +218,11 @@ def apply_functional_to_monomial(func, lam_exponents):
 
 
 def apply_functionals(functionals, poly):
-    """Apply a list of functionals to a Poly2OnTet via analytic moments."""
-    values = np.zeros(len(functionals))
-    for r, func in enumerate(functionals):
-        for c, exps in zip(poly.coeffs, LAMBDA_EXPONENTS):
-            if c != 0.0:
-                values[r] += c * apply_functional_to_monomial(func, exps)
-    return values
+    """Apply functionals to a volume BaryQuadratic via analytic moments."""
+    return _functional_matrix(functionals) @ poly.coeffs
 
 
-def _functional_matrix(functionals, columns=LAMBDA_EXPONENTS):
+def _functional_matrix(functionals, columns=VOLUME_BASIS_EXPONENTS):
     return np.array(
         [
             [apply_functional_to_monomial(f, exps) for exps in columns]
@@ -315,24 +291,16 @@ def det_dvol_closed(gamma):
     )
 
 
-@dataclass(frozen=True)
-class QuadMomentMatrix:
-    """The 6x6 enriched-moment matrix of a strategy in the pair basis."""
-
-    strategy: str
-    matrix: np.ndarray
-
-
 def _enriched_block(functionals):
     # Six enriched functionals against the six pair monomials.
-    return _functional_matrix(functionals[4:], LAMBDA_EXPONENTS[4:])
+    return _functional_matrix(functionals[4:], VOLUME_BASIS_EXPONENTS[4:])
 
 
 def assemble_D(cfg):
-    """Assemble the 6x6 enriched-moment matrix with the moment engine."""
+    """The 6x6 enriched-moment matrix, assembled with the moment engine."""
     if cfg.kind == "classical":
         raise ValueError("the classical strategy has no enriched moment matrix")
-    return QuadMomentMatrix(cfg.kind, _enriched_block(build_functionals(cfg)))
+    return _enriched_block(build_functionals(cfg))
 
 
 def edge_diagonal_entry(zeta, nu):
@@ -368,7 +336,7 @@ def unisolvence_check(cfg):
     that all LU pivots stay above PIVOT_RTOL times the largest entry.
     A failed check is reported, not raised.
     """
-    return _report(cfg, assemble_D(cfg).matrix)
+    return _report(cfg, assemble_D(cfg))
 
 
 def _report(cfg, dmat):
@@ -427,7 +395,7 @@ class ElementOperator:
 
     def basis_function(self, ell):
         """chi_ell, the basis polynomial dual to functional ell."""
-        return Poly2OnTet(self.h_inv[:, ell])
+        return BaryQuadratic("volume", self.h_inv[:, ell])
 
 
 def _assemble_operator(cfg, functionals):
@@ -478,19 +446,19 @@ def reconstruct(op, dofs):
     dofs = np.asarray(dofs, dtype=float)
     if dofs.shape != (10,):
         raise ValueError("expected 10 degrees of freedom")
-    return Poly2OnTet(op.h_inv @ dofs)
+    return BaryQuadratic("volume", op.h_inv @ dofs)
 
 
 def classical_project(face_averages):
     """Affine reconstruction from the four uniform face averages.
 
-    Returns sum_j avg_j * (1 - 3 lambda_j) as a Poly2OnTet whose quadratic
-    part is zero.
+    Returns sum_j avg_j * (1 - 3 lambda_j) as a volume BaryQuadratic whose
+    quadratic part is zero.
     """
     avg = np.asarray(face_averages, dtype=float)
     if avg.shape != (4,):
         raise ValueError("expected 4 face averages")
-    return Poly2OnTet(classical_coefficients(avg))
+    return BaryQuadratic("volume", classical_coefficients(avg))
 
 
 def classical_coefficients(face_averages):

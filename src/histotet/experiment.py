@@ -213,20 +213,14 @@ class ErrorRow:
     seconds: float
 
 
-def convergence_study(
-    functions, ns, methods, settings=QuadSettings(), threads=1, meshes=None
-):
+def convergence_study(functions, ns, methods, settings=QuadSettings(), threads=1):
     """One L1-error row per (function, mesh, method) combination.
 
     `functions` are TargetFunctions, `ns` grid parameters, `methods`
     StrategyConfigs.  Rows appear in method-major, function, mesh order and
     the numbers are deterministic for fixed settings.
     """
-    if meshes is None:
-        meshes = {}
-    for n in ns:
-        if n not in meshes:
-            meshes[n] = build_mesh(n)
+    meshes = {n: build_mesh(n) for n in ns}
 
     rows = []
     for cfg in methods:
@@ -272,7 +266,6 @@ class TuningGrid:
 class TuneResult:
     """Optimal parameter pair and the full accumulated-error surface."""
 
-    kind: str
     axes: tuple
     best: tuple
     best_error: float
@@ -287,18 +280,6 @@ class TuneResult:
             for ib, b in enumerate(self.second):
                 rows.append((a, b, float(self.surface[ia, ib])))
         return rows
-
-
-def first_strict_minimizer(surface):
-    """Row-major scan with a strict '<' update: ties keep the earlier candidate."""
-    best = None
-    best_value = np.inf
-    for ia in range(surface.shape[0]):
-        for ib in range(surface.shape[1]):
-            if surface[ia, ib] < best_value:
-                best_value = float(surface[ia, ib])
-                best = (ia, ib)
-    return best
 
 
 def grid_search(grid, settings=QuadSettings(), threads=1, meshes=None):
@@ -333,12 +314,13 @@ def grid_search(grid, settings=QuadSettings(), threads=1, meshes=None):
                         f, mesh, threads=threads, f_err_values=fe
                     )
 
-    ia, ib = first_strict_minimizer(surface)
+    # argmin returns the first minimum in row-major order; the surface is
+    # finite, because l1_on_mesh raises on a non-finite cell error.
+    ia, ib = np.unravel_index(np.argmin(surface), surface.shape)
     best = (grid.first[ia], grid.second[ib])
     best_error = float(surface[ia, ib])
 
     return TuneResult(
-        kind=grid.kind,
         axes=METHODS[grid.kind][1],
         best=best,
         best_error=best_error,

@@ -14,31 +14,20 @@ import numpy as np
 from scipy.special import betaln, roots_jacobi
 
 
-@dataclass(frozen=True)
-class QuadRule1D:
-    """m-point rule for integrals of g(t) * t^a * (1-t)^b over [0,1].
+def gauss_jacobi(m, a, b):
+    """(nodes, weights) of the m-point rule for integrals of g(t) t^a (1-t)^b
+    over [0,1].
 
-    Exact for polynomials g up to degree 2m - 1; weights sum to the Beta
+    Exact for polynomials g up to degree 2m - 1; the weights sum to the Beta
     function B(a+1, b+1) (the mass of the weight itself).
     """
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    a: float
-    b: float
-
-
-def gauss_jacobi(m, a, b):
-    """Gauss-Jacobi rule with m nodes for the weight t^a (1-t)^b on [0,1]."""
     if m < 1:
         raise ValueError("node count m must be >= 1")
     if a <= -1.0 or b <= -1.0:
         raise ValueError("weight exponents must be > -1")
     # scipy's rule targets (1-x)^alpha (1+x)^beta on [-1,1]; map x = 2t - 1.
     x, w = roots_jacobi(m, b, a)
-    nodes = 0.5 * (x + 1.0)
-    weights = w / 2.0 ** (a + b + 1.0)
-    return QuadRule1D(nodes=nodes, weights=weights, a=float(a), b=float(b))
+    return 0.5 * (x + 1.0), w / 2.0 ** (a + b + 1.0)
 
 
 @dataclass(frozen=True)
@@ -46,15 +35,11 @@ class SimplexRule:
     """Quadrature rule in barycentric coordinates on the unit d-simplex.
 
     `nodes` has shape (npoints, d+1); `weights` sum to 1 (the rule computes
-    expectations under the normalized target density).  `exponents` are the
-    Dirichlet exponents of the target weight; None marks a mixture rule whose
-    weight is not a single Dirichlet density.
+    expectations under the normalized target density).
     """
 
-    d: int
     nodes: np.ndarray
     weights: np.ndarray
-    exponents: tuple | None
 
     def integrate(self, values):
         return float(np.dot(np.asarray(values, dtype=float), self.weights))
@@ -91,18 +76,18 @@ def simplex_rule_weighted(d, exponents, m):
         raise ValueError("node count m must be >= 1")
 
     conc = e + 1.0  # Dirichlet concentration parameters
-    rules = []
+    node_axes, weight_axes = [], []
     for i in range(d):
         a_i = conc[i] - 1.0
         b_i = conc[i + 1 :].sum() - 1.0
-        r = gauss_jacobi(m, a_i, b_i)
+        nodes, weights = gauss_jacobi(m, a_i, b_i)
+        node_axes.append(nodes)
         # Normalize each factor to a probability rule; the product then has
         # mass exactly 1 regardless of the Dirichlet normalizing constant.
-        mass = np.exp(betaln(a_i + 1.0, b_i + 1.0))
-        rules.append(QuadRule1D(r.nodes, r.weights / mass, a_i, b_i))
+        weight_axes.append(weights / np.exp(betaln(a_i + 1.0, b_i + 1.0)))
 
-    node_grids = np.meshgrid(*[r.nodes for r in rules], indexing="ij")
-    weight_grids = np.meshgrid(*[r.weights for r in rules], indexing="ij")
+    node_grids = np.meshgrid(*node_axes, indexing="ij")
+    weight_grids = np.meshgrid(*weight_axes, indexing="ij")
 
     npts = m**d
     lam = np.empty((npts, d + 1))
@@ -117,7 +102,7 @@ def simplex_rule_weighted(d, exponents, m):
     for g in weight_grids:
         weights *= g.reshape(-1)
 
-    return SimplexRule(d=d, nodes=lam, weights=weights, exponents=tuple(e))
+    return SimplexRule(nodes=lam, weights=weights)
 
 
 def simplex_rule_plain(d, target_degree):

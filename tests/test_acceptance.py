@@ -10,7 +10,7 @@ import pytest
 
 from histotet import (
     TARGETS,
-    Poly2OnTet,
+    BaryQuadratic,
     StrategyConfig,
     TargetFunction,
     TuningGrid,
@@ -52,17 +52,17 @@ UNIT_VARIANTS = [
 def test_criterion_1_determinant_reproduction():
     started = time.perf_counter()
 
-    det11 = float(np.linalg.det(assemble_D(StrategyConfig.face_volume(1.0, 1.0)).matrix))
+    det11 = float(np.linalg.det(assemble_D(StrategyConfig.face_volume(1.0, 1.0))))
     expected = 1.0 / (2.0 * 3**2 * 12.0**8 * 5**6 * 7**2)
     assert det11 == pytest.approx(expected, rel=1e-10)
 
     for alpha in PARAM_GRID:
         for beta in PARAM_GRID:
-            det = float(np.linalg.det(assemble_D(StrategyConfig.face_volume(alpha, beta)).matrix))
+            det = float(np.linalg.det(assemble_D(StrategyConfig.face_volume(alpha, beta))))
             closed = det_dfv_closed(alpha, beta)
             assert abs(det - closed) / closed < 1e-9, (alpha, beta)
     for gamma in PARAM_GRID:
-        det = float(np.linalg.det(assemble_D(StrategyConfig.volumetric(gamma=gamma)).matrix))
+        det = float(np.linalg.det(assemble_D(StrategyConfig.volumetric(gamma=gamma))))
         closed = det_dvol_closed(gamma)
         assert abs(det - closed) / closed < 1e-9, gamma
 
@@ -75,7 +75,7 @@ def test_criterion_2_spd_suite():
     started = time.perf_counter()
     for theta in (0.0, 0.25, 0.5, 1.0):
         for gamma in PARAM_GRID:
-            mat = assemble_D(StrategyConfig.volumetric_blend(theta, gamma)).matrix
+            mat = assemble_D(StrategyConfig.volumetric_blend(theta, gamma))
             np.testing.assert_allclose(mat, mat.T, atol=1e-15)
             np.linalg.cholesky(mat)  # raises if not positive definite
     elapsed = time.perf_counter() - started
@@ -105,7 +105,7 @@ def test_criterion_4_reproduction_suite(rng):
         for c in range(10):
             coeffs = np.zeros(10)
             coeffs[c] = 1.0
-            mono = Poly2OnTet(coeffs)
+            mono = BaryQuadratic("volume", coeffs)
             f = TargetFunction("mono", lambda p, mono=mono: mono(tet.barycentric(p)))
             dofs = compute_dofs(f, tet, cfg)
             recon = op.h_inv @ dofs
@@ -141,7 +141,7 @@ def test_criterion_5_kronecker_and_projector(rng):
             f = TARGETS[fid]
             for tet in tets:
                 dofs = compute_dofs(f, tet, cfg)
-                poly = Poly2OnTet(op.h_inv @ dofs)
+                poly = BaryQuadratic("volume", op.h_inv @ dofs)
                 back = compute_dofs(
                     TargetFunction("pi", lambda p, poly=poly: poly(tet.barycentric(p))),
                     tet,

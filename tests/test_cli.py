@@ -1,4 +1,5 @@
 import csv
+import json
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -57,6 +58,13 @@ def test_commands_reject_flags_they_do_not_read(argv):
     (["tune", "--strategy", "ef", "--n", "1"], "--n must be >= 2, got 1"),
     (["tune", "--strategy", "vol", "--gamma", "1e-6"], "floor"),
     (["converge", "--quad-m", "0"], "--quad-m must be >= 1"),
+    (["converge", "--strategy", "fv,fv"], "--strategy names fv more than once"),
+    (["converge", "--functions", "f1,f1..f2"], "--functions names f1 more than once"),
+    (["converge", "--n", "3,3"], "--n names 3 more than once"),
+    (["tune", "--strategy", "ef", "--zeta", "2,2.0"], "--zeta names 2.0 more than once"),
+    (["tune", "--strategy", "ef", "--holdout", "F2,f9"], "--holdout: unknown function id 'F2'"),
+    (["tune", "--strategy", "ef", "--functions", "f1,f2", "--holdout", "f3"],
+     "--holdout names f3, which --functions does not"),
 ])
 def test_bad_input_exits_2(tmp_path, capsys, argv, message):
     assert run(argv + ["--out", str(tmp_path / "out")]) == 2
@@ -169,6 +177,7 @@ def test_tune_function_ranges_and_holdout(tmp_path, capsys):
     ])
     assert code == 0
     assert "optimal" in capsys.readouterr().out
+    assert json.loads((out / "run_metadata.json").read_text())["functions"] == ["f1"]
 
 
 def test_tune_rejects_empty_grid(tmp_path, capsys):

@@ -8,8 +8,8 @@ from histotet import (
     face_density,
     face_ortho_quadratic,
     gram_schmidt_enrich,
+    simplex_rule_weighted,
     volume_density,
-    volume_ortho_pair,
     volumetric_psi,
 )
 from histotet.densities import (
@@ -73,20 +73,20 @@ def test_face_constant_symmetric_quadratic():
 
 
 def test_volume_pair_uniform():
-    rho1, rho2 = volume_ortho_pair(volume_density("uniform"))
+    rho1, rho2 = volumetric_psi(volume_density("uniform"))[:2]
     np.testing.assert_allclose(rho1.coeffs, _pair_quadratic(0, 1, 1 / 30, 1 / 6).coeffs, atol=1e-15)
     np.testing.assert_allclose(rho2.coeffs, _pair_quadratic(0, 2, 1 / 30, 1 / 6).coeffs, atol=1e-15)
 
 
 def test_volume_pair_symmetric_quadratic():
-    rho1, _ = volume_ortho_pair(volume_density("symmetric-quadratic"))
+    rho1 = volumetric_psi(volume_density("symmetric-quadratic"))[0]
     np.testing.assert_allclose(
         rho1.coeffs, _pair_quadratic(0, 1, 23 / 840, 3 / 20).coeffs, atol=1e-15
     )
 
 
 def test_volume_pair_beta2():
-    rho1, _ = volume_ortho_pair(volume_density("dirichlet", gamma=2.0))
+    rho1 = volumetric_psi(volume_density("dirichlet", gamma=2.0))[0]
     np.testing.assert_allclose(
         rho1.coeffs, _pair_quadratic(0, 1, 2 / 45, 1 / 5).coeffs, rtol=1e-14
     )
@@ -175,11 +175,13 @@ def test_gram_schmidt_edge_seed():
 
 
 def test_gram_schmidt_rejects_affine_seed():
-    with pytest.raises(ValueError):
-        gram_schmidt_enrich(
-            BaryQuadratic("volume", [1.0, 0.5, 0, 0, 0, 0, 0, 0, 0, 0]),
-            volume_density("uniform"),
-        )
+    for seed, density in [
+        (BaryQuadratic("volume", [1.0, 0.5, 0, 0, 0, 0, 0, 0, 0, 0]), volume_density("uniform")),
+        (BaryQuadratic("face", [1.0, 0.5, 0.0, 0.0, 0.0, 0.0]), face_density("uniform")),
+        (BaryQuadratic("edge", [1.0, 0.5, 0.0]), edge_density(1.0, 1.0)),
+    ]:
+        with pytest.raises(ValueError, match="affine"):
+            gram_schmidt_enrich(seed, density)
 
 
 # --- orthogonality sweep (analytic and quadrature paths) --------------------
@@ -194,7 +196,7 @@ def _all_family_cases():
     cases.append((face_ortho_quadratic(dens), dens))
     for gamma in PARAM_GRID:
         dens = volume_density("dirichlet", gamma=gamma)
-        cases.extend((rho, dens) for rho in volume_ortho_pair(dens))
+        cases.extend((rho, dens) for rho in volumetric_psi(dens)[:2])
         cases.extend((psi, dens) for psi in volumetric_psi(dens))
     dens = volume_density("symmetric-quadratic")
     cases.extend((psi, dens) for psi in volumetric_psi(dens))
@@ -213,6 +215,23 @@ def test_orthogonality_two_paths_agree():
     for poly, dens in _all_family_cases():
         assert analytic_residual(poly, dens) < 1e-12
         assert quadrature_residual(poly, dens) < 1e-10
+
+
+def test_single_component_rule_is_the_weighted_rule():
+    # The mixture union scales each component's weights by its coefficient;
+    # for one component that is 1.0 * w, so the rule is the Dirichlet rule
+    # bit for bit.
+    for dens in [
+        face_density("dirichlet", 2.0),
+        volume_density("dirichlet", gamma=2.0),
+        edge_density(2.0, 3.0),
+        volume_density("blend", gamma=2.0, theta=0.0),
+        volume_density("blend", gamma=2.0, theta=1.0),
+    ]:
+        ((_, exps),) = dens.components
+        rule, ref = dens.rule(8), simplex_rule_weighted(dens.dim, exps, 8)
+        assert np.array_equal(rule.nodes, ref.nodes), dens
+        assert np.array_equal(rule.weights, ref.weights), dens
 
 
 # --- density moments ----------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from histotet import (
-    Poly2OnTet,
+    BaryQuadratic,
     StrategyConfig,
     UnisolvenceError,
     assemble_D,
@@ -16,7 +16,6 @@ from histotet import (
 )
 from histotet.densities import face_density, volume_density
 from histotet.element import (
-    LAMBDA_EXPONENTS,
     METHODS,
     VOLUME_VERTICES,
     Functional,
@@ -30,7 +29,7 @@ from histotet.element import (
     dvol_entries,
     edge_diagonal_entry,
 )
-from histotet.densities import face_ortho_quadratic, volume_ortho_pair
+from histotet.densities import VOLUME_BASIS_EXPONENTS, face_ortho_quadratic, volumetric_psi
 from histotet.simplex import EDGE_PAIRS, FACE_VERTEX_INDICES
 
 PARAM_GRID = (0.5, 1.0, 2.0, 5.0)
@@ -60,7 +59,7 @@ def example1_matrix():
 
 
 def test_dfv_matrix_uniform_case():
-    mat = assemble_D(StrategyConfig.face_volume(1.0, 1.0)).matrix
+    mat = assemble_D(StrategyConfig.face_volume(1.0, 1.0))
     np.testing.assert_allclose(mat, example1_matrix(), rtol=1e-14)
     d, v, u, w = dfv_entries(1.0, 1.0)
     assert d == pytest.approx(-1 / 360, rel=1e-15)
@@ -77,7 +76,7 @@ def test_dvol_entries_gamma1():
 
 
 def test_edge_matrix_uniform_diagonal():
-    mat = assemble_D(StrategyConfig.edge_face(1.0, 1.0)).matrix
+    mat = assemble_D(StrategyConfig.edge_face(1.0, 1.0))
     np.testing.assert_allclose(np.diag(mat), -1 / 180, rtol=1e-13)
     off = mat - np.diag(np.diag(mat))
     assert np.max(np.abs(off)) == 0.0  # vanishes by edge restriction, exactly
@@ -89,10 +88,10 @@ def test_symmetric_quadratic_matrix_from_moment_engine():
     fdens = face_density("symmetric-quadratic")
     vdens = volume_density("symmetric-quadratic")
     q = face_ortho_quadratic(fdens)
-    rho1, rho2 = volume_ortho_pair(vdens)
+    rho1, rho2 = volumetric_psi(vdens)[:2]
     funcs = [Functional(FACE_VERTEX_INDICES[j], fdens, q) for j in range(4)]
     funcs += [Functional(VOLUME_VERTICES, vdens, rho1), Functional(VOLUME_VERTICES, vdens, rho2)]
-    mat = _functional_matrix(tuple(funcs), LAMBDA_EXPONENTS[4:])
+    mat = _functional_matrix(tuple(funcs), VOLUME_BASIS_EXPONENTS[4:])
     expected = (
         np.array(
             [
@@ -131,14 +130,14 @@ ORACLE_GRID = (1e-3, 0.01, 0.1, 0.5, 1.0, 2.0, 5.0, 8.0)
 def test_closed_entries_match_moment_engine():
     for alpha in ORACLE_GRID:
         for beta in ORACLE_GRID:
-            mat = assemble_D(StrategyConfig.face_volume(alpha, beta)).matrix
+            mat = assemble_D(StrategyConfig.face_volume(alpha, beta))
             np.testing.assert_allclose(mat, dfv_layout(alpha, beta), rtol=1e-10, atol=0.0)
     for gamma in ORACLE_GRID:
-        mat = assemble_D(StrategyConfig.volumetric(gamma=gamma)).matrix
+        mat = assemble_D(StrategyConfig.volumetric(gamma=gamma))
         np.testing.assert_allclose(mat, dvol_layout(gamma), rtol=1e-10, atol=0.0)
     for cfg in CONFIGS:
         op = assemble_H(cfg)
-        assert np.array_equal(op.h[4:, 4:], assemble_D(cfg).matrix)
+        assert np.array_equal(op.h[4:, 4:], assemble_D(cfg))
         assert op.report.det == unisolvence_check(cfg).det
 
 
@@ -219,7 +218,7 @@ def test_functional_matrix_blocks():
     np.testing.assert_allclose(n_block, pattern * (2.0 / 21.0), atol=1e-16)
     # zero lower-left block, exactly
     assert np.max(np.abs(op.h[4:, :4])) == 0.0
-    np.testing.assert_allclose(op.h[4:, 4:], assemble_D(op.cfg).matrix, atol=1e-18)
+    np.testing.assert_allclose(op.h[4:, 4:], assemble_D(op.cfg), atol=1e-18)
 
 
 def test_inverse_and_kronecker():
@@ -268,9 +267,9 @@ def test_reconstruct_monomials_and_basis_columns():
 
 
 def test_evaluate_basics():
-    poly = Poly2OnTet([0, 0, 0, 0, 1, 0, 0, 0, 0, 0])  # lambda1 * lambda2
+    poly = BaryQuadratic("volume", [0, 0, 0, 0, 1, 0, 0, 0, 0, 0])  # lambda1 * lambda2
     assert poly([0.25, 0.25, 0.25, 0.25]) == pytest.approx(1 / 16)
-    one = Poly2OnTet([1, 1, 1, 1, 0, 0, 0, 0, 0, 0])
+    one = BaryQuadratic("volume", [1, 1, 1, 1, 0, 0, 0, 0, 0, 0])
     assert one([0.1, 0.2, 0.3, 0.4]) == pytest.approx(1.0, abs=1e-15)
     np.testing.assert_allclose(
         lambda_basis([1, 0, 0, 0]), [1, 0, 0, 0, 0, 0, 0, 0, 0, 0], atol=1e-15

@@ -3,7 +3,7 @@ import pytest
 
 from histotet import (
     TARGETS,
-    Poly2OnTet,
+    BaryQuadratic,
     QuadSettings,
     StrategyConfig,
     TargetFunction,
@@ -15,7 +15,6 @@ from histotet import (
     grid_search,
     l1_error,
 )
-from histotet.experiment import first_strict_minimizer
 from conftest import make_random_tet
 
 QUADRATIC_CONFIGS = [
@@ -28,7 +27,7 @@ ONE = TargetFunction("one", lambda p: np.ones(p.shape[:-1]))
 
 
 def poly_target(tet, coeffs):
-    poly = Poly2OnTet(coeffs)
+    poly = BaryQuadratic("volume", coeffs)
     return TargetFunction("poly", lambda p: poly(tet.barycentric(p)))
 
 
@@ -106,7 +105,7 @@ def test_projector_consistency(rng):
         for _ in range(3):
             tet = make_random_tet(rng)
             dofs = compute_dofs(f, tet, cfg)
-            poly = Poly2OnTet(op.h_inv @ dofs)
+            poly = BaryQuadratic("volume", op.h_inv @ dofs)
             re_dofs = compute_dofs(poly_target(tet, poly.coeffs), tet, cfg)
             np.testing.assert_allclose(re_dofs, dofs, atol=1e-9)
 
@@ -202,11 +201,26 @@ def test_grid_search_surface_and_optimum():
     assert result.best_error > 0.0
 
 
-def test_strict_minimizer_keeps_earlier_tie():
-    surface = np.array([[2.0, 1.0], [1.0, 3.0]])
-    assert first_strict_minimizer(surface) == (0, 1)
-    tied = np.full((2, 3), 5.0)
-    assert first_strict_minimizer(tied) == (0, 0)
+def test_strict_minimizer_keeps_earlier_tie(monkeypatch):
+    from histotet import experiment
+
+    errors = {}
+    monkeypatch.setattr(
+        experiment._ErrorEngine,
+        "l1_on_mesh",
+        lambda self, f, mesh, threads=1, f_err_values=None: errors[(self.cfg.zeta, self.cfg.nu)],
+    )
+    grid = TuningGrid(
+        kind="ef", first=(1.0, 2.0), second=(1.0, 2.0), functions=(TARGETS["f1"],), ns=(3,)
+    )
+    # a unique minimum away from the first candidate
+    errors.update({(1.0, 1.0): 2.0, (1.0, 2.0): 3.0, (2.0, 1.0): 1.0, (2.0, 2.0): 4.0})
+    result = grid_search(grid)
+    assert (result.best, result.best_error) == ((2.0, 1.0), 1.0)
+    # an all-equal surface: the first candidate in row-major order wins
+    errors.update(dict.fromkeys(errors, 5.0))
+    result = grid_search(grid)
+    assert (result.best, result.best_error) == ((1.0, 1.0), 5.0)
 
 
 def test_grid_search_rejects_empty_grid():
