@@ -5,8 +5,10 @@ The mesh loops are vectorized: each strategy's functionals are turned once
 into a quadrature table (barycentric nodes plus one weight row per
 functional), DOFs of all cells in a chunk are a single matrix product, and
 the reconstruction coefficients follow from the precomputed inverse of the
-functional matrix.  Per-cell contributions are accumulated in cell-index
-order so results are deterministic for any thread count.
+functional matrix.  One pass per (function, mesh) scores every strategy or
+tuning candidate, with one target evaluation at the shared error nodes.
+Per-cell contributions are accumulated in cell-index order so results are
+deterministic for any thread count.
 """
 
 import time
@@ -26,7 +28,6 @@ from .element import (
 from .mesh import build_mesh
 from .quadrature import simplex_rule_plain
 from .simplex import Tetrahedron
-from .targets import TargetFunction
 
 #: Target size (in scalars) of one chunk's function-value block.
 _CHUNK_BUDGET = 4_000_000
@@ -63,25 +64,21 @@ def build_dof_table(cfg, settings=QuadSettings()):
 
 def _table_from_functionals(functionals, m):
     groups = {}
-    order = []
     for row, func in enumerate(functionals):
-        key = (func.vertices, id(func.density))
-        if key not in groups:
-            groups[key] = (func, [])
-            order.append(key)
-        groups[key][1].append((row, func.weight_poly))
+        groups.setdefault((func.vertices, func.density), []).append((row, func.weight_poly))
 
+    # One rule per density, lifted to each of its domains.
+    rules = {d: d.rule(m) for d in dict.fromkeys(d for _, d in groups)}
     blocks = []
     row_weights = []  # (row, start, weight-vector)
     start = 0
-    for key in order:
-        rep, members = groups[key]
-        rule = rep.density.rule(m)
+    for (vertices, density), members in groups.items():
+        rule = rules[density]
         lam = np.zeros((len(rule), 4))
-        lam[:, list(rep.vertices)] = rule.nodes
+        lam[:, list(vertices)] = rule.nodes
         blocks.append(lam)
         # Edge quadratics are polynomials in t, the first native coordinate.
-        native = rule.nodes[:, 0] if rep.density.space == "edge" else rule.nodes
+        native = rule.nodes[:, 0] if density.space == "edge" else rule.nodes
         for row, poly in members:
             w = rule.weights if poly is None else rule.weights * poly(native)
             row_weights.append((row, start, w))
@@ -130,15 +127,12 @@ def _run_chunks(work, slices, threads):
 
 @dataclass
 class _ErrorEngine:
-    """Reusable pieces of the per-mesh L1 error computation for one strategy."""
+    """A strategy's DOF table and reconstruction map, reused on every mesh."""
 
     cfg: StrategyConfig
     settings: QuadSettings
     table: DofTable = field(init=False)
     h_inv_t: np.ndarray | None = field(init=False)
-    err_nodes: np.ndarray = field(init=False)
-    err_weights: np.ndarray = field(init=False)
-    err_basis_t: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.table = build_dof_table(self.cfg, self.settings)
@@ -146,54 +140,68 @@ class _ErrorEngine:
             self.h_inv_t = None
         else:
             self.h_inv_t = assemble_H(self.cfg).h_inv.T
-        rule = simplex_rule_plain(3, self.settings.error_degree)
-        self.err_nodes = rule.nodes
-        self.err_weights = rule.weights
-        self.err_basis_t = lambda_basis(rule.nodes).T  # (10, E)
 
     def coefficients(self, dofs):
         if self.h_inv_t is None:
             return classical_coefficients(dofs)
         return dofs @ self.h_inv_t
 
-    def target_values_at_error_nodes(self, f, cell_vertices):
-        n_cells = len(cell_vertices)
-        out = np.empty((n_cells, len(self.err_nodes)))
-        for sl in _chunk_slices(n_cells, _CHUNK_BUDGET // len(self.err_nodes)):
-            out[sl] = f(np.matmul(self.err_nodes, cell_vertices[sl]))
-        return out
+    def l1_on_mesh(self, f, mesh, threads=1):
+        """Sum over cells of volume * E[|f - reconstruction|]."""
+        return _l1_errors([self], f, mesh, threads)[0]
 
-    def l1_on_mesh(self, f, mesh, threads=1, f_err_values=None):
-        """Sum over cells of volume * E[|f - reconstruction|].
 
-        f_err_values optionally supplies precomputed f values at the error
-        nodes of every cell (cache used by the tuner).
-        """
-        verts = mesh.cell_vertex_array
-        vols = mesh.cell_volumes()
-        n_pts = len(self.table.nodes) + len(self.err_nodes)
-        slices = _chunk_slices(len(mesh), _CHUNK_BUDGET // n_pts)
+def _l1_errors(engines, f, mesh, threads=1):
+    """L1 error of every engine for one target on one mesh, in one pass.
 
-        def work(sl):
-            dofs = _dofs_for_cells(f, verts[sl], self.table)
-            coeffs = self.coefficients(dofs)
-            if f_err_values is None:
-                fe = f(np.matmul(self.err_nodes, verts[sl]))
-            else:
-                fe = f_err_values[sl]
-            recon = coeffs @ self.err_basis_t
-            cell_err = np.abs(fe - recon) @ self.err_weights
-            bad = np.flatnonzero(~np.isfinite(cell_err))
-            if bad.size:
-                raise ValueError(
-                    f"non-finite L1 error for function {f.id} on mesh n={mesh.n} "
-                    f"({self.cfg.method_id}), first at cell {sl.start + bad[0]}"
-                )
-            return float(cell_err @ vols[sl])
+    The engines share the error rule of the first engine's settings.  Each
+    chunk of cells evaluates every engine's DOF nodes, then f once at the
+    error nodes, and stores every engine's per-cell errors.
+    """
+    if not engines:
+        return []
+    rule = simplex_rule_plain(3, engines[0].settings.error_degree)
+    basis_t = lambda_basis(rule.nodes).T  # (10, E)
+    verts = mesh.cell_vertex_array
+    n_cells = len(mesh)
+    own_blocks = [_CHUNK_BUDGET // (len(e.table.nodes) + len(rule)) for e in engines]
+    cell_err = np.empty((len(engines), n_cells))
 
-        partials = np.array(_run_chunks(work, slices, threads))
-        # Fixed summation order keeps the result thread-count independent.
-        return float(partials.sum())
+    def work(sl):
+        # DOF nodes before error nodes: the other order raises peak memory.
+        coeffs, finite = [], []
+        for e in engines:
+            dofs = _dofs_for_cells(f, verts[sl], e.table)
+            coeffs.append(e.coefficients(dofs))
+            finite.append(np.isfinite(dofs).all(axis=1))
+        fe = f(np.matmul(rule.nodes, verts[sl]))
+        for row, c in zip(cell_err, coeffs):
+            row[sl] = np.abs(fe - c @ basis_t) @ rule.weights
+        bad = np.flatnonzero(~np.isfinite(cell_err[:, sl]).all(axis=0))
+        if bad.size:
+            cell = bad[0]
+            stages = [
+                f"the DOF nodes of {e.cfg.method_id}"
+                for e, ok in zip(engines, finite)
+                if not ok[cell]
+            ]
+            if not np.isfinite(fe[cell]).all():
+                stages.append("the error nodes")
+            raise ValueError(
+                f"non-finite L1 error for function {f.id} on mesh n={mesh.n}: "
+                f"non-finite value at {' and '.join(stages) or 'the reconstruction'}, "
+                f"first at cell {sl.start + cell}"
+            )
+
+    _run_chunks(work, _chunk_slices(n_cells, min(own_blocks)), threads)
+    vols = mesh.cell_volumes()
+    # Each engine sums its cell errors in the chunks it would use alone, in a
+    # fixed order: the committed benchmark references fix these bytes, and
+    # the order keeps them independent of the thread count.
+    return [
+        float(np.array([errs[sl] @ vols[sl] for sl in _chunk_slices(n_cells, block)]).sum())
+        for errs, block in zip(cell_err, own_blocks)
+    ]
 
 
 def l1_error(f, mesh, cfg, settings=QuadSettings(), threads=1):
@@ -217,30 +225,26 @@ def convergence_study(functions, ns, methods, settings=QuadSettings(), threads=1
     """One L1-error row per (function, mesh, method) combination.
 
     `functions` are TargetFunctions, `ns` grid parameters, `methods`
-    StrategyConfigs.  Rows appear in method-major, function, mesh order and
-    the numbers are deterministic for fixed settings.
+    StrategyConfigs.  One pass per (function, mesh) scores every method; a
+    row's seconds are the wall time of its pass.  Rows appear in
+    method-major, function, mesh order and the numbers are deterministic for
+    fixed settings.
     """
     meshes = {n: build_mesh(n) for n in ns}
+    engines = [_ErrorEngine(cfg, settings) for cfg in methods]
 
-    rows = []
-    for cfg in methods:
-        engine = _ErrorEngine(cfg, settings)
-        for f in functions:
-            for n in ns:
-                start = time.perf_counter()
-                err = engine.l1_on_mesh(f, meshes[n], threads=threads)
-                elapsed = time.perf_counter() - start
-                rows.append(
-                    ErrorRow(
-                        function=f.id,
-                        n=int(n),
-                        method=cfg.method_id,
-                        params=cfg.params_text(),
-                        l1_error=err,
-                        seconds=elapsed,
-                    )
-                )
-    return rows
+    passes = []  # (function, n, errors by method, seconds)
+    for f in functions:
+        for n in ns:
+            start = time.perf_counter()
+            errors = _l1_errors(engines, f, meshes[n], threads)
+            passes.append((f, n, errors, time.perf_counter() - start))
+
+    return [
+        ErrorRow(f.id, int(n), cfg.method_id, cfg.params_text(), errors[i], seconds)
+        for i, cfg in enumerate(methods)
+        for f, n, errors, seconds in passes
+    ]
 
 
 @dataclass(frozen=True)
@@ -286,10 +290,9 @@ def grid_search(grid, settings=QuadSettings(), threads=1, meshes=None):
     """Exhaustive bi-parametric search minimizing the accumulated L1 error.
 
     Every candidate pair is scored by the sum of L1 errors over the
-    validation functions and meshes; the reported optimum is the first
-    strict minimizer in row-major (outer first-axis, inner second-axis)
-    order.  Target values at the error nodes are cached per (function,
-    mesh), which changes nothing numerically.
+    validation functions and meshes, one pass per (function, mesh) for all
+    candidates; the reported optimum is the first strict minimizer in
+    row-major (outer first-axis, inner second-axis) order.
     """
     if meshes is None:
         meshes = {}
@@ -297,25 +300,19 @@ def grid_search(grid, settings=QuadSettings(), threads=1, meshes=None):
         if n not in meshes:
             meshes[n] = build_mesh(n)
 
-    engines = {}
-    for a in grid.first:
-        for b in grid.second:
-            engines[(a, b)] = _ErrorEngine(StrategyConfig.of(grid.kind, a, b), settings)
-
+    engines = [
+        _ErrorEngine(StrategyConfig.of(grid.kind, a, b), settings)
+        for a in grid.first
+        for b in grid.second
+    ]
     surface = np.zeros((len(grid.first), len(grid.second)))
-    any_engine = next(iter(engines.values()))
     for f in grid.functions:
         for n in grid.ns:
-            mesh = meshes[n]
-            fe = any_engine.target_values_at_error_nodes(f, mesh.cell_vertex_array)
-            for ia, a in enumerate(grid.first):
-                for ib, b in enumerate(grid.second):
-                    surface[ia, ib] += engines[(a, b)].l1_on_mesh(
-                        f, mesh, threads=threads, f_err_values=fe
-                    )
+            errors = _l1_errors(engines, f, meshes[n], threads)
+            surface += np.reshape(errors, surface.shape)
 
     # argmin returns the first minimum in row-major order; the surface is
-    # finite, because l1_on_mesh raises on a non-finite cell error.
+    # finite, because _l1_errors raises on a non-finite cell error.
     ia, ib = np.unravel_index(np.argmin(surface), surface.shape)
     best = (grid.first[ia], grid.second[ib])
     best_error = float(surface[ia, ib])

@@ -15,6 +15,7 @@ from histotet import (
     grid_search,
     l1_error,
 )
+from histotet.quadrature import simplex_rule_plain
 from conftest import make_random_tet
 
 QUADRATIC_CONFIGS = [
@@ -119,7 +120,7 @@ def test_thread_count_does_not_change_results(monkeypatch):
     single_chunk = engine.l1_on_mesh(f, mesh, threads=1)
     # 750 cells fit in one default chunk; shrink the budget to 200 cells per
     # chunk, so that threads=2 really runs on the pool.
-    n_pts = len(engine.table.nodes) + len(engine.err_nodes)
+    n_pts = len(engine.table.nodes) + len(simplex_rule_plain(3, 8))
     monkeypatch.setattr(experiment, "_CHUNK_BUDGET", 200 * n_pts)
     assert len(experiment._chunk_slices(len(mesh), 200)) == 4
     serial = engine.l1_on_mesh(f, mesh, threads=1)
@@ -146,6 +147,30 @@ def test_non_finite_error_raises():
     assert np.any(np.all(mesh.cell_vertex_array[cell] == 1.0, axis=-1))
 
 
+def test_non_finite_error_names_the_stage():
+    mesh = build_mesh(4)
+    # Face DOF nodes on the boundary plane x == 0 have x exactly 0; the error
+    # nodes are interior Gauss points.
+    on_plane = TargetFunction(
+        "plane", lambda p: np.where(p[..., 0] == 0.0, np.nan, np.sin(p[..., 0]))
+    )
+    with pytest.raises(ValueError, match=r"function plane on mesh n=4") as info:
+        l1_error(on_plane, mesh, StrategyConfig.face_volume(2.0, 2.0))
+    message = str(info.value)
+    assert "at the DOF nodes of fv," in message and "error nodes" not in message
+    cell = int(message.rsplit("cell ", 1)[1])
+    assert np.sum(mesh.cell_vertex_array[cell][:, 0] == 0.0) == 3
+
+    n_err = len(simplex_rule_plain(3, 8))
+    at_error_nodes = TargetFunction(
+        "errnodes",
+        lambda p: np.full(p.shape[:-1], np.nan) if p.shape[-2] == n_err else np.sin(p[..., 0]),
+    )
+    with pytest.raises(ValueError, match=r"at the error nodes, first at cell 0$") as info:
+        convergence_study([at_error_nodes], (4,), QUADRATIC_CONFIGS)
+    assert "DOF nodes" not in str(info.value)
+
+
 def test_l1_error_is_deterministic():
     mesh = build_mesh(5)
     f = TARGETS["f8"]
@@ -162,6 +187,51 @@ def test_convergence_study_shape_and_rows():
     assert all(r.l1_error >= 0.0 and r.seconds >= 0.0 for r in rows)
     again = convergence_study(functions, (3, 5), methods)
     assert [r.l1_error for r in rows] == [r.l1_error for r in again]
+
+
+ALL_METHODS = [StrategyConfig.classical()] + QUADRATIC_CONFIGS
+
+
+def test_study_rows_equal_stand_alone_errors_for_any_chunking(monkeypatch):
+    from histotet import experiment
+
+    mesh = build_mesh(4)
+    n_err = len(simplex_rule_plain(3, 8))
+    sizes = [len(experiment.build_dof_table(cfg).nodes) for cfg in ALL_METHODS]
+    monkeypatch.setattr(experiment, "_CHUNK_BUDGET", 50_000)
+    blocks = [50_000 // (size + n_err) for size in sizes]
+    # Four different chunkings of the mesh; the pass runs on the smallest.
+    assert len(set(blocks)) == 4 and max(blocks) < len(mesh)
+    functions = [TARGETS["f2"], TARGETS["f7"]]
+    for threads in (1, 2):
+        rows = convergence_study(functions, (4,), ALL_METHODS, threads=threads)
+        expected = [
+            l1_error(f, mesh, cfg, threads=threads) for cfg in ALL_METHODS for f in functions
+        ]
+        assert [r.l1_error for r in rows] == expected  # bitwise
+        # A row's seconds are its (function, mesh) pass's, shared by every method.
+        assert [r.seconds for r in rows] == [r.seconds for r in rows[:2]] * 4
+
+
+def test_one_pass_evaluates_each_node_set_once():
+    from histotet.experiment import build_dof_table
+
+    points = []
+
+    def counted(p):
+        points.append(p.shape[0] * p.shape[1])
+        return np.sin(p[..., 0]) * p[..., 1]
+
+    target = TargetFunction("counted", counted)
+    mesh = build_mesh(3)
+    convergence_study([target], (3,), ALL_METHODS)
+    table_sizes = sum(len(build_dof_table(cfg).nodes) for cfg in ALL_METHODS)
+    assert sum(points) == len(mesh) * (table_sizes + len(simplex_rule_plain(3, 8)))
+    assert table_sizes + 216 == 2824
+    # With no methods there is no pass to run.
+    del points[:]
+    assert convergence_study([target], (3,), []) == []
+    assert points == []
 
 
 def test_convergence_study_classical_exact_on_affine_lift():
@@ -206,9 +276,9 @@ def test_strict_minimizer_keeps_earlier_tie(monkeypatch):
 
     errors = {}
     monkeypatch.setattr(
-        experiment._ErrorEngine,
-        "l1_on_mesh",
-        lambda self, f, mesh, threads=1, f_err_values=None: errors[(self.cfg.zeta, self.cfg.nu)],
+        experiment,
+        "_l1_errors",
+        lambda engines, f, mesh, threads=1: [errors[(e.cfg.zeta, e.cfg.nu)] for e in engines],
     )
     grid = TuningGrid(
         kind="ef", first=(1.0, 2.0), second=(1.0, 2.0), functions=(TARGETS["f1"],), ns=(3,)
@@ -228,6 +298,31 @@ def test_grid_search_rejects_empty_grid():
         TuningGrid(kind="fv", first=(), second=(1.0,), functions=(TARGETS["f1"],), ns=(3,))
     with pytest.raises(ValueError):
         TuningGrid(kind="bad", first=(1.0,), second=(1.0,), functions=(TARGETS["f1"],), ns=(3,))
+
+
+def test_one_rule_per_density(monkeypatch):
+    from histotet import densities, quadrature
+    from histotet.cli import _PARAM_FLAGS
+    from histotet.experiment import build_dof_table
+
+    calls = []
+    build = quadrature.simplex_rule_weighted
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(densities, "simplex_rule_weighted", counted)
+    for cfg, builds in zip(ALL_METHODS, (1, 2, 3, 2)):
+        del calls[:]
+        build_dof_table(cfg)
+        assert len(calls) == builds, cfg.method_id
+    # The default fv grid: 36 tables of two rules each, plus one error rule.
+    monkeypatch.setattr(quadrature, "simplex_rule_weighted", counted)
+    del calls[:]
+    grid = _PARAM_FLAGS["alpha"][1]
+    grid_search(TuningGrid("fv", grid, grid, (TARGETS["f2"],), (3,)))
+    assert len(calls) == 73
 
 
 def test_quad_settings_affect_rule_sizes():
