@@ -6,9 +6,12 @@ into a quadrature table (barycentric nodes plus one weight row per
 functional), DOFs of all cells in a chunk are a single matrix product, and
 the reconstruction coefficients follow from the precomputed inverse of the
 functional matrix.  One pass per (function, mesh) scores every strategy or
-tuning candidate, with one target evaluation at the shared error nodes.
-Per-cell contributions are accumulated in cell-index order so results are
-deterministic for any thread count.
+tuning candidate.  A table is a concatenation of blocks, one per (domain,
+Dirichlet component, m), and strategies share blocks (the uniform face
+block of classical, vol and ef; a blend's uniform block for every theta),
+so each chunk of cells evaluates the target once per distinct block and
+once at the shared error nodes.  Per-cell contributions are accumulated in
+cell-index order so results are deterministic for any thread count.
 """
 
 import time
@@ -32,6 +35,9 @@ from .simplex import Tetrahedron
 #: Target size (in scalars) of one chunk's function-value block.
 _CHUNK_BUDGET = 4_000_000
 
+#: Points mapped and evaluated at a time inside a chunk.
+_SLICE_POINTS = 65_536
+
 
 @dataclass(frozen=True)
 class QuadSettings:
@@ -47,10 +53,15 @@ class DofTable:
     """Barycentric quadrature nodes shared by a strategy's functionals.
 
     dofs(f) on a cell = weights @ f(points at nodes); shape (n_dofs, n_nodes).
+    blocks holds one (key, start, stop) per Dirichlet component of each
+    (domain, density) group, key = (vertices, component exponents, m):
+    nodes[start:stop] depend on the key alone, so tables with a common key
+    share those nodes.
     """
 
     nodes: np.ndarray
     weights: np.ndarray
+    blocks: tuple
 
 
 def build_dof_table(cfg, settings=QuadSettings()):
@@ -69,6 +80,7 @@ def _table_from_functionals(functionals, m):
 
     # One rule per density, lifted to each of its domains.
     rules = {d: d.rule(m) for d in dict.fromkeys(d for _, d in groups)}
+    lifted = []
     blocks = []
     row_weights = []  # (row, start, weight-vector)
     start = 0
@@ -76,7 +88,11 @@ def _table_from_functionals(functionals, m):
         rule = rules[density]
         lam = np.zeros((len(rule), 4))
         lam[:, list(vertices)] = rule.nodes
-        blocks.append(lam)
+        lifted.append(lam)
+        # Density.rule concatenates the m^dim-point rules of its components.
+        size = m**density.dim
+        for k, (_, exps) in enumerate(density.components):
+            blocks.append(((vertices, exps, m), start + k * size, start + (k + 1) * size))
         # Edge quadratics are polynomials in t, the first native coordinate.
         native = rule.nodes[:, 0] if density.space == "edge" else rule.nodes
         for row, poly in members:
@@ -84,11 +100,11 @@ def _table_from_functionals(functionals, m):
             row_weights.append((row, start, w))
         start += len(rule)
 
-    nodes = np.concatenate(blocks)
+    nodes = np.concatenate(lifted)
     weights = np.zeros((len(functionals), len(nodes)))
     for row, offset, w in row_weights:
         weights[row, offset : offset + len(w)] = w
-    return DofTable(nodes=nodes, weights=weights)
+    return DofTable(nodes=nodes, weights=weights, blocks=tuple(blocks))
 
 
 def _chunk_slices(n_cells, block):
@@ -96,10 +112,19 @@ def _chunk_slices(n_cells, block):
     return [slice(i, min(i + block, n_cells)) for i in range(0, n_cells, block)]
 
 
+def _target_values(f, cells, nodes):
+    """f at the nodes mapped into each cell, shape (cells, nodes), evaluated a
+    few cells at a time into one preallocated array."""
+    values = np.empty((len(cells), len(nodes)))
+    rows = max(1, _SLICE_POINTS // len(nodes))
+    for i in range(0, len(cells), rows):
+        # (P, 4) @ (c, 4, 3) -> (c, P, 3) batched over cells
+        values[i : i + rows] = f(np.matmul(nodes, cells[i : i + rows]))
+    return values
+
+
 def _dofs_for_cells(f, cell_vertices, table):
-    # (P, 4) @ (c, 4, 3) -> (c, P, 3) batched over cells
-    points = np.matmul(table.nodes, cell_vertices)
-    return f(points) @ table.weights.T
+    return _target_values(f, cell_vertices, table.nodes) @ table.weights.T
 
 
 def compute_dofs(f, tet, cfg, settings=QuadSettings()):
@@ -155,8 +180,8 @@ def _l1_errors(engines, f, mesh, threads=1):
     """L1 error of every engine for one target on one mesh, in one pass.
 
     The engines share the error rule of the first engine's settings.  Each
-    chunk of cells evaluates every engine's DOF nodes, then f once at the
-    error nodes, and stores every engine's per-cell errors.
+    chunk of cells evaluates f once per distinct DOF block (see DofTable)
+    and once at the error nodes, and stores every engine's per-cell errors.
     """
     if not engines:
         return []
@@ -167,23 +192,42 @@ def _l1_errors(engines, f, mesh, threads=1):
     own_blocks = [_CHUNK_BUDGET // (len(e.table.nodes) + len(rule)) for e in engines]
     cell_err = np.empty((len(engines), n_cells))
 
+    # Score engines grouped by their last block, and drop a block after its
+    # last use: a grid then holds its shared blocks plus one of the others.
+    block_nodes, group = {}, {}
+    for e in engines:
+        for key, start, stop in e.table.blocks:
+            block_nodes.setdefault(key, e.table.nodes[start:stop])
+        group.setdefault(e.table.blocks[-1][0], len(group))
+    order = sorted(range(len(engines)), key=lambda i: group[engines[i].table.blocks[-1][0]])
+    last_use = {key: pos for pos, i in enumerate(order) for key, _, _ in engines[i].table.blocks}
+
     def work(sl):
         # DOF nodes before error nodes: the other order raises peak memory.
-        coeffs, finite = [], []
-        for e in engines:
-            dofs = _dofs_for_cells(f, verts[sl], e.table)
-            coeffs.append(e.coefficients(dofs))
-            finite.append(np.isfinite(dofs).all(axis=1))
-        fe = f(np.matmul(rule.nodes, verts[sl]))
-        for row, c in zip(cell_err, coeffs):
-            row[sl] = np.abs(fe - c @ basis_t) @ rule.weights
+        cells = verts[sl]
+        cache, coeffs, finite = {}, {}, {}
+        for pos, i in enumerate(order):
+            e = engines[i]
+            keys = [key for key, _, _ in e.table.blocks]
+            for key in keys:
+                if key not in cache:
+                    cache[key] = _target_values(f, cells, block_nodes[key])
+            dofs = np.concatenate([cache[key] for key in keys], axis=1) @ e.table.weights.T
+            coeffs[i] = e.coefficients(dofs)
+            finite[i] = np.isfinite(dofs).all(axis=1)
+            for key in keys:
+                if last_use[key] == pos:
+                    cache.pop(key, None)
+        fe = _target_values(f, cells, rule.nodes)
+        for i, row in enumerate(cell_err):
+            row[sl] = np.abs(fe - coeffs[i] @ basis_t) @ rule.weights
         bad = np.flatnonzero(~np.isfinite(cell_err[:, sl]).all(axis=0))
         if bad.size:
             cell = bad[0]
             stages = [
                 f"the DOF nodes of {e.cfg.method_id}"
-                for e, ok in zip(engines, finite)
-                if not ok[cell]
+                for i, e in enumerate(engines)
+                if not finite[i][cell]
             ]
             if not np.isfinite(fe[cell]).all():
                 stages.append("the error nodes")
@@ -193,6 +237,10 @@ def _l1_errors(engines, f, mesh, threads=1):
                 f"first at cell {sl.start + cell}"
             )
 
+    # The partition stays the smallest engine's own chunking, although the
+    # shared blocks would let more cells fit: BLAS gemm and gemv give row
+    # results that depend on the chunk's row count, so another partition
+    # moves bytes.  Change it only in the ROADMAP's planned byte move.
     _run_chunks(work, _chunk_slices(n_cells, min(own_blocks)), threads)
     vols = mesh.cell_volumes()
     # Each engine sums its cell errors in the chunks it would use alone, in a

@@ -26,7 +26,13 @@ def gauss_jacobi(m, a, b):
     if a <= -1.0 or b <= -1.0:
         raise ValueError("weight exponents must be > -1")
     # scipy's rule targets (1-x)^alpha (1+x)^beta on [-1,1]; map x = 2t - 1.
-    x, w = roots_jacobi(m, b, a)
+    # At a + b = -1 (e.g. the first collapsed axis of a volume dirichlet(0.25)
+    # rule) scipy's recurrence computes a 0/0 term that it then discards; the
+    # rule is still exact, and the check below catches any real bad value.
+    with np.errstate(invalid="ignore"):
+        x, w = roots_jacobi(m, b, a)
+    if not (np.isfinite(x).all() and np.isfinite(w).all()):
+        raise ValueError(f"non-finite Gauss-Jacobi rule for (m, a, b) = {(m, a, b)}")
     return 0.5 * (x + 1.0), w / 2.0 ** (a + b + 1.0)
 
 

@@ -225,13 +225,49 @@ def test_one_pass_evaluates_each_node_set_once():
     target = TargetFunction("counted", counted)
     mesh = build_mesh(3)
     convergence_study([target], (3,), ALL_METHODS)
-    table_sizes = sum(len(build_dof_table(cfg).nodes) for cfg in ALL_METHODS)
-    assert sum(points) == len(mesh) * (table_sizes + len(simplex_rule_plain(3, 8)))
-    assert table_sizes + 216 == 2824
+    # Each distinct DOF block once (the uniform face block serves classical,
+    # vol and ef; fv and vol share the dirichlet(2) volume block), then the
+    # error nodes once.
+    blocks = {
+        key: stop - start
+        for cfg in ALL_METHODS
+        for key, start, stop in build_dof_table(cfg).blocks
+    }
+    distinct = sum(blocks.values())
+    assert sum(points) == len(mesh) * (distinct + len(simplex_rule_plain(3, 8)))
+    assert distinct + 216 == 1800
     # With no methods there is no pass to run.
     del points[:]
     assert convergence_study([target], (3,), []) == []
     assert points == []
+
+
+def test_grid_pass_evaluates_each_block_once(monkeypatch):
+    from histotet import experiment
+    from histotet.cli import _PARAM_FLAGS
+
+    points = []
+
+    def counted(p):
+        points.append(p.shape[0] * p.shape[1])
+        return TARGETS["f2"](p)
+
+    target = TargetFunction("counted", counted)
+    mesh = build_mesh(3)
+    grid = _PARAM_FLAGS["alpha"][1]  # the default 6x6 fv grid
+    configs = [StrategyConfig.face_volume(a, b) for a in grid for b in grid]
+    engines = [experiment._ErrorEngine(cfg, QuadSettings()) for cfg in configs]
+    # 24 face blocks of 64 nodes, 6 volume blocks of 512 and the 216 error nodes.
+    for budget in (experiment._CHUNK_BUDGET, 20_000):
+        monkeypatch.setattr(experiment, "_CHUNK_BUDGET", budget)
+        alone = [l1_error(target, mesh, cfg) for cfg in configs]
+        del points[:]
+        result = grid_search(TuningGrid("fv", grid, grid, (target,), (3,)), meshes={3: mesh})
+        assert sum(points) == len(mesh) * 4824
+        assert list(result.surface.ravel()) == alone  # bitwise
+        reversed_errors = experiment._l1_errors(engines[::-1], target, mesh)
+        assert reversed_errors == alone[::-1]
+    assert len(experiment._chunk_slices(len(mesh), 20_000 // (768 + 216))) == 3
 
 
 def test_convergence_study_classical_exact_on_affine_lift():

@@ -1,4 +1,6 @@
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from histotet import (
     simplex_rule_plain,
     simplex_rule_weighted,
 )
+from histotet.simplex import dirichlet_expectation
 
 
 def beta_fn(x, y):
@@ -49,6 +52,29 @@ def test_gauss_jacobi_rejects_bad_exponents():
         gauss_jacobi(3, -1.0, 0.0)
     with pytest.raises(ValueError):
         gauss_jacobi(0, 0.0, 0.0)
+
+
+def test_dirichlet_quarter_rule_is_quiet_and_exact():
+    # dirichlet(0.25) on the volume: the first collapsed axis has a + b = -1,
+    # where scipy's recurrence computes a discarded 0/0.
+    exps = (-0.75,) * 4
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rule = simplex_rule_weighted(3, exps, 8)
+    for p in itertools.product(range(5), repeat=4):
+        if sum(p) <= 8:
+            got = rule.integrate(np.prod(rule.nodes ** np.array(p), axis=1))
+            assert abs(got - dirichlet_expectation(exps, p)) < 1e-13, p
+
+
+def test_gauss_jacobi_rejects_a_non_finite_rule(monkeypatch):
+    from histotet import quadrature
+
+    monkeypatch.setattr(
+        quadrature, "roots_jacobi", lambda m, a, b: (np.full(m, np.nan), np.ones(m))
+    )
+    with pytest.raises(ValueError, match=r"\(m, a, b\) = \(3, 0.5, 2.0\)"):
+        gauss_jacobi(3, 0.5, 2.0)
 
 
 def test_weighted_rule_mass_is_one():
