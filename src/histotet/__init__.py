@@ -53,7 +53,6 @@ from .simplex import (
     REFERENCE_TET,
     GeometryError,
     Tetrahedron,
-    simplex_moment,
 )
 from .targets import TARGETS, TargetFunction, get_targets
 

@@ -75,18 +75,14 @@ class CliError(Exception):
     """Validation failure; maps to exit code 2."""
 
 
-def _parse_floats(text):
+def _parse_list(text, kind=float):
+    """Comma-separated values of `kind` (float or int), empty entries skipped."""
     try:
-        return tuple(float(tok) for tok in text.split(",") if tok.strip())
+        return tuple(kind(tok) for tok in text.split(",") if tok.strip())
     except ValueError as err:
-        raise CliError(f"cannot parse {text!r} as a comma-separated float list") from err
-
-
-def _parse_ints(text):
-    try:
-        return tuple(int(tok) for tok in text.split(",") if tok.strip())
-    except ValueError as err:
-        raise CliError(f"cannot parse {text!r} as a comma-separated int list") from err
+        raise CliError(
+            f"cannot parse {text!r} as a comma-separated {kind.__name__} list"
+        ) from err
 
 
 def _parse_function_ids(text):
@@ -235,7 +231,7 @@ def _parameters(args, method, single=False):
         if raw is None:
             values = (value,) if single else grid
         else:
-            values = _distinct(_parse_floats(raw), f"--{name}")
+            values = _distinct(_parse_list(raw), f"--{name}")
         if not values:
             raise CliError(f"--{name} candidate grid must be nonempty")
         if single and len(values) != 1:
@@ -270,7 +266,7 @@ def _targets(text, default, holdout=None):
 
 
 def _mesh_ns(text, default):
-    ns = _distinct(_parse_ints(text) if text else default, "--n")
+    ns = _distinct(_parse_list(text, int) if text else default, "--n")
     if not ns:
         raise CliError("--n names no mesh")
     for n in ns:
@@ -456,7 +452,7 @@ def cmd_project(args):
     (f,) = functions
 
     if args.tet:
-        coords = _parse_floats(args.tet)
+        coords = _parse_list(args.tet)
         if len(coords) != 12:
             raise CliError("--tet needs 12 coordinates (4 vertices x 3)")
         try:

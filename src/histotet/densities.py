@@ -58,7 +58,7 @@ class Density:
 
     def rule(self, m):
         """Weighted simplex rule (mass 1) with m Gauss points per direction:
-        the union of the component rules, weights scaled by coefficient."""
+        the union of the component rules, each rule's weights times its coefficient."""
         parts = [
             (coef, simplex_rule_weighted(self.dim, exps, m))
             for coef, exps in self.components
@@ -202,9 +202,6 @@ class BaryQuadratic:
                     mono = mono * x[..., k] ** e
             vals += c * mono
         return vals
-
-    def scaled(self, factor):
-        return BaryQuadratic(self.space, factor * self.coeffs)
 
 
 def _face_sum_of_squares_minus(c):

@@ -217,11 +217,6 @@ def apply_functional_to_monomial(func, lam_exponents):
     )
 
 
-def apply_functionals(functionals, poly):
-    """Apply functionals to a volume BaryQuadratic via analytic moments."""
-    return _functional_matrix(functionals) @ poly.coeffs
-
-
 def _functional_matrix(functionals, columns=VOLUME_BASIS_EXPONENTS):
     return np.array(
         [
@@ -229,34 +224,6 @@ def _functional_matrix(functionals, columns=VOLUME_BASIS_EXPONENTS):
             for f in functionals
         ]
     )
-
-
-# ---------------------------------------------------------------------------
-# Closed-form matrix entries for the Dirichlet families: independent oracles
-# for the moment engine, which assembles every matrix.
-
-
-def dfv_entries(alpha, beta):
-    """(d, v, u, w): closed-form entries of the face-volume moment matrix."""
-    a, b = float(alpha), float(beta)
-    d = -2.0 * a / (9.0 * (3.0 * a + 1.0) ** 2 * (3.0 * a + 2.0))
-    denom = 8.0 * (1.0 + 2.0 * b) ** 2 * (1.0 + 4.0 * b) ** 2 * (3.0 + 4.0 * b)
-    v = b * (5.0 * b**2 + 5.0 * b + 1.0) / denom
-    w = b**3 / denom
-    u = -(b**2) / (
-        16.0 * (1.0 + 2.0 * b) * (1.0 + 4.0 * b) ** 2 * (3.0 + 4.0 * b)
-    )
-    return d, v, u, w
-
-
-def dvol_entries(gamma):
-    """(s, t, z): closed-form entries of the volumetric moment matrix."""
-    g = float(gamma)
-    denom = 8.0 * (1.0 + 2.0 * g) ** 2 * (1.0 + 4.0 * g) ** 2 * (3.0 + 4.0 * g)
-    s = g * (5.0 * g**2 + 5.0 * g + 1.0) / denom
-    z = g**3 / denom
-    t = -(g**2) / (16.0 * (1.0 + 2.0 * g) * (1.0 + 4.0 * g) ** 2 * (3.0 + 4.0 * g))
-    return s, t, z
 
 
 def det_dfv_closed(alpha, beta):

@@ -30,7 +30,6 @@ from .element import (
 )
 from .mesh import build_mesh
 from .quadrature import simplex_rule_plain
-from .simplex import Tetrahedron
 
 #: Target size (in scalars) of one chunk's function-value block.
 _CHUNK_BUDGET = 4_000_000
@@ -123,22 +122,14 @@ def _target_values(f, cells, nodes):
     return values
 
 
-def _dofs_for_cells(f, cell_vertices, table):
-    return _target_values(f, cell_vertices, table.nodes) @ table.weights.T
-
-
 def compute_dofs(f, tet, cfg, settings=QuadSettings()):
-    """Degrees of freedom of a function on one tetrahedron.
+    """Degrees of freedom of a function on one Tetrahedron.
 
     Returns 10 values for the quadratic strategies, 4 (the uniform face
     averages) for the classical one.
     """
-    if isinstance(tet, Tetrahedron):
-        verts = tet.vertices
-    else:
-        verts = np.asarray(tet, dtype=float)
     table = build_dof_table(cfg, settings)
-    return _dofs_for_cells(f, verts[None], table)[0]
+    return (_target_values(f, tet.vertices[None], table.nodes) @ table.weights.T)[0]
 
 
 def _run_chunks(work, slices, threads):

@@ -17,8 +17,6 @@ from itertools import permutations
 
 import numpy as np
 
-from .simplex import Tetrahedron
-
 _KUHN_PERMUTATIONS = tuple(permutations((0, 1, 2)))
 _UNIT_STEPS = np.eye(3, dtype=np.int64)
 
@@ -46,9 +44,6 @@ class TetMesh:
         v = self.cell_vertex_array
         edges = v[:, 1:, :] - v[:, :1, :]
         return np.abs(np.linalg.det(edges)) / 6.0
-
-    def cell(self, i):
-        return Tetrahedron(self.cell_vertex_array[i])
 
 
 def build_mesh(n):

@@ -47,9 +47,6 @@ class SimplexRule:
     nodes: np.ndarray
     weights: np.ndarray
 
-    def integrate(self, values):
-        return float(np.dot(np.asarray(values, dtype=float), self.weights))
-
     def __len__(self):
         return len(self.weights)
 
@@ -83,14 +80,18 @@ def simplex_rule_weighted(d, exponents, m):
 
     conc = e + 1.0  # Dirichlet concentration parameters
     node_axes, weight_axes = [], []
-    for i in range(d):
-        a_i = conc[i] - 1.0
-        b_i = conc[i + 1 :].sum() - 1.0
-        nodes, weights = gauss_jacobi(m, a_i, b_i)
-        node_axes.append(nodes)
-        # Normalize each factor to a probability rule; the product then has
-        # mass exactly 1 regardless of the Dirichlet normalizing constant.
-        weight_axes.append(weights / np.exp(betaln(a_i + 1.0, b_i + 1.0)))
+    # At large exponents (a + b + 1 > 1024 on an axis) the scale 2^(a+b+1)
+    # in gauss_jacobi overflows and the Beta normalizer underflows, leaving
+    # zero or NaN weights; the mass check below reports that instead.
+    with np.errstate(all="ignore"):
+        for i in range(d):
+            a_i = conc[i] - 1.0
+            b_i = conc[i + 1 :].sum() - 1.0
+            nodes, weights = gauss_jacobi(m, a_i, b_i)
+            node_axes.append(nodes)
+            # Normalize each factor to a probability rule; the product then has
+            # mass exactly 1 regardless of the Dirichlet normalizing constant.
+            weight_axes.append(weights / np.exp(betaln(a_i + 1.0, b_i + 1.0)))
 
     node_grids = np.meshgrid(*node_axes, indexing="ij")
     weight_grids = np.meshgrid(*weight_axes, indexing="ij")
@@ -108,6 +109,12 @@ def simplex_rule_weighted(d, exponents, m):
     for g in weight_grids:
         weights *= g.reshape(-1)
 
+    if not (np.isfinite(weights).all() and abs(weights.sum() - 1.0) < 1e-8):
+        raise ValueError(
+            f"weighted simplex rule for (d, exponents, m) = {(d, tuple(e.tolist()), m)} "
+            f"is not finite with mass 1 (mass {weights.sum():g}): the exponents "
+            "are too large for its Gauss-Jacobi weights"
+        )
     return SimplexRule(nodes=lam, weights=weights)
 
 

@@ -41,34 +41,6 @@ def dirichlet_expectation(weight_exponents, monomial_exponents):
     return float(np.exp(log_ratio))
 
 
-def simplex_moment(exponents, d=None):
-    """Normalized monomial moment of barycentric coordinates on a d-simplex.
-
-    Computes (1/|S_d|) * integral over S_d of prod_i lambda_i^{e_i}, which
-    equals d! * prod_i Gamma(e_i + 1) / Gamma(d + 1 + sum_i e_i): the
-    Dirichlet expectation under the uniform density.
-
-    Parameters
-    ----------
-    exponents : sequence of float
-        One exponent per barycentric coordinate (length d + 1), each > -1.
-    d : int, optional
-        Simplex dimension; defaults to len(exponents) - 1.
-
-    Returns
-    -------
-    float
-    """
-    e = np.asarray(exponents, dtype=float)
-    if d is None:
-        d = e.size - 1
-    if d < 1 or e.size != d + 1:
-        raise ValueError(f"need d+1 exponents for a {d}-simplex, got {e.size}")
-    if np.any(e <= -1.0):
-        raise ValueError("all exponents must be > -1")
-    return dirichlet_expectation(np.zeros(e.size), e)
-
-
 class Tetrahedron:
     """A nondegenerate tetrahedron with an affine barycentric chart."""
 
@@ -84,10 +56,6 @@ class Tetrahedron:
         # Affine system: rows are [x; y; z; 1], columns indexed by vertex.
         self._chart = np.vstack([v.T, np.ones(4)])
         self._chart_inv = np.linalg.inv(self._chart)
-
-    @property
-    def centroid(self):
-        return self.vertices.mean(axis=0)
 
     def barycentric(self, points):
         """Barycentric coordinates of physical points, shape (..., 3) -> (..., 4)."""

@@ -26,12 +26,12 @@ from histotet import (
 )
 from histotet.cli import main as cli_main
 from histotet.element import (
-    apply_functionals,
     det_dfv_closed,
     det_dvol_closed,
     edge_diagonal_entry,
 )
 from conftest import make_random_tet
+from oracles import apply_functionals
 from test_densities import _all_family_cases, analytic_residual, quadrature_residual
 
 PARAM_GRID = (0.5, 1.0, 2.0, 5.0)

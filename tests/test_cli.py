@@ -219,3 +219,16 @@ def test_project_quadratic_is_reproduced(capsys):
 def test_project_rejects_bad_input(capsys, argv, message):
     assert run(["project", *argv]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["project", "--strategy", "fv", "--alpha", "500"],  # NaN weights
+    ["project", "--strategy", "fv", "--alpha", "350"],  # zero weights
+    ["converge", "--strategy", "fv", "--alpha", "500", "--functions", "f1", "--n", "2"],
+])
+def test_oversized_exponent_raises_instead_of_printing_nan(tmp_path, capsys, argv):
+    # A face dirichlet(alpha) rule overflows its Gauss-Jacobi weights near
+    # alpha = 342; the run must stop at the rule, not print or blame NaNs.
+    with pytest.raises(ValueError, match=r"weighted simplex rule for \(d, exponents, m\)"):
+        run([*argv, "--out", str(tmp_path)] if argv[0] == "converge" else argv)
+    assert "nan" not in capsys.readouterr().out

@@ -21,16 +21,14 @@ from histotet.element import (
     Functional,
     _assemble_operator,
     _functional_matrix,
-    apply_functionals,
     build_functionals,
     det_dfv_closed,
     det_dvol_closed,
-    dfv_entries,
-    dvol_entries,
     edge_diagonal_entry,
 )
 from histotet.densities import VOLUME_BASIS_EXPONENTS, face_ortho_quadratic, volumetric_psi
 from histotet.simplex import EDGE_PAIRS, FACE_VERTEX_INDICES
+from oracles import apply_functionals, dfv_entries, dvol_entries
 
 PARAM_GRID = (0.5, 1.0, 2.0, 5.0)
 
@@ -276,8 +274,20 @@ def test_evaluate_basics():
     )
 
 
+def _scale_enrichments(funcs, factor):
+    """funcs with every enrichment quadratic multiplied by factor."""
+    return tuple(
+        func
+        if func.weight_poly is None
+        else dataclasses.replace(
+            func, weight_poly=BaryQuadratic(func.weight_poly.space, factor * func.weight_poly.coeffs)
+        )
+        for func in funcs
+    )
+
+
 def test_scale_invariance_of_reconstruction(rng):
-    from histotet.experiment import _dofs_for_cells, _table_from_functionals
+    from histotet.experiment import _table_from_functionals, _target_values
     from histotet import TARGETS
 
     f = TARGETS["f4"]
@@ -289,17 +299,13 @@ def test_scale_invariance_of_reconstruction(rng):
         base_funcs = build_functionals(cfg)
         base_op = _assemble_operator(cfg, base_funcs)
         base_table = _table_from_functionals(base_funcs, 8)
-        base_coeffs = base_op.h_inv @ _dofs_for_cells(f, verts, base_table)[0]
+        base_dofs = _target_values(f, verts, base_table.nodes) @ base_table.weights.T
+        base_coeffs = base_op.h_inv @ base_dofs[0]
         for factor in (-3.0, 0.01, 7.0):
-            scaled = tuple(
-                func
-                if func.weight_poly is None
-                else dataclasses.replace(func, weight_poly=func.weight_poly.scaled(factor))
-                for func in base_funcs
-            )
+            scaled = _scale_enrichments(base_funcs, factor)
             op = _assemble_operator(cfg, scaled)
             table = _table_from_functionals(scaled, 8)
-            coeffs = op.h_inv @ _dofs_for_cells(f, verts, table)[0]
+            coeffs = op.h_inv @ (_target_values(f, verts, table.nodes) @ table.weights.T)[0]
             np.testing.assert_allclose(coeffs, base_coeffs, atol=1e-10)
 
 
@@ -315,12 +321,7 @@ def test_parameter_floor_rejected():
 def test_singular_functionals_raise():
     cfg = StrategyConfig.face_volume(1.0, 1.0)
     funcs = build_functionals(cfg)
-    broken = tuple(
-        func
-        if func.weight_poly is None
-        else dataclasses.replace(func, weight_poly=func.weight_poly.scaled(0.0))
-        for func in funcs
-    )
+    broken = _scale_enrichments(funcs, 0.0)
     with pytest.raises(UnisolvenceError):
         _assemble_operator(cfg, broken)
 

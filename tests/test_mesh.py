@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from histotet import build_mesh
+from histotet import Tetrahedron, build_mesh
 
 
 def test_cell_count_n5():
@@ -32,7 +32,7 @@ def test_uniform_cell_volumes(n):
 def test_barycentric_identity_at_cell_vertices(rng):
     mesh = build_mesh(3)
     for i in rng.choice(len(mesh), size=10, replace=False):
-        tet = mesh.cell(int(i))
+        tet = Tetrahedron(mesh.cell_vertex_array[i])
         np.testing.assert_allclose(
             tet.barycentric(tet.vertices), np.eye(4), atol=1e-12
         )
@@ -44,7 +44,7 @@ def test_random_points_lie_in_exactly_one_cell(rng):
     for p in points:
         hits = 0
         for i in range(len(mesh)):
-            if np.all(mesh.cell(i).barycentric(p) >= -1e-12):
+            if np.all(Tetrahedron(mesh.cell_vertex_array[i]).barycentric(p) >= -1e-12):
                 hits += 1
         assert hits == 1
 

@@ -8,11 +8,11 @@ from scipy.special import gammaln
 
 from histotet import (
     gauss_jacobi,
-    simplex_moment,
     simplex_rule_plain,
     simplex_rule_weighted,
 )
 from histotet.simplex import dirichlet_expectation
+from oracles import simplex_moment
 
 
 def beta_fn(x, y):
@@ -63,7 +63,7 @@ def test_dirichlet_quarter_rule_is_quiet_and_exact():
         rule = simplex_rule_weighted(3, exps, 8)
     for p in itertools.product(range(5), repeat=4):
         if sum(p) <= 8:
-            got = rule.integrate(np.prod(rule.nodes ** np.array(p), axis=1))
+            got = np.prod(rule.nodes ** np.array(p), axis=1) @ rule.weights
             assert abs(got - dirichlet_expectation(exps, p)) < 1e-13, p
 
 
@@ -77,6 +77,15 @@ def test_gauss_jacobi_rejects_a_non_finite_rule(monkeypatch):
         gauss_jacobi(3, 0.5, 2.0)
 
 
+@pytest.mark.parametrize("d, exponent", [(2, 499.0), (2, 349.0), (3, 300.0), (1, 600.0)])
+def test_weighted_rule_rejects_overflowing_exponents(d, exponent):
+    # 2^(a+b+1) overflows once a + b + 1 > 1024 on a collapsed axis: the
+    # weights become NaN (499 on a face) or zero (349 on a face).
+    exps = (exponent,) * (d + 1)
+    with pytest.raises(ValueError, match=rf"\(d, exponents, m\) = \({d}, \({exponent}, "):
+        simplex_rule_weighted(d, exps, 8)
+
+
 def test_weighted_rule_mass_is_one():
     for exps in [(0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (-0.5, 2.0, 0.3)]:
         rule = simplex_rule_weighted(2, exps, 5)
@@ -86,23 +95,23 @@ def test_weighted_rule_mass_is_one():
 def test_face_pair_moment_alpha2():
     # E[mu1 mu2] under dirichlet(alpha=2) face density = alpha / (3(3 alpha + 1))
     rule = simplex_rule_weighted(2, (1.0, 1.0, 1.0), 4)
-    val = rule.integrate(rule.nodes[:, 0] * rule.nodes[:, 1])
+    val = (rule.nodes[:, 0] * rule.nodes[:, 1]) @ rule.weights
     assert val == pytest.approx(2.0 / 21.0, rel=1e-13)
 
 
 def test_volume_mean_gamma2():
     rule = simplex_rule_weighted(3, (1.0,) * 4, 4)
-    assert rule.integrate(rule.nodes[:, 0]) == pytest.approx(0.25, rel=1e-13)
+    assert rule.nodes[:, 0] @ rule.weights == pytest.approx(0.25, rel=1e-13)
 
 
 def test_plain_rule_matches_moments():
     r3 = simplex_rule_plain(3, 2)
-    assert r3.integrate(r3.nodes[:, 0] ** 2) == pytest.approx(
+    assert r3.nodes[:, 0] ** 2 @ r3.weights == pytest.approx(
         simplex_moment([2, 0, 0, 0], 3), rel=1e-13
     )
     assert r3.weights.sum() == pytest.approx(1.0, abs=1e-13)
     r2 = simplex_rule_plain(2, 4)
-    val = r2.integrate(r2.nodes[:, 0] ** 2 * r2.nodes[:, 1] ** 2)
+    val = (r2.nodes[:, 0] ** 2 * r2.nodes[:, 1] ** 2) @ r2.weights
     assert val == pytest.approx(1.0 / 90.0, rel=1e-13)
 
 
@@ -127,7 +136,7 @@ def test_exactness_against_moment_formula(rng):
             rule = simplex_rule_weighted(d, weight, m)
             for exps in _random_monomials(rng, d, bound, 34):
                 vals = np.prod(rule.nodes ** exps[None, :], axis=1)
-                got = rule.integrate(vals)
+                got = vals @ rule.weights
                 want = simplex_moment(weight + exps, d) / simplex_moment(weight, d)
                 assert got == pytest.approx(want, rel=1e-11), (d, m, exps)
                 checked += 1
