@@ -10,9 +10,10 @@ The parameter flags (--alpha, --beta for fv; --theta, --gamma for vol;
 --zeta, --nu for ef) accept comma-separated lists; `check` and `tune` sweep
 them, `converge` and `project` expect single values.  --functions and
 --quad-m exist on all but `check`; --n, --error-degree, --threads and --out
-on `tune` and `converge` only.  Exit codes: 0 success, 2 invalid input or a
-failed check, 3 unwritable output directory; any other error is a bug and
-surfaces with a traceback.
+on `tune` and `converge` only; a parameter flag of a strategy that does not
+run is invalid input.  Exit codes: 0 success, 2 invalid input or a failed
+check, 3 unwritable output directory; any other error is a bug and surfaces
+with a traceback.
 """
 
 import argparse
@@ -38,6 +39,7 @@ from .element import (
 from .experiment import (
     QuadSettings,
     TuningGrid,
+    build_dof_table,
     compute_dofs,
     convergence_study,
     grid_search,
@@ -207,9 +209,12 @@ def _out_dir(args):
     return out
 
 
-def _method_ids(text):
-    """Method ids named by --strategy ('all' names every METHODS entry)."""
-    if text == "all":
+def _method_ids(args, default):
+    """Method ids named by --strategy, or by `default` without it ('all'
+    names every METHODS entry), after checking that each parameter flag
+    given belongs to one of them."""
+    text = args.strategy or default
+    if text == "all":  # every method runs, so every parameter flag is read
         return list(METHODS)
     ids = [tok.strip() for tok in text.split(",") if tok.strip()]
     for method in ids:
@@ -217,6 +222,12 @@ def _method_ids(text):
             raise CliError(f"unknown strategy {method!r}")
     if not ids:
         raise CliError("--strategy names no strategy")
+    for method, (_, names) in METHODS.items():
+        for name in names:
+            if method not in ids and getattr(args, name) is not None:
+                raise CliError(
+                    f"--{name} is a {method} parameter; --strategy does not name {method}"
+                )
     return _distinct(ids, "--strategy")
 
 
@@ -276,7 +287,7 @@ def _mesh_ns(text, default):
 
 def cmd_check(args):
     configs = []
-    for method in _method_ids(args.strategy or "fv,vol,ef"):
+    for method in _method_ids(args, "fv,vol,ef"):
         if METHODS[method][1]:  # classical has no enriched moment matrix
             configs += _parameters(args, method)[1]
     if not configs:
@@ -294,10 +305,16 @@ def cmd_check(args):
             f"{rep.strategy:<9}{rep.params:<28}{rep.det:>13.4e}{closed:>13}"
             f"{rel:>10}{str(rep.rank6):>7}{spd:>6}{rep.cond:>11.3e}"
         )
+        try:
+            build_dof_table(cfg)  # the quadrature rules every other command builds
+        except ValueError as err:
+            print(f"error: {rep.strategy} ({rep.params}): {err}", file=sys.stderr)
+            failed += 1
+            continue
         if not rep.ok:
             failed += 1
     if failed:
-        print(f"{failed} configuration(s) FAILED the unisolvence check", file=sys.stderr)
+        print(f"{failed} configuration(s) FAILED the check", file=sys.stderr)
         return 2
     print(f"all {len(configs)} configurations pass")
     return 0
@@ -327,6 +344,7 @@ def cmd_tune(args):
     kind = args.strategy
     if kind not in METHODS or not METHODS[kind][1]:
         raise CliError("tune needs --strategy fv, vol or ef")
+    _method_ids(args, kind)  # rejects the parameter flags of the other methods
     (first, second), _ = _parameters(args, kind)
     ids, functions = _targets(args.functions, sorted(TARGETS), args.holdout)
     ns = _mesh_ns(args.n, (5, 10, 15))
@@ -366,7 +384,7 @@ def cmd_tune(args):
 def cmd_converge(args):
     methods = [
         cfg
-        for method in _method_ids(args.strategy or "all")
+        for method in _method_ids(args, "all")
         for cfg in _parameters(args, method, single=True)[1]
     ]
     ids, functions = _targets(args.functions, sorted(TARGETS))
@@ -442,7 +460,7 @@ _SAMPLE_BARY = np.array(
 
 
 def cmd_project(args):
-    methods = _method_ids(args.strategy or "fv")
+    methods = _method_ids(args, "fv")
     if len(methods) != 1:
         raise CliError(f"project takes exactly one strategy, got {methods}")
     (cfg,) = _parameters(args, methods[0], single=True)[1]

@@ -50,10 +50,21 @@ class Density:
         return {"edge": 1, "face": 2, "volume": 3}[self.space]
 
     def moment(self, monomial_exponents):
-        """Expectation of a barycentric monomial under the density."""
+        """Expectation of a barycentric monomial, or of a stack of them (one
+        exponent tuple along the last axis each), under the density."""
         return sum(
             c * dirichlet_expectation(e, monomial_exponents)
             for c, e in self.components
+        )
+
+    def expect(self, poly, monomial_exponents):
+        """E[poly x monomial] for a monomial or a stack of them, as `moment`;
+        poly is a BaryQuadratic of the density's space, or None for 1."""
+        if poly is None:
+            return self.moment(monomial_exponents)
+        return sum(
+            c * self.moment(np.add(exps, monomial_exponents))
+            for c, exps in poly.terms()
         )
 
     def rule(self, m):
@@ -301,17 +312,9 @@ def gram_schmidt_enrich(seed, density):
     n = density.dim + 1
     if not np.any(seed.coeffs[n:]):
         raise ValueError("seed is affine; nothing to orthogonalize")
-    affine = _BASIS_BY_SPACE[seed.space][:n]
-
-    gram = np.empty((n, n))
-    rhs = np.empty(n)
-    for r, er in enumerate(affine):
-        for s, es in enumerate(affine):
-            gram[r, s] = density.moment(np.add(er, es))
-        rhs[r] = sum(
-            c * density.moment(np.add(er, exps)) for c, exps in seed.terms()
-        )
-    proj = np.linalg.solve(gram, rhs)
+    affine = np.array(_BASIS_BY_SPACE[seed.space][:n])
+    gram = density.moment(affine[:, None] + affine[None, :])
+    proj = np.linalg.solve(gram, density.expect(seed, affine))
 
     coeffs = seed.coeffs.copy()
     coeffs[:n] -= proj

@@ -199,31 +199,20 @@ def build_functionals(cfg):
     return tuple(funcs)
 
 
-def apply_functional_to_monomial(func, lam_exponents):
-    """Exact value of a functional on a single lambda-monomial.
-
-    The monomial vanishes on the domain if it has a positive power of a
-    lambda outside func.vertices; otherwise it restricts to the native
-    monomial with the exponents at func.vertices.
-    """
-    if any(e > 0 for k, e in enumerate(lam_exponents) if k not in func.vertices):
-        return 0.0
-    restricted = tuple(lam_exponents[k] for k in func.vertices)
-    if func.weight_poly is None:
-        return func.density.moment(restricted)
-    return sum(
-        c * func.density.moment(np.add(exps, restricted))
-        for c, exps in func.weight_poly.terms()
-    )
-
-
 def _functional_matrix(functionals, columns=VOLUME_BASIS_EXPONENTS):
-    return np.array(
-        [
-            [apply_functional_to_monomial(f, exps) for exps in columns]
-            for f in functionals
-        ]
-    )
+    """Exact values of the functionals (rows) on lambda-monomials (columns).
+
+    A monomial with a positive power of a lambda outside func.vertices
+    vanishes on the domain; the others restrict to the native monomials
+    with the exponents at func.vertices.
+    """
+    cols = np.array(columns)
+    rows = []
+    for f in functionals:
+        vanishes = np.delete(cols, f.vertices, axis=1).any(axis=1)
+        values = f.density.expect(f.weight_poly, cols[:, f.vertices])
+        rows.append(np.where(vanishes, 0.0, values))
+    return np.array(rows)
 
 
 def det_dfv_closed(alpha, beta):
@@ -273,8 +262,7 @@ def assemble_D(cfg):
 def edge_diagonal_entry(zeta, nu):
     """Expectation of t(1-t) q(t) under Beta(zeta, nu); the unisolvence pivot."""
     dens = edge_density(zeta, nu)
-    q = edge_ortho_quadratic(dens)
-    return sum(c * dens.moment(np.add(exps, (1, 1))) for c, exps in q.terms())
+    return dens.expect(edge_ortho_quadratic(dens), (1, 1))
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,8 @@ EDGE_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 def dirichlet_expectation(weight_exponents, monomial_exponents):
     """E[prod lambda^p] under the normalized Dirichlet density prod lambda^e.
 
-    The simplex dimension is the number of exponents minus one.  Equals
+    The simplex dimension is the number of exponents minus one, and p is one
+    exponent tuple or a stack of them along the last axis.  Equals
     prod Gamma(e_i + p_i + 1) Gamma(n + sum e) / (Gamma(n + sum(e + p))
     prod Gamma(e_i + 1)) with n = len(e), evaluated in log-gamma form so
     large exponents do not overflow.  Inputs are not checked.
@@ -33,12 +34,12 @@ def dirichlet_expectation(weight_exponents, monomial_exponents):
     p = np.asarray(monomial_exponents, dtype=float)
     ep = e + p
     log_ratio = (
-        np.sum(gammaln(ep + 1.0))
-        - gammaln(e.size + ep.sum())
+        np.sum(gammaln(ep + 1.0), axis=-1)
+        - gammaln(e.size + ep.sum(axis=-1))
         - np.sum(gammaln(e + 1.0))
         + gammaln(e.size + e.sum())
     )
-    return float(np.exp(log_ratio))
+    return np.exp(log_ratio)
 
 
 class Tetrahedron:

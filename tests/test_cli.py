@@ -28,6 +28,16 @@ def test_check_rejects_below_floor(capsys):
     assert "floor" in err
 
 
+def test_check_fails_a_configuration_whose_rules_overflow(capsys):
+    # The moments of fv(500, 2) are fine, but its face rule overflows as in
+    # every other command: check must fail that configuration, not pass it.
+    assert run(["check", "--strategy", "fv", "--alpha", "1,500", "--beta", "2"]) == 2
+    captured = capsys.readouterr()
+    assert "fv (alpha=500;beta=2): weighted simplex rule for (d, exponents, m)" in captured.err
+    assert "1 configuration(s) FAILED" in captured.err
+    assert "configurations pass" not in captured.out
+
+
 def test_check_reports_blend_endpoint_closed_forms(capsys):
     assert run(["check", "--strategy", "vol", "--theta", "0,1", "--gamma", "0.5,2,5"]) == 0
     rows = [line.split() for line in capsys.readouterr().out.splitlines()[2:-1]]
@@ -65,9 +75,18 @@ def test_commands_reject_flags_they_do_not_read(argv):
     (["tune", "--strategy", "ef", "--holdout", "F2,f9"], "--holdout: unknown function id 'F2'"),
     (["tune", "--strategy", "ef", "--functions", "f1,f2", "--holdout", "f3"],
      "--holdout names f3, which --functions does not"),
+    (["tune", "--strategy", "ef", "--alpha", "0.5", "--zeta", "1,2", "--nu", "1,2"],
+     "--alpha is a fv parameter; --strategy does not name fv"),
+    (["converge", "--strategy", "fv", "--gamma", "3"],
+     "--gamma is a vol parameter; --strategy does not name vol"),
+    (["project", "--gamma", "3"], "--gamma is a vol parameter; --strategy does not name vol"),
+    (["check", "--strategy", "fv", "--theta", "0.3"],
+     "--theta is a vol parameter; --strategy does not name vol"),
 ])
 def test_bad_input_exits_2(tmp_path, capsys, argv, message):
-    assert run(argv + ["--out", str(tmp_path / "out")]) == 2
+    # check and project take no --out
+    out = ["--out", str(tmp_path / "out")] if argv[0] in ("tune", "converge") else []
+    assert run(argv + out) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
