@@ -20,6 +20,7 @@ import argparse
 import csv
 import functools
 import json
+import os
 import sys
 import time
 from itertools import product
@@ -43,6 +44,7 @@ from .experiment import (
     compute_dofs,
     convergence_study,
     grid_search,
+    study_bytes,
 )
 from .plots import loglog_svg
 from .simplex import REFERENCE_TET, GeometryError, Tetrahedron
@@ -113,10 +115,19 @@ def _distinct(values, flag):
     return values
 
 
-def _at_least(value, floor, flag):
+def _at_least(value, floor, flag, why=""):
     if value < floor:
-        raise CliError(f"{flag} must be >= {floor}, got {value}")
+        raise CliError(f"{flag} must be >= {floor}, got {value}{why}")
     return value
+
+
+def _dof_points(args):
+    """--quad-m, after checking the floor that QuadSettings enforces."""
+    why = (
+        ": a weighted moment integrates a quadratic weight times a quadratic "
+        "(degree 4), and m Gauss points per direction are exact to degree 2m - 1"
+    )
+    return _at_least(args.quad_m, 3, "--quad-m", why)
 
 
 def _add_strategy_flags(parser):
@@ -191,9 +202,24 @@ def _settings(args):
     """QuadSettings of a mesh run (tune, converge), after checking --threads."""
     _at_least(args.threads, 1, "--threads")
     return QuadSettings(
-        dof_points=_at_least(args.quad_m, 1, "--quad-m"),
+        dof_points=_dof_points(args),
         error_degree=_at_least(args.error_degree, 1, "--error-degree"),
     )
+
+
+def _physical_memory():
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _check_memory(ns, n_configs, threads):
+    """Refuse, before any mesh is built, a run whose largest mesh alone needs
+    more than the machine's physical memory."""
+    need, have = study_bytes(max(ns), n_configs, threads), _physical_memory()
+    if need > have:
+        raise CliError(
+            f"--n {max(ns)} needs at least {need / 1e6:,.0f} MB for its mesh "
+            f"arrays, more than the {have / 1e6:,.0f} MB of physical memory"
+        )
 
 
 def _out_dir(args):
@@ -350,6 +376,7 @@ def cmd_tune(args):
     ns = _mesh_ns(args.n, (5, 10, 15))
 
     settings = _settings(args)
+    _check_memory(ns, len(first) * len(second), args.threads)
     out = _out_dir(args)
     grid = TuningGrid(kind=kind, first=first, second=second, functions=tuple(functions), ns=ns)
     started = time.perf_counter()
@@ -391,6 +418,7 @@ def cmd_converge(args):
     ns = _mesh_ns(args.n, (5, 10, 15, 20, 25))
 
     settings = _settings(args)
+    _check_memory(ns, len(methods), args.threads)
     out = _out_dir(args)
     started = time.perf_counter()
     rows = convergence_study(functions, ns, methods, settings=settings, threads=args.threads)
@@ -480,7 +508,7 @@ def cmd_project(args):
     else:
         tet = REFERENCE_TET
 
-    settings = QuadSettings(dof_points=_at_least(args.quad_m, 1, "--quad-m"))
+    settings = QuadSettings(dof_points=_dof_points(args))
     dofs = compute_dofs(f, tet, cfg, settings)
 
     print(f"strategy : {cfg.method_id} ({cfg.params_text()})")

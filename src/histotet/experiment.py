@@ -46,6 +46,14 @@ class QuadSettings:
     dof_points: int = 8
     error_degree: int = 8
 
+    def __post_init__(self):
+        # m points per direction are exact to degree 2m - 1, and a weighted
+        # moment integrates a quadratic weight times a quadratic (degree 4).
+        if self.dof_points < 3:
+            raise ValueError(f"dof_points must be >= 3 for quadratic moments, got {self.dof_points}")
+        if self.error_degree < 1:
+            raise ValueError(f"error_degree must be >= 1, got {self.error_degree}")
+
 
 @dataclass(frozen=True)
 class DofTable:
@@ -243,6 +251,31 @@ def _l1_errors(engines, f, mesh, threads=1):
     ]
 
 
+def _passes(configs, functions, ns, settings, threads, meshes):
+    """The study loop: add the meshes missing from `meshes` to it, build one
+    engine per configuration, and yield (function, n, errors by configuration,
+    wall seconds) for each (function, mesh) pass, function-major."""
+    for n in ns:
+        if n not in meshes:
+            meshes[n] = build_mesh(n)
+    engines = [_ErrorEngine(cfg, settings) for cfg in configs]
+    for f in functions:
+        for n in ns:
+            start = time.perf_counter()
+            errors = _l1_errors(engines, f, meshes[n], threads)
+            yield f, n, errors, time.perf_counter() - start
+
+
+def study_bytes(n, n_configs, threads=1):
+    """Bytes of the arrays a study holds for its passes on the mesh of grid
+    parameter n: the vertices, cell indices, cell vertex array and cell
+    volumes, a (configurations x cells) error array, and one chunk of target
+    values per thread.  The interpreter and short-lived temporaries come on
+    top."""
+    cells = 6 * (n - 1) ** 3
+    return 8 * (3 * n**3 + cells * (4 + 12 + 1 + n_configs) + threads * _CHUNK_BUDGET)
+
+
 def l1_error(f, mesh, cfg, settings=QuadSettings(), threads=1):
     """L1 reconstruction error of a strategy for one function on one mesh."""
     return _ErrorEngine(cfg, settings).l1_on_mesh(f, mesh, threads=threads)
@@ -269,16 +302,7 @@ def convergence_study(functions, ns, methods, settings=QuadSettings(), threads=1
     method-major, function, mesh order and the numbers are deterministic for
     fixed settings.
     """
-    meshes = {n: build_mesh(n) for n in ns}
-    engines = [_ErrorEngine(cfg, settings) for cfg in methods]
-
-    passes = []  # (function, n, errors by method, seconds)
-    for f in functions:
-        for n in ns:
-            start = time.perf_counter()
-            errors = _l1_errors(engines, f, meshes[n], threads)
-            passes.append((f, n, errors, time.perf_counter() - start))
-
+    passes = list(_passes(methods, functions, ns, settings, threads, {}))
     return [
         ErrorRow(f.id, int(n), cfg.method_id, cfg.params_text(), errors[i], seconds)
         for i, cfg in enumerate(methods)
@@ -335,20 +359,10 @@ def grid_search(grid, settings=QuadSettings(), threads=1, meshes=None):
     """
     if meshes is None:
         meshes = {}
-    for n in grid.ns:
-        if n not in meshes:
-            meshes[n] = build_mesh(n)
-
-    engines = [
-        _ErrorEngine(StrategyConfig.of(grid.kind, a, b), settings)
-        for a in grid.first
-        for b in grid.second
-    ]
+    configs = [StrategyConfig.of(grid.kind, a, b) for a in grid.first for b in grid.second]
     surface = np.zeros((len(grid.first), len(grid.second)))
-    for f in grid.functions:
-        for n in grid.ns:
-            errors = _l1_errors(engines, f, meshes[n], threads)
-            surface += np.reshape(errors, surface.shape)
+    for _, _, errors, _ in _passes(configs, grid.functions, grid.ns, settings, threads, meshes):
+        surface += np.reshape(errors, surface.shape)
 
     # argmin returns the first minimum in row-major order; the surface is
     # finite, because _l1_errors raises on a non-finite cell error.

@@ -67,7 +67,7 @@ def test_commands_reject_flags_they_do_not_read(argv):
     (["converge", "--strategy", "vol", "--theta", "2"], "theta"),
     (["tune", "--strategy", "ef", "--n", "1"], "--n must be >= 2, got 1"),
     (["tune", "--strategy", "vol", "--gamma", "1e-6"], "floor"),
-    (["converge", "--quad-m", "0"], "--quad-m must be >= 1"),
+    (["converge", "--quad-m", "0"], "--quad-m must be >= 3"),
     (["converge", "--strategy", "fv,fv"], "--strategy names fv more than once"),
     (["converge", "--functions", "f1,f1..f2"], "--functions names f1 more than once"),
     (["converge", "--n", "3,3"], "--n names 3 more than once"),
@@ -82,6 +82,12 @@ def test_commands_reject_flags_they_do_not_read(argv):
     (["project", "--gamma", "3"], "--gamma is a vol parameter; --strategy does not name vol"),
     (["check", "--strategy", "fv", "--theta", "0.3"],
      "--theta is a vol parameter; --strategy does not name vol"),
+    # Two points per direction are exact to degree 3; weighted moments need 4.
+    (["converge", "--quad-m", "2", "--n", "3", "--functions", "f1"],
+     "--quad-m must be >= 3, got 2: a weighted moment"),
+    (["tune", "--strategy", "fv", "--quad-m", "2", "--n", "3", "--functions", "f1"],
+     "--quad-m must be >= 3, got 2: a weighted moment"),
+    (["project", "--quad-m", "2"], "--quad-m must be >= 3, got 2: a weighted moment"),
 ])
 def test_bad_input_exits_2(tmp_path, capsys, argv, message):
     # check and project take no --out
@@ -89,6 +95,40 @@ def test_bad_input_exits_2(tmp_path, capsys, argv, message):
     assert run(argv + out) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["converge", "--strategy", "classical,fv"],
+    ["tune", "--strategy", "ef", "--zeta", "1,2", "--nu", "1,2,3"],
+])
+def test_mesh_runs_refuse_meshes_larger_than_memory(tmp_path, capsys, monkeypatch, argv):
+    from histotet import experiment
+
+    class Reached(Exception):
+        pass
+
+    def reached(*args, **kwargs):
+        raise Reached
+
+    def no_mesh(n):
+        raise AssertionError("a mesh was built")
+
+    monkeypatch.setattr(experiment, "build_mesh", no_mesh)
+    monkeypatch.setattr(cli, "convergence_study", reached)
+    monkeypatch.setattr(cli, "grid_search", reached)
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 50_000_000)
+    out = tmp_path / "out"
+    # n = 5 fits in 50 MB: 384 cells plus one 32 MB chunk of target values.
+    with pytest.raises(Reached):
+        run(argv + ["--functions", "f1", "--n", "3,5", "--out", str(out)])
+    assert run(argv + ["--functions", "f1", "--n", "3,40", "--threads", "2",
+                       "--out", str(out / "big")]) == 2
+    err = capsys.readouterr().err
+    need = experiment.study_bytes(40, 2 if argv[0] == "converge" else 6, threads=2)
+    assert need > 355_914 * 136  # the n = 40 cells, at more than 136 bytes each
+    assert f"--n 40 needs at least {need / 1e6:,.0f} MB" in err
+    assert "more than the 50 MB of physical memory" in err
+    assert not (out / "big").exists()
 
 
 def test_internal_error_propagates(tmp_path, monkeypatch):

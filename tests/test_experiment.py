@@ -270,6 +270,58 @@ def test_grid_pass_evaluates_each_block_once(monkeypatch):
     assert len(experiment._chunk_slices(len(mesh), 20_000 // (768 + 216))) == 3
 
 
+def test_observed_convergence_orders():
+    # h = 1 / (n - 1): quadratic strategies converge at order 3, classical at 2.
+    functions = [TARGETS["f1"], TARGETS["f3"], TARGETS["f5"]]
+    rows = convergence_study(functions, (10, 15), ALL_METHODS)
+    errors = {(r.method, r.function, r.n): r.l1_error for r in rows}
+    for cfg in ALL_METHODS:
+        floor = 1.8 if cfg.kind == "classical" else 2.8
+        for f in functions:
+            coarse, fine = errors[cfg.method_id, f.id, 10], errors[cfg.method_id, f.id, 15]
+            order = np.log(coarse / fine) / np.log(14 / 9)
+            assert order >= floor, (cfg.method_id, f.id, order)
+
+
+def test_grid_surface_sums_the_study_rows_of_each_candidate(monkeypatch):
+    from histotet import experiment
+
+    built = []
+
+    def counted(n):
+        built.append(n)
+        return build_mesh(n)
+
+    monkeypatch.setattr(experiment, "build_mesh", counted)
+    functions, ns = (TARGETS["f2"], TARGETS["f6"]), (3, 4)
+    grid = TuningGrid("vol", (0.25, 0.75), (1.0, 3.0), functions, ns)
+    meshes = {}
+    result = grid_search(grid, meshes=meshes)
+    again = grid_search(grid, meshes=meshes)
+    assert sorted(built) == [3, 4]  # the shared dict keeps the first call's meshes
+    assert (again.surface == result.surface).all()
+
+    configs = [StrategyConfig.of("vol", a, b) for a in grid.first for b in grid.second]
+    rows = convergence_study(functions, ns, configs)
+    for k, cfg in enumerate(configs):
+        total = 0.0
+        for row in rows[4 * k : 4 * k + 4]:  # function, mesh order
+            assert row.params == cfg.params_text()
+            total += row.l1_error
+        assert result.surface.flat[k] == total  # bitwise
+
+
+def test_study_bytes_counts_the_arrays_of_a_pass():
+    from histotet.experiment import _CHUNK_BUDGET, study_bytes
+
+    mesh = build_mesh(4)
+    arrays = [mesh.vertices, mesh.cells, mesh.cell_vertex_array, mesh.cell_volumes()]
+    errors = np.empty((5, len(mesh)))
+    chunk = np.empty(_CHUNK_BUDGET)
+    expected = sum(a.nbytes for a in arrays) + errors.nbytes + 3 * chunk.nbytes
+    assert study_bytes(4, 5, threads=3) == expected
+
+
 def test_convergence_study_classical_exact_on_affine_lift():
     f = TargetFunction("affine", lambda p: 2.0 * p[..., 0] - p[..., 1] + 0.25)
     rows = convergence_study([f], (4,), [StrategyConfig.classical()])
@@ -359,6 +411,14 @@ def test_one_rule_per_density(monkeypatch):
     grid = _PARAM_FLAGS["alpha"][1]
     grid_search(TuningGrid("fv", grid, grid, (TARGETS["f2"],), (3,)))
     assert len(calls) == 73
+
+
+def test_quad_settings_reject_rules_too_coarse_for_quadratics():
+    with pytest.raises(ValueError, match="dof_points must be >= 3 for quadratic moments, got 2"):
+        QuadSettings(dof_points=2)
+    with pytest.raises(ValueError, match="error_degree must be >= 1, got 0"):
+        QuadSettings(error_degree=0)
+    QuadSettings(dof_points=3, error_degree=1)
 
 
 def test_quad_settings_affect_rule_sizes():
