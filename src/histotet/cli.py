@@ -212,13 +212,14 @@ def _physical_memory():
 
 
 def _check_memory(ns, n_configs, threads):
-    """Refuse, before any mesh is built, a run whose largest mesh alone needs
+    """Refuse, before any mesh is built, a run whose meshes together need
     more than the machine's physical memory."""
-    need, have = study_bytes(max(ns), n_configs, threads), _physical_memory()
+    need, have = study_bytes(ns, n_configs, threads), _physical_memory()
     if need > have:
         raise CliError(
-            f"--n {max(ns)} needs at least {need / 1e6:,.0f} MB for its mesh "
-            f"arrays, more than the {have / 1e6:,.0f} MB of physical memory"
+            f"--n {','.join(map(str, ns))} needs at least {need / 1e6:,.0f} MB "
+            f"for its mesh arrays, more than the {have / 1e6:,.0f} MB of "
+            "physical memory"
         )
 
 

@@ -1,17 +1,17 @@
 """Probability densities on faces, volumes and edges, and the quadratic
 polynomials orthogonal to affine functions under each of them.
 
-Every supported density is stored as a finite mixture of Dirichlet laws on
-the simplex (the Beta law on an edge is the 1-simplex case), which makes
-monomial moments exact gamma-function ratios and quadrature rules convex
-unions of collapsed Gauss-Jacobi rules:
+A density is a space plus a finite mixture of Dirichlet laws on its simplex
+(the Beta law on an edge is the 1-simplex case), so monomial moments are
+exact gamma-function ratios and quadrature rules convex unions of collapsed
+Gauss-Jacobi rules:
 
-  * uniform             -> Dirichlet with all exponents 0
-  * dirichlet(c)        -> all exponents c - 1
-  * symmetric-quadratic -> equal-weight mixture of one-coordinate bumps
-                           (density proportional to sum of squared coords)
-  * blend(theta, c)     -> theta * uniform + (1 - theta) * dirichlet(c)
-  * beta(zeta, nu)      -> edge density t^(zeta-1) (1-t)^(nu-1), normalized
+  * face_density(alpha)          -> dirichlet(alpha), uniform at alpha = 1
+  * volume_density(gamma, theta) -> theta * uniform + (1 - theta) * dirichlet(gamma)
+  * edge_density(zeta, nu)       -> t^(zeta-1) (1-t)^(nu-1), normalized
+
+Every enrichment quadratic is gram_schmidt_enrich of a quadratic seed.  The
+paper's closed forms for symmetric Dirichlet laws serve the fv strategy only.
 """
 
 from dataclasses import dataclass
@@ -42,7 +42,6 @@ class Density:
     """
 
     space: str  # 'face' | 'volume' | 'edge'
-    variant: str  # 'uniform' | 'symmetric-quadratic' | 'dirichlet' | 'blend' | 'beta'
     components: tuple
 
     @property
@@ -79,57 +78,32 @@ class Density:
         return SimplexRule(nodes, weights)
 
 
-def _symmetric_quadratic_components(ncoords):
-    # density prop. to sum_r coord_r^2 == mixture of Dirichlet(1,..,3,..,1)
-    one = [0.0] * ncoords
+def face_density(alpha):
+    """Symmetric dirichlet(alpha) density on a face; alpha = 1 is uniform."""
+    a = _check_param("alpha", alpha)
+    return Density("face", ((1.0, (a - 1.0,) * 3),))
+
+
+def volume_density(gamma, theta=0.0):
+    """theta * uniform + (1 - theta) * dirichlet(gamma) on the volume; theta = 0
+    is dirichlet(gamma), and gamma = 1 or theta = 1 is uniform."""
+    g = _check_param("gamma", gamma)
+    t = float(theta)
+    if not 0.0 <= t <= 1.0:
+        raise ValueError(f"theta must lie in [0, 1], got {theta!r}")
     comps = []
-    for r in range(ncoords):
-        e = list(one)
-        e[r] = 2.0
-        comps.append((1.0 / ncoords, tuple(e)))
-    return tuple(comps)
-
-
-def face_density(variant, alpha=None):
-    """Face density: 'uniform', 'symmetric-quadratic' or 'dirichlet' (needs alpha)."""
-    if variant == "uniform":
-        return Density("face", "uniform", ((1.0, (0.0, 0.0, 0.0)),))
-    if variant == "symmetric-quadratic":
-        return Density("face", variant, _symmetric_quadratic_components(3))
-    if variant == "dirichlet":
-        a = _check_param("alpha", alpha)
-        return Density("face", variant, ((1.0, (a - 1.0,) * 3),))
-    raise ValueError(f"unknown face density variant {variant!r}")
-
-
-def volume_density(variant, gamma=None, theta=None):
-    """Volume density: 'uniform', 'symmetric-quadratic', 'dirichlet' or 'blend'."""
-    if variant == "uniform":
-        return Density("volume", "uniform", ((1.0, (0.0,) * 4),))
-    if variant == "symmetric-quadratic":
-        return Density("volume", variant, _symmetric_quadratic_components(4))
-    if variant == "dirichlet":
-        g = _check_param("gamma", gamma)
-        return Density("volume", variant, ((1.0, (g - 1.0,) * 4),))
-    if variant == "blend":
-        g = _check_param("gamma", gamma)
-        t = float(theta)
-        if not 0.0 <= t <= 1.0:
-            raise ValueError(f"theta must lie in [0, 1], got {theta!r}")
-        comps = []
-        if t > 0.0:
-            comps.append((t, (0.0,) * 4))
-        if t < 1.0:
-            comps.append((1.0 - t, (g - 1.0,) * 4))
-        return Density("volume", variant, tuple(comps))
-    raise ValueError(f"unknown volume density variant {variant!r}")
+    if t > 0.0:
+        comps.append((t, (0.0,) * 4))
+    if t < 1.0:
+        comps.append((1.0 - t, (g - 1.0,) * 4))
+    return Density("volume", tuple(comps))
 
 
 def edge_density(zeta, nu):
     """Beta(zeta, nu) density on an edge, in coordinates (t, 1-t)."""
     z = _check_param("zeta", zeta)
     v = _check_param("nu", nu)
-    return Density("edge", "beta", ((1.0, (z - 1.0, v - 1.0)),))
+    return Density("edge", ((1.0, (z - 1.0, v - 1.0)),))
 
 
 # ---------------------------------------------------------------------------
@@ -215,24 +189,19 @@ class BaryQuadratic:
         return vals
 
 
-def _face_sum_of_squares_minus(c):
-    # sum mu_r^2 - c  ==  (1 - c) sum mu_r - 2 sum_{r<s} mu_r mu_s
+def face_sum_of_squares_minus(c):
+    """sum mu_r^2 - c, written as (1 - c) sum mu_r - 2 sum_{r<s} mu_r mu_s."""
     return BaryQuadratic("face", [1.0 - c] * 3 + [-2.0] * 3)
 
 
-def _pair_quadratic(i, j, h, k):
-    # lambda_i lambda_j + h - k (lambda_i + lambda_j), constant via sum lambda = 1
+def pair_quadratic(i, j, h, k):
+    """lambda_i lambda_j + h - k (lambda_i + lambda_j), constant via sum lambda = 1."""
     coeffs = np.zeros(10)
     coeffs[:4] = h
     coeffs[i] -= k
     coeffs[j] -= k
     coeffs[4 + EDGE_PAIRS.index((i, j))] = 1.0
     return BaryQuadratic("volume", coeffs)
-
-#: Constants of the symmetric-quadratic families (verified by moments in tests).
-SYMQUAD_FACE_CONSTANT = 8.0 / 15.0
-SYMQUAD_VOLUME_H = 23.0 / 840.0
-SYMQUAD_VOLUME_K = 3.0 / 20.0
 
 
 def dirichlet_face_constant(alpha):
@@ -249,40 +218,19 @@ def dirichlet_volume_hk(gamma):
 
 
 def face_ortho_quadratic(density):
-    """Quadratic on a face orthogonal to all affine functions under `density`."""
+    """sum mu^2 made orthogonal to all affine functions under a face density."""
     if density.space != "face":
         raise ValueError("expected a face density")
-    if density.variant in ("uniform", "dirichlet"):
-        alpha = density.components[0][1][0] + 1.0
-        return _face_sum_of_squares_minus(dirichlet_face_constant(alpha))
-    if density.variant == "symmetric-quadratic":
-        return _face_sum_of_squares_minus(SYMQUAD_FACE_CONSTANT)
-    raise ValueError(f"unsupported face density variant {density.variant!r}")
-
-
-def _volume_hk_for(density):
-    if density.variant in ("uniform", "dirichlet"):
-        gamma = density.components[0][1][0] + 1.0
-        return dirichlet_volume_hk(gamma)
-    if density.variant == "symmetric-quadratic":
-        return SYMQUAD_VOLUME_H, SYMQUAD_VOLUME_K
-    return None
+    return gram_schmidt_enrich(face_sum_of_squares_minus(0.0), density)
 
 
 def volumetric_psi(density):
-    """Six interior quadratics, one per coordinate pair, orthogonal to affines.
-
-    Closed-form constants for the uniform, dirichlet and symmetric-quadratic
-    densities; general densities (blends) use the Gram-Schmidt construction.
-    """
+    """Six interior quadratics, lambda_i lambda_j made orthogonal to all
+    affine functions under a volume density, one per pair in EDGE_PAIRS."""
     if density.space != "volume":
         raise ValueError("expected a volume density")
-    hk = _volume_hk_for(density)
-    if hk is not None:
-        h, k = hk
-        return [_pair_quadratic(i, j, h, k) for i, j in EDGE_PAIRS]
     return [
-        gram_schmidt_enrich(_pair_quadratic(i, j, 0.0, 0.0), density)
+        gram_schmidt_enrich(pair_quadratic(i, j, 0.0, 0.0), density)
         for i, j in EDGE_PAIRS
     ]
 

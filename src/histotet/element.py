@@ -19,10 +19,13 @@ from .densities import (
     BaryQuadratic,
     Density,
     VOLUME_BASIS_EXPONENTS,
+    dirichlet_face_constant,
+    dirichlet_volume_hk,
     edge_density,
     edge_ortho_quadratic,
     face_density,
-    face_ortho_quadratic,
+    face_sum_of_squares_minus,
+    pair_quadratic,
     volume_density,
     volumetric_psi,
 )
@@ -169,25 +172,29 @@ class Functional:
 
 def build_functionals(cfg):
     """The ordered functionals of a strategy (4 for classical, 10 otherwise)."""
-    if cfg.kind == "face_volume":
-        face = face_density("dirichlet", cfg.alpha)
-    else:
-        face = face_density("uniform")
+    face = face_density(cfg.alpha if cfg.kind == "face_volume" else 1.0)
     funcs = [Functional(FACE_VERTEX_INDICES[j], face, None) for j in range(4)]
 
     if cfg.kind == "classical":
         return tuple(funcs)
 
     if cfg.kind == "face_volume":
-        q = face_ortho_quadratic(face)
+        # The paper's closed forms, at alpha and beta read back from the
+        # exponents ((0.1 - 1) + 1 != 0.1) as the fv outputs were computed.
+        # The planned byte move replaces them with face_ortho_quadratic and
+        # volumetric_psi, which agree with them to round-off.
+        interior = volume_density(cfg.beta)
+        alpha = face.components[0][1][0] + 1.0
+        beta = interior.components[0][1][0] + 1.0
+        q = face_sum_of_squares_minus(dirichlet_face_constant(alpha))
+        h, k = dirichlet_volume_hk(beta)
         funcs += [Functional(FACE_VERTEX_INDICES[j], face, q) for j in range(4)]
-        interior = volume_density("dirichlet", gamma=cfg.beta)
         funcs += [
-            Functional(VOLUME_VERTICES, interior, rho)
-            for rho in volumetric_psi(interior)[:2]
+            Functional(VOLUME_VERTICES, interior, pair_quadratic(i, j, h, k))
+            for i, j in EDGE_PAIRS[:2]
         ]
     elif cfg.kind == "volumetric":
-        interior = volume_density("blend", gamma=cfg.gamma, theta=cfg.theta)
+        interior = volume_density(cfg.gamma, cfg.theta)
         funcs += [
             Functional(VOLUME_VERTICES, interior, psi)
             for psi in volumetric_psi(interior)

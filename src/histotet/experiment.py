@@ -266,14 +266,16 @@ def _passes(configs, functions, ns, settings, threads, meshes):
             yield f, n, errors, time.perf_counter() - start
 
 
-def study_bytes(n, n_configs, threads=1):
-    """Bytes of the arrays a study holds for its passes on the mesh of grid
-    parameter n: the vertices, cell indices, cell vertex array and cell
-    volumes, a (configurations x cells) error array, and one chunk of target
+def study_bytes(ns, n_configs, threads=1):
+    """Bytes of the arrays a study holds for its passes on the meshes of grid
+    parameters ns: every mesh's vertices, cell indices, cell vertex array and
+    cell volumes (the study keeps all its meshes), plus, for the largest
+    mesh, a (configurations x cells) error array and one chunk of target
     values per thread.  The interpreter and short-lived temporaries come on
     top."""
-    cells = 6 * (n - 1) ** 3
-    return 8 * (3 * n**3 + cells * (4 + 12 + 1 + n_configs) + threads * _CHUNK_BUDGET)
+    cells = [6 * (n - 1) ** 3 for n in ns]
+    meshes = sum(3 * n**3 + c * (4 + 12 + 1) for n, c in zip(ns, cells))
+    return 8 * (meshes + max(cells) * n_configs + threads * _CHUNK_BUDGET)
 
 
 def l1_error(f, mesh, cfg, settings=QuadSettings(), threads=1):

@@ -29,6 +29,7 @@ class TetMesh:
         self.vertices = np.asarray(vertices, dtype=float)
         self.cells = np.asarray(cells, dtype=np.int64)
         self._cell_vertex_array = None
+        self._cell_volumes = None
 
     def __len__(self):
         return len(self.cells)
@@ -41,9 +42,12 @@ class TetMesh:
         return self._cell_vertex_array
 
     def cell_volumes(self):
-        v = self.cell_vertex_array
-        edges = v[:, 1:, :] - v[:, :1, :]
-        return np.abs(np.linalg.det(edges)) / 6.0
+        """Volume per cell, shape (n_cells,); computed once."""
+        if self._cell_volumes is None:
+            v = self.cell_vertex_array
+            edges = v[:, 1:, :] - v[:, :1, :]
+            self._cell_volumes = np.abs(np.linalg.det(edges)) / 6.0
+        return self._cell_volumes
 
 
 def build_mesh(n):

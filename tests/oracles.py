@@ -3,6 +3,7 @@ against.  None of them is on a path the histotet command runs."""
 
 import numpy as np
 
+from histotet.densities import Density
 from histotet.element import _functional_matrix
 from histotet.simplex import dirichlet_expectation
 
@@ -23,6 +24,17 @@ def simplex_moment(exponents, d=None):
     if np.any(e <= -1.0):
         raise ValueError("all exponents must be > -1")
     return dirichlet_expectation(np.zeros(e.size), e)
+
+
+def symmetric_quadratic_density(space):
+    """Density on a face or the volume proportional to the sum of squared
+    barycentric coordinates: the equal-weight mixture of the Dirichlet laws
+    with one exponent 2 and the others 0."""
+    n = {"face": 3, "volume": 4}[space]
+    return Density(
+        space,
+        tuple((1.0 / n, tuple(2.0 if s == r else 0.0 for s in range(n))) for r in range(n)),
+    )
 
 
 def apply_functionals(functionals, poly):

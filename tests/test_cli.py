@@ -124,9 +124,9 @@ def test_mesh_runs_refuse_meshes_larger_than_memory(tmp_path, capsys, monkeypatc
     assert run(argv + ["--functions", "f1", "--n", "3,40", "--threads", "2",
                        "--out", str(out / "big")]) == 2
     err = capsys.readouterr().err
-    need = experiment.study_bytes(40, 2 if argv[0] == "converge" else 6, threads=2)
+    need = experiment.study_bytes((3, 40), 2 if argv[0] == "converge" else 6, threads=2)
     assert need > 355_914 * 136  # the n = 40 cells, at more than 136 bytes each
-    assert f"--n 40 needs at least {need / 1e6:,.0f} MB" in err
+    assert f"--n 3,40 needs at least {need / 1e6:,.0f} MB" in err
     assert "more than the 50 MB of physical memory" in err
     assert not (out / "big").exists()
 

@@ -3,6 +3,7 @@ import pytest
 
 from histotet import (
     BaryQuadratic,
+    StrategyConfig,
     edge_density,
     edge_ortho_quadratic,
     face_density,
@@ -16,8 +17,12 @@ from histotet.densities import (
     EDGE_BASIS_EXPONENTS,
     FACE_BASIS_EXPONENTS,
     VOLUME_BASIS_EXPONENTS,
-    _pair_quadratic,
+    dirichlet_face_constant,
+    face_sum_of_squares_minus,
+    pair_quadratic,
 )
+from histotet.element import build_functionals
+from oracles import symmetric_quadratic_density
 
 PARAM_GRID = (0.5, 1.0, 1.5, 2.0, 3.0, 5.0)
 THETA_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -58,56 +63,56 @@ def quadrature_residual(poly, density, m=6):
 
 
 def test_face_constant_uniform():
-    q = face_ortho_quadratic(face_density("dirichlet", 1.0))
+    q = face_ortho_quadratic(face_density(1.0))
     np.testing.assert_allclose(q.coeffs, [0.5] * 3 + [-2.0] * 3, atol=1e-15)
 
 
 def test_face_constant_alpha2():
-    q = face_ortho_quadratic(face_density("dirichlet", 2.0))
+    q = face_ortho_quadratic(face_density(2.0))
     np.testing.assert_allclose(q.coeffs[:3], 1.0 - 3.0 / 7.0, rtol=1e-15)
 
 
 def test_face_constant_symmetric_quadratic():
-    q = face_ortho_quadratic(face_density("symmetric-quadratic"))
+    q = face_ortho_quadratic(symmetric_quadratic_density("face"))
     np.testing.assert_allclose(q.coeffs[:3], 1.0 - 8.0 / 15.0, rtol=1e-15)
 
 
 def test_volume_pair_uniform():
-    rho1, rho2 = volumetric_psi(volume_density("uniform"))[:2]
-    np.testing.assert_allclose(rho1.coeffs, _pair_quadratic(0, 1, 1 / 30, 1 / 6).coeffs, atol=1e-15)
-    np.testing.assert_allclose(rho2.coeffs, _pair_quadratic(0, 2, 1 / 30, 1 / 6).coeffs, atol=1e-15)
+    rho1, rho2 = volumetric_psi(volume_density(1.0))[:2]
+    np.testing.assert_allclose(rho1.coeffs, pair_quadratic(0, 1, 1 / 30, 1 / 6).coeffs, atol=1e-15)
+    np.testing.assert_allclose(rho2.coeffs, pair_quadratic(0, 2, 1 / 30, 1 / 6).coeffs, atol=1e-15)
 
 
 def test_volume_pair_symmetric_quadratic():
-    rho1 = volumetric_psi(volume_density("symmetric-quadratic"))[0]
+    rho1 = volumetric_psi(symmetric_quadratic_density("volume"))[0]
     np.testing.assert_allclose(
-        rho1.coeffs, _pair_quadratic(0, 1, 23 / 840, 3 / 20).coeffs, atol=1e-15
+        rho1.coeffs, pair_quadratic(0, 1, 23 / 840, 3 / 20).coeffs, atol=1e-15
     )
 
 
 def test_volume_pair_beta2():
-    rho1 = volumetric_psi(volume_density("dirichlet", gamma=2.0))[0]
+    rho1 = volumetric_psi(volume_density(2.0))[0]
     np.testing.assert_allclose(
-        rho1.coeffs, _pair_quadratic(0, 1, 2 / 45, 1 / 5).coeffs, rtol=1e-14
+        rho1.coeffs, pair_quadratic(0, 1, 2 / 45, 1 / 5).coeffs, rtol=1e-14
     )
 
 
 def test_psi_gamma1_matches_uniform_pair():
-    psis = volumetric_psi(volume_density("dirichlet", gamma=1.0))
+    psis = volumetric_psi(volume_density(1.0))
     np.testing.assert_allclose(
-        psis[0].coeffs, _pair_quadratic(0, 1, 1 / 30, 1 / 6).coeffs, atol=1e-15
+        psis[0].coeffs, pair_quadratic(0, 1, 1 / 30, 1 / 6).coeffs, atol=1e-15
     )
 
 
 def test_psi_gamma2_pair34():
-    psis = volumetric_psi(volume_density("dirichlet", gamma=2.0))
+    psis = volumetric_psi(volume_density(2.0))
     np.testing.assert_allclose(
-        psis[5].coeffs, _pair_quadratic(2, 3, 2 / 45, 1 / 5).coeffs, rtol=1e-14
+        psis[5].coeffs, pair_quadratic(2, 3, 2 / 45, 1 / 5).coeffs, rtol=1e-14
     )
 
 
 def test_psi_blend_orthogonality():
-    dens = volume_density("blend", gamma=2.0, theta=0.5)
+    dens = volume_density(2.0, theta=0.5)
     for psi in volumetric_psi(dens):
         assert analytic_residual(psi, dens) < 1e-12
 
@@ -149,22 +154,21 @@ def test_edge_beta22_residuals():
 
 
 def test_gram_schmidt_reproduces_uniform_pair():
-    seed = _pair_quadratic(0, 1, 0.0, 0.0)
-    result = gram_schmidt_enrich(seed, volume_density("uniform"))
+    seed = pair_quadratic(0, 1, 0.0, 0.0)
+    result = gram_schmidt_enrich(seed, volume_density(1.0))
     np.testing.assert_allclose(
-        result.coeffs, _pair_quadratic(0, 1, 1 / 30, 1 / 6).coeffs, atol=1e-15
+        result.coeffs, pair_quadratic(0, 1, 1 / 30, 1 / 6).coeffs, atol=1e-15
     )
 
 
 def test_gram_schmidt_reproduces_face_closed_form():
     for alpha in PARAM_GRID:
-        dens = face_density("dirichlet", alpha)
+        dens = face_density(alpha)
         seed = BaryQuadratic("face", [1.0, 1.0, 1.0, -2.0, -2.0, -2.0])
         # seed written via sum mu = 1: sum mu^2 = sum mu - 2 sum mu mu
         result = gram_schmidt_enrich(seed, dens)
-        np.testing.assert_allclose(
-            result.coeffs, face_ortho_quadratic(dens).coeffs, atol=1e-14
-        )
+        closed = face_sum_of_squares_minus(dirichlet_face_constant(alpha))
+        np.testing.assert_allclose(result.coeffs, closed.coeffs, atol=1e-14)
 
 
 def test_gram_schmidt_edge_seed():
@@ -176,8 +180,8 @@ def test_gram_schmidt_edge_seed():
 
 def test_gram_schmidt_rejects_affine_seed():
     for seed, density in [
-        (BaryQuadratic("volume", [1.0, 0.5, 0, 0, 0, 0, 0, 0, 0, 0]), volume_density("uniform")),
-        (BaryQuadratic("face", [1.0, 0.5, 0.0, 0.0, 0.0, 0.0]), face_density("uniform")),
+        (BaryQuadratic("volume", [1.0, 0.5, 0, 0, 0, 0, 0, 0, 0, 0]), volume_density(1.0)),
+        (BaryQuadratic("face", [1.0, 0.5, 0.0, 0.0, 0.0, 0.0]), face_density(1.0)),
         (BaryQuadratic("edge", [1.0, 0.5, 0.0]), edge_density(1.0, 1.0)),
     ]:
         with pytest.raises(ValueError, match="affine"):
@@ -190,19 +194,24 @@ def test_gram_schmidt_rejects_affine_seed():
 def _all_family_cases():
     cases = []
     for alpha in PARAM_GRID:
-        dens = face_density("dirichlet", alpha)
+        dens = face_density(alpha)
         cases.append((face_ortho_quadratic(dens), dens))
-    dens = face_density("symmetric-quadratic")
+    dens = symmetric_quadratic_density("face")
     cases.append((face_ortho_quadratic(dens), dens))
     for gamma in PARAM_GRID:
-        dens = volume_density("dirichlet", gamma=gamma)
-        cases.extend((rho, dens) for rho in volumetric_psi(dens)[:2])
+        dens = volume_density(gamma)
         cases.extend((psi, dens) for psi in volumetric_psi(dens))
-    dens = volume_density("symmetric-quadratic")
+    # The closed-form weights of the fv strategy, as it builds them: one face
+    # quadratic (the same on all four faces) and two interior quadratics.
+    for alpha in PARAM_GRID:
+        for beta in PARAM_GRID:
+            funcs = build_functionals(StrategyConfig.face_volume(alpha, beta))
+            cases.extend((f.weight_poly, f.density) for f in funcs[7:])
+    dens = symmetric_quadratic_density("volume")
     cases.extend((psi, dens) for psi in volumetric_psi(dens))
     for theta in THETA_GRID:
         for gamma in (0.5, 2.0, 5.0):
-            dens = volume_density("blend", gamma=gamma, theta=theta)
+            dens = volume_density(gamma, theta=theta)
             cases.extend((psi, dens) for psi in volumetric_psi(dens))
     for zeta in PARAM_GRID:
         for nu in PARAM_GRID:
@@ -222,11 +231,11 @@ def test_single_component_rule_is_the_weighted_rule():
     # for one component that is 1.0 * w, so the rule is the Dirichlet rule
     # bit for bit.
     for dens in [
-        face_density("dirichlet", 2.0),
-        volume_density("dirichlet", gamma=2.0),
+        face_density(2.0),
+        volume_density(2.0),
         edge_density(2.0, 3.0),
-        volume_density("blend", gamma=2.0, theta=0.0),
-        volume_density("blend", gamma=2.0, theta=1.0),
+        volume_density(2.0, theta=0.0),
+        volume_density(2.0, theta=1.0),
     ]:
         ((_, exps),) = dens.components
         rule, ref = dens.rule(8), simplex_rule_weighted(dens.dim, exps, 8)
@@ -239,21 +248,21 @@ def test_single_component_rule_is_the_weighted_rule():
 
 def test_face_mean_is_third_for_every_alpha():
     for alpha in PARAM_GRID:
-        dens = face_density("dirichlet", alpha)
+        dens = face_density(alpha)
         assert dens.moment((1, 0, 0)) == pytest.approx(1 / 3, rel=1e-14)
 
 
 def test_face_pair_moment_alpha2():
-    dens = face_density("dirichlet", 2.0)
+    dens = face_density(2.0)
     assert dens.moment((1, 1, 0)) == pytest.approx(2 / 21, rel=1e-14)
 
 
 def test_every_density_has_unit_mass():
-    densities = [face_density("dirichlet", a) for a in PARAM_GRID]
-    densities.append(face_density("symmetric-quadratic"))
-    densities.append(volume_density("symmetric-quadratic"))
+    densities = [face_density(a) for a in PARAM_GRID]
+    densities.append(symmetric_quadratic_density("face"))
+    densities.append(symmetric_quadratic_density("volume"))
     densities += [
-        volume_density("blend", gamma=g, theta=t)
+        volume_density(g, theta=t)
         for t in THETA_GRID
         for g in (0.5, 2.0)
     ]
@@ -265,8 +274,8 @@ def test_every_density_has_unit_mass():
 
 def test_param_floor_enforced():
     with pytest.raises(ValueError):
-        face_density("dirichlet", 1e-6)
+        face_density(1e-6)
     with pytest.raises(ValueError):
         edge_density(0.0, 1.0)
     with pytest.raises(ValueError):
-        volume_density("blend", gamma=2.0, theta=1.5)
+        volume_density(2.0, theta=1.5)

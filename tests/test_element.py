@@ -14,7 +14,6 @@ from histotet import (
     reconstruct,
     unisolvence_check,
 )
-from histotet.densities import face_density, volume_density
 from histotet.element import (
     METHODS,
     VOLUME_VERTICES,
@@ -28,7 +27,7 @@ from histotet.element import (
 )
 from histotet.densities import VOLUME_BASIS_EXPONENTS, face_ortho_quadratic, volumetric_psi
 from histotet.simplex import EDGE_PAIRS, FACE_VERTEX_INDICES
-from oracles import apply_functionals, dfv_entries, dvol_entries
+from oracles import apply_functionals, dfv_entries, dvol_entries, symmetric_quadratic_density
 
 PARAM_GRID = (0.5, 1.0, 2.0, 5.0)
 
@@ -83,8 +82,8 @@ def test_edge_matrix_uniform_diagonal():
 
 def test_symmetric_quadratic_matrix_from_moment_engine():
     """Moment engine matches the hand-derived symmetric-quadratic matrix."""
-    fdens = face_density("symmetric-quadratic")
-    vdens = volume_density("symmetric-quadratic")
+    fdens = symmetric_quadratic_density("face")
+    vdens = symmetric_quadratic_density("volume")
     q = face_ortho_quadratic(fdens)
     rho1, rho2 = volumetric_psi(vdens)[:2]
     funcs = [Functional(FACE_VERTEX_INDICES[j], fdens, q) for j in range(4)]

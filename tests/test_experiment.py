@@ -314,12 +314,33 @@ def test_grid_surface_sums_the_study_rows_of_each_candidate(monkeypatch):
 def test_study_bytes_counts_the_arrays_of_a_pass():
     from histotet.experiment import _CHUNK_BUDGET, study_bytes
 
-    mesh = build_mesh(4)
-    arrays = [mesh.vertices, mesh.cells, mesh.cell_vertex_array, mesh.cell_volumes()]
-    errors = np.empty((5, len(mesh)))
+    # A study keeps every mesh; the error array and the chunks are the
+    # largest mesh's pass.
+    meshes = [build_mesh(3), build_mesh(4)]
+    arrays = [
+        a for m in meshes for a in (m.vertices, m.cells, m.cell_vertex_array, m.cell_volumes())
+    ]
+    errors = np.empty((5, len(meshes[-1])))
     chunk = np.empty(_CHUNK_BUDGET)
     expected = sum(a.nbytes for a in arrays) + errors.nbytes + 3 * chunk.nbytes
-    assert study_bytes(4, 5, threads=3) == expected
+    assert study_bytes((3, 4), 5, threads=3) == expected
+
+
+def test_study_computes_each_mesh_volume_once(monkeypatch):
+    # Three functions on two meshes make six passes, but the volumes are
+    # cached on the mesh: one determinant sweep per mesh.
+    sweeps = []
+    det = np.linalg.det
+
+    def counting_det(a):
+        if np.ndim(a) == 3:
+            sweeps.append(len(a))
+        return det(a)
+
+    monkeypatch.setattr(np.linalg, "det", counting_det)
+    functions = [TARGETS[fid] for fid in ("f1", "f2", "f3")]
+    convergence_study(functions, (3, 4), [StrategyConfig.classical()])
+    assert sorted(sweeps) == [48, 162]
 
 
 def test_convergence_study_classical_exact_on_affine_lift():
