@@ -97,9 +97,10 @@ def _parse_function_ids(text):
             continue
         if ".." in tok:
             lo, hi = tok.split("..", 1)
-            if not all(end[:1] == "f" and end[1:].isdigit() for end in (lo, hi)):
+            ends = [int(end[1:]) for end in (lo, hi) if end[:1] == "f" and end[1:].isdigit()]
+            if len(ends) != 2 or ends[0] > ends[1]:  # malformed, or ends before it starts
                 raise CliError(f"bad function range {tok!r}")
-            ids.extend(f"f{i}" for i in range(int(lo[1:]), int(hi[1:]) + 1))
+            ids.extend(f"f{i}" for i in range(ends[0], ends[1] + 1))
         else:
             ids.append(tok)
     return ids
@@ -211,15 +212,17 @@ def _physical_memory():
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _check_memory(ns, n_configs, threads):
-    """Refuse, before any mesh is built, a run whose meshes together need
-    more than the machine's physical memory."""
-    need, have = study_bytes(ns, n_configs, threads), _physical_memory()
+def _check_memory(ns, configs, settings, threads=1):
+    """Refuse, before any mesh or quadrature table is built, a run whose
+    arrays (experiment.study_bytes) need more than the machine's physical
+    memory."""
+    need, have = study_bytes(ns, configs, settings, threads), _physical_memory()
     if need > have:
+        run = f"--n {','.join(map(str, ns))}" if ns else "project"
+        degree = f" and --error-degree {settings.error_degree}" if ns else ""
         raise CliError(
-            f"--n {','.join(map(str, ns))} needs at least {need / 1e6:,.0f} MB "
-            f"for its mesh arrays, more than the {have / 1e6:,.0f} MB of "
-            "physical memory"
+            f"{run} needs at least {need / 1e6:,.0f} MB for its arrays at --quad-m "
+            f"{settings.dof_points}{degree}, more than the {have / 1e6:,.0f} MB of physical memory"
         )
 
 
@@ -372,12 +375,12 @@ def cmd_tune(args):
     if kind not in METHODS or not METHODS[kind][1]:
         raise CliError("tune needs --strategy fv, vol or ef")
     _method_ids(args, kind)  # rejects the parameter flags of the other methods
-    (first, second), _ = _parameters(args, kind)
+    (first, second), configs = _parameters(args, kind)
     ids, functions = _targets(args.functions, sorted(TARGETS), args.holdout)
     ns = _mesh_ns(args.n, (5, 10, 15))
 
     settings = _settings(args)
-    _check_memory(ns, len(first) * len(second), args.threads)
+    _check_memory(ns, configs, settings, args.threads)
     out = _out_dir(args)
     grid = TuningGrid(kind=kind, first=first, second=second, functions=tuple(functions), ns=ns)
     started = time.perf_counter()
@@ -419,7 +422,7 @@ def cmd_converge(args):
     ns = _mesh_ns(args.n, (5, 10, 15, 20, 25))
 
     settings = _settings(args)
-    _check_memory(ns, len(methods), args.threads)
+    _check_memory(ns, methods, settings, args.threads)
     out = _out_dir(args)
     started = time.perf_counter()
     rows = convergence_study(functions, ns, methods, settings=settings, threads=args.threads)
@@ -510,6 +513,7 @@ def cmd_project(args):
         tet = REFERENCE_TET
 
     settings = QuadSettings(dof_points=_dof_points(args))
+    _check_memory((), [cfg], settings)
     dofs = compute_dofs(f, tet, cfg, settings)
 
     print(f"strategy : {cfg.method_id} ({cfg.params_text()})")

@@ -9,10 +9,9 @@ once per strategy from closed-form density moments and reused mesh-wide.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .densities import (
     PARAM_FLOOR,
@@ -34,8 +33,8 @@ from .simplex import EDGE_PAIRS, FACE_VERTEX_INDICES
 #: Condition number above which assembly warns about ill-conditioning.
 CONDITION_WARN = 1e12
 
-#: LU pivot threshold (relative to the largest entry) for the rank-6 test.
-PIVOT_RTOL = 1e-14
+#: Smallest singular value, relative to the largest, of a rank-6 block.
+RANK_RTOL = 1e-14
 
 
 class UnisolvenceError(RuntimeError):
@@ -294,11 +293,17 @@ def unisolvence_check(cfg):
     """Numerical rank-6 diagnostics of the enriched moment matrix.
 
     Compares the determinant against the closed form where one exists,
-    attempts a Cholesky factorization for volumetric strategies, and checks
-    that all LU pivots stay above PIVOT_RTOL times the largest entry.
-    A failed check is reported, not raised.
+    attempts a Cholesky factorization for volumetric strategies, and judges
+    rank 6 from the singular values (see _full_rank).  A failed check is
+    reported, not raised.
     """
     return _report(cfg, assemble_D(cfg))
+
+
+def _full_rank(dmat):
+    """(smallest singular value > RANK_RTOL * largest, singular values)."""
+    s = np.linalg.svd(dmat, compute_uv=False)
+    return bool(s[-1] > RANK_RTOL * s[0]), s
 
 
 def _report(cfg, dmat):
@@ -320,12 +325,10 @@ def _report(cfg, dmat):
         except np.linalg.LinAlgError:
             spd = False
 
-    _, _, upper = scipy.linalg.lu(dmat)
-    pivots = np.abs(np.diag(upper))
-    rank6 = bool(
-        np.all(pivots > PIVOT_RTOL * np.max(np.abs(dmat))) and abs(det) > 1e-300
-    )
-    cond = float(np.linalg.cond(dmat))
+    full, s = _full_rank(dmat)
+    rank6 = full and abs(det) > 1e-300
+    with np.errstate(divide="ignore"):  # as np.linalg.cond: inf when singular
+        cond = float(s[0] / s[-1])
 
     return UnisolvenceReport(
         strategy=cfg.method_id,
@@ -353,7 +356,6 @@ class ElementOperator:
     h: np.ndarray
     h_inv: np.ndarray
     cond: float
-    report: UnisolvenceReport = field(repr=False)
 
     def basis_function(self, ell):
         """chi_ell, the basis polynomial dual to functional ell."""
@@ -367,11 +369,11 @@ def _assemble_operator(cfg, functionals):
     h = np.zeros((10, 10))
     h[:4] = _functional_matrix(functionals[:4])
     h[4:, 4:] = _enriched_block(functionals)
-    report = _report(cfg, h[4:, 4:])
-    if not report.rank6:
+    full, s = _full_rank(h[4:, 4:])
+    if not full:
         raise UnisolvenceError(
             f"strategy {cfg.method_id} ({cfg.params_text()}) is not unisolvent: "
-            f"det={report.det:.3e}"
+            f"its enriched block's singular values range from {s[-1]:.3e} to {s[0]:.3e}"
         )
     try:
         h_inv = np.linalg.solve(h, np.eye(len(h)))
@@ -388,9 +390,7 @@ def _assemble_operator(cfg, functionals):
             RuntimeWarning,
             stacklevel=2,
         )
-    return ElementOperator(
-        cfg=cfg, functionals=functionals, h=h, h_inv=h_inv, cond=cond, report=report
-    )
+    return ElementOperator(cfg=cfg, functionals=functionals, h=h, h_inv=h_inv, cond=cond)
 
 
 def assemble_H(cfg):

@@ -29,7 +29,7 @@ from .element import (
     lambda_basis,
 )
 from .mesh import build_mesh
-from .quadrature import simplex_rule_plain
+from .quadrature import plain_points, simplex_rule_plain
 
 #: Target size (in scalars) of one chunk's function-value block.
 _CHUNK_BUDGET = 4_000_000
@@ -80,38 +80,42 @@ def build_dof_table(cfg, settings=QuadSettings()):
     return _table_from_functionals(build_functionals(cfg), settings.dof_points)
 
 
-def _table_from_functionals(functionals, m):
-    groups = {}
+def _layout(functionals, m):
+    """A DOF table's node layout, known before any rule is built: the
+    (vertices, density, [(row, weight poly)], first node) of each (domain,
+    density) group in node order, and its blocks (see DofTable).  A group
+    holds the m^dim-point rules of its Dirichlet components, concatenated
+    as Density.rule does."""
+    members = {}
     for row, func in enumerate(functionals):
-        groups.setdefault((func.vertices, func.density), []).append((row, func.weight_poly))
+        members.setdefault((func.vertices, func.density), []).append((row, func.weight_poly))
+    groups, blocks, start = [], [], 0
+    for (vertices, density), rows in members.items():
+        groups.append((vertices, density, rows, start))
+        for _, exps in density.components:
+            blocks.append(((vertices, exps, m), start, start + m**density.dim))
+            start += m**density.dim
+    return groups, tuple(blocks)
 
+
+def _table_from_functionals(functionals, m):
+    groups, blocks = _layout(functionals, m)
     # One rule per density, lifted to each of its domains.
-    rules = {d: d.rule(m) for d in dict.fromkeys(d for _, d in groups)}
+    rules = {d: d.rule(m) for d in dict.fromkeys(d for _, d, _, _ in groups)}
     lifted = []
-    blocks = []
-    row_weights = []  # (row, start, weight-vector)
-    start = 0
-    for (vertices, density), members in groups.items():
+    weights = np.zeros((len(functionals), blocks[-1][2]))
+    for vertices, density, rows, start in groups:
         rule = rules[density]
         lam = np.zeros((len(rule), 4))
         lam[:, list(vertices)] = rule.nodes
         lifted.append(lam)
-        # Density.rule concatenates the m^dim-point rules of its components.
-        size = m**density.dim
-        for k, (_, exps) in enumerate(density.components):
-            blocks.append(((vertices, exps, m), start + k * size, start + (k + 1) * size))
         # Edge quadratics are polynomials in t, the first native coordinate.
         native = rule.nodes[:, 0] if density.space == "edge" else rule.nodes
-        for row, poly in members:
-            w = rule.weights if poly is None else rule.weights * poly(native)
-            row_weights.append((row, start, w))
-        start += len(rule)
-
-    nodes = np.concatenate(lifted)
-    weights = np.zeros((len(functionals), len(nodes)))
-    for row, offset, w in row_weights:
-        weights[row, offset : offset + len(w)] = w
-    return DofTable(nodes=nodes, weights=weights, blocks=tuple(blocks))
+        for row, poly in rows:
+            weights[row, start : start + len(rule)] = (
+                rule.weights if poly is None else rule.weights * poly(native)
+            )
+    return DofTable(nodes=np.concatenate(lifted), weights=weights, blocks=blocks)
 
 
 def _chunk_slices(n_cells, block):
@@ -143,6 +147,9 @@ def compute_dofs(f, tet, cfg, settings=QuadSettings()):
 def _run_chunks(work, slices, threads):
     """[work(sl) for sl in slices], on a pool of `threads` workers when there
     is more than one chunk; results come back in slice order."""
+    # Serial in the calling thread: a worker thread allocates from its own
+    # malloc arena, and a one-worker pool raised converge's peak RSS from
+    # 125 MB to up to 163 MB.
     if threads <= 1 or len(slices) <= 1:
         return [work(sl) for sl in slices]
     with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -266,16 +273,28 @@ def _passes(configs, functions, ns, settings, threads, meshes):
             yield f, n, errors, time.perf_counter() - start
 
 
-def study_bytes(ns, n_configs, threads=1):
-    """Bytes of the arrays a study holds for its passes on the meshes of grid
-    parameters ns: every mesh's vertices, cell indices, cell vertex array and
-    cell volumes (the study keeps all its meshes), plus, for the largest
-    mesh, a (configurations x cells) error array and one chunk of target
-    values per thread.  The interpreter and short-lived temporaries come on
-    top."""
+def study_bytes(ns, configs, settings, threads=1):
+    """Bytes of the arrays a study of `configs` on the meshes of grid
+    parameters ns holds, counted before any is built: every mesh's vertices,
+    cell indices, cell vertex array and volumes (a study keeps all its
+    meshes); every engine's DOF table (4 coordinates and one weight per
+    functional at each node); the error rule (4 coordinates, a weight and 10
+    basis values per node); and, for the largest mesh, a (configurations x
+    cells) error array and one chunk of target values per thread, of at
+    least one cell.  Temporaries and the interpreter come on top; `project`
+    is a study with no mesh."""
+    # (rows, nodes) of each table; a table's nodes end at its last block.
+    tables = [
+        (len(fs), _layout(fs, settings.dof_points)[1][-1][2]) for fs in map(build_functionals, configs)
+    ]
+    error_nodes = plain_points(3, settings.error_degree) ** 3
     cells = [6 * (n - 1) ** 3 for n in ns]
     meshes = sum(3 * n**3 + c * (4 + 12 + 1) for n, c in zip(ns, cells))
-    return 8 * (meshes + max(cells) * n_configs + threads * _CHUNK_BUDGET)
+    chunk = max(_CHUNK_BUDGET, max(nodes for _, nodes in tables) + error_nodes)
+    return 8 * (
+        meshes + sum((4 + rows) * nodes for rows, nodes in tables) + 15 * error_nodes
+        + max(cells, default=0) * len(configs) + threads * chunk
+    )
 
 
 def l1_error(f, mesh, cfg, settings=QuadSettings(), threads=1):

@@ -1,7 +1,7 @@
 """Minimal log-log SVG charts for the convergence reports (no plotting deps)."""
 
 import math
-from xml.sax.saxutils import escape
+from html import escape
 
 _WIDTH, _HEIGHT = 640, 460
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 70, 150, 40, 55
@@ -51,7 +51,7 @@ def loglog_svg(path, title, series, xlabel="n", ylabel="L1 error"):
         f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
         '<rect width="100%" height="100%" fill="white"/>',
         f'<text x="{_WIDTH // 2}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="16">{escape(title)}</text>',
+        f'font-family="sans-serif" font-size="16">{escape(title, quote=False)}</text>',
     ]
 
     # frame
@@ -88,12 +88,12 @@ def loglog_svg(path, title, series, xlabel="n", ylabel="L1 error"):
 
     parts.append(
         f'<text x="{(x0 + x1) / 2:.0f}" y="{_HEIGHT - 12}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13">{escape(xlabel)}</text>'
+        f'font-family="sans-serif" font-size="13">{escape(xlabel, quote=False)}</text>'
     )
     parts.append(
         f'<text x="18" y="{(y0 + y1) / 2:.0f}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="13" '
-        f'transform="rotate(-90 18 {(y0 + y1) / 2:.0f})">{escape(ylabel)}</text>'
+        f'transform="rotate(-90 18 {(y0 + y1) / 2:.0f})">{escape(ylabel, quote=False)}</text>'
     )
 
     for s_idx, (label, color, xs, ys) in enumerate(series):
@@ -117,7 +117,7 @@ def loglog_svg(path, title, series, xlabel="n", ylabel="L1 error"):
         )
         parts.append(
             f'<text x="{lx + 28}" y="{ly}" font-family="sans-serif" '
-            f'font-size="12">{escape(label)}</text>'
+            f'font-size="12">{escape(label, quote=False)}</text>'
         )
 
     parts.append("</svg>")

@@ -127,5 +127,9 @@ def simplex_rule_plain(d, target_degree):
     """
     if target_degree < 1:
         raise ValueError("target_degree must be >= 1")
-    m = -(-(int(target_degree) + d) // 2)  # ceil((degree + d) / 2)
-    return simplex_rule_weighted(d, np.zeros(d + 1), m)
+    return simplex_rule_weighted(d, np.zeros(d + 1), plain_points(d, target_degree))
+
+
+def plain_points(d, target_degree):
+    """Points per direction of simplex_rule_plain(d, target_degree)."""
+    return -(-(int(target_degree) + d) // 2)  # ceil((degree + d) / 2)

@@ -1,10 +1,15 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
-from histotet import cli
+import histotet
+from histotet import QuadSettings, StrategyConfig, cli
 from histotet.cli import main
 
 
@@ -88,6 +93,9 @@ def test_commands_reject_flags_they_do_not_read(argv):
     (["tune", "--strategy", "fv", "--quad-m", "2", "--n", "3", "--functions", "f1"],
      "--quad-m must be >= 3, got 2: a weighted moment"),
     (["project", "--quad-m", "2"], "--quad-m must be >= 3, got 2: a weighted moment"),
+    # A range that ends before it starts names nothing; it is not an empty set.
+    (["converge", "--functions", "f1,f5..f2"], "bad function range 'f5..f2'"),
+    (["tune", "--strategy", "ef", "--holdout", "f3..f2"], "bad function range 'f3..f2'"),
 ])
 def test_bad_input_exits_2(tmp_path, capsys, argv, message):
     # check and project take no --out
@@ -124,11 +132,68 @@ def test_mesh_runs_refuse_meshes_larger_than_memory(tmp_path, capsys, monkeypatc
     assert run(argv + ["--functions", "f1", "--n", "3,40", "--threads", "2",
                        "--out", str(out / "big")]) == 2
     err = capsys.readouterr().err
-    need = experiment.study_bytes((3, 40), 2 if argv[0] == "converge" else 6, threads=2)
+    configs = (
+        [StrategyConfig.classical(), StrategyConfig.face_volume(2, 2)]
+        if argv[0] == "converge"
+        else [StrategyConfig.edge_face(z, nu) for z in (1, 2) for nu in (1, 2, 3)]
+    )
+    need = experiment.study_bytes((3, 40), configs, QuadSettings(), threads=2)
     assert need > 355_914 * 136  # the n = 40 cells, at more than 136 bytes each
     assert f"--n 3,40 needs at least {need / 1e6:,.0f} MB" in err
     assert "more than the 50 MB of physical memory" in err
     assert not (out / "big").exists()
+
+
+@pytest.mark.parametrize("argv, arrays, at_least_mb", [
+    # The default vol table alone: 2 x 300^3 nodes, 14 scalars each.
+    (["converge", "--functions", "f4", "--n", "3", "--quad-m", "300"],
+     "--n 3 needs at least {} MB for its arrays at --quad-m 300 and --error-degree 8,", 6_048),
+    # The error rule: 502^3 nodes with 4 coordinates, a weight and 10 basis values.
+    (["converge", "--functions", "f4", "--n", "3", "--error-degree", "1000"],
+     "--n 3 needs at least {} MB for its arrays at --quad-m 8 and --error-degree 1000,", 15_180),
+    # The default fv table: 4 x 300^2 face and 300^3 interior nodes.
+    (["project", "--quad-m", "300"],
+     "project needs at least {} MB for its arrays at --quad-m 300,", 3_064),
+], ids=["converge-quad-m", "converge-error-degree", "project-quad-m"])
+def test_runs_refuse_quadrature_arrays_larger_than_memory(
+    tmp_path, capsys, monkeypatch, argv, arrays, at_least_mb
+):
+    # Nothing that allocates runs here, refusal or not: the quadrature
+    # tables of these runs take several GB.
+    from histotet import experiment
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the run was not refused")
+
+    for module, name in [(experiment, "build_mesh"), (cli, "convergence_study"),
+                         (cli, "compute_dofs")]:
+        monkeypatch.setattr(module, name, unreachable)
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 1_000_000_000)
+    out = ["--out", str(tmp_path / "out")] if argv[0] == "converge" else []
+    assert run(argv + out) == 2
+    err = capsys.readouterr().err
+    need_mb = int(err.split("needs at least ")[1].split(" MB")[0].replace(",", ""))
+    assert need_mb > at_least_mb
+    assert arrays.format(f"{need_mb:,}") in err
+    assert "more than the 1,000 MB of physical memory" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_import_leaves_out_heavy_modules():
+    # Every command starts by importing the CLI; scipy.linalg, and the
+    # network stack that xml.sax.saxutils pulls in, would cost each start
+    # tens of milliseconds.
+    heavy = ("scipy.linalg", "xml.sax", "urllib.request", "ssl")
+    src = str(Path(histotet.__file__).parents[1])
+    code = (
+        "import sys, histotet.cli; "
+        f"print(sorted(m for m in {heavy!r} if m in sys.modules))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"
 
 
 def test_internal_error_propagates(tmp_path, monkeypatch):
@@ -201,14 +266,28 @@ def test_threads_below_one_rejected(tmp_path, capsys, threads):
     assert not (tmp_path / "out").exists()
 
 
-def test_converge_timing_flag(tmp_path):
-    out = tmp_path / "timed"
-    assert run([
-        "converge", "--functions", "f1", "--n", "3", "--strategy", "classical",
-        "--quad-m", "4", "--error-degree", "4", "--timing", "--out", str(out),
-    ]) == 0
-    lines = (out / "errors.csv").read_text().strip().splitlines()
-    assert not lines[1].endswith(",0.000") or float(lines[1].rsplit(",", 1)[1]) >= 0.0
+def test_converge_timing_flag(tmp_path, monkeypatch):
+    from histotet import experiment
+
+    class Clock:
+        """A perf_counter that advances by 0.25 s at every reading."""
+
+        now = 0.0
+
+        def perf_counter(self):
+            self.now += 0.25
+            return self.now
+
+    monkeypatch.setattr(experiment, "time", Clock())
+    argv = ["converge", "--functions", "f1", "--n", "3", "--strategy", "classical,vol",
+            "--quad-m", "4", "--error-degree", "4"]
+    for flags, seconds in ((["--timing"], "0.250"), ([], "0.000")):
+        out = tmp_path / (flags[0][2:] if flags else "plain")
+        assert run(argv + flags + ["--out", str(out)]) == 0
+        with open(out / "errors.csv", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert [row["method"] for row in rows] == ["classical", "vol"]
+        assert [row["seconds"] for row in rows] == [seconds, seconds]
 
 
 def test_tune_writes_surface(tmp_path, capsys):

@@ -14,12 +14,15 @@ from histotet import (
     reconstruct,
     unisolvence_check,
 )
+from histotet import element
 from histotet.element import (
     METHODS,
+    RANK_RTOL,
     VOLUME_VERTICES,
     Functional,
     _assemble_operator,
     _functional_matrix,
+    _report,
     build_functionals,
     det_dfv_closed,
     det_dvol_closed,
@@ -135,7 +138,7 @@ def test_closed_entries_match_moment_engine():
     for cfg in CONFIGS:
         op = assemble_H(cfg)
         assert np.array_equal(op.h[4:, 4:], assemble_D(cfg))
-        assert op.report.det == unisolvence_check(cfg).det
+        assert np.linalg.det(op.h[4:, 4:]) == unisolvence_check(cfg).det
 
 
 def test_functional_lifts_onto_their_domain():
@@ -323,6 +326,51 @@ def test_singular_functionals_raise():
     broken = _scale_enrichments(funcs, 0.0)
     with pytest.raises(UnisolvenceError):
         _assemble_operator(cfg, broken)
+
+
+def _lu_pivot_rank6(dmat):
+    """The rank-6 test the SVD verdict replaced: every LU pivot above 1e-14
+    times the largest entry, and a determinant above 1e-300."""
+    import scipy.linalg
+
+    _, _, upper = scipy.linalg.lu(dmat)
+    pivots = np.abs(np.diag(upper))
+    return bool(
+        np.all(pivots > 1e-14 * np.max(np.abs(dmat)))
+        and abs(np.linalg.det(dmat)) > 1e-300
+    )
+
+
+def test_singular_value_verdict_equals_lu_pivot_verdict():
+    grid = np.geomspace(1e-3, 200.0, 15)
+    configs = [StrategyConfig.of(m, a, b) for m in ("fv", "ef") for a in grid for b in grid]
+    configs += [StrategyConfig.of("vol", t, g) for t in np.linspace(0.0, 1.0, 15) for g in grid]
+    for cfg in configs:
+        dmat = assemble_D(cfg)
+        assert _report(cfg, dmat).rank6 == _lu_pivot_rank6(dmat), cfg
+
+
+def _with_smallest_singular_value(dmat, ratio):
+    """dmat with its smallest singular value set to ratio times the largest."""
+    u, s, vt = np.linalg.svd(dmat)
+    s[-1] = ratio * s[0]
+    return (u * s) @ vt
+
+
+@pytest.mark.parametrize("ratio", [0.0, 1e-15])
+@pytest.mark.parametrize("cfg", CONFIGS[:3], ids=lambda c: c.method_id)
+def test_rank_deficient_blocks_are_rejected(monkeypatch, cfg, ratio):
+    # ratio 0 is a rank-5 block, 1e-15 a near-singular one; both fall below
+    # RANK_RTOL, in the report and in assembly alike.
+    bad = _with_smallest_singular_value(assemble_D(cfg), ratio)
+    s = np.linalg.svd(bad, compute_uv=False)
+    assert s[-1] < RANK_RTOL * s[0] and s[-2] > 1e-3 * s[0]
+    monkeypatch.setattr(element, "_enriched_block", lambda functionals: bad)
+    rep = unisolvence_check(cfg)
+    assert rep.rank6 is False and not rep.ok
+    assert rep.cond > 1.0 / RANK_RTOL
+    with pytest.raises(UnisolvenceError, match="singular values range from"):
+        assemble_H(cfg)
 
 
 def test_volumetric_config_validation():

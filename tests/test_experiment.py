@@ -311,19 +311,34 @@ def test_grid_surface_sums_the_study_rows_of_each_candidate(monkeypatch):
         assert result.surface.flat[k] == total  # bitwise
 
 
-def test_study_bytes_counts_the_arrays_of_a_pass():
-    from histotet.experiment import _CHUNK_BUDGET, study_bytes
+def test_study_bytes_counts_the_arrays_of_a_pass(monkeypatch):
+    from histotet import experiment
+    from histotet.element import lambda_basis
+    from histotet.experiment import _CHUNK_BUDGET, _ErrorEngine, study_bytes
 
-    # A study keeps every mesh; the error array and the chunks are the
-    # largest mesh's pass.
+    # A study keeps every mesh and every engine's DOF table; the error rule
+    # is shared, and the error array and the chunks are the largest mesh's
+    # pass.
+    settings = QuadSettings(dof_points=4, error_degree=5)
+    configs = [StrategyConfig.classical(), *QUADRATIC_CONFIGS, StrategyConfig.edge_face(1, 3)]
     meshes = [build_mesh(3), build_mesh(4)]
+    tables = [_ErrorEngine(cfg, settings).table for cfg in configs]
+    rule = simplex_rule_plain(3, settings.error_degree)
     arrays = [
-        a for m in meshes for a in (m.vertices, m.cells, m.cell_vertex_array, m.cell_volumes())
+        *(a for m in meshes for a in (m.vertices, m.cells, m.cell_vertex_array, m.cell_volumes())),
+        *(a for t in tables for a in (t.nodes, t.weights)),
+        rule.nodes, rule.weights, lambda_basis(rule.nodes).T,
+        np.empty((5, len(meshes[-1]))),  # the errors
     ]
-    errors = np.empty((5, len(meshes[-1])))
+    fixed = sum(a.nbytes for a in arrays)
     chunk = np.empty(_CHUNK_BUDGET)
-    expected = sum(a.nbytes for a in arrays) + errors.nbytes + 3 * chunk.nbytes
-    assert study_bytes((3, 4), 5, threads=3) == expected
+    assert study_bytes((3, 4), configs, settings, threads=3) == fixed + 3 * chunk.nbytes
+
+    # A chunk holds at least one cell, with every DOF and error node of the
+    # largest table, however small the budget.
+    monkeypatch.setattr(experiment, "_CHUNK_BUDGET", 10)
+    one_cell = np.empty(max(len(t.nodes) for t in tables) + len(rule))
+    assert study_bytes((3, 4), configs, settings, threads=3) == fixed + 3 * one_cell.nbytes
 
 
 def test_study_computes_each_mesh_volume_once(monkeypatch):
