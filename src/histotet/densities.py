@@ -14,6 +14,7 @@ Every enrichment quadratic is gram_schmidt_enrich of a quadratic seed.  The
 paper's closed forms for symmetric Dirichlet laws serve the fv strategy only.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,24 +59,39 @@ class Density:
 
     def expect(self, poly, monomial_exponents):
         """E[poly x monomial] for a monomial or a stack of them, as `moment`;
-        poly is a BaryQuadratic of the density's space, or None for 1."""
+        poly is a BaryQuadratic of the density's space, or None for 1.
+
+        One `moment` call covers every term of poly; the terms are summed in
+        basis order, as one call per term would."""
         if poly is None:
             return self.moment(monomial_exponents)
-        return sum(
-            c * self.moment(np.add(exps, monomial_exponents))
-            for c, exps in poly.terms()
-        )
+        p = np.asarray(monomial_exponents)
+        terms = poly.terms()
+        if not terms:
+            return np.zeros(p.shape[:-1])
+        coefs, exps = zip(*terms)
+        stacked = np.reshape(exps, (len(exps),) + (1,) * (p.ndim - 1) + (-1,))
+        return sum(c * m for c, m in zip(coefs, self.moment(stacked + p)))
 
     def rule(self, m):
         """Weighted simplex rule (mass 1) with m Gauss points per direction:
         the union of the component rules, each rule's weights times its coefficient."""
         parts = [
-            (coef, simplex_rule_weighted(self.dim, exps, m))
+            (coef, _component_rule(self.dim, exps, m))
             for coef, exps in self.components
         ]
         nodes = np.concatenate([r.nodes for _, r in parts])
         weights = np.concatenate([coef * r.weights for coef, r in parts])
         return SimplexRule(nodes, weights)
+
+
+@functools.cache
+def _component_rule(dim, exponents, m):
+    """simplex_rule_weighted(dim, exponents, m), built once per process:
+    densities with a common Dirichlet component (every blend's uniform part,
+    the uniform face) share its rule.  A failed build is not remembered, so
+    it raises again on the next call."""
+    return simplex_rule_weighted(dim, exponents, m)
 
 
 def face_density(alpha):
@@ -155,9 +171,10 @@ class BaryQuadratic:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "coeffs", np.asarray(self.coeffs, dtype=float).copy()
-        )
+        # A private read-only copy: quadratics are shared by cached functionals.
+        coeffs = np.array(self.coeffs, dtype=float)
+        coeffs.flags.writeable = False
+        object.__setattr__(self, "coeffs", coeffs)
         expected = len(_BASIS_BY_SPACE[self.space])
         if self.coeffs.shape != (expected,):
             raise ValueError(

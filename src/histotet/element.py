@@ -8,6 +8,7 @@ functional is a normalized expectation in barycentric coordinates, the
 once per strategy from closed-form density moments and reused mesh-wide.
 """
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -169,8 +170,10 @@ class Functional:
     weight_poly: BaryQuadratic | None
 
 
+@functools.cache
 def build_functionals(cfg):
-    """The ordered functionals of a strategy (4 for classical, 10 otherwise)."""
+    """The ordered functionals of a strategy (4 for classical, 10 otherwise),
+    built once per configuration and shared by its DOF table, H and checks."""
     face = face_density(cfg.alpha if cfg.kind == "face_volume" else 1.0)
     funcs = [Functional(FACE_VERTEX_INDICES[j], face, None) for j in range(4)]
 
@@ -210,15 +213,23 @@ def _functional_matrix(functionals, columns=VOLUME_BASIS_EXPONENTS):
 
     A monomial with a positive power of a lambda outside func.vertices
     vanishes on the domain; the others restrict to the native monomials
-    with the exponents at func.vertices.
+    with the exponents at func.vertices.  Functionals with one density and
+    one weight polynomial (the four face averages, say) share one
+    Density.expect call on the stack of their native monomials.
     """
     cols = np.array(columns)
-    rows = []
-    for f in functionals:
-        vanishes = np.delete(cols, f.vertices, axis=1).any(axis=1)
-        values = f.density.expect(f.weight_poly, cols[:, f.vertices])
-        rows.append(np.where(vanishes, 0.0, values))
-    return np.array(rows)
+    groups = {}
+    for row, f in enumerate(functionals):
+        groups.setdefault((f.density, id(f.weight_poly)), []).append(row)
+    out = np.empty((len(functionals), len(cols)))
+    for rows in groups.values():
+        first = functionals[rows[0]]
+        native = np.stack([cols[:, functionals[r].vertices] for r in rows])
+        # Exponents are nonnegative: a monomial vanishes exactly when its
+        # native restriction has lost degree.
+        vanishes = native.sum(axis=-1) < cols.sum(axis=-1)
+        out[rows] = np.where(vanishes, 0.0, first.density.expect(first.weight_poly, native))
+    return out
 
 
 def det_dfv_closed(alpha, beta):

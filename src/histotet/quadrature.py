@@ -8,6 +8,7 @@ Jacobian and the density folded into the 1D weights.  All simplex rules are
 normalized to total mass 1 (expectation convention).
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,11 +42,18 @@ class SimplexRule:
     """Quadrature rule in barycentric coordinates on the unit d-simplex.
 
     `nodes` has shape (npoints, d+1); `weights` sum to 1 (the rule computes
-    expectations under the normalized target density).
+    expectations under the normalized target density).  Both are read-only
+    views, because rules are cached and shared.
     """
 
     nodes: np.ndarray
     weights: np.ndarray
+
+    def __post_init__(self):
+        for name in ("nodes", "weights"):
+            view = np.asarray(getattr(self, name)).view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
 
     def __len__(self):
         return len(self.weights)
@@ -118,12 +126,14 @@ def simplex_rule_weighted(d, exponents, m):
     return SimplexRule(nodes=lam, weights=weights)
 
 
+@functools.cache
 def simplex_rule_plain(d, target_degree):
     """Rule exact for plain polynomials up to `target_degree` on the d-simplex.
 
     Realized as the uniform-weight collapsed rule with enough points per
     direction for the conservative exactness bound; weights sum to 1, so
-    integrals against Lebesgue measure are `volume * expectation`.
+    integrals against Lebesgue measure are `volume * expectation`.  Built
+    once per process for each (d, target_degree).
     """
     if target_degree < 1:
         raise ValueError("target_degree must be >= 1")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from histotet import Tetrahedron
+from histotet import Tetrahedron, densities, element, quadrature
 
 
 def make_random_tet(rng, min_volume=0.01):
@@ -15,3 +15,12 @@ def make_random_tet(rng, min_volume=0.01):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20250811)
+
+
+@pytest.fixture(autouse=True)
+def empty_setup_caches():
+    """Start every test with no cached rules or functionals, so that what a
+    test counts or patches does not depend on the tests run before it."""
+    densities._component_rule.cache_clear()
+    quadrature.simplex_rule_plain.cache_clear()
+    element.build_functionals.cache_clear()

@@ -3,7 +3,7 @@ against.  None of them is on a path the histotet command runs."""
 
 import numpy as np
 
-from histotet.densities import Density
+from histotet.densities import VOLUME_BASIS_EXPONENTS, Density
 from histotet.element import _functional_matrix
 from histotet.simplex import dirichlet_expectation
 
@@ -35,6 +35,29 @@ def symmetric_quadratic_density(space):
         space,
         tuple((1.0 / n, tuple(2.0 if s == r else 0.0 for s in range(n))) for r in range(n)),
     )
+
+
+def expect_per_term(density, poly, monomial_exponents):
+    """E[poly x monomial] with one Density.moment call per term of poly,
+    summed in basis order: the reference for the stacked Density.expect."""
+    if poly is None:
+        return density.moment(monomial_exponents)
+    return sum(
+        c * density.moment(np.add(exps, monomial_exponents))
+        for c, exps in poly.terms()
+    )
+
+
+def functional_matrix_per_row(functionals, columns=VOLUME_BASIS_EXPONENTS):
+    """The functional matrix one row and one expect_per_term at a time: the
+    reference for the grouped element._functional_matrix."""
+    cols = np.array(columns)
+    rows = []
+    for f in functionals:
+        vanishes = np.delete(cols, f.vertices, axis=1).any(axis=1)
+        values = expect_per_term(f.density, f.weight_poly, cols[:, f.vertices])
+        rows.append(np.where(vanishes, 0.0, values))
+    return np.array(rows)
 
 
 def apply_functionals(functionals, poly):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -17,12 +19,14 @@ from histotet.densities import (
     EDGE_BASIS_EXPONENTS,
     FACE_BASIS_EXPONENTS,
     VOLUME_BASIS_EXPONENTS,
+    _component_rule,
     dirichlet_face_constant,
     face_sum_of_squares_minus,
     pair_quadratic,
 )
-from histotet.element import build_functionals
-from oracles import symmetric_quadratic_density
+from histotet.element import _functional_matrix, build_functionals
+from histotet.quadrature import simplex_rule_plain
+from oracles import expect_per_term, functional_matrix_per_row, symmetric_quadratic_density
 
 PARAM_GRID = (0.5, 1.0, 1.5, 2.0, 3.0, 5.0)
 THETA_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -279,3 +283,86 @@ def test_param_floor_enforced():
         edge_density(0.0, 1.0)
     with pytest.raises(ValueError):
         volume_density(2.0, theta=1.5)
+
+
+def _stacked_expect_cases():
+    """(density, poly) pairs over PARAM_GRID: face, volume at theta 0, 0.3
+    and 1, and edge densities, each with its enrichment quadratics."""
+    for a in PARAM_GRID:
+        face = face_density(a)
+        yield face, face_ortho_quadratic(face)
+        yield face, face_sum_of_squares_minus(dirichlet_face_constant(a))
+        for theta in (0.0, 0.3, 1.0):
+            volume = volume_density(a, theta)
+            for psi in volumetric_psi(volume):
+                yield volume, psi
+        for b in PARAM_GRID:
+            edge = edge_density(a, b)
+            yield edge, edge_ortho_quadratic(edge)
+
+
+def test_stacked_expect_equals_one_moment_call_per_term():
+    rng = np.random.default_rng(3)
+    for density, poly in _stacked_expect_cases():
+        k = density.dim + 1
+        stacks = [rng.integers(0, 3, size=shape + (k,)) for shape in ((), (7,), (3, 5))]
+        zero = BaryQuadratic(poly.space, np.zeros_like(poly.coeffs))
+        for p in stacks:
+            for weight in (None, poly):
+                got = density.expect(weight, p)
+                assert np.shape(got) == p.shape[:-1]
+                assert np.array_equal(got, expect_per_term(density, weight, p)), (density, p.shape)
+            # A polynomial with no nonzero term has zero moments.
+            assert np.array_equal(density.expect(zero, p), np.zeros(p.shape[:-1]))
+
+
+def test_grouped_functional_matrix_equals_one_row_at_a_time():
+    configs = [StrategyConfig.of(m, a, b) for m in ("fv", "ef") for a in PARAM_GRID for b in PARAM_GRID]
+    configs += [StrategyConfig.of("vol", t, g) for t in (0.0, 0.3, 1.0) for g in PARAM_GRID]
+    configs.append(StrategyConfig.classical())
+    for cfg in configs:
+        funcs = build_functionals(cfg)
+        assert np.array_equal(_functional_matrix(funcs), functional_matrix_per_row(funcs)), cfg
+        if cfg.kind != "classical":
+            enriched = VOLUME_BASIS_EXPONENTS[4:]
+            assert np.array_equal(
+                _functional_matrix(funcs[4:], enriched), functional_matrix_per_row(funcs[4:], enriched)
+            ), cfg
+    # Zero weight polynomials give zero rows, as in a singular strategy.
+    zeroed = tuple(
+        dataclasses.replace(f, weight_poly=BaryQuadratic(f.weight_poly.space, np.zeros(10)))
+        for f in build_functionals(StrategyConfig.volumetric_blend(0.3, 2.0))[4:]
+    )
+    assert np.array_equal(_functional_matrix(zeroed), np.zeros((6, 10)))
+    assert np.array_equal(_functional_matrix(zeroed), functional_matrix_per_row(zeroed))
+
+
+def test_cached_setup_is_read_only():
+    rule = _component_rule(3, (0.0,) * 4, 8)
+    assert _component_rule(3, (0.0,) * 4, 8) is rule
+    with pytest.raises(ValueError, match="read-only"):
+        rule.weights[0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        rule.nodes[0, 0] = 1.0
+    error_rule = simplex_rule_plain(3, 8)
+    assert simplex_rule_plain(3, 8) is error_rule
+    with pytest.raises(ValueError, match="read-only"):
+        error_rule.weights[0] = 1.0
+    funcs = build_functionals(StrategyConfig.edge_face(2.0, 3.0))
+    assert build_functionals(StrategyConfig.edge_face(2.0, 3.0)) is funcs
+    with pytest.raises(ValueError, match="read-only"):
+        funcs[4].weight_poly.coeffs[0] = 1.0
+
+
+def test_bad_parameters_raise_on_every_call():
+    from histotet.experiment import build_dof_table
+
+    for _ in range(2):
+        with pytest.raises(ValueError, match="alpha must be >= 0.001"):
+            face_density(0)
+        # The functionals exist, but the volume rule overflows: a failed
+        # build is not cached, so the next table fails the same way.
+        with pytest.raises(ValueError, match="is not finite with mass 1"):
+            volume_density(300.0).rule(8)
+        with pytest.raises(ValueError, match="is not finite with mass 1"):
+            build_dof_table(StrategyConfig.volumetric_blend(0.0, 300.0))

@@ -438,15 +438,29 @@ def test_one_rule_per_density(monkeypatch):
 
     monkeypatch.setattr(densities, "simplex_rule_weighted", counted)
     for cfg, builds in zip(ALL_METHODS, (1, 2, 3, 2)):
+        densities._component_rule.cache_clear()
         del calls[:]
         build_dof_table(cfg)
         assert len(calls) == builds, cfg.method_id
-    # The default fv grid: 36 tables of two rules each, plus one error rule.
+        # A second table of the same strategy builds no rule.
+        build_dof_table(cfg)
+        assert len(calls) == builds, cfg.method_id
+    # Classical, vol and ef share the uniform face rule, fv's beta = 2 and
+    # vol's gamma = 2 one volume rule, and a blend shares its uniform part
+    # with every other theta: five distinct rules.
+    densities._component_rule.cache_clear()
+    del calls[:]
+    for cfg in ALL_METHODS + [StrategyConfig.volumetric_blend(0.25, 2.0)]:
+        build_dof_table(cfg)
+    assert len(calls) == 5
+    # The default fv grid: 36 tables of two rules each, built from 6 face
+    # (alpha) and 6 volume (beta) rules, plus one error rule.
+    densities._component_rule.cache_clear()
     monkeypatch.setattr(quadrature, "simplex_rule_weighted", counted)
     del calls[:]
     grid = _PARAM_FLAGS["alpha"][1]
     grid_search(TuningGrid("fv", grid, grid, (TARGETS["f2"],), (3,)))
-    assert len(calls) == 73
+    assert len(calls) == 13
 
 
 def test_quad_settings_reject_rules_too_coarse_for_quadratics():
