@@ -59,6 +59,7 @@ _METHOD_COLORS = {
     "ef": "#17becf",
 }
 
+#: seconds is always 0.000 so reruns are byte-identical; run_metadata.json has pass_seconds.
 _CSV_HEADER = ["function", "n", "method", "params", "l1_error", "seconds"]
 
 _DEFAULT_GRID = (0.5, 1.0, 1.5, 2.0, 3.0, 5.0)
@@ -139,12 +140,16 @@ def _add_strategy_flags(parser):
 
 def _add_target_flags(parser):
     parser.add_argument("--functions", default=None, help="target ids, e.g. f1,f3 or f1..f8")
-    parser.add_argument("--quad-m", type=int, default=8, help="Gauss points per direction for DOFs")
+    parser.add_argument(
+        "--quad-m", type=int, default=QuadSettings.dof_points, help="Gauss points per direction for DOFs"
+    )
 
 
 def _add_mesh_run_flags(parser):
     parser.add_argument("--n", default=None, help="mesh grid parameters, e.g. 5,10,15")
-    parser.add_argument("--error-degree", type=int, default=8, help="exactness degree of the L1 error rule")
+    parser.add_argument(
+        "--error-degree", type=int, default=QuadSettings.error_degree, help="exactness degree of the L1 error rule"
+    )
     parser.add_argument("--threads", type=int, default=1, help="worker threads for mesh loops")
     parser.add_argument("--out", default=".", help="output directory for CSV/SVG files")
 
@@ -167,23 +172,12 @@ def build_parser():
     _add_strategy_flags(p_tune)
     _add_target_flags(p_tune)
     _add_mesh_run_flags(p_tune)
-    p_tune.add_argument(
-        "--holdout",
-        default=None,
-        help="function ids to exclude from the tuning objective",
-    )
     p_tune.set_defaults(handler=cmd_tune)
 
     p_conv = add_parser("converge", help="L1 convergence study (CSV + SVG)")
     _add_strategy_flags(p_conv)
     _add_target_flags(p_conv)
     _add_mesh_run_flags(p_conv)
-    p_conv.add_argument(
-        "--timing",
-        action="store_true",
-        help="write measured wall time into the seconds column "
-        "(default writes 0.000 so reruns are byte-identical)",
-    )
     p_conv.set_defaults(handler=cmd_converge)
 
     p_proj = add_parser("project", help="single-element reconstruction dump")
@@ -285,21 +279,11 @@ def _parameters(args, method, single=False):
     return grids, configs
 
 
-def _targets(text, default, holdout=None):
-    """(ids, TargetFunctions) named by --functions, minus the holdout ids."""
+def _targets(text, default):
+    """(ids, TargetFunctions) named by --functions."""
     ids = _distinct(_parse_function_ids(text) if text else default, "--functions")
     if not ids:
         raise CliError("--functions names no target function")
-    if holdout:
-        held = _parse_function_ids(holdout)
-        for fid in held:
-            if fid not in TARGETS:
-                raise CliError(f"--holdout: unknown function id {fid!r}")
-            if fid not in ids:
-                raise CliError(f"--holdout names {fid}, which --functions does not")
-        ids = [i for i in ids if i not in held]
-        if not ids:
-            raise CliError("holdout removed every validation function")
     try:
         return ids, get_targets(ids)
     except KeyError as err:
@@ -376,7 +360,7 @@ def cmd_tune(args):
         raise CliError("tune needs --strategy fv, vol or ef")
     _method_ids(args, kind)  # rejects the parameter flags of the other methods
     (first, second), configs = _parameters(args, kind)
-    ids, functions = _targets(args.functions, sorted(TARGETS), args.holdout)
+    ids, functions = _targets(args.functions, sorted(TARGETS))
     ns = _mesh_ns(args.n, (5, 10, 15))
 
     settings = _settings(args)
@@ -433,9 +417,8 @@ def cmd_converge(args):
         writer = csv.writer(handle)
         writer.writerow(_CSV_HEADER)
         for row in rows:
-            seconds = f"{row.seconds:.3f}" if args.timing else "0.000"
             writer.writerow(
-                [row.function, row.n, row.method, row.params, f"{row.l1_error:.16e}", seconds]
+                [row.function, row.n, row.method, row.params, f"{row.l1_error:.16e}", "0.000"]
             )
 
     by_function = {}
@@ -466,7 +449,11 @@ def cmd_converge(args):
             "functions": ids,
             "meshes": list(ns),
             "methods": [f"{c.method_id}:{c.params_text()}" for c in methods],
-            "timing_column": "wall seconds" if args.timing else "disabled (0.000)",
+            # Rows are method-major, so the first method's rows are the passes in order.
+            "pass_seconds": [
+                {"function": r.function, "n": r.n, "seconds": r.seconds}
+                for r in rows[: len(ids) * len(ns)]
+            ],
         },
     )
     print(f"{len(rows)} rows -> {csv_path} ({elapsed:.1f} s compute)")

@@ -246,10 +246,17 @@ def volumetric_psi(density):
     affine functions under a volume density, one per pair in EDGE_PAIRS."""
     if density.space != "volume":
         raise ValueError("expected a volume density")
-    return [
-        gram_schmidt_enrich(pair_quadratic(i, j, 0.0, 0.0), density)
-        for i, j in EDGE_PAIRS
-    ]
+    # gram_schmidt_enrich of each pair_quadratic(i, j, 0, 0) seed, with their
+    # common Gram matrix and six right-hand sides from one moment call each.
+    affine = np.array(VOLUME_BASIS_EXPONENTS[:4])
+    gram = density.moment(affine[:, None] + affine[None, :])
+    rhs = density.moment(np.array(VOLUME_BASIS_EXPONENTS[4:])[:, None] + affine[None, :])
+    psis = []
+    for (i, j), b in zip(EDGE_PAIRS, rhs):
+        coeffs = pair_quadratic(i, j, 0.0, 0.0).coeffs.copy()
+        coeffs[:4] -= np.linalg.solve(gram, b)
+        psis.append(BaryQuadratic("volume", coeffs))
+    return psis
 
 
 def edge_ortho_quadratic(density):

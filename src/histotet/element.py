@@ -10,7 +10,7 @@ once per strategy from closed-form density moments and reused mesh-wide.
 
 import functools
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -125,9 +125,12 @@ class StrategyConfig:
     def __post_init__(self):
         if self.kind not in _METHOD_OF_KIND:
             raise ValueError(f"unknown strategy kind {self.kind!r}")
-        for name in METHODS[self.method_id][1]:
-            value = getattr(self, name)
-            if value is None or not np.isfinite(value):
+        for field in fields(self)[1:]:
+            name, value = field.name, getattr(self, field.name)
+            if name not in METHODS[self.method_id][1]:
+                if value is not None:
+                    raise ValueError(f"{name} is not a {self.method_id} parameter")
+            elif value is None or not np.isfinite(value):
                 raise ValueError(f"{self.method_id} needs a finite {name}, got {value!r}")
             elif name == "theta":
                 if not 0.0 <= value <= 1.0:

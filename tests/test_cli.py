@@ -57,6 +57,8 @@ def test_check_reports_blend_endpoint_closed_forms(capsys):
     ["check", "--out", "somewhere"],
     ["project", "--threads", "2"],
     ["project", "--error-degree", "4"],
+    ["tune", "--holdout", "f1"],
+    ["converge", "--timing"],
 ])
 def test_commands_reject_flags_they_do_not_read(argv):
     with pytest.raises(SystemExit) as exc:
@@ -77,9 +79,8 @@ def test_commands_reject_flags_they_do_not_read(argv):
     (["converge", "--functions", "f1,f1..f2"], "--functions names f1 more than once"),
     (["converge", "--n", "3,3"], "--n names 3 more than once"),
     (["tune", "--strategy", "ef", "--zeta", "2,2.0"], "--zeta names 2.0 more than once"),
-    (["tune", "--strategy", "ef", "--holdout", "F2,f9"], "--holdout: unknown function id 'F2'"),
-    (["tune", "--strategy", "ef", "--functions", "f1,f2", "--holdout", "f3"],
-     "--holdout names f3, which --functions does not"),
+    (["tune", "--strategy", "ef", "--functions", "F2,f9"], "unknown function id 'F2'"),
+    (["converge", "--error-degree", "0"], "--error-degree must be >= 1, got 0"),
     (["tune", "--strategy", "ef", "--alpha", "0.5", "--zeta", "1,2", "--nu", "1,2"],
      "--alpha is a fv parameter; --strategy does not name fv"),
     (["converge", "--strategy", "fv", "--gamma", "3"],
@@ -95,7 +96,6 @@ def test_commands_reject_flags_they_do_not_read(argv):
     (["project", "--quad-m", "2"], "--quad-m must be >= 3, got 2: a weighted moment"),
     # A range that ends before it starts names nothing; it is not an empty set.
     (["converge", "--functions", "f1,f5..f2"], "bad function range 'f5..f2'"),
-    (["tune", "--strategy", "ef", "--holdout", "f3..f2"], "bad function range 'f3..f2'"),
 ])
 def test_bad_input_exits_2(tmp_path, capsys, argv, message):
     # check and project take no --out
@@ -266,7 +266,7 @@ def test_threads_below_one_rejected(tmp_path, capsys, threads):
     assert not (tmp_path / "out").exists()
 
 
-def test_converge_timing_flag(tmp_path, monkeypatch):
+def test_converge_pass_seconds_in_metadata(tmp_path, monkeypatch):
     from histotet import experiment
 
     class Clock:
@@ -279,15 +279,17 @@ def test_converge_timing_flag(tmp_path, monkeypatch):
             return self.now
 
     monkeypatch.setattr(experiment, "time", Clock())
-    argv = ["converge", "--functions", "f1", "--n", "3", "--strategy", "classical,vol",
-            "--quad-m", "4", "--error-degree", "4"]
-    for flags, seconds in ((["--timing"], "0.250"), ([], "0.000")):
-        out = tmp_path / (flags[0][2:] if flags else "plain")
-        assert run(argv + flags + ["--out", str(out)]) == 0
-        with open(out / "errors.csv", newline="") as handle:
-            rows = list(csv.DictReader(handle))
-        assert [row["method"] for row in rows] == ["classical", "vol"]
-        assert [row["seconds"] for row in rows] == [seconds, seconds]
+    out = tmp_path / "out"
+    assert run(["converge", "--functions", "f1,f2", "--n", "3,4", "--strategy", "classical,vol",
+                "--quad-m", "4", "--error-degree", "4", "--out", str(out)]) == 0
+    with open(out / "errors.csv", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert [row["method"] for row in rows] == ["classical"] * 4 + ["vol"] * 4
+    assert all(row["seconds"] == "0.000" for row in rows)
+    meta = json.loads((out / "run_metadata.json").read_text())
+    assert meta["pass_seconds"] == [
+        {"function": f, "n": n, "seconds": 0.25} for f in ("f1", "f2") for n in (3, 4)
+    ]
 
 
 def test_tune_writes_surface(tmp_path, capsys):
@@ -306,16 +308,15 @@ def test_tune_writes_surface(tmp_path, capsys):
     assert len(rows) == 1 + 4
 
 
-def test_tune_function_ranges_and_holdout(tmp_path, capsys):
-    out = tmp_path / "held"
+def test_tune_function_ranges(tmp_path, capsys):
+    out = tmp_path / "ranged"
     code = run([
-        "tune", "--strategy", "ef", "--zeta", "2", "--nu", "2",
-        "--functions", "f1..f3", "--holdout", "f2,f3",
+        "tune", "--strategy", "ef", "--zeta", "2", "--nu", "2", "--functions", "f1..f3,f5",
         "--n", "3", "--quad-m", "4", "--error-degree", "4", "--out", str(out),
     ])
     assert code == 0
     assert "optimal" in capsys.readouterr().out
-    assert json.loads((out / "run_metadata.json").read_text())["functions"] == ["f1"]
+    assert json.loads((out / "run_metadata.json").read_text())["functions"] == ["f1", "f2", "f3", "f5"]
 
 
 def test_tune_rejects_empty_grid(tmp_path, capsys):

@@ -17,6 +17,7 @@ from histotet import (
 )
 from histotet.densities import (
     EDGE_BASIS_EXPONENTS,
+    Density,
     FACE_BASIS_EXPONENTS,
     VOLUME_BASIS_EXPONENTS,
     _component_rule,
@@ -26,6 +27,7 @@ from histotet.densities import (
 )
 from histotet.element import _functional_matrix, build_functionals
 from histotet.quadrature import simplex_rule_plain
+from histotet.simplex import EDGE_PAIRS
 from oracles import expect_per_term, functional_matrix_per_row, symmetric_quadratic_density
 
 PARAM_GRID = (0.5, 1.0, 1.5, 2.0, 3.0, 5.0)
@@ -119,6 +121,24 @@ def test_psi_blend_orthogonality():
     dens = volume_density(2.0, theta=0.5)
     for psi in volumetric_psi(dens):
         assert analytic_residual(psi, dens) < 1e-12
+
+
+def test_psi_shares_one_gram_matrix_across_its_seeds(monkeypatch):
+    # volumetric_psi solves the six seeds against one Gram matrix, with their
+    # right-hand sides from one stacked moment call; the coefficients must be
+    # those of one gram_schmidt_enrich call per seed, bit for bit.
+    calls = []
+    moment = Density.moment
+    monkeypatch.setattr(Density, "moment", lambda self, p: calls.append(p) or moment(self, p))
+    for theta in (0.0, 0.1, 0.25, 0.5, 0.75, 1.0):
+        for gamma in np.geomspace(1e-3, 200.0, 25):
+            dens = volume_density(gamma, theta)
+            calls.clear()
+            psis = volumetric_psi(dens)
+            assert len(calls) == 2
+            for psi, (i, j) in zip(psis, EDGE_PAIRS):
+                enriched = gram_schmidt_enrich(pair_quadratic(i, j, 0.0, 0.0), dens)
+                assert np.array_equal(psi.coeffs, enriched.coeffs), (theta, gamma, i, j)
 
 
 # --- edge polynomials -------------------------------------------------------

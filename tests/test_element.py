@@ -382,6 +382,16 @@ def test_volumetric_config_validation():
         StrategyConfig.volumetric(variant="nope", gamma=2.0)
 
 
+def test_config_rejects_another_methods_parameters():
+    # Such a config would print fv's params_text yet differ from fv(1, 1).
+    with pytest.raises(ValueError, match="zeta is not a fv parameter"):
+        StrategyConfig("face_volume", alpha=1.0, beta=1.0, zeta=3.0)
+    with pytest.raises(ValueError, match="alpha is not a classical parameter"):
+        StrategyConfig("classical", alpha=-5.0)
+    with pytest.raises(ValueError, match="beta is not a vol parameter"):
+        StrategyConfig("volumetric", theta=0.5, gamma=2.0, beta=2.0)
+
+
 def test_volume_variants_are_blend_members():
     for gamma in ORACLE_GRID:
         cfg = StrategyConfig.volumetric("dirichlet", gamma=gamma)
