@@ -38,7 +38,6 @@ from .experiment import (
     compute_dofs,
     convergence_study,
     grid_search,
-    l1_error,
 )
 from .mesh import TetMesh, build_mesh
 from .quadrature import (

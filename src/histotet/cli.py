@@ -11,8 +11,9 @@ The parameter flags (--alpha, --beta for fv; --theta, --gamma for vol;
 them, `converge` and `project` expect single values.  --functions and
 --quad-m exist on all but `check`; --n, --error-degree, --threads and --out
 on `tune` and `converge` only; a parameter flag of a strategy that does not
-run is invalid input.  Exit codes: 0 success, 2 invalid input or a failed
-check, 3 unwritable output directory; any other error is a bug and surfaces
+run is invalid input.  Exit codes: 0 success, 2 invalid input (including a
+density parameter too large for its quadrature rule) or a failed check, 3
+unwritable output directory; any other error is a bug and surfaces
 with a traceback.
 """
 
@@ -33,6 +34,7 @@ from .element import (
     METHODS,
     StrategyConfig,
     assemble_H,
+    build_functionals,
     classical_project,
     reconstruct,
     unisolvence_check,
@@ -40,13 +42,13 @@ from .element import (
 from .experiment import (
     QuadSettings,
     TuningGrid,
-    build_dof_table,
     compute_dofs,
     convergence_study,
     grid_search,
     study_bytes,
 )
 from .plots import loglog_svg
+from .quadrature import RuleError
 from .simplex import REFERENCE_TET, GeometryError, Tetrahedron
 from .targets import TARGETS, TargetFunction, get_targets
 
@@ -206,10 +208,18 @@ def _physical_memory():
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _check_memory(ns, configs, settings, threads=1):
-    """Refuse, before any mesh or quadrature table is built, a run whose
-    arrays (experiment.study_bytes) need more than the machine's physical
-    memory."""
+def _build_rules(configs, dof_points):
+    """Build the DOF quadrature rules of every configuration; they are cached,
+    so a study reuses them.  Raises RuleError for one that cannot be built."""
+    for cfg in configs:
+        for density in dict.fromkeys(func.density for func in build_functionals(cfg)):
+            density.rule(dof_points)
+
+
+def _check_study(ns, configs, settings, threads=1):
+    """Refuse, before any mesh or output exists, a run whose arrays
+    (experiment.study_bytes) need more than the machine's physical memory,
+    then one whose quadrature rules cannot be built."""
     need, have = study_bytes(ns, configs, settings, threads), _physical_memory()
     if need > have:
         run = f"--n {','.join(map(str, ns))}" if ns else "project"
@@ -218,6 +228,7 @@ def _check_memory(ns, configs, settings, threads=1):
             f"{run} needs at least {need / 1e6:,.0f} MB for its arrays at --quad-m "
             f"{settings.dof_points}{degree}, more than the {have / 1e6:,.0f} MB of physical memory"
         )
+    _build_rules(configs, settings.dof_points)
 
 
 def _out_dir(args):
@@ -320,8 +331,8 @@ def cmd_check(args):
             f"{rel:>10}{str(rep.rank6):>7}{spd:>6}{rep.cond:>11.3e}"
         )
         try:
-            build_dof_table(cfg)  # the quadrature rules every other command builds
-        except ValueError as err:
+            _build_rules([cfg], QuadSettings.dof_points)  # as every other command does
+        except RuleError as err:
             print(f"error: {rep.strategy} ({rep.params}): {err}", file=sys.stderr)
             failed += 1
             continue
@@ -364,7 +375,7 @@ def cmd_tune(args):
     ns = _mesh_ns(args.n, (5, 10, 15))
 
     settings = _settings(args)
-    _check_memory(ns, configs, settings, args.threads)
+    _check_study(ns, configs, settings, args.threads)
     out = _out_dir(args)
     grid = TuningGrid(kind=kind, first=first, second=second, functions=tuple(functions), ns=ns)
     started = time.perf_counter()
@@ -386,6 +397,9 @@ def cmd_tune(args):
             "functions": ids,
             "meshes": list(ns),
             "axes": list(result.axes),
+            "pass_seconds": [
+                {"function": f, "n": n, "seconds": seconds} for f, n, seconds in result.pass_seconds
+            ],
         },
     )
 
@@ -406,7 +420,7 @@ def cmd_converge(args):
     ns = _mesh_ns(args.n, (5, 10, 15, 20, 25))
 
     settings = _settings(args)
-    _check_memory(ns, methods, settings, args.threads)
+    _check_study(ns, methods, settings, args.threads)
     out = _out_dir(args)
     started = time.perf_counter()
     rows = convergence_study(functions, ns, methods, settings=settings, threads=args.threads)
@@ -421,9 +435,10 @@ def cmd_converge(args):
                 [row.function, row.n, row.method, row.params, f"{row.l1_error:.16e}", "0.000"]
             )
 
-    by_function = {}
+    by_function, seconds = {}, {}
     for row in rows:
         by_function.setdefault(row.function, {}).setdefault(row.method, []).append(row)
+        seconds[row.function, row.n] = row.seconds
     svg_paths = []
     for fid in ids:
         series = []
@@ -449,10 +464,8 @@ def cmd_converge(args):
             "functions": ids,
             "meshes": list(ns),
             "methods": [f"{c.method_id}:{c.params_text()}" for c in methods],
-            # Rows are method-major, so the first method's rows are the passes in order.
             "pass_seconds": [
-                {"function": r.function, "n": r.n, "seconds": r.seconds}
-                for r in rows[: len(ids) * len(ns)]
+                {"function": f, "n": n, "seconds": seconds[f, n]} for f in ids for n in ns
             ],
         },
     )
@@ -500,7 +513,7 @@ def cmd_project(args):
         tet = REFERENCE_TET
 
     settings = QuadSettings(dof_points=_dof_points(args))
-    _check_memory((), [cfg], settings)
+    _check_study((), [cfg], settings)
     dofs = compute_dofs(f, tet, cfg, settings)
 
     print(f"strategy : {cfg.method_id} ({cfg.params_text()})")
@@ -534,7 +547,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except CliError as err:
+    except (CliError, RuleError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

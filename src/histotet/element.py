@@ -15,7 +15,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .densities import (
-    PARAM_FLOOR,
     BaryQuadratic,
     Density,
     VOLUME_BASIS_EXPONENTS,
@@ -126,19 +125,9 @@ class StrategyConfig:
         if self.kind not in _METHOD_OF_KIND:
             raise ValueError(f"unknown strategy kind {self.kind!r}")
         for field in fields(self)[1:]:
-            name, value = field.name, getattr(self, field.name)
-            if name not in METHODS[self.method_id][1]:
-                if value is not None:
-                    raise ValueError(f"{name} is not a {self.method_id} parameter")
-            elif value is None or not np.isfinite(value):
-                raise ValueError(f"{self.method_id} needs a finite {name}, got {value!r}")
-            elif name == "theta":
-                if not 0.0 <= value <= 1.0:
-                    raise ValueError(f"theta must lie in [0, 1], got {value!r}")
-            elif value < PARAM_FLOOR:
-                raise ValueError(
-                    f"{name}={value!r} is below the admissible floor {PARAM_FLOOR}"
-                )
+            if getattr(self, field.name) is not None and field.name not in METHODS[self.method_id][1]:
+                raise ValueError(f"{field.name} is not a {self.method_id} parameter")
+        _densities(self)  # the density constructors check the values
 
     @property
     def method_id(self):
@@ -173,11 +162,23 @@ class Functional:
     weight_poly: BaryQuadratic | None
 
 
+def _densities(cfg):
+    """(face density, enrichment density or None) of a configuration."""
+    face = face_density(cfg.alpha if cfg.kind == "face_volume" else 1.0)
+    if cfg.kind == "classical":
+        return face, None
+    if cfg.kind == "face_volume":
+        return face, volume_density(cfg.beta)
+    if cfg.kind == "volumetric":
+        return face, volume_density(cfg.gamma, cfg.theta)
+    return face, edge_density(cfg.zeta, cfg.nu)
+
+
 @functools.cache
 def build_functionals(cfg):
     """The ordered functionals of a strategy (4 for classical, 10 otherwise),
     built once per configuration and shared by its DOF table, H and checks."""
-    face = face_density(cfg.alpha if cfg.kind == "face_volume" else 1.0)
+    face, dens = _densities(cfg)
     funcs = [Functional(FACE_VERTEX_INDICES[j], face, None) for j in range(4)]
 
     if cfg.kind == "classical":
@@ -188,24 +189,18 @@ def build_functionals(cfg):
         # exponents ((0.1 - 1) + 1 != 0.1) as the fv outputs were computed.
         # The planned byte move replaces them with face_ortho_quadratic and
         # volumetric_psi, which agree with them to round-off.
-        interior = volume_density(cfg.beta)
         alpha = face.components[0][1][0] + 1.0
-        beta = interior.components[0][1][0] + 1.0
+        beta = dens.components[0][1][0] + 1.0
         q = face_sum_of_squares_minus(dirichlet_face_constant(alpha))
         h, k = dirichlet_volume_hk(beta)
         funcs += [Functional(FACE_VERTEX_INDICES[j], face, q) for j in range(4)]
         funcs += [
-            Functional(VOLUME_VERTICES, interior, pair_quadratic(i, j, h, k))
+            Functional(VOLUME_VERTICES, dens, pair_quadratic(i, j, h, k))
             for i, j in EDGE_PAIRS[:2]
         ]
     elif cfg.kind == "volumetric":
-        interior = volume_density(cfg.gamma, cfg.theta)
-        funcs += [
-            Functional(VOLUME_VERTICES, interior, psi)
-            for psi in volumetric_psi(interior)
-        ]
+        funcs += [Functional(VOLUME_VERTICES, dens, psi) for psi in volumetric_psi(dens)]
     else:  # edge_face
-        dens = edge_density(cfg.zeta, cfg.nu)
         q = edge_ortho_quadratic(dens)
         funcs += [Functional((j, i), dens, q) for i, j in EDGE_PAIRS]
     return tuple(funcs)

@@ -31,7 +31,8 @@ from .element import (
 from .mesh import build_mesh
 from .quadrature import plain_points, simplex_rule_plain
 
-#: Target size (in scalars) of one chunk's function-value block.
+#: Scalars of DOF- and error-node values per cell row that size an engine's
+#: chunks; _schedule counts what a chunk holds at once.
 _CHUNK_BUDGET = 4_000_000
 
 #: Points mapped and evaluated at a time inside a chunk.
@@ -182,6 +183,28 @@ class _ErrorEngine:
         return _l1_errors([self], f, mesh, threads)[0]
 
 
+def _schedule(tables, error_nodes, cells):
+    """(order, last_use, own_rows, rows, peak) of a pass over `cells` cells for
+    engines with DOF blocks `tables`: engines grouped by their last block (a
+    grid then holds its shared blocks plus one of the others), each block's
+    last position in that order, each engine's chunk rows alone (its L1 sum's
+    partition), the pass's chunk rows, and the scalars a thread's chunk holds."""
+    own_rows = [_CHUNK_BUDGET // (blocks[-1][2] + error_nodes) for blocks in tables]
+    group = {key: g for g, key in enumerate(dict.fromkeys(blocks[-1][0] for blocks in tables))}
+    order = sorted(range(len(tables)), key=lambda i: group[tables[i][-1][0]])
+    last_use = {key: pos for pos, i in enumerate(order) for key, _, _ in tables[i]}
+    # Per cell row, the error stage holds f, two |f - p| temporaries and all
+    # coefficients; an engine's turn the cached blocks, their concatenated
+    # copy and the coefficients so far.
+    live, peak = {}, 3 * error_nodes + 10 * len(tables)
+    for pos, i in enumerate(order):
+        live.update((key, stop - start) for key, start, stop in tables[i])
+        peak = max(peak, sum(live.values()) + tables[i][-1][2] + 10 * (pos + 1))
+        live = {key: size for key, size in live.items() if last_use[key] > pos}
+    rows = max(1, min(min(own_rows), cells))
+    return order, last_use, own_rows, rows, rows * peak
+
+
 def _l1_errors(engines, f, mesh, threads=1):
     """L1 error of every engine for one target on one mesh, in one pass.
 
@@ -195,18 +218,11 @@ def _l1_errors(engines, f, mesh, threads=1):
     basis_t = lambda_basis(rule.nodes).T  # (10, E)
     verts = mesh.cell_vertex_array
     n_cells = len(mesh)
-    own_blocks = [_CHUNK_BUDGET // (len(e.table.nodes) + len(rule)) for e in engines]
+    order, last_use, own_rows, rows, _ = _schedule([e.table.blocks for e in engines], len(rule), n_cells)
     cell_err = np.empty((len(engines), n_cells))
-
-    # Score engines grouped by their last block, and drop a block after its
-    # last use: a grid then holds its shared blocks plus one of the others.
-    block_nodes, group = {}, {}
-    for e in engines:
-        for key, start, stop in e.table.blocks:
-            block_nodes.setdefault(key, e.table.nodes[start:stop])
-        group.setdefault(e.table.blocks[-1][0], len(group))
-    order = sorted(range(len(engines)), key=lambda i: group[engines[i].table.blocks[-1][0]])
-    last_use = {key: pos for pos, i in enumerate(order) for key, _, _ in engines[i].table.blocks}
+    block_nodes = {
+        key: e.table.nodes[start:stop] for e in engines for key, start, stop in e.table.blocks
+    }
 
     def work(sl):
         # DOF nodes before error nodes: the other order raises peak memory.
@@ -247,14 +263,14 @@ def _l1_errors(engines, f, mesh, threads=1):
     # shared blocks would let more cells fit: BLAS gemm and gemv give row
     # results that depend on the chunk's row count, so another partition
     # moves bytes.  Change it only in the ROADMAP's planned byte move.
-    _run_chunks(work, _chunk_slices(n_cells, min(own_blocks)), threads)
+    _run_chunks(work, _chunk_slices(n_cells, rows), threads)
     vols = mesh.cell_volumes()
     # Each engine sums its cell errors in the chunks it would use alone, in a
     # fixed order: the committed benchmark references fix these bytes, and
     # the order keeps them independent of the thread count.
     return [
         float(np.array([errs[sl] @ vols[sl] for sl in _chunk_slices(n_cells, block)]).sum())
-        for errs, block in zip(cell_err, own_blocks)
+        for errs, block in zip(cell_err, own_rows)
     ]
 
 
@@ -280,26 +296,18 @@ def study_bytes(ns, configs, settings, threads=1):
     meshes); every engine's DOF table (4 coordinates and one weight per
     functional at each node); the error rule (4 coordinates, a weight and 10
     basis values per node); and, for the largest mesh, a (configurations x
-    cells) error array and one chunk of target values per thread, of at
-    least one cell.  Temporaries and the interpreter come on top; `project`
-    is a study with no mesh."""
-    # (rows, nodes) of each table; a table's nodes end at its last block.
-    tables = [
-        (len(fs), _layout(fs, settings.dof_points)[1][-1][2]) for fs in map(build_functionals, configs)
-    ]
+    cells) error array and one chunk's peak per thread (see _schedule).  The
+    interpreter comes on top; `project` is a study of one cell per chunk."""
+    functionals = [build_functionals(cfg) for cfg in configs]
+    tables = [_layout(fs, settings.dof_points)[1] for fs in functionals]
     error_nodes = plain_points(3, settings.error_degree) ** 3
     cells = [6 * (n - 1) ** 3 for n in ns]
     meshes = sum(3 * n**3 + c * (4 + 12 + 1) for n, c in zip(ns, cells))
-    chunk = max(_CHUNK_BUDGET, max(nodes for _, nodes in tables) + error_nodes)
+    *_, chunk = _schedule(tables, error_nodes, max(cells, default=0))
     return 8 * (
-        meshes + sum((4 + rows) * nodes for rows, nodes in tables) + 15 * error_nodes
-        + max(cells, default=0) * len(configs) + threads * chunk
+        meshes + sum((4 + len(fs)) * t[-1][2] for fs, t in zip(functionals, tables))
+        + 15 * error_nodes + max(cells, default=0) * len(configs) + threads * chunk
     )
-
-
-def l1_error(f, mesh, cfg, settings=QuadSettings(), threads=1):
-    """L1 reconstruction error of a strategy for one function on one mesh."""
-    return _ErrorEngine(cfg, settings).l1_on_mesh(f, mesh, threads=threads)
 
 
 @dataclass(frozen=True)
@@ -360,6 +368,7 @@ class TuneResult:
     surface: np.ndarray  # (len(first), len(second)) accumulated L1 errors
     first: tuple
     second: tuple
+    pass_seconds: tuple  # (function id, n, wall seconds) of each pass, in pass order
 
     def surface_rows(self):
         """(first, second, accumulated_error) triples in row-major order."""
@@ -382,8 +391,10 @@ def grid_search(grid, settings=QuadSettings(), threads=1, meshes=None):
         meshes = {}
     configs = [StrategyConfig.of(grid.kind, a, b) for a in grid.first for b in grid.second]
     surface = np.zeros((len(grid.first), len(grid.second)))
-    for _, _, errors, _ in _passes(configs, grid.functions, grid.ns, settings, threads, meshes):
+    pass_seconds = []
+    for f, n, errors, seconds in _passes(configs, grid.functions, grid.ns, settings, threads, meshes):
         surface += np.reshape(errors, surface.shape)
+        pass_seconds.append((f.id, n, seconds))
 
     # argmin returns the first minimum in row-major order; the surface is
     # finite, because _l1_errors raises on a non-finite cell error.
@@ -398,4 +409,5 @@ def grid_search(grid, settings=QuadSettings(), threads=1, meshes=None):
         surface=surface,
         first=tuple(grid.first),
         second=tuple(grid.second),
+        pass_seconds=tuple(pass_seconds),
     )

@@ -26,8 +26,8 @@ class _LogMap:
         return self.out_lo + t * (self.out_hi - self.out_lo)
 
 
-def loglog_svg(path, title, series, xlabel="n", ylabel="L1 error"):
-    """Write a log-log polyline chart.
+def loglog_svg(path, title, series):
+    """Write a log-log polyline chart of L1 error against n.
 
     series is a list of (label, color, xs, ys) tuples; ys are clipped from
     below at a tiny floor so exactly-zero errors stay plottable.
@@ -86,15 +86,13 @@ def loglog_svg(path, title, series, xlabel="n", ylabel="L1 error"):
             f'font-family="sans-serif" font-size="11">{tick:g}</text>'
         )
 
-    parts.append(
+    parts += [
         f'<text x="{(x0 + x1) / 2:.0f}" y="{_HEIGHT - 12}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13">{escape(xlabel, quote=False)}</text>'
-    )
-    parts.append(
+        'font-family="sans-serif" font-size="13">n</text>',
         f'<text x="18" y="{(y0 + y1) / 2:.0f}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13" '
-        f'transform="rotate(-90 18 {(y0 + y1) / 2:.0f})">{escape(ylabel, quote=False)}</text>'
-    )
+        'font-family="sans-serif" font-size="13" '
+        f'transform="rotate(-90 18 {(y0 + y1) / 2:.0f})">L1 error</text>',
+    ]
 
     for s_idx, (label, color, xs, ys) in enumerate(series):
         pts = [

@@ -15,6 +15,11 @@ import numpy as np
 from scipy.special import betaln, roots_jacobi
 
 
+class RuleError(ValueError):
+    """Raised when a rule's Gauss-Jacobi weights cannot be computed in
+    floating point (its density parameters are too large)."""
+
+
 def gauss_jacobi(m, a, b):
     """(nodes, weights) of the m-point rule for integrals of g(t) t^a (1-t)^b
     over [0,1].
@@ -33,7 +38,7 @@ def gauss_jacobi(m, a, b):
     with np.errstate(invalid="ignore"):
         x, w = roots_jacobi(m, b, a)
     if not (np.isfinite(x).all() and np.isfinite(w).all()):
-        raise ValueError(f"non-finite Gauss-Jacobi rule for (m, a, b) = {(m, a, b)}")
+        raise RuleError(f"non-finite Gauss-Jacobi rule for (m, a, b) = {(m, a, b)}")
     return 0.5 * (x + 1.0), w / 2.0 ** (a + b + 1.0)
 
 
@@ -118,7 +123,7 @@ def simplex_rule_weighted(d, exponents, m):
         weights *= g.reshape(-1)
 
     if not (np.isfinite(weights).all() and abs(weights.sum() - 1.0) < 1e-8):
-        raise ValueError(
+        raise RuleError(
             f"weighted simplex rule for (d, exponents, m) = {(d, tuple(e.tolist()), m)} "
             f"is not finite with mass 1 (mass {weights.sum():g}): the exponents "
             "are too large for its Gauss-Jacobi weights"

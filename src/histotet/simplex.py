@@ -69,9 +69,6 @@ class Tetrahedron:
         lam = np.asarray(lam, dtype=float)
         return lam @ self.vertices
 
-    def __repr__(self):
-        return f"Tetrahedron(volume={self.volume:.6g})"
-
 
 #: Unit reference tetrahedron with vertices 0, e1, e2, e3.
 REFERENCE_TET = Tetrahedron(

@@ -5,6 +5,7 @@ import numpy as np
 
 from histotet.densities import VOLUME_BASIS_EXPONENTS, Density
 from histotet.element import _functional_matrix
+from histotet.experiment import QuadSettings, _ErrorEngine, _l1_errors
 from histotet.simplex import dirichlet_expectation
 
 
@@ -86,3 +87,9 @@ def dvol_entries(gamma):
     z = g**3 / denom
     t = -(g**2) / (16.0 * (1.0 + 2.0 * g) * (1.0 + 4.0 * g) ** 2 * (3.0 + 4.0 * g))
     return s, t, z
+
+
+def l1_error(f, mesh, cfg, settings=QuadSettings(), threads=1):
+    """L1 reconstruction error of one strategy for one function on one mesh,
+    scored in a pass of its own."""
+    return _l1_errors([_ErrorEngine(cfg, settings)], f, mesh, threads)[0]

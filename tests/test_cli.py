@@ -126,7 +126,8 @@ def test_mesh_runs_refuse_meshes_larger_than_memory(tmp_path, capsys, monkeypatc
     monkeypatch.setattr(cli, "grid_search", reached)
     monkeypatch.setattr(cli, "_physical_memory", lambda: 50_000_000)
     out = tmp_path / "out"
-    # n = 5 fits in 50 MB: 384 cells plus one 32 MB chunk of target values.
+    # n = 5 fits in 50 MB: its 384 cells make one chunk of a few MB, as the
+    # pass's schedule counts it.
     with pytest.raises(Reached):
         run(argv + ["--functions", "f1", "--n", "3,5", "--out", str(out)])
     assert run(argv + ["--functions", "f1", "--n", "3,40", "--threads", "2",
@@ -286,10 +287,15 @@ def test_converge_pass_seconds_in_metadata(tmp_path, monkeypatch):
         rows = list(csv.DictReader(handle))
     assert [row["method"] for row in rows] == ["classical"] * 4 + ["vol"] * 4
     assert all(row["seconds"] == "0.000" for row in rows)
+    passes = [{"function": f, "n": n, "seconds": 0.25} for f in ("f1", "f2") for n in (3, 4)]
     meta = json.loads((out / "run_metadata.json").read_text())
-    assert meta["pass_seconds"] == [
-        {"function": f, "n": n, "seconds": 0.25} for f in ("f1", "f2") for n in (3, 4)
-    ]
+    assert meta["pass_seconds"] == passes
+
+    # tune records its passes the same way.
+    assert run(["tune", "--strategy", "ef", "--zeta", "1,2", "--nu", "2", "--functions", "f1,f2",
+                "--n", "3,4", "--quad-m", "4", "--error-degree", "4", "--out", str(out / "tune")]) == 0
+    meta = json.loads((out / "tune" / "run_metadata.json").read_text())
+    assert meta["pass_seconds"] == passes
 
 
 def test_tune_writes_surface(tmp_path, capsys):
@@ -363,11 +369,23 @@ def test_project_rejects_bad_input(capsys, argv, message):
 @pytest.mark.parametrize("argv", [
     ["project", "--strategy", "fv", "--alpha", "500"],  # NaN weights
     ["project", "--strategy", "fv", "--alpha", "350"],  # zero weights
-    ["converge", "--strategy", "fv", "--alpha", "500", "--functions", "f1", "--n", "2"],
+    ["converge", "--strategy", "fv", "--alpha", "500", "--beta", "2", "--functions", "f1", "--n", "3"],
+    ["project", "--strategy", "ef", "--zeta", "600", "--nu", "600"],
 ])
-def test_oversized_exponent_raises_instead_of_printing_nan(tmp_path, capsys, argv):
+def test_oversized_exponent_raises_instead_of_printing_nan(tmp_path, capsys, monkeypatch, argv):
     # A face dirichlet(alpha) rule overflows its Gauss-Jacobi weights near
-    # alpha = 342; the run must stop at the rule, not print or blame NaNs.
-    with pytest.raises(ValueError, match=r"weighted simplex rule for \(d, exponents, m\)"):
-        run([*argv, "--out", str(tmp_path)] if argv[0] == "converge" else argv)
-    assert "nan" not in capsys.readouterr().out
+    # alpha = 342, an edge Beta(zeta, nu) rule near zeta + nu = 1,025.  The
+    # rule's error is invalid input: exit 2 with its message, raised before
+    # any mesh or output directory exists, and no NaN printed.
+    from histotet import experiment
+
+    def no_mesh(n):
+        raise AssertionError("a mesh was built")
+
+    monkeypatch.setattr(experiment, "build_mesh", no_mesh)
+    out = tmp_path / "out"
+    assert run([*argv, "--out", str(out)] if argv[0] == "converge" else argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: weighted simplex rule for (d, exponents, m) = (")
+    assert "nan" not in captured.out
+    assert not out.exists()

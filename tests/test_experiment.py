@@ -13,10 +13,10 @@ from histotet import (
     compute_dofs,
     convergence_study,
     grid_search,
-    l1_error,
 )
 from histotet.quadrature import simplex_rule_plain
 from conftest import make_random_tet
+from oracles import l1_error
 
 QUADRATIC_CONFIGS = [
     StrategyConfig.face_volume(2.0, 2.0),
@@ -314,11 +314,11 @@ def test_grid_surface_sums_the_study_rows_of_each_candidate(monkeypatch):
 def test_study_bytes_counts_the_arrays_of_a_pass(monkeypatch):
     from histotet import experiment
     from histotet.element import lambda_basis
-    from histotet.experiment import _CHUNK_BUDGET, _ErrorEngine, study_bytes
+    from histotet.experiment import _ErrorEngine, _schedule, study_bytes
 
     # A study keeps every mesh and every engine's DOF table; the error rule
     # is shared, and the error array and the chunks are the largest mesh's
-    # pass.
+    # pass, each chunk at the peak of the pass's schedule.
     settings = QuadSettings(dof_points=4, error_degree=5)
     configs = [StrategyConfig.classical(), *QUADRATIC_CONFIGS, StrategyConfig.edge_face(1, 3)]
     meshes = [build_mesh(3), build_mesh(4)]
@@ -331,14 +331,82 @@ def test_study_bytes_counts_the_arrays_of_a_pass(monkeypatch):
         np.empty((5, len(meshes[-1]))),  # the errors
     ]
     fixed = sum(a.nbytes for a in arrays)
-    chunk = np.empty(_CHUNK_BUDGET)
-    assert study_bytes((3, 4), configs, settings, threads=3) == fixed + 3 * chunk.nbytes
+    blocks = [t.blocks for t in tables]
+    *_, rows, peak = _schedule(blocks, len(rule), len(meshes[-1]))
+    assert rows == len(meshes[-1])  # the 162 cells make one chunk
+    assert study_bytes((3, 4), configs, settings, threads=3) == fixed + 3 * 8 * peak
 
-    # A chunk holds at least one cell, with every DOF and error node of the
-    # largest table, however small the budget.
+    # A chunk holds at least one cell, with every DOF block of the largest
+    # table and its concatenated copy, however small the budget.
     monkeypatch.setattr(experiment, "_CHUNK_BUDGET", 10)
-    one_cell = np.empty(max(len(t.nodes) for t in tables) + len(rule))
-    assert study_bytes((3, 4), configs, settings, threads=3) == fixed + 3 * one_cell.nbytes
+    *_, rows, one_cell = _schedule(blocks, len(rule), len(meshes[-1]))
+    assert rows == 1 and peak == len(meshes[-1]) * one_cell
+    assert one_cell > 2 * max(len(t.nodes) for t in tables)
+    assert study_bytes((3, 4), configs, settings, threads=3) == fixed + 3 * 8 * one_cell
+
+
+def test_schedule_of_the_default_methods():
+    from histotet.experiment import _schedule, build_dof_table
+
+    tables = [build_dof_table(cfg).blocks for cfg in ALL_METHODS]
+    order, last_use, own_rows, rows, peak = _schedule(tables, 216, 10**6)
+    # fv and vol both end on the dirichlet(2) volume block, so they stay
+    # together, in their given order.  The uniform face blocks are kept for
+    # ef, the dirichlet(2) volume block for vol; fv's faces go after fv.
+    assert order == [0, 1, 2, 3]
+    assert {last_use[key] for key, _, _ in tables[0]} == {3}
+    assert tables[1][-1][0] == tables[2][-1][0] and last_use[tables[1][-1][0]] == 2
+    assert {last_use[key] for key, _, _ in tables[1][:4]} == {1}
+    assert own_rows == [4_000_000 // (n + 216) for n in (256, 768, 1280, 304)]
+    assert rows == min(own_rows) == 2673
+    # vol's turn is the peak: the four uniform faces kept for ef (256 nodes),
+    # its two volume blocks (1,024), their concatenated copy (1,280) and the
+    # coefficients of three engines (30).
+    assert peak == rows * (256 + 1024 + 1280 + 30)
+
+
+@pytest.mark.parametrize("configs", [
+    ALL_METHODS,  # converge's four default methods
+    [StrategyConfig.face_volume(a, b) for a in (1.0, 2.0) for b in (1.0, 2.0)],
+], ids=["converge", "fv-grid"])
+def test_refusal_counts_what_a_pass_allocates(configs):
+    import tracemalloc
+
+    from histotet.experiment import _ErrorEngine, _l1_errors, study_bytes
+
+    # The per-thread term of the --n refusal is one chunk's peak; a pass on
+    # one thread allocates that, plus its error array and the target's
+    # temporaries.  The 4,374 cells at n = 10 make two chunks.
+    settings = QuadSettings()
+    mesh = build_mesh(10)
+    engines = [_ErrorEngine(cfg, settings) for cfg in configs]
+    f = TARGETS["f1"]
+    _l1_errors(engines, f, mesh)  # builds the error rule and the mesh's volumes
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        _l1_errors(engines, f, mesh)
+        grown = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    one, two = (study_bytes((10,), configs, settings, threads=t) for t in (1, 2))
+    assert 0.85 * grown <= two - one <= grown
+
+
+def test_slicing_does_not_move_a_bit(monkeypatch):
+    from histotet import experiment
+
+    mesh = build_mesh(4)
+    engines = [experiment._ErrorEngine(cfg, QuadSettings()) for cfg in ALL_METHODS]
+    monkeypatch.setattr(experiment, "_CHUNK_BUDGET", 50_000)
+    *_, rows, _ = experiment._schedule([e.table.blocks for e in engines], 216, len(mesh))
+    assert rows < len(mesh)  # several chunks
+    # Whole chunks, several cells, and one cell per target call.
+    errors = []
+    for points in (65_536, 1_000, 7):
+        monkeypatch.setattr(experiment, "_SLICE_POINTS", points)
+        errors.append(experiment._l1_errors(engines, TARGETS["f2"], mesh))
+    assert errors[1] == errors[0] and errors[2] == errors[0]  # bitwise
 
 
 def test_study_computes_each_mesh_volume_once(monkeypatch):

@@ -13,7 +13,6 @@ from histotet import (
     build_mesh,
     compute_dofs,
     face_ortho_quadratic,
-    l1_error,
     reconstruct,
     volumetric_psi,
 )
@@ -23,6 +22,7 @@ from histotet.element import build_functionals
 from histotet.experiment import _ErrorEngine, _l1_errors
 from histotet.simplex import dirichlet_expectation
 from conftest import make_random_tet
+from oracles import l1_error
 
 MESH = build_mesh(3)
 
