@@ -12,9 +12,11 @@ them, `converge` and `project` expect single values.  --functions and
 --quad-m exist on all but `check`; --n, --error-degree, --threads and --out
 on `tune` and `converge` only; a parameter flag of a strategy that does not
 run is invalid input.  Exit codes: 0 success, 2 invalid input (including a
-density parameter too large for its quadrature rule) or a failed check, 3
-unwritable output directory; any other error is a bug and surfaces
-with a traceback.
+density parameter too large for its quadrature rule, and a number below its
+floor, given after the flag in the words of the code that states it:
+--quad-m 3 and --error-degree 1 in QuadSettings, --n 2 in mesh.mesh_size,
+--threads 1 here) or a failed check, 3 unwritable output directory; any
+other error is a bug and surfaces with a traceback.
 """
 
 import argparse
@@ -47,6 +49,7 @@ from .experiment import (
     grid_search,
     study_bytes,
 )
+from .mesh import mesh_size
 from .plots import loglog_svg
 from .quadrature import RuleError
 from .simplex import REFERENCE_TET, GeometryError, Tetrahedron
@@ -119,19 +122,13 @@ def _distinct(values, flag):
     return values
 
 
-def _at_least(value, floor, flag, why=""):
-    if value < floor:
-        raise CliError(f"{flag} must be >= {floor}, got {value}{why}")
-    return value
-
-
-def _dof_points(args):
-    """--quad-m, after checking the floor that QuadSettings enforces."""
-    why = (
-        ": a weighted moment integrates a quadratic weight times a quadratic "
-        "(degree 4), and m Gauss points per direction are exact to degree 2m - 1"
-    )
-    return _at_least(args.quad_m, 3, "--quad-m", why)
+def _under_flag(flag, check, *args, **kwargs):
+    """check(*args, **kwargs), whose ValueError is invalid input of `flag`:
+    the library states the rule, the CLI names the flag."""
+    try:
+        return check(*args, **kwargs)
+    except ValueError as err:
+        raise CliError(f"{flag}: {err}") from None
 
 
 def _add_strategy_flags(parser):
@@ -196,12 +193,14 @@ def build_parser():
 
 
 def _settings(args):
-    """QuadSettings of a mesh run (tune, converge), after checking --threads."""
-    _at_least(args.threads, 1, "--threads")
-    return QuadSettings(
-        dof_points=_dof_points(args),
-        error_degree=_at_least(args.error_degree, 1, "--error-degree"),
-    )
+    """QuadSettings of --quad-m and, on tune and converge, --error-degree,
+    after checking --threads, a rule of the CLI alone."""
+    if "threads" in args and args.threads < 1:
+        raise CliError(f"--threads must be >= 1, got {args.threads}")
+    settings = _under_flag("--quad-m", QuadSettings, dof_points=args.quad_m)
+    if "error_degree" not in args:  # project
+        return settings
+    return _under_flag("--error-degree", QuadSettings, args.quad_m, args.error_degree)
 
 
 def _physical_memory():
@@ -306,7 +305,7 @@ def _mesh_ns(text, default):
     if not ns:
         raise CliError("--n names no mesh")
     for n in ns:
-        _at_least(n, 2, "--n")
+        _under_flag("--n", mesh_size, n)
     return ns
 
 
@@ -512,7 +511,7 @@ def cmd_project(args):
     else:
         tet = REFERENCE_TET
 
-    settings = QuadSettings(dof_points=_dof_points(args))
+    settings = _settings(args)
     _check_study((), [cfg], settings)
     dofs = compute_dofs(f, tet, cfg, settings)
 

@@ -94,24 +94,8 @@ class StrategyConfig:
         return cls(kind, **{name: float(p) for name, p in zip(names, params)})
 
     @classmethod
-    def classical(cls):
-        return cls.of("classical")
-
-    @classmethod
     def face_volume(cls, alpha, beta):
         return cls.of("fv", alpha, beta)
-
-    @classmethod
-    def volumetric(cls, variant="dirichlet", gamma=None):
-        """dirichlet(gamma) and uniform: the blend at theta=0 and theta=1."""
-        if variant == "dirichlet" and gamma is not None:
-            return cls.volumetric_blend(0.0, gamma)
-        if variant == "uniform" and gamma is None:
-            return cls.volumetric_blend(1.0, 1.0)
-        raise ValueError(
-            "the volume variants are 'dirichlet' with gamma and 'uniform' "
-            f"without; got {variant!r} with gamma={gamma!r}"
-        )
 
     @classmethod
     def volumetric_blend(cls, theta, gamma):
@@ -365,10 +349,6 @@ class ElementOperator:
     h: np.ndarray
     h_inv: np.ndarray
     cond: float
-
-    def basis_function(self, ell):
-        """chi_ell, the basis polynomial dual to functional ell."""
-        return BaryQuadratic("volume", self.h_inv[:, ell])
 
 
 def _assemble_operator(cfg, functionals):

@@ -28,7 +28,7 @@ from .element import (
     classical_coefficients,
     lambda_basis,
 )
-from .mesh import build_mesh
+from .mesh import build_mesh, mesh_size
 from .quadrature import plain_points, simplex_rule_plain
 
 #: Scalars of DOF- and error-node values per cell row that size an engine's
@@ -48,10 +48,12 @@ class QuadSettings:
     error_degree: int = 8
 
     def __post_init__(self):
-        # m points per direction are exact to degree 2m - 1, and a weighted
-        # moment integrates a quadratic weight times a quadratic (degree 4).
         if self.dof_points < 3:
-            raise ValueError(f"dof_points must be >= 3 for quadratic moments, got {self.dof_points}")
+            raise ValueError(
+                f"dof_points must be >= 3 for quadratic moments, got {self.dof_points}: "
+                "a weighted moment integrates a quadratic weight times a quadratic "
+                "(degree 4), and m Gauss points per direction are exact to degree 2m - 1"
+            )
         if self.error_degree < 1:
             raise ValueError(f"error_degree must be >= 1, got {self.error_degree}")
 
@@ -291,22 +293,22 @@ def _passes(configs, functions, ns, settings, threads, meshes):
 
 def study_bytes(ns, configs, settings, threads=1):
     """Bytes of the arrays a study of `configs` on the meshes of grid
-    parameters ns holds, counted before any is built: every mesh's vertices,
-    cell indices, cell vertex array and volumes (a study keeps all its
-    meshes); every engine's DOF table (4 coordinates and one weight per
-    functional at each node); the error rule (4 coordinates, a weight and 10
-    basis values per node); and, for the largest mesh, a (configurations x
-    cells) error array and one chunk's peak per thread (see _schedule).  The
-    interpreter comes on top; `project` is a study of one cell per chunk."""
+    parameters ns holds, counted before any is built: every mesh's four
+    arrays (mesh_size; a study keeps all its meshes); every engine's DOF
+    table (4 coordinates and one weight per functional at each node); the
+    error rule (4 coordinates, a weight and 10 basis values per node); and,
+    for the largest mesh, a (configurations x cells) error array and one
+    chunk's peak per thread (see _schedule).  The interpreter comes on top;
+    `project` is a study of one cell per chunk."""
     functionals = [build_functionals(cfg) for cfg in configs]
     tables = [_layout(fs, settings.dof_points)[1] for fs in functionals]
     error_nodes = plain_points(3, settings.error_degree) ** 3
-    cells = [6 * (n - 1) ** 3 for n in ns]
-    meshes = sum(3 * n**3 + c * (4 + 12 + 1) for n, c in zip(ns, cells))
-    *_, chunk = _schedule(tables, error_nodes, max(cells, default=0))
+    sizes = [mesh_size(n) for n in ns]
+    meshes, cells = sum(s for _, s in sizes), max((c for c, _ in sizes), default=0)
+    *_, chunk = _schedule(tables, error_nodes, cells)
     return 8 * (
         meshes + sum((4 + len(fs)) * t[-1][2] for fs, t in zip(functionals, tables))
-        + 15 * error_nodes + max(cells, default=0) * len(configs) + threads * chunk
+        + 15 * error_nodes + cells * len(configs) + threads * chunk
     )
 
 

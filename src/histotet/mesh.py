@@ -50,14 +50,19 @@ class TetMesh:
         return self._cell_volumes
 
 
-def build_mesh(n):
-    """Build the Kuhn-split tetrahedral mesh with grid parameter n >= 2.
-
-    Returns a TetMesh with n^3 vertices and 6 (n-1)^3 cells covering [0,1]^3.
-    """
+def mesh_size(n):
+    """(cells, scalars) of the mesh of grid parameter n, an integer >= 2: its
+    6 (n-1)^3 cells, and 3 coordinates per vertex (n^3) plus 4 vertex indices,
+    12 vertex coordinates and a volume per cell in its four arrays."""
     if int(n) != n or n < 2:
         raise ValueError(f"grid parameter n must be an integer >= 2, got {n!r}")
-    n = int(n)
+    cells = 6 * (int(n) - 1) ** 3
+    return cells, 3 * int(n) ** 3 + cells * (4 + 12 + 1)
+
+
+def build_mesh(n):
+    """The Kuhn-split TetMesh of grid parameter n (see mesh_size) on [0,1]^3."""
+    n_cells, n = mesh_size(n)[0], int(n)
     axis = np.linspace(0.0, 1.0, n)
     ii, jj, kk = np.meshgrid(np.arange(n), np.arange(n), np.arange(n), indexing="ij")
     vertices = np.column_stack(
@@ -71,7 +76,7 @@ def build_mesh(n):
     ci, cj, ck = np.meshgrid(np.arange(m), np.arange(m), np.arange(m), indexing="ij")
     corner = np.stack([ci.ravel(), cj.ravel(), ck.ravel()], axis=1)  # (m^3, 3)
 
-    cells = np.empty((6 * len(corner), 4), dtype=np.int64)
+    cells = np.empty((n_cells, 4), dtype=np.int64)
     for t, perm in enumerate(_KUHN_PERMUTATIONS):
         p0 = corner
         p1 = p0 + _UNIT_STEPS[perm[0]]

@@ -44,7 +44,7 @@ TUNED_DEFAULTS = [
 
 UNIT_VARIANTS = [
     StrategyConfig.face_volume(1.0, 1.0),
-    StrategyConfig.volumetric(variant="dirichlet", gamma=1.0),
+    StrategyConfig.volumetric_blend(0.0, 1.0),
     StrategyConfig.edge_face(1.0, 1.0),
 ]
 
@@ -62,7 +62,7 @@ def test_criterion_1_determinant_reproduction():
             closed = det_dfv_closed(alpha, beta)
             assert abs(det - closed) / closed < 1e-9, (alpha, beta)
     for gamma in PARAM_GRID:
-        det = float(np.linalg.det(assemble_D(StrategyConfig.volumetric(gamma=gamma))))
+        det = float(np.linalg.det(assemble_D(StrategyConfig.volumetric_blend(0.0, gamma))))
         closed = det_dvol_closed(gamma)
         assert abs(det - closed) / closed < 1e-9, gamma
 
@@ -131,7 +131,7 @@ def test_criterion_5_kronecker_and_projector(rng):
     for cfg in TUNED_DEFAULTS:
         op = assemble_H(cfg)
         for ell in range(10):
-            values = apply_functionals(op.functionals, op.basis_function(ell))
+            values = apply_functionals(op.functionals, BaryQuadratic("volume", op.h_inv[:, ell]))
             assert np.max(np.abs(values - np.eye(10)[ell])) < 1e-10, (cfg.method_id, ell)
 
     tets = [make_random_tet(rng) for _ in range(20)]
@@ -203,7 +203,7 @@ def test_criterion_7_convergence_reproduction():
     started = time.perf_counter()
     functions = [TARGETS[fid] for fid in ("f1", "f3", "f5")]
     ns = (5, 10, 15)
-    methods = [StrategyConfig.classical()] + TUNED_DEFAULTS
+    methods = [StrategyConfig.of("classical")] + TUNED_DEFAULTS
     rows = convergence_study(functions, ns, methods)
 
     table = {(r.function, r.method, r.n): r.l1_error for r in rows}

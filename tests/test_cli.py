@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import histotet
-from histotet import QuadSettings, StrategyConfig, cli
+from histotet import QuadSettings, StrategyConfig, cli, mesh
 from histotet.cli import main
 
 
@@ -66,21 +66,29 @@ def test_commands_reject_flags_they_do_not_read(argv):
     assert exc.value.code == 2
 
 
+# The floor cases keep the ids that pytest derived from their earlier,
+# shorter messages, so that the test names do not change.
 @pytest.mark.parametrize("argv, message", [
     (["converge", "--functions", ","], "no target"),
     (["converge", "--n", ","], "no mesh"),
     (["converge", "--strategy", ","], "no strategy"),
     (["converge", "--functions", "fx..f3"], "bad function range"),
     (["converge", "--strategy", "vol", "--theta", "2"], "theta"),
-    (["tune", "--strategy", "ef", "--n", "1"], "--n must be >= 2, got 1"),
+    pytest.param(["tune", "--strategy", "ef", "--n", "1"],
+                 "--n: grid parameter n must be an integer >= 2, got 1",
+                 id="argv5---n must be >= 2, got 1"),
     (["tune", "--strategy", "vol", "--gamma", "1e-6"], "floor"),
-    (["converge", "--quad-m", "0"], "--quad-m must be >= 3"),
+    pytest.param(["converge", "--quad-m", "0"],
+                 "--quad-m: dof_points must be >= 3 for quadratic moments, got 0: a weighted moment",
+                 id="argv7---quad-m must be >= 3"),
     (["converge", "--strategy", "fv,fv"], "--strategy names fv more than once"),
     (["converge", "--functions", "f1,f1..f2"], "--functions names f1 more than once"),
     (["converge", "--n", "3,3"], "--n names 3 more than once"),
     (["tune", "--strategy", "ef", "--zeta", "2,2.0"], "--zeta names 2.0 more than once"),
     (["tune", "--strategy", "ef", "--functions", "F2,f9"], "unknown function id 'F2'"),
-    (["converge", "--error-degree", "0"], "--error-degree must be >= 1, got 0"),
+    pytest.param(["converge", "--error-degree", "0"],
+                 "--error-degree: error_degree must be >= 1, got 0",
+                 id="argv13---error-degree must be >= 1, got 0"),
     (["tune", "--strategy", "ef", "--alpha", "0.5", "--zeta", "1,2", "--nu", "1,2"],
      "--alpha is a fv parameter; --strategy does not name fv"),
     (["converge", "--strategy", "fv", "--gamma", "3"],
@@ -89,11 +97,15 @@ def test_commands_reject_flags_they_do_not_read(argv):
     (["check", "--strategy", "fv", "--theta", "0.3"],
      "--theta is a vol parameter; --strategy does not name vol"),
     # Two points per direction are exact to degree 3; weighted moments need 4.
-    (["converge", "--quad-m", "2", "--n", "3", "--functions", "f1"],
-     "--quad-m must be >= 3, got 2: a weighted moment"),
-    (["tune", "--strategy", "fv", "--quad-m", "2", "--n", "3", "--functions", "f1"],
-     "--quad-m must be >= 3, got 2: a weighted moment"),
-    (["project", "--quad-m", "2"], "--quad-m must be >= 3, got 2: a weighted moment"),
+    pytest.param(["converge", "--quad-m", "2", "--n", "3", "--functions", "f1"],
+                 "--quad-m: dof_points must be >= 3 for quadratic moments, got 2: a weighted moment",
+                 id="argv18---quad-m must be >= 3, got 2: a weighted moment"),
+    pytest.param(["tune", "--strategy", "fv", "--quad-m", "2", "--n", "3", "--functions", "f1"],
+                 "--quad-m: dof_points must be >= 3 for quadratic moments, got 2: a weighted moment",
+                 id="argv19---quad-m must be >= 3, got 2: a weighted moment"),
+    pytest.param(["project", "--quad-m", "2"],
+                 "--quad-m: dof_points must be >= 3 for quadratic moments, got 2: a weighted moment",
+                 id="argv20---quad-m must be >= 3, got 2: a weighted moment"),
     # A range that ends before it starts names nothing; it is not an empty set.
     (["converge", "--functions", "f1,f5..f2"], "bad function range 'f5..f2'"),
 ])
@@ -102,6 +114,23 @@ def test_bad_input_exits_2(tmp_path, capsys, argv, message):
     out = ["--out", str(tmp_path / "out")] if argv[0] in ("tune", "converge") else []
     assert run(argv + out) == 2
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, rule", [
+    (["converge", "--quad-m", "2"], lambda: QuadSettings(dof_points=2)),
+    (["converge", "--error-degree", "0"], lambda: QuadSettings(error_degree=0)),
+    (["converge", "--n", "1"], lambda: mesh.mesh_size(1)),
+    (["project", "--quad-m", "2"], lambda: QuadSettings(dof_points=2)),
+], ids=["converge-quad-m", "converge-error-degree", "converge-n", "project-quad-m"])
+def test_each_floor_has_one_home(tmp_path, capsys, argv, rule):
+    # The library states the floor; the CLI names the flag and repeats the
+    # library's message word for word.
+    with pytest.raises(ValueError) as library:
+        rule()
+    out = ["--functions", "f1", "--strategy", "classical", "--out", str(tmp_path / "out")]
+    assert run(argv + out if argv[0] == "converge" else argv) == 2
+    assert capsys.readouterr().err == f"error: {argv[1]}: {library.value}\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -134,7 +163,7 @@ def test_mesh_runs_refuse_meshes_larger_than_memory(tmp_path, capsys, monkeypatc
                        "--out", str(out / "big")]) == 2
     err = capsys.readouterr().err
     configs = (
-        [StrategyConfig.classical(), StrategyConfig.face_volume(2, 2)]
+        [StrategyConfig.of("classical"), StrategyConfig.face_volume(2, 2)]
         if argv[0] == "converge"
         else [StrategyConfig.edge_face(z, nu) for z in (1, 2) for nu in (1, 2, 3)]
     )

@@ -339,7 +339,7 @@ def test_stacked_expect_equals_one_moment_call_per_term():
 def test_grouped_functional_matrix_equals_one_row_at_a_time():
     configs = [StrategyConfig.of(m, a, b) for m in ("fv", "ef") for a in PARAM_GRID for b in PARAM_GRID]
     configs += [StrategyConfig.of("vol", t, g) for t in (0.0, 0.3, 1.0) for g in PARAM_GRID]
-    configs.append(StrategyConfig.classical())
+    configs.append(StrategyConfig.of("classical"))
     for cfg in configs:
         funcs = build_functionals(cfg)
         assert np.array_equal(_functional_matrix(funcs), functional_matrix_per_row(funcs)), cfg

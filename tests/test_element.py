@@ -28,7 +28,12 @@ from histotet.element import (
     det_dvol_closed,
     edge_diagonal_entry,
 )
-from histotet.densities import VOLUME_BASIS_EXPONENTS, face_ortho_quadratic, volumetric_psi
+from histotet.densities import (
+    VOLUME_BASIS_EXPONENTS,
+    face_ortho_quadratic,
+    volume_density,
+    volumetric_psi,
+)
 from histotet.simplex import EDGE_PAIRS, FACE_VERTEX_INDICES
 from oracles import apply_functionals, dfv_entries, dvol_entries, symmetric_quadratic_density
 
@@ -39,7 +44,7 @@ CONFIGS = [
     StrategyConfig.volumetric_blend(0.5, 2.0),
     StrategyConfig.edge_face(2.0, 2.0),
     StrategyConfig.face_volume(1.0, 1.0),
-    StrategyConfig.volumetric(variant="uniform"),
+    StrategyConfig.volumetric_blend(1.0, 1.0),
     StrategyConfig.edge_face(1.0, 1.0),
 ]
 
@@ -133,7 +138,7 @@ def test_closed_entries_match_moment_engine():
             mat = assemble_D(StrategyConfig.face_volume(alpha, beta))
             np.testing.assert_allclose(mat, dfv_layout(alpha, beta), rtol=1e-10, atol=0.0)
     for gamma in ORACLE_GRID:
-        mat = assemble_D(StrategyConfig.volumetric(gamma=gamma))
+        mat = assemble_D(StrategyConfig.volumetric_blend(0.0, gamma))
         np.testing.assert_allclose(mat, dvol_layout(gamma), rtol=1e-10, atol=0.0)
     for cfg in CONFIGS:
         op = assemble_H(cfg)
@@ -177,7 +182,7 @@ def test_fv_determinants_on_grid():
 
 def test_vol_determinants_on_grid():
     for gamma in PARAM_GRID:
-        rep = unisolvence_check(StrategyConfig.volumetric(gamma=gamma))
+        rep = unisolvence_check(StrategyConfig.volumetric_blend(0.0, gamma))
         assert rep.closed_form_det == det_dvol_closed(gamma)
         assert rep.rel_error < 1e-9
         assert rep.rank6 and rep.spd
@@ -227,7 +232,7 @@ def test_inverse_and_kronecker():
         np.testing.assert_allclose(op.h @ op.h_inv, np.eye(10), atol=1e-10)
         # analytic functionals applied to every basis column give e_l
         for ell in range(10):
-            values = apply_functionals(op.functionals, op.basis_function(ell))
+            values = apply_functionals(op.functionals, BaryQuadratic("volume", op.h_inv[:, ell]))
             np.testing.assert_allclose(values, np.eye(10)[ell], atol=1e-10)
 
 
@@ -374,12 +379,12 @@ def test_rank_deficient_blocks_are_rejected(monkeypatch, cfg, ratio):
 
 
 def test_volumetric_config_validation():
-    with pytest.raises(ValueError):
-        StrategyConfig.volumetric(variant="dirichlet")  # missing gamma
-    with pytest.raises(ValueError):
-        StrategyConfig.volumetric(variant="blend", gamma=2.0)  # blends use volumetric_blend
-    with pytest.raises(ValueError):
-        StrategyConfig.volumetric(variant="nope", gamma=2.0)
+    with pytest.raises(ValueError, match=r"vol takes parameters \('theta', 'gamma'\)"):
+        StrategyConfig.of("vol", 2.0)  # missing gamma
+    with pytest.raises(ValueError, match="theta must lie in"):
+        StrategyConfig.volumetric_blend(1.5, 2.0)
+    with pytest.raises(ValueError, match="unknown strategy 'nope'"):
+        StrategyConfig.of("nope", 2.0)
 
 
 def test_config_rejects_another_methods_parameters():
@@ -393,10 +398,12 @@ def test_config_rejects_another_methods_parameters():
 
 
 def test_volume_variants_are_blend_members():
+    # The dirichlet(gamma) and uniform volume densities are the blend's ends.
     for gamma in ORACLE_GRID:
-        cfg = StrategyConfig.volumetric("dirichlet", gamma=gamma)
-        assert cfg == StrategyConfig.volumetric_blend(0, gamma)
-    assert StrategyConfig.volumetric("uniform") == StrategyConfig.volumetric_blend(1, 1)
+        _, dirichlet = element._densities(StrategyConfig.volumetric_blend(0, gamma))
+        assert dirichlet == volume_density(gamma)
+        _, uniform = element._densities(StrategyConfig.volumetric_blend(1, gamma))
+        assert uniform == volume_density(1.0)
 
 
 def test_methods_table_drives_configs():

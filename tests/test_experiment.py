@@ -38,7 +38,7 @@ def test_dofs_of_constant(rng):
         dofs = compute_dofs(ONE, tet, cfg)
         np.testing.assert_allclose(dofs[:4], 1.0, atol=1e-13)
         np.testing.assert_allclose(dofs[4:], 0.0, atol=1e-13)
-    classical = compute_dofs(ONE, tet, StrategyConfig.classical())
+    classical = compute_dofs(ONE, tet, StrategyConfig.of("classical"))
     np.testing.assert_allclose(classical, np.ones(4), atol=1e-13)
 
 
@@ -88,7 +88,7 @@ def test_quadratics_are_reproduced_in_l1():
 def test_classical_reproduces_affines_in_l1():
     mesh = build_mesh(5)
     f = TargetFunction("affine", lambda p: 1.0 - p[..., 0] + 3.0 * p[..., 1])
-    assert l1_error(f, mesh, StrategyConfig.classical()) < 1e-11
+    assert l1_error(f, mesh, StrategyConfig.of("classical")) < 1e-11
 
 
 def test_refinement_reduces_error():
@@ -142,7 +142,7 @@ def test_non_finite_error_raises():
 
     f = TargetFunction("poisoned", poisoned)
     with pytest.raises(ValueError, match=r"function poisoned on mesh n=4") as info:
-        l1_error(f, mesh, StrategyConfig.classical())
+        l1_error(f, mesh, StrategyConfig.of("classical"))
     cell = int(str(info.value).rsplit("cell ", 1)[1])
     assert np.any(np.all(mesh.cell_vertex_array[cell] == 1.0, axis=-1))
 
@@ -180,7 +180,7 @@ def test_l1_error_is_deterministic():
 
 def test_convergence_study_shape_and_rows():
     functions = [TARGETS["f1"], TARGETS["f3"]]
-    methods = [StrategyConfig.classical(), StrategyConfig.edge_face(2.0, 2.0)]
+    methods = [StrategyConfig.of("classical"), StrategyConfig.edge_face(2.0, 2.0)]
     rows = convergence_study(functions, (3, 5), methods)
     assert len(rows) == 8
     assert {r.method for r in rows} == {"classical", "ef"}
@@ -189,7 +189,7 @@ def test_convergence_study_shape_and_rows():
     assert [r.l1_error for r in rows] == [r.l1_error for r in again]
 
 
-ALL_METHODS = [StrategyConfig.classical()] + QUADRATIC_CONFIGS
+ALL_METHODS = [StrategyConfig.of("classical")] + QUADRATIC_CONFIGS
 
 
 def test_study_rows_equal_stand_alone_errors_for_any_chunking(monkeypatch):
@@ -320,7 +320,7 @@ def test_study_bytes_counts_the_arrays_of_a_pass(monkeypatch):
     # is shared, and the error array and the chunks are the largest mesh's
     # pass, each chunk at the peak of the pass's schedule.
     settings = QuadSettings(dof_points=4, error_degree=5)
-    configs = [StrategyConfig.classical(), *QUADRATIC_CONFIGS, StrategyConfig.edge_face(1, 3)]
+    configs = [StrategyConfig.of("classical"), *QUADRATIC_CONFIGS, StrategyConfig.edge_face(1, 3)]
     meshes = [build_mesh(3), build_mesh(4)]
     tables = [_ErrorEngine(cfg, settings).table for cfg in configs]
     rule = simplex_rule_plain(3, settings.error_degree)
@@ -422,13 +422,13 @@ def test_study_computes_each_mesh_volume_once(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "det", counting_det)
     functions = [TARGETS[fid] for fid in ("f1", "f2", "f3")]
-    convergence_study(functions, (3, 4), [StrategyConfig.classical()])
+    convergence_study(functions, (3, 4), [StrategyConfig.of("classical")])
     assert sorted(sweeps) == [48, 162]
 
 
 def test_convergence_study_classical_exact_on_affine_lift():
     f = TargetFunction("affine", lambda p: 2.0 * p[..., 0] - p[..., 1] + 0.25)
-    rows = convergence_study([f], (4,), [StrategyConfig.classical()])
+    rows = convergence_study([f], (4,), [StrategyConfig.of("classical")])
     assert rows[0].l1_error < 1e-11
 
 
