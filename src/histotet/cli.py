@@ -397,7 +397,10 @@ def cmd_tune(args):
             "meshes": list(ns),
             "axes": list(result.axes),
             "pass_seconds": [
-                {"function": f, "n": n, "seconds": seconds} for f, n, seconds in result.pass_seconds
+                {"function": f, "n": n, "seconds": seconds} for f, n, seconds, _ in result.passes
+            ],
+            "pass_points": [
+                {"function": f, "n": n, "points": points} for f, n, _, points in result.passes
             ],
         },
     )
@@ -434,10 +437,10 @@ def cmd_converge(args):
                 [row.function, row.n, row.method, row.params, f"{row.l1_error:.16e}", "0.000"]
             )
 
-    by_function, seconds = {}, {}
+    by_function, passes = {}, {}
     for row in rows:
         by_function.setdefault(row.function, {}).setdefault(row.method, []).append(row)
-        seconds[row.function, row.n] = row.seconds
+        passes[row.function, row.n] = row
     svg_paths = []
     for fid in ids:
         series = []
@@ -464,7 +467,10 @@ def cmd_converge(args):
             "meshes": list(ns),
             "methods": [f"{c.method_id}:{c.params_text()}" for c in methods],
             "pass_seconds": [
-                {"function": f, "n": n, "seconds": seconds[f, n]} for f in ids for n in ns
+                {"function": f, "n": n, "seconds": passes[f, n].seconds} for f in ids for n in ns
+            ],
+            "pass_points": [
+                {"function": f, "n": n, "points": passes[f, n].points} for f in ids for n in ns
             ],
         },
     )

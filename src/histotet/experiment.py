@@ -8,15 +8,19 @@ the reconstruction coefficients follow from the precomputed inverse of the
 functional matrix.  One pass per (function, mesh) scores every strategy or
 tuning candidate.  A table is a concatenation of blocks, one per (domain,
 Dirichlet component, m), and strategies share blocks (the uniform face
-block of classical, vol and ef; a blend's uniform block for every theta),
-so each chunk of cells evaluates the target once per distinct block and
-once at the shared error nodes.  Per-cell contributions are accumulated in
-cell-index order so results are deterministic for any thread count.
+block of classical, vol and ef; a blend's uniform block for every theta).
+Each chunk of cells evaluates the target once per distinct volume block
+and cell, once per distinct face or edge of the chunk for the face and edge
+blocks, and once at the shared error nodes.  Per-cell contributions are
+accumulated in cell-index order so results are deterministic for any
+thread count.
 """
 
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cache, partial
 
 import numpy as np
 
@@ -28,8 +32,9 @@ from .element import (
     classical_coefficients,
     lambda_basis,
 )
-from .mesh import build_mesh, mesh_size
+from .mesh import build_mesh, kuhn_cells, mesh_size
 from .quadrature import plain_points, simplex_rule_plain
+from .targets import TargetFunction
 
 #: Scalars of DOF- and error-node values per cell row that size an engine's
 #: chunks; _schedule counts what a chunk holds at once.
@@ -126,10 +131,10 @@ def _chunk_slices(n_cells, block):
     return [slice(i, min(i + block, n_cells)) for i in range(0, n_cells, block)]
 
 
-def _target_values(f, cells, nodes):
+def _target_values(f, cells, nodes, out=None):
     """f at the nodes mapped into each cell, shape (cells, nodes), evaluated a
-    few cells at a time into one preallocated array."""
-    values = np.empty((len(cells), len(nodes)))
+    few cells at a time into `out` or a new array."""
+    values = np.empty((len(cells), len(nodes))) if out is None else out
     rows = max(1, _SLICE_POINTS // len(nodes))
     for i in range(0, len(cells), rows):
         # (P, 4) @ (c, 4, 3) -> (c, P, 3) batched over cells
@@ -185,66 +190,171 @@ class _ErrorEngine:
         return _l1_errors([self], f, mesh, threads)[0]
 
 
-def _schedule(tables, error_nodes, cells):
-    """(order, last_use, own_rows, rows, peak) of a pass over `cells` cells for
+def _source(key):
+    """What the DOF block of `key` is evaluated from (see DofTable).  A volume
+    block's nodes are its own.  A face or edge block's points depend only on
+    its domain's vertices, so the blocks of one (dim, exponents, m) share one
+    source, evaluated once per distinct domain of a chunk."""
+    vertices, exps, m = key
+    return key if len(vertices) == 4 else (len(vertices), exps, m)
+
+
+def _distinct(ids, domains):
+    """The distinct ordered vertex-id tuples of the local `domains` (vertex
+    tuples of one length) over cells with vertex ids `ids`, and the position
+    of each (cell, domain) among them, shape (cells, domains)."""
+    ids = ids[:, domains]  # (cells, domains, vertices of a domain)
+    flat = ids.reshape(-1, ids.shape[-1])
+    # One integer per ordered tuple.  The ids of a chunk of build_mesh cells
+    # span about cells / 6 + n^2, so span^3 fits in int64 up to n = 1,400,
+    # whose mesh arrays alone would take 2 TB.
+    low = flat.min()
+    codes = (flat - low) @ (int(flat.max() - low) + 1) ** np.arange(flat.shape[1])
+    unique, inverse = np.unique(codes, return_inverse=True)
+    tuples = np.empty((len(unique), flat.shape[1]), dtype=flat.dtype)
+    tuples[inverse.ravel()] = flat  # each (cell, domain) writes its own tuple
+    return tuples, inverse.reshape(ids.shape[:2])
+
+
+def _width(tables, error_nodes):
+    """Columns of a chunk's workspace: the widest DOF table, or the error
+    stage's values and temporary."""
+    return max(max(blocks[-1][2] for blocks in tables), 2 * error_nodes)
+
+
+def _schedule(tables, error_nodes, cells, first_cells=None):
+    """(order, kept, own_rows, rows, peak) of a pass over `cells` cells for
     engines with DOF blocks `tables`: engines grouped by their last block (a
-    grid then holds its shared blocks plus one of the others), each block's
-    last position in that order, each engine's chunk rows alone (its L1 sum's
-    partition), the pass's chunk rows, and the scalars a thread's chunk holds."""
+    grid then keeps its shared sources plus one of the others); the sources
+    a chunk keeps (every face and edge source, and a volume block used more
+    than once; see _Chunk), each with its last position in that order and
+    its local domains; each engine's chunk rows alone (its L1 sum's
+    partition); the pass's chunk rows; and the scalars a thread's chunk
+    holds at once.  first_cells(rows) gives the vertex ids of the pass's
+    first chunk, whose distinct faces and edges then size the kept face and
+    edge sources; without it, they count every domain of every cell."""
     own_rows = [_CHUNK_BUDGET // (blocks[-1][2] + error_nodes) for blocks in tables]
     group = {key: g for g, key in enumerate(dict.fromkeys(blocks[-1][0] for blocks in tables))}
     order = sorted(range(len(tables)), key=lambda i: group[tables[i][-1][0]])
-    last_use = {key: pos for pos, i in enumerate(order) for key, _, _ in tables[i]}
-    # Per cell row, the error stage holds f, two |f - p| temporaries and all
-    # coefficients; an engine's turn the cached blocks, their concatenated
-    # copy and the coefficients so far.
-    live, peak = {}, 3 * error_nodes + 10 * len(tables)
-    for pos, i in enumerate(order):
-        live.update((key, stop - start) for key, start, stop in tables[i])
-        peak = max(peak, sum(live.values()) + tables[i][-1][2] + 10 * (pos + 1))
-        live = {key: size for key, size in live.items() if last_use[key] > pos}
     rows = max(1, min(min(own_rows), cells))
-    return order, last_use, own_rows, rows, rows * peak
+    uses = Counter(_source(key) for blocks in tables for key, _, _ in blocks)
+    kept, nodes = {}, {}
+    for pos, i in enumerate(order):
+        for key, start, stop in tables[i]:
+            src = _source(key)
+            if src != key or uses[src] > 1:
+                domains = kept[src][1] if src in kept else ()
+                if key[0] not in domains:
+                    domains += (key[0],)
+                kept[src], nodes[src] = (pos, domains), stop - start
+    ids = None if first_cells is None else first_cells(rows)
+
+    @cache
+    def held_domains(domains):  # the domains a chunk holds values at
+        if ids is None or len(domains[0]) == 4:  # no sharing counted, or a volume block
+            return rows * len(domains)
+        return len(_distinct(ids, domains)[0])
+
+    # At each engine's turn: the workspace, the kept sources and the
+    # coefficients so far.
+    live, peak = set(), 0
+    for pos, i in enumerate(order):
+        live.update(_source(key) for key, _, _ in tables[i] if _source(key) in kept)
+        peak = max(peak, sum(held_domains(kept[src][1]) * nodes[src] for src in live) + rows * 10 * (pos + 1))
+        live = {src for src in live if kept[src][0] > pos}
+    return order, kept, own_rows, rows, rows * _width(tables, error_nodes) + peak
+
+
+class _Chunk:
+    """One chunk of a pass: f at the DOF and error nodes of cells[sl] of a
+    mesh.  One workspace (see _width) holds one engine's DOF values at a
+    time.  A source that one block uses is evaluated straight into its
+    columns; a kept source (see _schedule) is evaluated once and copied into
+    each engine that uses it until its last use.  A face or edge source is
+    evaluated once per distinct domain, keyed by the ordered global vertex
+    ids of the domain: build_mesh gives a shared face or edge the same vertex
+    order in all its cells, so each of them maps the same points."""
+
+    def __init__(self, f, mesh, sl, width):
+        self.f, self.vertices = f, mesh.vertices
+        self.cells, self.ids = mesh.cell_vertex_array[sl], mesh.cells[sl]
+        self.workspace = np.empty(len(self.cells) * width)
+        self.held, self.index = {}, {}
+
+    def matrix(self, columns, offset=0):
+        """A contiguous (rows, columns) view of the workspace."""
+        rows = len(self.cells)
+        return self.workspace[rows * offset : rows * (offset + columns)].reshape(rows, columns)
+
+    def dof_values(self, table, kept, pos):
+        """f at the table's nodes in each cell, in the workspace, for the
+        engine at position pos of the pass; then drops the kept sources
+        whose last use that is."""
+        values = self.matrix(len(table.nodes))
+        for key, start, stop in table.blocks:
+            src, nodes, out = _source(key), table.nodes[start:stop], values[:, start:stop]
+            if src not in kept:
+                _target_values(self.f, self.cells, nodes, out)
+                continue
+            domains = kept[src][1]
+            if src not in self.held:
+                self.held[src] = self._evaluate(domains, key[0], nodes)
+            held, inverse = self.held[src]
+            out[...] = held if inverse is None else held[inverse[:, domains.index(key[0])]]
+        for key, _, _ in table.blocks:
+            if kept.get(_source(key), (None,))[0] == pos:
+                self.held.pop(_source(key), None)
+        return values
+
+    def _evaluate(self, domains, vertices, nodes):
+        """(f at the nodes, lifted onto local `vertices`, of each cell or, for
+        a face or edge source, of each distinct domain of the chunk; the
+        position of each (cell, domain) among those, or None)."""
+        if len(vertices) == 4:
+            return _target_values(self.f, self.cells, nodes), None
+        if domains not in self.index:
+            self.index[domains] = _distinct(self.ids, domains)
+        tuples, inverse = self.index[domains]
+        # Each distinct domain placed on `vertices` of an otherwise zero cell.
+        cells = np.zeros((len(tuples), 4, 3))
+        cells[:, list(vertices)] = self.vertices[tuples]
+        return _target_values(self.f, cells, nodes), inverse
 
 
 def _l1_errors(engines, f, mesh, threads=1):
     """L1 error of every engine for one target on one mesh, in one pass.
 
     The engines share the error rule of the first engine's settings.  Each
-    chunk of cells evaluates f once per distinct DOF block (see DofTable)
-    and once at the error nodes, and stores every engine's per-cell errors.
+    chunk of cells (see _Chunk) evaluates f once per distinct face or edge
+    of each face or edge source, once per cell for each volume block, and
+    once at the error nodes, and stores every engine's per-cell errors.
     """
     if not engines:
         return []
     rule = simplex_rule_plain(3, engines[0].settings.error_degree)
     basis_t = lambda_basis(rule.nodes).T  # (10, E)
-    verts = mesh.cell_vertex_array
     n_cells = len(mesh)
-    order, last_use, own_rows, rows, _ = _schedule([e.table.blocks for e in engines], len(rule), n_cells)
+    tables = [e.table.blocks for e in engines]
+    order, kept, own_rows, rows, _ = _schedule(tables, len(rule), n_cells)
+    width = _width(tables, len(rule))
     cell_err = np.empty((len(engines), n_cells))
-    block_nodes = {
-        key: e.table.nodes[start:stop] for e in engines for key, start, stop in e.table.blocks
-    }
 
     def work(sl):
         # DOF nodes before error nodes: the other order raises peak memory.
-        cells = verts[sl]
-        cache, coeffs, finite = {}, {}, {}
+        chunk = _Chunk(f, mesh, sl, width)
+        coeffs, finite = {}, {}
         for pos, i in enumerate(order):
             e = engines[i]
-            keys = [key for key, _, _ in e.table.blocks]
-            for key in keys:
-                if key not in cache:
-                    cache[key] = _target_values(f, cells, block_nodes[key])
-            dofs = np.concatenate([cache[key] for key in keys], axis=1) @ e.table.weights.T
+            dofs = chunk.dof_values(e.table, kept, pos) @ e.table.weights.T
             coeffs[i] = e.coefficients(dofs)
             finite[i] = np.isfinite(dofs).all(axis=1)
-            for key in keys:
-                if last_use[key] == pos:
-                    cache.pop(key, None)
-        fe = _target_values(f, cells, rule.nodes)
+        # The error stage reuses the workspace: f, then one |f - p| temporary.
+        fe = _target_values(f, chunk.cells, rule.nodes, chunk.matrix(len(rule)))
+        diff = chunk.matrix(len(rule), len(rule))
         for i, row in enumerate(cell_err):
-            row[sl] = np.abs(fe - coeffs[i] @ basis_t) @ rule.weights
+            np.matmul(coeffs[i], basis_t, out=diff)
+            np.subtract(fe, diff, out=diff)
+            row[sl] = np.abs(diff, out=diff) @ rule.weights
         bad = np.flatnonzero(~np.isfinite(cell_err[:, sl]).all(axis=0))
         if bad.size:
             cell = bad[0]
@@ -279,16 +389,23 @@ def _l1_errors(engines, f, mesh, threads=1):
 def _passes(configs, functions, ns, settings, threads, meshes):
     """The study loop: add the meshes missing from `meshes` to it, build one
     engine per configuration, and yield (function, n, errors by configuration,
-    wall seconds) for each (function, mesh) pass, function-major."""
+    wall seconds, target points evaluated) for each (function, mesh) pass,
+    function-major."""
     for n in ns:
         if n not in meshes:
             meshes[n] = build_mesh(n)
     engines = [_ErrorEngine(cfg, settings) for cfg in configs]
     for f in functions:
         for n in ns:
+            calls = []  # points per target call; list.append is safe across threads
+
+            def counted(points, f=f, calls=calls):
+                calls.append(points.size // 3)
+                return f(points)
+
             start = time.perf_counter()
-            errors = _l1_errors(engines, f, meshes[n], threads)
-            yield f, n, errors, time.perf_counter() - start
+            errors = _l1_errors(engines, TargetFunction(f.id, counted), meshes[n], threads)
+            yield f, n, errors, time.perf_counter() - start, sum(calls)
 
 
 def study_bytes(ns, configs, settings, threads=1):
@@ -305,7 +422,8 @@ def study_bytes(ns, configs, settings, threads=1):
     error_nodes = plain_points(3, settings.error_degree) ** 3
     sizes = [mesh_size(n) for n in ns]
     meshes, cells = sum(s for _, s in sizes), max((c for c, _ in sizes), default=0)
-    *_, chunk = _schedule(tables, error_nodes, cells)
+    first_cells = partial(kuhn_cells, max(ns)) if ns else None
+    *_, chunk = _schedule(tables, error_nodes, cells, first_cells)
     return 8 * (
         meshes + sum((4 + len(fs)) * t[-1][2] for fs, t in zip(functionals, tables))
         + 15 * error_nodes + cells * len(configs) + threads * chunk
@@ -322,6 +440,7 @@ class ErrorRow:
     params: str
     l1_error: float
     seconds: float
+    points: int  # target points its pass evaluated
 
 
 def convergence_study(functions, ns, methods, settings=QuadSettings(), threads=1):
@@ -331,13 +450,13 @@ def convergence_study(functions, ns, methods, settings=QuadSettings(), threads=1
     StrategyConfigs.  One pass per (function, mesh) scores every method; a
     row's seconds are the wall time of its pass.  Rows appear in
     method-major, function, mesh order and the numbers are deterministic for
-    fixed settings.
+    fixed settings.  A row's points are the target points its pass evaluated.
     """
     passes = list(_passes(methods, functions, ns, settings, threads, {}))
     return [
-        ErrorRow(f.id, int(n), cfg.method_id, cfg.params_text(), errors[i], seconds)
+        ErrorRow(f.id, int(n), cfg.method_id, cfg.params_text(), errors[i], seconds, points)
         for i, cfg in enumerate(methods)
-        for f, n, errors, seconds in passes
+        for f, n, errors, seconds, points in passes
     ]
 
 
@@ -370,7 +489,7 @@ class TuneResult:
     surface: np.ndarray  # (len(first), len(second)) accumulated L1 errors
     first: tuple
     second: tuple
-    pass_seconds: tuple  # (function id, n, wall seconds) of each pass, in pass order
+    passes: tuple  # (function id, n, wall seconds, target points) of each pass, in pass order
 
     def surface_rows(self):
         """(first, second, accumulated_error) triples in row-major order."""
@@ -393,10 +512,10 @@ def grid_search(grid, settings=QuadSettings(), threads=1, meshes=None):
         meshes = {}
     configs = [StrategyConfig.of(grid.kind, a, b) for a in grid.first for b in grid.second]
     surface = np.zeros((len(grid.first), len(grid.second)))
-    pass_seconds = []
-    for f, n, errors, seconds in _passes(configs, grid.functions, grid.ns, settings, threads, meshes):
+    passes = []
+    for f, n, errors, seconds, points in _passes(configs, grid.functions, grid.ns, settings, threads, meshes):
         surface += np.reshape(errors, surface.shape)
-        pass_seconds.append((f.id, n, seconds))
+        passes.append((f.id, n, seconds, points))
 
     # argmin returns the first minimum in row-major order; the surface is
     # finite, because _l1_errors raises on a non-finite cell error.
@@ -411,5 +530,5 @@ def grid_search(grid, settings=QuadSettings(), threads=1, meshes=None):
         surface=surface,
         first=tuple(grid.first),
         second=tuple(grid.second),
-        pass_seconds=tuple(pass_seconds),
+        passes=tuple(passes),
     )

@@ -60,31 +60,27 @@ def mesh_size(n):
     return cells, 3 * int(n) ** 3 + cells * (4 + 12 + 1)
 
 
+def kuhn_cells(n, count=None):
+    """Vertex ids of the first `count` cells (all by default) of the mesh of
+    grid parameter n, shape (count, 4): six cells per cube (see the module
+    docstring), cubes in (i, j, k) row-major order of their low corners."""
+    total, n = mesh_size(n)[0], int(n)
+    count = total if count is None else min(count, total)
+    corner = np.stack(np.unravel_index(np.arange(-(-count // 6)), (n - 1,) * 3), axis=1)
+    cells = np.empty((6 * len(corner), 4), dtype=np.int64)
+    for t, perm in enumerate(_KUHN_PERMUTATIONS):
+        p1 = corner + _UNIT_STEPS[perm[0]]
+        p2 = p1 + _UNIT_STEPS[perm[1]]
+        cells[t::6] = np.stack([p @ (n * n, n, 1) for p in (corner, p1, p2, corner + 1)], axis=1)
+    return cells[:count]
+
+
 def build_mesh(n):
     """The Kuhn-split TetMesh of grid parameter n (see mesh_size) on [0,1]^3."""
-    n_cells, n = mesh_size(n)[0], int(n)
+    cells, n = kuhn_cells(n), int(n)
     axis = np.linspace(0.0, 1.0, n)
     ii, jj, kk = np.meshgrid(np.arange(n), np.arange(n), np.arange(n), indexing="ij")
     vertices = np.column_stack(
         [axis[ii.ravel()], axis[jj.ravel()], axis[kk.ravel()]]
     )
-
-    def vid(i, j, k):
-        return (i * n + j) * n + k
-
-    m = n - 1
-    ci, cj, ck = np.meshgrid(np.arange(m), np.arange(m), np.arange(m), indexing="ij")
-    corner = np.stack([ci.ravel(), cj.ravel(), ck.ravel()], axis=1)  # (m^3, 3)
-
-    cells = np.empty((n_cells, 4), dtype=np.int64)
-    for t, perm in enumerate(_KUHN_PERMUTATIONS):
-        p0 = corner
-        p1 = p0 + _UNIT_STEPS[perm[0]]
-        p2 = p1 + _UNIT_STEPS[perm[1]]
-        p3 = corner + 1
-        block = np.stack(
-            [vid(p[:, 0], p[:, 1], p[:, 2]) for p in (p0, p1, p2, p3)], axis=1
-        )
-        cells[t::6] = block
-
     return TetMesh(n, vertices, cells)

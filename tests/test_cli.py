@@ -327,6 +327,38 @@ def test_converge_pass_seconds_in_metadata(tmp_path, monkeypatch):
     assert meta["pass_seconds"] == passes
 
 
+def test_metadata_counts_the_target_points_of_each_pass(tmp_path, monkeypatch):
+    from histotet.targets import TARGETS, TargetFunction
+
+    argvs = {
+        "converge": ["converge", "--functions", "f1,f2", "--n", "3,4", "--strategy", "classical,ef"],
+        "tune": ["tune", "--strategy", "vol", "--theta", "0,1", "--gamma", "2",
+                 "--functions", "f1,f2", "--n", "3,4"],
+    }
+    plain = {}
+    for name, argv in argvs.items():
+        assert run([*argv, "--out", str(tmp_path / name)]) == 0
+        plain[name] = {path.name: path.read_bytes() for path in (tmp_path / name).glob("*.csv")}
+    tally = {}
+    for fid in ("f1", "f2"):
+        def counted(points, fn=TARGETS[fid], fid=fid):
+            tally[fid] = tally.get(fid, 0) + points.size // 3
+            return fn(points)
+
+        monkeypatch.setitem(TARGETS, fid, TargetFunction(fid, counted))
+    for name, argv in argvs.items():
+        tally.clear()
+        out = tmp_path / f"{name}-counted"
+        assert run([*argv, "--out", str(out)]) == 0
+        meta = json.loads((out / "run_metadata.json").read_text())
+        passes = meta["pass_points"]
+        assert [(p["function"], p["n"]) for p in passes] == [(f, n) for f in ("f1", "f2") for n in (3, 4)]
+        for fid in ("f1", "f2"):
+            assert sum(p["points"] for p in passes if p["function"] == fid) == tally[fid] > 0
+        # Counting changes no output file.
+        assert {path.name: path.read_bytes() for path in out.glob("*.csv")} == plain[name]
+
+
 def test_tune_writes_surface(tmp_path, capsys):
     out = tmp_path / "tuned"
     code = run([

@@ -135,10 +135,9 @@ def test_non_finite_error_raises():
     mesh = build_mesh(4)
 
     def poisoned(p):
-        values = np.sin(p[..., 0])
-        corner = np.unravel_index(np.argmax(p.sum(axis=-1)), values.shape)
-        values[corner] = np.nan  # one point per call, next to the corner (1, 1, 1)
-        return values
+        # Non-finite in a small ball around the corner (1, 1, 1), whatever
+        # points a call holds.
+        return np.where(np.sum((p - 1.0) ** 2, axis=-1) < 0.05**2, np.nan, np.sin(p[..., 0]))
 
     f = TargetFunction("poisoned", poisoned)
     with pytest.raises(ValueError, match=r"function poisoned on mesh n=4") as info:
@@ -213,6 +212,28 @@ def test_study_rows_equal_stand_alone_errors_for_any_chunking(monkeypatch):
         assert [r.seconds for r in rows] == [r.seconds for r in rows[:2]] * 4
 
 
+def distinct_points(mesh, configs, rows, error_nodes=216):
+    """Target points of one pass of `configs` over `mesh` in chunks of `rows`
+    cells: per chunk, each face or edge source (blocks of one dimension,
+    exponents and m) once per distinct ordered vertex tuple of its domains,
+    and each distinct volume block and the error nodes once per cell."""
+    from histotet.experiment import _chunk_slices, build_dof_table
+
+    sources, volumes = {}, {}
+    for cfg in configs:
+        for (vertices, exps, m), start, stop in build_dof_table(cfg).blocks:
+            if len(vertices) == 4:
+                volumes[vertices, exps, m] = stop - start
+            else:
+                sources.setdefault((len(vertices), exps, m), (stop - start, set()))[1].add(vertices)
+    total = len(mesh) * (sum(volumes.values()) + error_nodes)
+    for sl in _chunk_slices(len(mesh), rows):
+        for nodes, domains in sources.values():
+            cells = mesh.cells[sl]
+            total += nodes * len({tuple(cell[list(v)]) for cell in cells for v in domains})
+    return total
+
+
 def test_one_pass_evaluates_each_node_set_once():
     from histotet.experiment import build_dof_table
 
@@ -224,18 +245,22 @@ def test_one_pass_evaluates_each_node_set_once():
 
     target = TargetFunction("counted", counted)
     mesh = build_mesh(3)
-    convergence_study([target], (3,), ALL_METHODS)
-    # Each distinct DOF block once (the uniform face block serves classical,
-    # vol and ef; fv and vol share the dirichlet(2) volume block), then the
-    # error nodes once.
+    rows = convergence_study([target], (3,), ALL_METHODS)
+    # Each distinct DOF block once per cell would be 1,584 points per cell
+    # (the uniform face block serves classical, vol and ef; fv and vol share
+    # the dirichlet(2) volume block), then the error nodes once.  The 48
+    # cells make one chunk, which evaluates each face or edge source once per
+    # distinct face or edge: 120 of the 192 faces and 98 of the 288 edges.
     blocks = {
         key: stop - start
         for cfg in ALL_METHODS
         for key, start, stop in build_dof_table(cfg).blocks
     }
-    distinct = sum(blocks.values())
-    assert sum(points) == len(mesh) * (distinct + len(simplex_rule_plain(3, 8)))
-    assert distinct + 216 == 1800
+    assert sum(blocks.values()) + 216 == 1800
+    expected = distinct_points(mesh, ALL_METHODS, len(mesh))
+    assert sum(points) == expected == 48 * (1024 + 216) + 64 * 120 * 2 + 8 * 98
+    # Every row records the points of its pass.
+    assert {r.points for r in rows} == {sum(points)}
     # With no methods there is no pass to run.
     del points[:]
     assert convergence_study([target], (3,), []) == []
@@ -257,17 +282,22 @@ def test_grid_pass_evaluates_each_block_once(monkeypatch):
     grid = _PARAM_FLAGS["alpha"][1]  # the default 6x6 fv grid
     configs = [StrategyConfig.face_volume(a, b) for a in grid for b in grid]
     engines = [experiment._ErrorEngine(cfg, QuadSettings()) for cfg in configs]
-    # 24 face blocks of 64 nodes, 6 volume blocks of 512 and the 216 error nodes.
-    for budget in (experiment._CHUNK_BUDGET, 20_000):
+    # Per chunk: 6 face sources of 64 nodes at each distinct face, then 6
+    # volume blocks of 512 nodes and the 216 error nodes per cell.
+    for budget, rows in ((experiment._CHUNK_BUDGET, 48), (20_000, 20)):
         monkeypatch.setattr(experiment, "_CHUNK_BUDGET", budget)
         alone = [l1_error(target, mesh, cfg) for cfg in configs]
         del points[:]
-        result = grid_search(TuningGrid("fv", grid, grid, (target,), (3,)), meshes={3: mesh})
-        assert sum(points) == len(mesh) * 4824
+        result = grid_search(TuningGrid("fv", grid, grid, (target,), (3,)), threads=2, meshes={3: mesh})
+        assert sum(points) == distinct_points(mesh, configs, rows)
+        assert [p for *_, p in result.passes] == [sum(points)]
         assert list(result.surface.ravel()) == alone  # bitwise
         reversed_errors = experiment._l1_errors(engines[::-1], target, mesh)
         assert reversed_errors == alone[::-1]
     assert len(experiment._chunk_slices(len(mesh), 20_000 // (768 + 216))) == 3
+    # One chunk evaluates the 120 distinct faces of the 192; three chunks 137.
+    assert distinct_points(mesh, configs, 48) == 48 * (3072 + 216) + 6 * 64 * 120
+    assert distinct_points(mesh, configs, 20) == 48 * (3072 + 216) + 6 * 64 * 137
 
 
 def test_observed_convergence_orders():
@@ -332,16 +362,22 @@ def test_study_bytes_counts_the_arrays_of_a_pass(monkeypatch):
     ]
     fixed = sum(a.nbytes for a in arrays)
     blocks = [t.blocks for t in tables]
-    *_, rows, peak = _schedule(blocks, len(rule), len(meshes[-1]))
+
+    def first(rows):  # the vertex ids of the largest mesh's first chunk
+        return meshes[-1].cells[:rows]
+
+    *_, rows, peak = _schedule(blocks, len(rule), len(meshes[-1]), first)
     assert rows == len(meshes[-1])  # the 162 cells make one chunk
     assert study_bytes((3, 4), configs, settings, threads=3) == fixed + 3 * 8 * peak
 
-    # A chunk holds at least one cell, with every DOF block of the largest
-    # table and its concatenated copy, however small the budget.
+    # A chunk holds at least one cell, however small the budget: the widest
+    # table in its workspace, and every domain of the kept sources, since
+    # one cell shares no face or edge.
     monkeypatch.setattr(experiment, "_CHUNK_BUDGET", 10)
-    *_, rows, one_cell = _schedule(blocks, len(rule), len(meshes[-1]))
-    assert rows == 1 and peak == len(meshes[-1]) * one_cell
-    assert one_cell > 2 * max(len(t.nodes) for t in tables)
+    *_, rows, one_cell = _schedule(blocks, len(rule), len(meshes[-1]), first)
+    assert rows == 1 and one_cell == _schedule(blocks, len(rule), 1)[-1]
+    assert one_cell > max(len(t.nodes) for t in tables)
+    assert peak < len(meshes[-1]) * one_cell  # the 162 cells share faces and edges
     assert study_bytes((3, 4), configs, settings, threads=3) == fixed + 3 * 8 * one_cell
 
 
@@ -349,20 +385,33 @@ def test_schedule_of_the_default_methods():
     from histotet.experiment import _schedule, build_dof_table
 
     tables = [build_dof_table(cfg).blocks for cfg in ALL_METHODS]
-    order, last_use, own_rows, rows, peak = _schedule(tables, 216, 10**6)
+    order, kept, own_rows, rows, peak = _schedule(tables, 216, 10**6)
     # fv and vol both end on the dirichlet(2) volume block, so they stay
-    # together, in their given order.  The uniform face blocks are kept for
-    # ef, the dirichlet(2) volume block for vol; fv's faces go after fv.
+    # together, in their given order.
     assert order == [0, 1, 2, 3]
-    assert {last_use[key] for key, _, _ in tables[0]} == {3}
-    assert tables[1][-1][0] == tables[2][-1][0] and last_use[tables[1][-1][0]] == 2
-    assert {last_use[key] for key, _, _ in tables[1][:4]} == {1}
+    # Kept until their last use: the uniform face source (classical, vol,
+    # ef), fv's dirichlet(2) faces, the dirichlet(2) volume block (fv, vol)
+    # and ef's edges.  vol's uniform volume block, used once, is not kept.
+    faces = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
+    assert kept == {
+        (3, (0.0,) * 3, 8): (3, faces),
+        (3, (1.0,) * 3, 8): (1, faces),
+        ((0, 1, 2, 3), (1.0,) * 4, 8): (2, ((0, 1, 2, 3),)),
+        (2, (1.0, 1.0), 8): (3, ((1, 0), (2, 0), (3, 0), (2, 1), (3, 1), (3, 2))),
+    }
     assert own_rows == [4_000_000 // (n + 216) for n in (256, 768, 1280, 304)]
     assert rows == min(own_rows) == 2673
-    # vol's turn is the peak: the four uniform faces kept for ef (256 nodes),
-    # its two volume blocks (1,024), their concatenated copy (1,280) and the
-    # coefficients of three engines (30).
-    assert peak == rows * (256 + 1024 + 1280 + 30)
+    # fv's turn is the peak: the workspace as wide as vol's table (1,280),
+    # the uniform and fv's face sources (256 nodes each, every face of every
+    # cell when no mesh is given), the dirichlet(2) volume block (512) and
+    # the coefficients of two engines (20).
+    assert peak == rows * (1280 + 256 + 256 + 512 + 20)
+    # On a mesh, the distinct faces of its first chunk size the face sources.
+    mesh = build_mesh(15)
+    distinct = len({tuple(cell[list(v)]) for cell in mesh.cells[:rows] for v in faces})
+    assert 0.5 < distinct / (4 * rows) < 0.6
+    on_mesh = _schedule(tables, 216, len(mesh), lambda r: mesh.cells[:r])[-1]
+    assert on_mesh == rows * (1280 + 512 + 20) + 2 * 64 * distinct
 
 
 @pytest.mark.parametrize("configs", [

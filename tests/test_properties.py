@@ -17,6 +17,7 @@ from histotet import (
     volumetric_psi,
 )
 from histotet import experiment
+from histotet.cli import _PARAM_FLAGS
 from histotet.densities import Density
 from histotet.element import build_functionals
 from histotet.experiment import _ErrorEngine, _l1_errors
@@ -166,3 +167,46 @@ def test_pass_errors_do_not_depend_on_thread_count(candidates, fid):
         threaded = _l1_errors(engines, TARGETS[fid], MESH4, threads=2)
     assert min(chunk_counts) >= 3
     assert serial == threaded
+
+
+DEFAULT_METHODS = [
+    StrategyConfig.of("classical"),
+    StrategyConfig.face_volume(2.0, 2.0),
+    StrategyConfig.volumetric_blend(0.5, 2.0),
+    StrategyConfig.edge_face(2.0, 2.0),
+]
+FV_GRID = [StrategyConfig.face_volume(a, b) for a in _PARAM_FLAGS["alpha"][1] for b in _PARAM_FLAGS["beta"][1]]
+
+
+@pytest.mark.parametrize("budget", [experiment._CHUNK_BUDGET, 50_000, 20_000])
+def test_shared_points_give_each_cell_its_own_values(budget, monkeypatch):
+    # A chunk evaluates each face and edge source once per distinct face or
+    # edge and gathers the values into every cell that has it.  Each cell's
+    # DOF-block values must still be those of its own mapped points, bit for
+    # bit: if a BLAS maps a shared face differently in two of its cells, the
+    # sharing would move bytes, and this fails instead.
+    f = TARGETS["f1"]
+    dof_values = experiment._Chunk.dof_values
+    checked, own = [], {}  # own values of each (chunk, block), computed once
+
+    def checked_dof_values(chunk, table, kept, pos):
+        values = dof_values(chunk, table, kept, pos)
+        for key, start, stop in table.blocks:
+            where = (chunk.cells.ctypes.data, key)
+            if where not in own:
+                own[where] = experiment._target_values(f, chunk.cells, table.nodes[start:stop])
+            assert np.array_equal(values[:, start:stop], own[where])
+        checked.append(len(chunk.cells))
+        return values
+
+    monkeypatch.setattr(experiment, "_CHUNK_BUDGET", budget)
+    monkeypatch.setattr(experiment._Chunk, "dof_values", checked_dof_values)
+    for configs in (DEFAULT_METHODS, FV_GRID):
+        engines = [_ErrorEngine(cfg, QuadSettings()) for cfg in configs]
+        for n in range(2, 7):
+            mesh = build_mesh(n)
+            for threads in (1, 2):
+                del checked[:]
+                own.clear()
+                _l1_errors(engines, f, mesh, threads)
+                assert sum(checked) == len(engines) * len(mesh)
