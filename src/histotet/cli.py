@@ -344,7 +344,10 @@ def cmd_check(args):
     return 0
 
 
-def _write_metadata(out, args, extra):
+def _write_metadata(out, args, extra, passes):
+    """run_metadata.json: the run's settings, `extra`, and the wall seconds
+    and target points of each pass, given as (function id, n, seconds,
+    points) in pass order."""
     meta = {
         "version": __version__,
         "quad_points_per_direction": args.quad_m,
@@ -359,6 +362,8 @@ def _write_metadata(out, args, extra):
         ),
     }
     meta.update(extra)
+    meta["pass_seconds"] = [{"function": f, "n": n, "seconds": s} for f, n, s, _ in passes]
+    meta["pass_points"] = [{"function": f, "n": n, "points": p} for f, n, _, p in passes]
     with open(out / "run_metadata.json", "w", encoding="utf-8") as handle:
         json.dump(meta, handle, indent=2, sort_keys=True)
         handle.write("\n")
@@ -396,13 +401,8 @@ def cmd_tune(args):
             "functions": ids,
             "meshes": list(ns),
             "axes": list(result.axes),
-            "pass_seconds": [
-                {"function": f, "n": n, "seconds": seconds} for f, n, seconds, _ in result.passes
-            ],
-            "pass_points": [
-                {"function": f, "n": n, "points": points} for f, n, _, points in result.passes
-            ],
         },
+        result.passes,
     )
 
     a_name, b_name = result.axes
@@ -437,10 +437,9 @@ def cmd_converge(args):
                 [row.function, row.n, row.method, row.params, f"{row.l1_error:.16e}", "0.000"]
             )
 
-    by_function, passes = {}, {}
+    by_function = {}
     for row in rows:
         by_function.setdefault(row.function, {}).setdefault(row.method, []).append(row)
-        passes[row.function, row.n] = row
     svg_paths = []
     for fid in ids:
         series = []
@@ -466,13 +465,9 @@ def cmd_converge(args):
             "functions": ids,
             "meshes": list(ns),
             "methods": [f"{c.method_id}:{c.params_text()}" for c in methods],
-            "pass_seconds": [
-                {"function": f, "n": n, "seconds": passes[f, n].seconds} for f in ids for n in ns
-            ],
-            "pass_points": [
-                {"function": f, "n": n, "points": passes[f, n].points} for f in ids for n in ns
-            ],
         },
+        # Every method's rows repeat their pass, in (function, mesh) order.
+        dict.fromkeys((r.function, r.n, r.seconds, r.points) for r in rows),
     )
     print(f"{len(rows)} rows -> {csv_path} ({elapsed:.1f} s compute)")
     print(f"{len(svg_paths)} charts -> {out}")

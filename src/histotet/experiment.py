@@ -11,16 +11,18 @@ Dirichlet component, m), and strategies share blocks (the uniform face
 block of classical, vol and ef; a blend's uniform block for every theta).
 Each chunk of cells evaluates the target once per distinct volume block
 and cell, once per distinct face or edge of the chunk for the face and edge
-blocks, and once at the shared error nodes.  Per-cell contributions are
-accumulated in cell-index order so results are deterministic for any
-thread count.
+blocks, and once at the shared error nodes.  One plan per pass (_Plan)
+orders the engines, counts the blocks that use each source of target
+values and sizes the chunks: a chunk holds a source that several blocks use
+until its count runs out, and study_bytes walks the same plan to count a
+chunk's peak memory.  Per-cell contributions are accumulated in cell-index
+order so results are deterministic for any thread count.
 """
 
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import cache, partial
 
 import numpy as np
 
@@ -37,7 +39,7 @@ from .quadrature import plain_points, simplex_rule_plain
 from .targets import TargetFunction
 
 #: Scalars of DOF- and error-node values per cell row that size an engine's
-#: chunks; _schedule counts what a chunk holds at once.
+#: chunks; study_bytes counts what a chunk holds at once.
 _CHUNK_BUDGET = 4_000_000
 
 #: Points mapped and evaluated at a time inside a chunk.
@@ -216,141 +218,103 @@ def _distinct(ids, domains):
     return tuples, inverse.reshape(ids.shape[:2])
 
 
-def _width(tables, error_nodes):
-    """Columns of a chunk's workspace: the widest DOF table, or the error
-    stage's values and temporary."""
-    return max(max(blocks[-1][2] for blocks in tables), 2 * error_nodes)
+class _Plan:
+    """The plan of a pass over `cells` cells for engines with DOF blocks
+    `tables`, computed once: the engine order, grouped by last block (a grid
+    then holds its shared sources plus one of the others); the number of
+    blocks that use each source; the local domains of each length below 4,
+    one tuple for the faces and one for the edges (every face source covers
+    the four faces of a cell and every edge source its six edges); each
+    engine's chunk rows alone (its L1 sum's partition); the pass's chunk
+    rows; and the columns of a chunk's workspace, for the widest DOF table
+    or the error stage's values and temporary."""
+
+    def __init__(self, tables, error_nodes, cells):
+        keys = [key for blocks in tables for key, _, _ in blocks]
+        group = {key: g for g, key in enumerate(dict.fromkeys(blocks[-1][0] for blocks in tables))}
+        self.order = sorted(range(len(tables)), key=lambda i: group[tables[i][-1][0]])
+        self.uses = Counter(_source(key) for key in keys)
+        self.domains = {}
+        for vertices in dict.fromkeys(v for v, _, _ in keys if len(v) < 4):
+            self.domains[len(vertices)] = self.domains.get(len(vertices), ()) + (vertices,)
+        self.own_rows = [_CHUNK_BUDGET // (blocks[-1][2] + error_nodes) for blocks in tables]
+        self.rows = max(1, min(min(self.own_rows), cells))
+        self.width = max(max(blocks[-1][2] for blocks in tables), 2 * error_nodes)
 
 
-def _schedule(tables, error_nodes, cells, first_cells=None):
-    """(order, kept, own_rows, rows, peak) of a pass over `cells` cells for
-    engines with DOF blocks `tables`: engines grouped by their last block (a
-    grid then keeps its shared sources plus one of the others); the sources
-    a chunk keeps (every face and edge source, and a volume block used more
-    than once; see _Chunk), each with its last position in that order and
-    its local domains; each engine's chunk rows alone (its L1 sum's
-    partition); the pass's chunk rows; and the scalars a thread's chunk
-    holds at once.  first_cells(rows) gives the vertex ids of the pass's
-    first chunk, whose distinct faces and edges then size the kept face and
-    edge sources; without it, they count every domain of every cell."""
-    own_rows = [_CHUNK_BUDGET // (blocks[-1][2] + error_nodes) for blocks in tables]
-    group = {key: g for g, key in enumerate(dict.fromkeys(blocks[-1][0] for blocks in tables))}
-    order = sorted(range(len(tables)), key=lambda i: group[tables[i][-1][0]])
-    rows = max(1, min(min(own_rows), cells))
-    uses = Counter(_source(key) for blocks in tables for key, _, _ in blocks)
-    kept, nodes = {}, {}
-    for pos, i in enumerate(order):
-        for key, start, stop in tables[i]:
-            src = _source(key)
-            if src != key or uses[src] > 1:
-                domains = kept[src][1] if src in kept else ()
-                if key[0] not in domains:
-                    domains += (key[0],)
-                kept[src], nodes[src] = (pos, domains), stop - start
-    ids = None if first_cells is None else first_cells(rows)
-
-    @cache
-    def held_domains(domains):  # the domains a chunk holds values at
-        if ids is None or len(domains[0]) == 4:  # no sharing counted, or a volume block
-            return rows * len(domains)
-        return len(_distinct(ids, domains)[0])
-
-    # At each engine's turn: the workspace, the kept sources and the
-    # coefficients so far.
-    live, peak = set(), 0
-    for pos, i in enumerate(order):
-        live.update(_source(key) for key, _, _ in tables[i] if _source(key) in kept)
-        peak = max(peak, sum(held_domains(kept[src][1]) * nodes[src] for src in live) + rows * 10 * (pos + 1))
-        live = {src for src in live if kept[src][0] > pos}
-    return order, kept, own_rows, rows, rows * _width(tables, error_nodes) + peak
-
-
-class _Chunk:
-    """One chunk of a pass: f at the DOF and error nodes of cells[sl] of a
-    mesh.  One workspace (see _width) holds one engine's DOF values at a
-    time.  A source that one block uses is evaluated straight into its
-    columns; a kept source (see _schedule) is evaluated once and copied into
-    each engine that uses it until its last use.  A face or edge source is
-    evaluated once per distinct domain, keyed by the ordered global vertex
-    ids of the domain: build_mesh gives a shared face or edge the same vertex
-    order in all its cells, so each of them maps the same points."""
-
-    def __init__(self, f, mesh, sl, width):
-        self.f, self.vertices = f, mesh.vertices
-        self.cells, self.ids = mesh.cell_vertex_array[sl], mesh.cells[sl]
-        self.workspace = np.empty(len(self.cells) * width)
-        self.held, self.index = {}, {}
-
-    def matrix(self, columns, offset=0):
-        """A contiguous (rows, columns) view of the workspace."""
-        rows = len(self.cells)
-        return self.workspace[rows * offset : rows * (offset + columns)].reshape(rows, columns)
-
-    def dof_values(self, table, kept, pos):
-        """f at the table's nodes in each cell, in the workspace, for the
-        engine at position pos of the pass; then drops the kept sources
-        whose last use that is."""
-        values = self.matrix(len(table.nodes))
+def _dof_values(f, mesh, sl, tables, plan, workspace):
+    """Yield (engine, f at its DOF table's nodes in each of the cells sl of
+    the mesh) for each engine in plan order, each a view of the same
+    workspace.  A source that one block uses is evaluated straight into the
+    block's columns.  One that more blocks use is evaluated at its first
+    use, copied into each of them and dropped when its count runs out.  A
+    face or edge source is evaluated once per distinct domain, keyed by the
+    ordered global vertex ids of the domain: build_mesh gives a shared face
+    or edge the same vertex order in all its cells, so each of them maps the
+    same points."""
+    cells, ids = mesh.cell_vertex_array[sl], mesh.cells[sl]
+    held, index, left = {}, {}, Counter(plan.uses)
+    for i in plan.order:
+        table = tables[i]
+        values = workspace[: len(cells) * len(table.nodes)].reshape(len(cells), -1)
         for key, start, stop in table.blocks:
             src, nodes, out = _source(key), table.nodes[start:stop], values[:, start:stop]
-            if src not in kept:
-                _target_values(self.f, self.cells, nodes, out)
+            vertices = key[0]
+            if plan.uses[src] == 1:
+                _target_values(f, cells, nodes, out)
                 continue
-            domains = kept[src][1]
-            if src not in self.held:
-                self.held[src] = self._evaluate(domains, key[0], nodes)
-            held, inverse = self.held[src]
-            out[...] = held if inverse is None else held[inverse[:, domains.index(key[0])]]
-        for key, _, _ in table.blocks:
-            if kept.get(_source(key), (None,))[0] == pos:
-                self.held.pop(_source(key), None)
-        return values
-
-    def _evaluate(self, domains, vertices, nodes):
-        """(f at the nodes, lifted onto local `vertices`, of each cell or, for
-        a face or edge source, of each distinct domain of the chunk; the
-        position of each (cell, domain) among those, or None)."""
-        if len(vertices) == 4:
-            return _target_values(self.f, self.cells, nodes), None
-        if domains not in self.index:
-            self.index[domains] = _distinct(self.ids, domains)
-        tuples, inverse = self.index[domains]
-        # Each distinct domain placed on `vertices` of an otherwise zero cell.
-        cells = np.zeros((len(tuples), 4, 3))
-        cells[:, list(vertices)] = self.vertices[tuples]
-        return _target_values(self.f, cells, nodes), inverse
+            if len(vertices) == 4:
+                if src not in held:
+                    held[src] = _target_values(f, cells, nodes)
+                out[...] = held[src]
+            else:
+                domains = plan.domains[len(vertices)]
+                if domains not in index:
+                    index[domains] = _distinct(ids, domains)
+                tuples, inverse = index[domains]
+                if src not in held:
+                    # Each distinct domain placed on `vertices` of an otherwise zero cell.
+                    lifted = np.zeros((len(tuples), 4, 3))
+                    lifted[:, list(vertices)] = mesh.vertices[tuples]
+                    held[src] = _target_values(f, lifted, nodes)
+                    del lifted  # freed before the yield
+                out[...] = held[src][inverse[:, domains.index(vertices)]]
+            left[src] -= 1
+            if not left[src]:
+                del held[src]
+        yield i, values
 
 
 def _l1_errors(engines, f, mesh, threads=1):
     """L1 error of every engine for one target on one mesh, in one pass.
 
     The engines share the error rule of the first engine's settings.  Each
-    chunk of cells (see _Chunk) evaluates f once per distinct face or edge
-    of each face or edge source, once per cell for each volume block, and
-    once at the error nodes, and stores every engine's per-cell errors.
+    chunk of cells (see _dof_values) evaluates f once per distinct face or
+    edge of each face or edge source, once per cell for each volume block,
+    and once at the error nodes, and stores every engine's per-cell errors.
     """
     if not engines:
         return []
     rule = simplex_rule_plain(3, engines[0].settings.error_degree)
     basis_t = lambda_basis(rule.nodes).T  # (10, E)
     n_cells = len(mesh)
-    tables = [e.table.blocks for e in engines]
-    order, kept, own_rows, rows, _ = _schedule(tables, len(rule), n_cells)
-    width = _width(tables, len(rule))
+    tables = [e.table for e in engines]
+    plan = _Plan([t.blocks for t in tables], len(rule), n_cells)
     cell_err = np.empty((len(engines), n_cells))
 
     def work(sl):
-        # DOF nodes before error nodes: the other order raises peak memory.
-        chunk = _Chunk(f, mesh, sl, width)
+        rows = sl.stop - sl.start
+        workspace = np.empty(rows * plan.width)
         coeffs, finite = {}, {}
-        for pos, i in enumerate(order):
-            e = engines[i]
-            dofs = chunk.dof_values(e.table, kept, pos) @ e.table.weights.T
-            coeffs[i] = e.coefficients(dofs)
+        # DOF nodes before error nodes: the other order raises peak memory.
+        for i, values in _dof_values(f, mesh, sl, tables, plan, workspace):
+            dofs = values @ tables[i].weights.T
+            coeffs[i] = engines[i].coefficients(dofs)
             finite[i] = np.isfinite(dofs).all(axis=1)
         # The error stage reuses the workspace: f, then one |f - p| temporary.
-        fe = _target_values(f, chunk.cells, rule.nodes, chunk.matrix(len(rule)))
-        diff = chunk.matrix(len(rule), len(rule))
+        size = rows * len(rule)
+        fe = _target_values(f, mesh.cell_vertex_array[sl], rule.nodes, workspace[:size].reshape(rows, -1))
+        diff = workspace[size : 2 * size].reshape(rows, -1)
         for i, row in enumerate(cell_err):
             np.matmul(coeffs[i], basis_t, out=diff)
             np.subtract(fe, diff, out=diff)
@@ -375,14 +339,14 @@ def _l1_errors(engines, f, mesh, threads=1):
     # shared blocks would let more cells fit: BLAS gemm and gemv give row
     # results that depend on the chunk's row count, so another partition
     # moves bytes.  Change it only in the ROADMAP's planned byte move.
-    _run_chunks(work, _chunk_slices(n_cells, rows), threads)
+    _run_chunks(work, _chunk_slices(n_cells, plan.rows), threads)
     vols = mesh.cell_volumes()
     # Each engine sums its cell errors in the chunks it would use alone, in a
     # fixed order: the committed benchmark references fix these bytes, and
     # the order keeps them independent of the thread count.
     return [
         float(np.array([errs[sl] @ vols[sl] for sl in _chunk_slices(n_cells, block)]).sum())
-        for errs, block in zip(cell_err, own_rows)
+        for errs, block in zip(cell_err, plan.own_rows)
     ]
 
 
@@ -415,15 +379,34 @@ def study_bytes(ns, configs, settings, threads=1):
     table (4 coordinates and one weight per functional at each node); the
     error rule (4 coordinates, a weight and 10 basis values per node); and,
     for the largest mesh, a (configurations x cells) error array and one
-    chunk's peak per thread (see _schedule).  The interpreter comes on top;
-    `project` is a study of one cell per chunk."""
+    chunk's peak per thread.  The interpreter comes on top; `project` is a
+    study of one cell per chunk.
+
+    A chunk's peak is its workspace plus the most it holds at one engine's
+    turn: the coefficients so far, and the sources that more than one block
+    uses (see _dof_values), at each distinct face or edge of the largest
+    mesh's first chunk or per cell, each through every turn that uses it
+    until its count runs out."""
     functionals = [build_functionals(cfg) for cfg in configs]
     tables = [_layout(fs, settings.dof_points)[1] for fs in functionals]
     error_nodes = plain_points(3, settings.error_degree) ** 3
     sizes = [mesh_size(n) for n in ns]
     meshes, cells = sum(s for _, s in sizes), max((c for c, _ in sizes), default=0)
-    first_cells = partial(kuhn_cells, max(ns)) if ns else None
-    *_, chunk = _schedule(tables, error_nodes, cells, first_cells)
+    plan = _Plan(tables, error_nodes, cells)
+    # project's study has no mesh: its one-cell chunk shares no domain, as
+    # one cell of any mesh does not.
+    ids = kuhn_cells(max(ns, default=2), plan.rows)
+    held = {length: len(_distinct(ids, d)[0]) for length, d in plan.domains.items()}
+    held[4] = plan.rows  # a volume block's values, one row per cell
+    left, live, peak = Counter(plan.uses), {}, 0
+    for pos, i in enumerate(plan.order):
+        for key, start, stop in tables[i]:
+            if plan.uses[_source(key)] > 1:
+                live[_source(key)] = held[len(key[0])] * (stop - start)
+        peak = max(peak, sum(live.values()) + plan.rows * 10 * (pos + 1))
+        left.subtract(_source(key) for key, _, _ in tables[i])
+        live = {src: size for src, size in live.items() if left[src]}
+    chunk = plan.rows * plan.width + peak
     return 8 * (
         meshes + sum((4 + len(fs)) * t[-1][2] for fs, t in zip(functionals, tables))
         + 15 * error_nodes + cells * len(configs) + threads * chunk

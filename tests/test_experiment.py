@@ -344,11 +344,11 @@ def test_grid_surface_sums_the_study_rows_of_each_candidate(monkeypatch):
 def test_study_bytes_counts_the_arrays_of_a_pass(monkeypatch):
     from histotet import experiment
     from histotet.element import lambda_basis
-    from histotet.experiment import _ErrorEngine, _schedule, study_bytes
+    from histotet.experiment import _ErrorEngine, _Plan, study_bytes
 
     # A study keeps every mesh and every engine's DOF table; the error rule
     # is shared, and the error array and the chunks are the largest mesh's
-    # pass, each chunk at the peak of the pass's schedule.
+    # pass, one chunk per thread.
     settings = QuadSettings(dof_points=4, error_degree=5)
     configs = [StrategyConfig.of("classical"), *QUADRATIC_CONFIGS, StrategyConfig.edge_face(1, 3)]
     meshes = [build_mesh(3), build_mesh(4)]
@@ -361,63 +361,73 @@ def test_study_bytes_counts_the_arrays_of_a_pass(monkeypatch):
         np.empty((5, len(meshes[-1]))),  # the errors
     ]
     fixed = sum(a.nbytes for a in arrays)
-    blocks = [t.blocks for t in tables]
 
-    def first(rows):  # the vertex ids of the largest mesh's first chunk
-        return meshes[-1].cells[:rows]
+    def chunk_bytes(ns):  # a study's bytes per thread, and the rest
+        one, three = (study_bytes(ns, configs, settings, threads=t) for t in (1, 3))
+        return (three - one) // 2, one - (three - one) // 2
 
-    *_, rows, peak = _schedule(blocks, len(rule), len(meshes[-1]), first)
-    assert rows == len(meshes[-1])  # the 162 cells make one chunk
-    assert study_bytes((3, 4), configs, settings, threads=3) == fixed + 3 * 8 * peak
+    plan = _Plan([t.blocks for t in tables], len(rule), len(meshes[-1]))
+    assert plan.rows == len(meshes[-1])  # the 162 cells make one chunk
+    assert plan.width == 192  # vol's table; the error stage needs 2 x 64
+    faces = len({tuple(cell[list(v)]) for cell in meshes[-1].cells for v in plan.domains[3]})
+    # fv's turn is the peak: the workspace, the uniform and fv's face
+    # sources (16 nodes each at m = 4) at each distinct face, the
+    # dirichlet(2) volume block (64 nodes) per cell, and the coefficients of
+    # two engines (20).  Later turns hold less: fv's faces and the volume
+    # block are dropped when their counts run out.
+    assert chunk_bytes((3, 4)) == (8 * (162 * (192 + 64 + 20) + 2 * 16 * faces), fixed)
 
-    # A chunk holds at least one cell, however small the budget: the widest
-    # table in its workspace, and every domain of the kept sources, since
-    # one cell shares no face or edge.
+    # A chunk holds at least one cell, however small the budget, and one
+    # cell shares no face: every face of the cell is held.  project's study,
+    # which has no mesh, counts the same one-cell chunk.
     monkeypatch.setattr(experiment, "_CHUNK_BUDGET", 10)
-    *_, rows, one_cell = _schedule(blocks, len(rule), len(meshes[-1]), first)
-    assert rows == 1 and one_cell == _schedule(blocks, len(rule), 1)[-1]
-    assert one_cell > max(len(t.nodes) for t in tables)
-    assert peak < len(meshes[-1]) * one_cell  # the 162 cells share faces and edges
-    assert study_bytes((3, 4), configs, settings, threads=3) == fixed + 3 * 8 * one_cell
+    one_cell = 8 * (192 + 64 + 20 + 2 * 16 * 4)
+    assert chunk_bytes((3, 4)) == (one_cell, fixed)
+    assert chunk_bytes(())[0] == one_cell
 
 
 def test_schedule_of_the_default_methods():
-    from histotet.experiment import _schedule, build_dof_table
+    from histotet.experiment import _Plan, build_dof_table, study_bytes
 
     tables = [build_dof_table(cfg).blocks for cfg in ALL_METHODS]
-    order, kept, own_rows, rows, peak = _schedule(tables, 216, 10**6)
+    plan = _Plan(tables, 216, 10**6)
     # fv and vol both end on the dirichlet(2) volume block, so they stay
     # together, in their given order.
-    assert order == [0, 1, 2, 3]
-    # Kept until their last use: the uniform face source (classical, vol,
-    # ef), fv's dirichlet(2) faces, the dirichlet(2) volume block (fv, vol)
-    # and ef's edges.  vol's uniform volume block, used once, is not kept.
+    assert plan.order == [0, 1, 2, 3]
+    # A chunk holds the sources that more than one block uses: the uniform
+    # face source (classical, vol, ef), fv's dirichlet(2) faces, the
+    # dirichlet(2) volume block (fv, vol) and ef's edges.  vol's uniform
+    # volume block, used once, goes straight into vol's DOF values.
     faces = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
-    assert kept == {
-        (3, (0.0,) * 3, 8): (3, faces),
-        (3, (1.0,) * 3, 8): (1, faces),
-        ((0, 1, 2, 3), (1.0,) * 4, 8): (2, ((0, 1, 2, 3),)),
-        (2, (1.0, 1.0), 8): (3, ((1, 0), (2, 0), (3, 0), (2, 1), (3, 1), (3, 2))),
+    edges = ((1, 0), (2, 0), (3, 0), (2, 1), (3, 1), (3, 2))
+    assert plan.uses == {
+        (3, (0.0,) * 3, 8): 12,
+        (3, (1.0,) * 3, 8): 4,
+        ((0, 1, 2, 3), (1.0,) * 4, 8): 2,
+        ((0, 1, 2, 3), (0.0,) * 4, 8): 1,
+        (2, (1.0, 1.0), 8): 6,
     }
-    assert own_rows == [4_000_000 // (n + 216) for n in (256, 768, 1280, 304)]
-    assert rows == min(own_rows) == 2673
-    # fv's turn is the peak: the workspace as wide as vol's table (1,280),
-    # the uniform and fv's face sources (256 nodes each, every face of every
-    # cell when no mesh is given), the dirichlet(2) volume block (512) and
-    # the coefficients of two engines (20).
-    assert peak == rows * (1280 + 256 + 256 + 512 + 20)
-    # On a mesh, the distinct faces of its first chunk size the face sources.
+    assert plan.domains == {3: faces, 2: edges}
+    assert plan.own_rows == [4_000_000 // (n + 216) for n in (256, 768, 1280, 304)]
+    assert plan.rows == min(plan.own_rows) == 2673
+    assert plan.width == 1280  # vol's table
+    # fv's turn is the peak: the workspace, the uniform and fv's face
+    # sources (64 nodes each) at each distinct face of the first chunk, the
+    # dirichlet(2) volume block (512) per cell and the coefficients of two
+    # engines (20).
     mesh = build_mesh(15)
-    distinct = len({tuple(cell[list(v)]) for cell in mesh.cells[:rows] for v in faces})
-    assert 0.5 < distinct / (4 * rows) < 0.6
-    on_mesh = _schedule(tables, 216, len(mesh), lambda r: mesh.cells[:r])[-1]
-    assert on_mesh == rows * (1280 + 512 + 20) + 2 * 64 * distinct
+    distinct = len({tuple(cell[list(v)]) for cell in mesh.cells[: plan.rows] for v in faces})
+    assert 0.5 < distinct / (4 * plan.rows) < 0.6
+    one, two = (study_bytes((15,), ALL_METHODS, QuadSettings(), threads=t) for t in (1, 2))
+    assert two - one == 8 * (plan.rows * (1280 + 512 + 20) + 2 * 64 * distinct)
 
 
 @pytest.mark.parametrize("configs", [
     ALL_METHODS,  # converge's four default methods
     [StrategyConfig.face_volume(a, b) for a in (1.0, 2.0) for b in (1.0, 2.0)],
-], ids=["converge", "fv-grid"])
+    [StrategyConfig.volumetric_blend(a, b) for a in (0.25, 0.75) for b in (1.0, 2.0)],
+    [StrategyConfig.edge_face(a, b) for a in (1.0, 2.0) for b in (1.0, 2.0)],
+], ids=["converge", "fv-grid", "vol-grid", "ef-grid"])
 def test_refusal_counts_what_a_pass_allocates(configs):
     import tracemalloc
 
@@ -425,7 +435,8 @@ def test_refusal_counts_what_a_pass_allocates(configs):
 
     # The per-thread term of the --n refusal is one chunk's peak; a pass on
     # one thread allocates that, plus its error array and the target's
-    # temporaries.  The 4,374 cells at n = 10 make two chunks.
+    # temporaries.  The 4,374 cells at n = 10 make two chunks, or one for
+    # the ef grid, whose tables are narrowest.
     settings = QuadSettings()
     mesh = build_mesh(10)
     engines = [_ErrorEngine(cfg, settings) for cfg in configs]
@@ -448,8 +459,8 @@ def test_slicing_does_not_move_a_bit(monkeypatch):
     mesh = build_mesh(4)
     engines = [experiment._ErrorEngine(cfg, QuadSettings()) for cfg in ALL_METHODS]
     monkeypatch.setattr(experiment, "_CHUNK_BUDGET", 50_000)
-    *_, rows, _ = experiment._schedule([e.table.blocks for e in engines], 216, len(mesh))
-    assert rows < len(mesh)  # several chunks
+    plan = experiment._Plan([e.table.blocks for e in engines], 216, len(mesh))
+    assert plan.rows < len(mesh)  # several chunks
     # Whole chunks, several cells, and one cell per target call.
     errors = []
     for points in (65_536, 1_000, 7):

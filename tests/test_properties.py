@@ -186,21 +186,21 @@ def test_shared_points_give_each_cell_its_own_values(budget, monkeypatch):
     # bit: if a BLAS maps a shared face differently in two of its cells, the
     # sharing would move bytes, and this fails instead.
     f = TARGETS["f1"]
-    dof_values = experiment._Chunk.dof_values
+    dof_values = experiment._dof_values
     checked, own = [], {}  # own values of each (chunk, block), computed once
 
-    def checked_dof_values(chunk, table, kept, pos):
-        values = dof_values(chunk, table, kept, pos)
-        for key, start, stop in table.blocks:
-            where = (chunk.cells.ctypes.data, key)
-            if where not in own:
-                own[where] = experiment._target_values(f, chunk.cells, table.nodes[start:stop])
-            assert np.array_equal(values[:, start:stop], own[where])
-        checked.append(len(chunk.cells))
-        return values
+    def checked_dof_values(target, mesh, sl, tables, plan, workspace):
+        cells = mesh.cell_vertex_array[sl]
+        for i, values in dof_values(target, mesh, sl, tables, plan, workspace):
+            for key, start, stop in tables[i].blocks:
+                if (sl.start, key) not in own:
+                    own[sl.start, key] = experiment._target_values(f, cells, tables[i].nodes[start:stop])
+                assert np.array_equal(values[:, start:stop], own[sl.start, key])
+            checked.append(len(cells))
+            yield i, values
 
     monkeypatch.setattr(experiment, "_CHUNK_BUDGET", budget)
-    monkeypatch.setattr(experiment._Chunk, "dof_values", checked_dof_values)
+    monkeypatch.setattr(experiment, "_dof_values", checked_dof_values)
     for configs in (DEFAULT_METHODS, FV_GRID):
         engines = [_ErrorEngine(cfg, QuadSettings()) for cfg in configs]
         for n in range(2, 7):
