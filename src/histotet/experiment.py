@@ -8,15 +8,19 @@ the reconstruction coefficients follow from the precomputed inverse of the
 functional matrix.  One pass per (function, mesh) scores every strategy or
 tuning candidate.  A table is a concatenation of blocks, one per (domain,
 Dirichlet component, m), and strategies share blocks (the uniform face
-block of classical, vol and ef; a blend's uniform block for every theta).
-Each chunk of cells evaluates the target once per distinct volume block
-and cell, once per distinct face or edge of the chunk for the face and edge
-blocks, and once at the shared error nodes.  One plan per pass (_Plan)
-orders the engines, counts the blocks that use each source of target
-values and sizes the chunks: a chunk holds a source that several blocks use
-until its count runs out, and study_bytes walks the same plan to count a
-chunk's peak memory.  Per-cell contributions are accumulated in cell-index
-order so results are deterministic for any thread count.
+block of classical, vol and ef; the dirichlet(2) volume block of fv and
+vol; a blend's uniform block for every theta).  Each chunk of cells
+evaluates the target once per distinct volume block and cell, once per
+distinct face or edge of the chunk for the face and edge blocks, and once
+at the shared error nodes.  One plan per pass (_Plan) orders the engines,
+places each engine's DOF values at fixed columns of one workspace per
+chunk, so that a block an earlier engine left at the same columns is read
+in place, counts the other blocks that use each source of target values,
+and sizes the chunks: a chunk holds a source that several of those blocks
+use until its count runs out, and study_bytes walks the same plan block by
+block to count a chunk's peak memory.  Per-cell contributions are
+accumulated in cell-index order so results are deterministic for any
+thread count.
 """
 
 import time
@@ -221,43 +225,60 @@ def _distinct(ids, domains):
 class _Plan:
     """The plan of a pass over `cells` cells for engines with DOF blocks
     `tables`, computed once: the engine order, grouped by last block (a grid
-    then holds its shared sources plus one of the others); the number of
-    blocks that use each source; the local domains of each length below 4,
-    one tuple for the faces and one for the edges (every face source covers
-    the four faces of a cell and every edge source its six edges); each
-    engine's chunk rows alone (its L1 sum's partition); the pass's chunk
-    rows; and the columns of a chunk's workspace, for the widest DOF table
-    or the error stage's values and temporary."""
+    then holds its shared sources plus one of the others); the columns of a
+    chunk's workspace, for the widest DOF table or the error stage's values
+    and temporary; each engine's column offset in it and the blocks it
+    fills; the number of filled blocks that use each source; the local
+    domains of each length below 4, one tuple for the faces and one for the
+    edges (every face source covers the four faces of a cell and every edge
+    source its six edges); each engine's chunk rows alone (its L1 sum's
+    partition); and the pass's chunk rows."""
 
     def __init__(self, tables, error_nodes, cells):
         keys = [key for blocks in tables for key, _, _ in blocks]
         group = {key: g for g, key in enumerate(dict.fromkeys(blocks[-1][0] for blocks in tables))}
         self.order = sorted(range(len(tables)), key=lambda i: group[tables[i][-1][0]])
-        self.uses = Counter(_source(key) for key in keys)
+        self.width = max(max(blocks[-1][2] for blocks in tables), 2 * error_nodes)
+        # Tables lead with their face blocks and end with their volume blocks,
+        # so a table that ends in a volume block sits at the right edge and
+        # any other at the left edge: shared volume blocks line up, and so do
+        # shared face blocks with the widest table's.
+        self.offsets = [self.width - b[-1][2] if len(b[-1][0][0]) == 4 else 0 for b in tables]
+        # A block whose key sits at its columns, unwritten since, is read in
+        # place: neither evaluated, copied nor held.
+        self.filled, placed = [[] for _ in tables], {}  # placed: (start, stop column) -> key
+        for i in self.order:
+            for key, start, stop in tables[i]:
+                cols = (self.offsets[i] + start, self.offsets[i] + stop)
+                if placed.get(cols) != key:
+                    placed = {c: k for c, k in placed.items() if c[1] <= cols[0] or cols[1] <= c[0]}
+                    placed[cols] = key
+                    self.filled[i].append((key, start, stop))
+        self.uses = Counter(_source(key) for blocks in self.filled for key, _, _ in blocks)
         self.domains = {}
         for vertices in dict.fromkeys(v for v, _, _ in keys if len(v) < 4):
             self.domains[len(vertices)] = self.domains.get(len(vertices), ()) + (vertices,)
         self.own_rows = [_CHUNK_BUDGET // (blocks[-1][2] + error_nodes) for blocks in tables]
         self.rows = max(1, min(min(self.own_rows), cells))
-        self.width = max(max(blocks[-1][2] for blocks in tables), 2 * error_nodes)
 
 
 def _dof_values(f, mesh, sl, tables, plan, workspace):
     """Yield (engine, f at its DOF table's nodes in each of the cells sl of
-    the mesh) for each engine in plan order, each a view of the same
-    workspace.  A source that one block uses is evaluated straight into the
-    block's columns.  One that more blocks use is evaluated at its first
-    use, copied into each of them and dropped when its count runs out.  A
-    face or edge source is evaluated once per distinct domain, keyed by the
-    ordered global vertex ids of the domain: build_mesh gives a shared face
-    or edge the same vertex order in all its cells, so each of them maps the
-    same points."""
+    the mesh) for each engine in plan order, each a view of the engine's
+    columns of the same (cells x plan.width) workspace.  A block read in
+    place is left as it is.  A source that one filled block uses is
+    evaluated straight into the block's columns.  One that more blocks use
+    is evaluated at its first use, copied into each of them and dropped when
+    its count runs out.  A face or edge source is evaluated once per
+    distinct domain, keyed by the ordered global vertex ids of the domain:
+    build_mesh gives a shared face or edge the same vertex order in all its
+    cells, so each of them maps the same points."""
     cells, ids = mesh.cell_vertex_array[sl], mesh.cells[sl]
     held, index, left = {}, {}, Counter(plan.uses)
     for i in plan.order:
         table = tables[i]
-        values = workspace[: len(cells) * len(table.nodes)].reshape(len(cells), -1)
-        for key, start, stop in table.blocks:
+        values = workspace[:, plan.offsets[i] : plan.offsets[i] + len(table.nodes)]
+        for key, start, stop in plan.filled[i]:
             src, nodes, out = _source(key), table.nodes[start:stop], values[:, start:stop]
             vertices = key[0]
             if plan.uses[src] == 1:
@@ -304,17 +325,21 @@ def _l1_errors(engines, f, mesh, threads=1):
 
     def work(sl):
         rows = sl.stop - sl.start
-        workspace = np.empty(rows * plan.width)
+        # A workspace of the chunk's own: an in-place read finds what an
+        # earlier engine of the same chunk wrote there.
+        workspace = np.empty((rows, plan.width))
         coeffs, finite = {}, {}
         # DOF nodes before error nodes: the other order raises peak memory.
         for i, values in _dof_values(f, mesh, sl, tables, plan, workspace):
+            # values is a row-strided view: BLAS gives it the gemm of a
+            # contiguous copy, bit for bit.
             dofs = values @ tables[i].weights.T
             coeffs[i] = engines[i].coefficients(dofs)
             finite[i] = np.isfinite(dofs).all(axis=1)
         # The error stage reuses the workspace: f, then one |f - p| temporary.
-        size = rows * len(rule)
-        fe = _target_values(f, mesh.cell_vertex_array[sl], rule.nodes, workspace[:size].reshape(rows, -1))
-        diff = workspace[size : 2 * size].reshape(rows, -1)
+        size, flat = rows * len(rule), workspace.reshape(-1)
+        fe = _target_values(f, mesh.cell_vertex_array[sl], rule.nodes, flat[:size].reshape(rows, -1))
+        diff = flat[size : 2 * size].reshape(rows, -1)
         for i, row in enumerate(cell_err):
             np.matmul(coeffs[i], basis_t, out=diff)
             np.subtract(fe, diff, out=diff)
@@ -382,11 +407,12 @@ def study_bytes(ns, configs, settings, threads=1):
     chunk's peak per thread.  The interpreter comes on top; `project` is a
     study of one cell per chunk.
 
-    A chunk's peak is its workspace plus the most it holds at one engine's
-    turn: the coefficients so far, and the sources that more than one block
-    uses (see _dof_values), at each distinct face or edge of the largest
-    mesh's first chunk or per cell, each through every turn that uses it
-    until its count runs out."""
+    A chunk's peak is its workspace, one target slice (3 x _SLICE_POINTS
+    scalars of mapped points) and the most it holds at one filled block: the
+    coefficients of the engines before it, and the sources that more than
+    one filled block uses (see _dof_values), at each distinct face or edge
+    of the largest mesh's first chunk or per cell, each from its first block
+    to its last; or, after the last engine, every engine's coefficients."""
     functionals = [build_functionals(cfg) for cfg in configs]
     tables = [_layout(fs, settings.dof_points)[1] for fs in functionals]
     error_nodes = plain_points(3, settings.error_degree) ** 3
@@ -398,15 +424,18 @@ def study_bytes(ns, configs, settings, threads=1):
     ids = kuhn_cells(max(ns, default=2), plan.rows)
     held = {length: len(_distinct(ids, d)[0]) for length, d in plan.domains.items()}
     held[4] = plan.rows  # a volume block's values, one row per cell
-    left, live, peak = Counter(plan.uses), {}, 0
+    left, live = Counter(plan.uses), {}
+    peak = plan.rows * 10 * len(tables)
     for pos, i in enumerate(plan.order):
-        for key, start, stop in tables[i]:
-            if plan.uses[_source(key)] > 1:
-                live[_source(key)] = held[len(key[0])] * (stop - start)
-        peak = max(peak, sum(live.values()) + plan.rows * 10 * (pos + 1))
-        left.subtract(_source(key) for key, _, _ in tables[i])
-        live = {src: size for src, size in live.items() if left[src]}
-    chunk = plan.rows * plan.width + peak
+        for key, start, stop in plan.filled[i]:
+            src = _source(key)
+            if plan.uses[src] > 1:
+                live[src] = held[len(key[0])] * (stop - start)
+            peak = max(peak, sum(live.values()) + plan.rows * 10 * pos)
+            left[src] -= 1
+            if not left[src]:
+                live.pop(src, None)
+    chunk = plan.rows * plan.width + 3 * _SLICE_POINTS + peak
     return 8 * (
         meshes + sum((4 + len(fs)) * t[-1][2] for fs, t in zip(functionals, tables))
         + 15 * error_nodes + cells * len(configs) + threads * chunk

@@ -370,18 +370,21 @@ def test_study_bytes_counts_the_arrays_of_a_pass(monkeypatch):
     assert plan.rows == len(meshes[-1])  # the 162 cells make one chunk
     assert plan.width == 192  # vol's table; the error stage needs 2 x 64
     faces = len({tuple(cell[list(v)]) for cell in meshes[-1].cells for v in plan.domains[3]})
-    # fv's turn is the peak: the workspace, the uniform and fv's face
-    # sources (16 nodes each at m = 4) at each distinct face, the
-    # dirichlet(2) volume block (64 nodes) per cell, and the coefficients of
-    # two engines (20).  Later turns hold less: fv's faces and the volume
-    # block are dropped when their counts run out.
-    assert chunk_bytes((3, 4)) == (8 * (162 * (192 + 64 + 20) + 2 * 16 * faces), fixed)
+    # A chunk holds its workspace and one target slice, and at most either
+    # fv's face source (16 nodes at m = 4) at each distinct face with
+    # classical's coefficients (10), or, after the last engine, the
+    # coefficients of all five.  vol and ef read the uniform faces in place,
+    # and fv's dirichlet(2) volume block, which vol reads in place, is
+    # evaluated straight into fv's columns: neither is held.
+    slice_ = 3 * experiment._SLICE_POINTS
+    assert 16 * faces + 162 * 10 < 162 * 50
+    assert chunk_bytes((3, 4)) == (8 * (162 * (192 + 50) + slice_), fixed)
 
     # A chunk holds at least one cell, however small the budget, and one
     # cell shares no face: every face of the cell is held.  project's study,
     # which has no mesh, counts the same one-cell chunk.
     monkeypatch.setattr(experiment, "_CHUNK_BUDGET", 10)
-    one_cell = 8 * (192 + 64 + 20 + 2 * 16 * 4)
+    one_cell = 8 * (192 + slice_ + 16 * 4 + 10)
     assert chunk_bytes((3, 4)) == (one_cell, fixed)
     assert chunk_bytes(())[0] == one_cell
 
@@ -394,32 +397,63 @@ def test_schedule_of_the_default_methods():
     # fv and vol both end on the dirichlet(2) volume block, so they stay
     # together, in their given order.
     assert plan.order == [0, 1, 2, 3]
-    # A chunk holds the sources that more than one block uses: the uniform
-    # face source (classical, vol, ef), fv's dirichlet(2) faces, the
-    # dirichlet(2) volume block (fv, vol) and ef's edges.  vol's uniform
-    # volume block, used once, goes straight into vol's DOF values.
+    # fv and vol end in a volume block and sit at the right edge of vol's
+    # 1,280 columns; classical and ef sit at the left edge.
+    assert plan.width == 1280  # vol's table
+    assert plan.offsets == [0, 512, 0, 0]
+    # vol reads the uniform faces (classical's columns) and the dirichlet(2)
+    # volume block (fv's columns) in place, and ef the uniform faces.
+    vol, ef = tables[2], tables[3]
+    assert plan.filled == [list(tables[0]), list(tables[1]), [vol[4]], list(ef[4:])]
+    # A chunk holds the sources that more than one filled block uses: the
+    # uniform face source (classical's four faces), fv's dirichlet(2) faces
+    # and ef's edges.  The two volume blocks, used once, go straight into
+    # the DOF values of fv and vol.
     faces = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
     edges = ((1, 0), (2, 0), (3, 0), (2, 1), (3, 1), (3, 2))
     assert plan.uses == {
-        (3, (0.0,) * 3, 8): 12,
+        (3, (0.0,) * 3, 8): 4,
         (3, (1.0,) * 3, 8): 4,
-        ((0, 1, 2, 3), (1.0,) * 4, 8): 2,
+        ((0, 1, 2, 3), (1.0,) * 4, 8): 1,
         ((0, 1, 2, 3), (0.0,) * 4, 8): 1,
         (2, (1.0, 1.0), 8): 6,
     }
     assert plan.domains == {3: faces, 2: edges}
     assert plan.own_rows == [4_000_000 // (n + 216) for n in (256, 768, 1280, 304)]
     assert plan.rows == min(plan.own_rows) == 2673
-    assert plan.width == 1280  # vol's table
-    # fv's turn is the peak: the workspace, the uniform and fv's face
-    # sources (64 nodes each) at each distinct face of the first chunk, the
-    # dirichlet(2) volume block (512) per cell and the coefficients of two
-    # engines (20).
+    # fv's faces are the peak: the workspace, one target slice, fv's face
+    # source (64 nodes) at each distinct face of the first chunk and
+    # classical's coefficients (10).
     mesh = build_mesh(15)
     distinct = len({tuple(cell[list(v)]) for cell in mesh.cells[: plan.rows] for v in faces})
     assert 0.5 < distinct / (4 * plan.rows) < 0.6
     one, two = (study_bytes((15,), ALL_METHODS, QuadSettings(), threads=t) for t in (1, 2))
-    assert two - one == 8 * (plan.rows * (1280 + 512 + 20) + 2 * 64 * distinct)
+    slice_ = 3 * 65_536
+    assert two - one == 8 * (plan.rows * (1280 + 10) + slice_ + 64 * distinct)
+
+
+def test_default_grids_read_shared_blocks_in_place():
+    from histotet.cli import _PARAM_FLAGS
+    from histotet.experiment import _Plan, build_dof_table
+
+    grid = _PARAM_FLAGS["alpha"][1]
+    fv, ef = (
+        [build_dof_table(StrategyConfig.of(kind, a, b)).blocks for a in grid for b in grid]
+        for kind in ("fv", "ef")
+    )
+    # The fv grid's engines that share a beta sit together and at the right
+    # edge: the first fills the dirichlet(beta) volume block straight, and
+    # the others read it in place, so no volume source is held.
+    plan = _Plan(fv, 216, 10**6)
+    volumes = {src: uses for src, uses in plan.uses.items() if src[0] == (0, 1, 2, 3)}
+    assert len(volumes) == len(grid) and set(volumes.values()) == {1}
+    assert sum(map(len, plan.filled)) == len(fv) * 4 + len(grid)
+    # The ef grid gathers the uniform faces for its first engine only; the
+    # others read them in place and fill their edges.
+    plan = _Plan(ef, 216, 10**6)
+    with_faces = [i for i, blocks in enumerate(plan.filled) if any(len(key[0]) == 3 for key, _, _ in blocks)]
+    assert with_faces == [plan.order[0]]
+    assert plan.uses[3, (0.0,) * 3, 8] == 4
 
 
 @pytest.mark.parametrize("configs", [

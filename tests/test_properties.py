@@ -176,6 +176,10 @@ DEFAULT_METHODS = [
     StrategyConfig.edge_face(2.0, 2.0),
 ]
 FV_GRID = [StrategyConfig.face_volume(a, b) for a in _PARAM_FLAGS["alpha"][1] for b in _PARAM_FLAGS["beta"][1]]
+# The one default grid that reads a volume block in place and also copies
+# one from held values: each gamma group's theta = 0 candidate writes its
+# faces over columns where the others keep the uniform volume block.
+VOL_GRID = [StrategyConfig.volumetric_blend(t, g) for t in _PARAM_FLAGS["theta"][1] for g in _PARAM_FLAGS["gamma"][1]]
 
 
 @pytest.mark.parametrize("budget", [experiment._CHUNK_BUDGET, 50_000, 20_000])
@@ -196,12 +200,16 @@ def test_shared_points_give_each_cell_its_own_values(budget, monkeypatch):
                 if (sl.start, key) not in own:
                     own[sl.start, key] = experiment._target_values(f, cells, tables[i].nodes[start:stop])
                 assert np.array_equal(values[:, start:stop], own[sl.start, key])
+            # values is a row-strided view of the workspace: its gemm must be
+            # that of a contiguous copy, bit for bit.
+            weights_t = tables[i].weights.T
+            assert np.array_equal(values @ weights_t, np.ascontiguousarray(values) @ weights_t)
             checked.append(len(cells))
             yield i, values
 
     monkeypatch.setattr(experiment, "_CHUNK_BUDGET", budget)
     monkeypatch.setattr(experiment, "_dof_values", checked_dof_values)
-    for configs in (DEFAULT_METHODS, FV_GRID):
+    for configs in (DEFAULT_METHODS, FV_GRID, VOL_GRID):
         engines = [_ErrorEngine(cfg, QuadSettings()) for cfg in configs]
         for n in range(2, 7):
             mesh = build_mesh(n)
