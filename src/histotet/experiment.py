@@ -16,9 +16,10 @@ at the shared error nodes.  One plan per pass (_Plan) orders the engines,
 places each engine's DOF values at fixed columns of one workspace per
 chunk, so that a block an earlier engine left at the same columns is read
 in place, counts the other blocks that use each source of target values,
-and sizes the chunks: a chunk holds a source that several of those blocks
-use until its count runs out, and study_bytes walks the same plan block by
-block to count a chunk's peak memory.  Per-cell contributions are
+and sizes the chunks.  A chunk scatters a face or edge source that one
+engine fills a slice at a time and holds any other source that several
+blocks use until its count runs out; study_bytes walks the same plan block
+by block to count a chunk's peak memory.  Per-cell contributions are
 accumulated in cell-index order so results are deterministic for any
 thread count.
 """
@@ -47,7 +48,7 @@ from .targets import TargetFunction
 _CHUNK_BUDGET = 4_000_000
 
 #: Points mapped and evaluated at a time inside a chunk.
-_SLICE_POINTS = 65_536
+_SLICE_POINTS = 16_384
 
 
 @dataclass(frozen=True)
@@ -228,11 +229,12 @@ class _Plan:
     then holds its shared sources plus one of the others); the columns of a
     chunk's workspace, for the widest DOF table or the error stage's values
     and temporary; each engine's column offset in it and the blocks it
-    fills; the number of filled blocks that use each source; the local
-    domains of each length below 4, one tuple for the faces and one for the
-    edges (every face source covers the four faces of a cell and every edge
-    source its six edges); each engine's chunk rows alone (its L1 sum's
-    partition); and the pass's chunk rows."""
+    fills; the number of filled blocks that use each source, and the
+    sources a chunk holds (see _dof_values); the local domains of each
+    length below 4, one tuple for the faces and one for the edges (every
+    face source covers the four faces of a cell and every edge source its
+    six edges); each engine's chunk rows alone (its L1 sum's
+    partition); and the pass's chunk rows and number of chunks."""
 
     def __init__(self, tables, error_nodes, cells):
         keys = [key for blocks in tables for key, _, _ in blocks]
@@ -255,11 +257,40 @@ class _Plan:
                     placed[cols] = key
                     self.filled[i].append((key, start, stop))
         self.uses = Counter(_source(key) for blocks in self.filled for key, _, _ in blocks)
+        # A source that more than one filled block uses is held, unless it is
+        # a face or edge source whose filled blocks are all one engine's.
+        # A volume source is its own key, whose first element is a vertex
+        # tuple; a face or edge source's is the domain's length.
+        owners = {(_source(key), i) for i, blocks in enumerate(self.filled) for key, _, _ in blocks}
+        fillers = Counter(src for src, _ in owners)
+        self.held = {
+            src for src, n in self.uses.items()
+            if n > 1 and (isinstance(src[0], tuple) or fillers[src] > 1)
+        }
         self.domains = {}
         for vertices in dict.fromkeys(v for v, _, _ in keys if len(v) < 4):
             self.domains[len(vertices)] = self.domains.get(len(vertices), ()) + (vertices,)
         self.own_rows = [_CHUNK_BUDGET // (blocks[-1][2] + error_nodes) for blocks in tables]
         self.rows = max(1, min(min(self.own_rows), cells))
+        self.chunks = -(-cells // self.rows)
+
+    def workers(self, threads):
+        """Chunks that can run at once, each on its own workspace: _run_chunks
+        runs one chunk serially and a pool starts a thread per chunk, up to
+        `threads`."""
+        return max(1, min(threads, self.chunks))
+
+
+def _domain_values(f, mesh, tuples, vertices, nodes):
+    """Yield (first, f at `nodes` on the distinct domains tuples[first:
+    first + k]), one slice of k domains at a time, each domain's vertices
+    placed on `vertices` of an otherwise zero cell."""
+    step = max(1, _SLICE_POINTS // len(nodes))
+    for first in range(0, len(tuples), step):
+        part = tuples[first : first + step]
+        lifted = np.zeros((len(part), 4, 3))
+        lifted[:, list(vertices)] = mesh.vertices[part]
+        yield first, f(np.matmul(nodes, lifted))
 
 
 def _dof_values(f, mesh, sl, tables, plan, workspace):
@@ -267,17 +298,22 @@ def _dof_values(f, mesh, sl, tables, plan, workspace):
     the mesh) for each engine in plan order, each a view of the engine's
     columns of the same (cells x plan.width) workspace.  A block read in
     place is left as it is.  A source that one filled block uses is
-    evaluated straight into the block's columns.  One that more blocks use
-    is evaluated at its first use, copied into each of them and dropped when
-    its count runs out.  A face or edge source is evaluated once per
-    distinct domain, keyed by the ordered global vertex ids of the domain:
-    build_mesh gives a shared face or edge the same vertex order in all its
-    cells, so each of them maps the same points."""
+    evaluated straight into the block's columns.  A face or edge source is
+    evaluated once per distinct domain, keyed by the ordered global vertex
+    ids of the domain: build_mesh gives a shared face or edge the same
+    vertex order in all its cells, so each of them maps the same points.
+    One whose filled blocks all belong to the engine is evaluated a slice
+    of distinct domains at a time and scattered into its blocks.  Any other
+    source (one that several engines fill, or a volume source that more
+    than one block uses) is evaluated at its first use, copied into each of
+    its blocks, a slice of rows at a time, and dropped when its count runs
+    out."""
     cells, ids = mesh.cell_vertex_array[sl], mesh.cells[sl]
     held, index, left = {}, {}, Counter(plan.uses)
     for i in plan.order:
         table = tables[i]
         values = workspace[:, plan.offsets[i] : plan.offsets[i] + len(table.nodes)]
+        scattered = set()
         for key, start, stop in plan.filled[i]:
             src, nodes, out = _source(key), table.nodes[start:stop], values[:, start:stop]
             vertices = key[0]
@@ -293,13 +329,26 @@ def _dof_values(f, mesh, sl, tables, plan, workspace):
                 if domains not in index:
                     index[domains] = _distinct(ids, domains)
                 tuples, inverse = index[domains]
+                if src not in plan.held:
+                    if src not in scattered:
+                        scattered.add(src)
+                        blocks = [
+                            (inverse[:, domains.index(k[0])], values[:, a:b])
+                            for k, a, b in plan.filled[i]
+                            if _source(k) == src
+                        ]
+                        for first, part in _domain_values(f, mesh, tuples, vertices, nodes):
+                            for column, block in blocks:
+                                hit = np.flatnonzero((column >= first) & (column < first + len(part)))
+                                block[hit] = part[column[hit] - first]
+                    continue
                 if src not in held:
-                    # Each distinct domain placed on `vertices` of an otherwise zero cell.
-                    lifted = np.zeros((len(tuples), 4, 3))
-                    lifted[:, list(vertices)] = mesh.vertices[tuples]
-                    held[src] = _target_values(f, lifted, nodes)
-                    del lifted  # freed before the yield
-                out[...] = held[src][inverse[:, domains.index(vertices)]]
+                    held[src] = np.empty((len(tuples), len(nodes)))
+                    for first, part in _domain_values(f, mesh, tuples, vertices, nodes):
+                        held[src][first : first + len(part)] = part
+                column, step = inverse[:, domains.index(vertices)], max(1, _SLICE_POINTS // len(nodes))
+                for r in range(0, len(out), step):
+                    out[r : r + step] = held[src][column[r : r + step]]
             left[src] -= 1
             if not left[src]:
                 del held[src]
@@ -404,15 +453,15 @@ def study_bytes(ns, configs, settings, threads=1):
     table (4 coordinates and one weight per functional at each node); the
     error rule (4 coordinates, a weight and 10 basis values per node); and,
     for the largest mesh, a (configurations x cells) error array and one
-    chunk's peak per thread.  The interpreter comes on top; `project` is a
-    study of one cell per chunk.
+    chunk's peak per worker that can run (_Plan.workers).  The interpreter
+    comes on top; `project` is a study of one cell per chunk.
 
     A chunk's peak is its workspace, one target slice (3 x _SLICE_POINTS
     scalars of mapped points) and the most it holds at one filled block: the
-    coefficients of the engines before it, and the sources that more than
-    one filled block uses (see _dof_values), at each distinct face or edge
-    of the largest mesh's first chunk or per cell, each from its first block
-    to its last; or, after the last engine, every engine's coefficients."""
+    coefficients of the engines before it, and the sources it holds (see
+    _dof_values), at each distinct face or edge of the largest mesh's first
+    chunk or per cell, each from its first block to its last; or, after the
+    last engine, every engine's coefficients."""
     functionals = [build_functionals(cfg) for cfg in configs]
     tables = [_layout(fs, settings.dof_points)[1] for fs in functionals]
     error_nodes = plain_points(3, settings.error_degree) ** 3
@@ -429,7 +478,7 @@ def study_bytes(ns, configs, settings, threads=1):
     for pos, i in enumerate(plan.order):
         for key, start, stop in plan.filled[i]:
             src = _source(key)
-            if plan.uses[src] > 1:
+            if src in plan.held:
                 live[src] = held[len(key[0])] * (stop - start)
             peak = max(peak, sum(live.values()) + plan.rows * 10 * pos)
             left[src] -= 1
@@ -438,7 +487,7 @@ def study_bytes(ns, configs, settings, threads=1):
     chunk = plan.rows * plan.width + 3 * _SLICE_POINTS + peak
     return 8 * (
         meshes + sum((4 + len(fs)) * t[-1][2] for fs, t in zip(functionals, tables))
-        + 15 * error_nodes + cells * len(configs) + threads * chunk
+        + 15 * error_nodes + cells * len(configs) + plan.workers(threads) * chunk
     )
 
 

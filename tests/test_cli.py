@@ -174,6 +174,20 @@ def test_mesh_runs_refuse_meshes_larger_than_memory(tmp_path, capsys, monkeypatc
     assert not (out / "big").exists()
 
 
+def test_refusal_counts_only_workers_that_can_run(tmp_path, monkeypatch):
+    from histotet import experiment
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was started")
+
+    # n = 5's 384 cells make one chunk, which runs serially whatever
+    # --threads asks: 4,000 chunk peaks would exceed any machine's memory.
+    monkeypatch.setattr(experiment, "ThreadPoolExecutor", no_pool)
+    out = tmp_path / "threads"
+    assert run(["converge", "--functions", "f4", "--n", "5", "--threads", "4000", "--out", str(out)]) == 0
+    assert (out / "errors.csv").exists()
+
+
 @pytest.mark.parametrize("argv, arrays, at_least_mb", [
     # The default vol table alone: 2 x 300^3 nodes, 14 scalars each.
     (["converge", "--functions", "f4", "--n", "3", "--quad-m", "300"],

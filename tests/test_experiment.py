@@ -348,45 +348,62 @@ def test_study_bytes_counts_the_arrays_of_a_pass(monkeypatch):
 
     # A study keeps every mesh and every engine's DOF table; the error rule
     # is shared, and the error array and the chunks are the largest mesh's
-    # pass, one chunk per thread.
+    # pass, one chunk per worker that can run.
     settings = QuadSettings(dof_points=4, error_degree=5)
     configs = [StrategyConfig.of("classical"), *QUADRATIC_CONFIGS, StrategyConfig.edge_face(1, 3)]
     meshes = [build_mesh(3), build_mesh(4)]
     tables = [_ErrorEngine(cfg, settings).table for cfg in configs]
     rule = simplex_rule_plain(3, settings.error_degree)
-    arrays = [
-        *(a for m in meshes for a in (m.vertices, m.cells, m.cell_vertex_array, m.cell_volumes())),
+    study = sum(a.nbytes for a in (
         *(a for t in tables for a in (t.nodes, t.weights)),
         rule.nodes, rule.weights, lambda_basis(rule.nodes).T,
+    ))
+    fixed = study + sum(a.nbytes for a in (
+        *(a for m in meshes for a in (m.vertices, m.cells, m.cell_vertex_array, m.cell_volumes())),
         np.empty((5, len(meshes[-1]))),  # the errors
-    ]
-    fixed = sum(a.nbytes for a in arrays)
+    ))
 
-    def chunk_bytes(ns):  # a study's bytes per thread, and the rest
+    def chunk_bytes(ns, configs=configs):  # a study's bytes per worker, and the rest
         one, three = (study_bytes(ns, configs, settings, threads=t) for t in (1, 3))
         return (three - one) // 2, one - (three - one) // 2
 
+    # The 162 cells make three chunks, so three workers can run.
+    monkeypatch.setattr(experiment, "_CHUNK_BUDGET", 54 * (192 + 64))
     plan = _Plan([t.blocks for t in tables], len(rule), len(meshes[-1]))
-    assert plan.rows == len(meshes[-1])  # the 162 cells make one chunk
+    assert (plan.rows, plan.chunks) == (54, 3)
     assert plan.width == 192  # vol's table; the error stage needs 2 x 64
-    faces = len({tuple(cell[list(v)]) for cell in meshes[-1].cells for v in plan.domains[3]})
-    # A chunk holds its workspace and one target slice, and at most either
-    # fv's face source (16 nodes at m = 4) at each distinct face with
-    # classical's coefficients (10), or, after the last engine, the
-    # coefficients of all five.  vol and ef read the uniform faces in place,
-    # and fv's dirichlet(2) volume block, which vol reads in place, is
-    # evaluated straight into fv's columns: neither is held.
+    # A chunk holds its workspace and one target slice, and at most, after
+    # the last engine, the coefficients of all five.  Each face or edge
+    # source is filled by one engine and scattered a slice at a time:
+    # classical's uniform faces (vol and ef read them in place), fv's faces
+    # and each ef's edges.  fv's dirichlet(2) volume block, which vol reads
+    # in place, is evaluated straight into fv's columns.  Nothing is held.
+    assert not plan.held
     slice_ = 3 * experiment._SLICE_POINTS
-    assert 16 * faces + 162 * 10 < 162 * 50
-    assert chunk_bytes((3, 4)) == (8 * (162 * (192 + 50) + slice_), fixed)
+    assert chunk_bytes((3, 4)) == (8 * (54 * (192 + 50) + slice_), fixed)
+    # Threads beyond the chunks count no chunk.
+    three, many = (study_bytes((3, 4), configs, settings, threads=t) for t in (3, 100))
+    assert many == three
+
+    # An fv grid refills each alpha's faces in the next beta group, so each
+    # face source is filled by two engines and held from its first block to
+    # its last: the peak is at the third engine's faces, with both sources
+    # (16 nodes at each distinct face of the first chunk) and two engines'
+    # coefficients.
+    grid = [StrategyConfig.face_volume(a, b) for a in (1, 2) for b in (1, 2)]
+    plan = _Plan([_ErrorEngine(cfg, settings).table.blocks for cfg in grid], len(rule), len(meshes[-1]))
+    assert len(plan.held) == 2 and plan.width == 128 and (plan.rows, plan.chunks) == (72, 3)
+    faces = len({tuple(cell[list(v)]) for cell in meshes[-1].cells[:72] for v in plan.domains[3]})
+    assert chunk_bytes((3, 4), grid)[0] == 8 * (72 * (128 + 20) + slice_ + 2 * 16 * faces)
 
     # A chunk holds at least one cell, however small the budget, and one
-    # cell shares no face: every face of the cell is held.  project's study,
-    # which has no mesh, counts the same one-cell chunk.
+    # cell shares no face.  project's study, which has no mesh, counts one
+    # such chunk and one worker, whatever the thread count.
     monkeypatch.setattr(experiment, "_CHUNK_BUDGET", 10)
-    one_cell = 8 * (192 + slice_ + 16 * 4 + 10)
+    one_cell = 8 * (192 + slice_ + 50)
     assert chunk_bytes((3, 4)) == (one_cell, fixed)
-    assert chunk_bytes(())[0] == one_cell
+    for threads in (1, 3):
+        assert study_bytes((), configs, settings, threads) == study + one_cell
 
 
 def test_schedule_of_the_default_methods():
@@ -405,10 +422,10 @@ def test_schedule_of_the_default_methods():
     # volume block (fv's columns) in place, and ef the uniform faces.
     vol, ef = tables[2], tables[3]
     assert plan.filled == [list(tables[0]), list(tables[1]), [vol[4]], list(ef[4:])]
-    # A chunk holds the sources that more than one filled block uses: the
-    # uniform face source (classical's four faces), fv's dirichlet(2) faces
-    # and ef's edges.  The two volume blocks, used once, go straight into
-    # the DOF values of fv and vol.
+    # The uniform face source (classical's four faces), fv's dirichlet(2)
+    # faces and ef's edges each serve one engine, so they are scattered a
+    # slice at a time, and the two volume blocks, used once, go straight
+    # into the DOF values of fv and vol: a chunk holds no source.
     faces = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
     edges = ((1, 0), (2, 0), (3, 0), (2, 1), (3, 1), (3, 2))
     assert plan.uses == {
@@ -418,18 +435,23 @@ def test_schedule_of_the_default_methods():
         ((0, 1, 2, 3), (0.0,) * 4, 8): 1,
         (2, (1.0, 1.0), 8): 6,
     }
+    assert not plan.held
     assert plan.domains == {3: faces, 2: edges}
     assert plan.own_rows == [4_000_000 // (n + 216) for n in (256, 768, 1280, 304)]
     assert plan.rows == min(plan.own_rows) == 2673
-    # fv's faces are the peak: the workspace, one target slice, fv's face
-    # source (64 nodes) at each distinct face of the first chunk and
-    # classical's coefficients (10).
-    mesh = build_mesh(15)
-    distinct = len({tuple(cell[list(v)]) for cell in mesh.cells[: plan.rows] for v in faces})
-    assert 0.5 < distinct / (4 * plan.rows) < 0.6
-    one, two = (study_bytes((15,), ALL_METHODS, QuadSettings(), threads=t) for t in (1, 2))
-    slice_ = 3 * 65_536
-    assert two - one == 8 * (plan.rows * (1280 + 10) + slice_ + 64 * distinct)
+    # The peak is after the last engine: the workspace, one target slice and
+    # the coefficients (10) of all four.  The 16,464 cells at n = 15 make 7
+    # chunks, so two threads count two chunks and any more count 7.
+    assert _Plan(tables, 216, 16_464).chunks == 7
+    one, two, seven, many = (
+        study_bytes((15,), ALL_METHODS, QuadSettings(), threads=t) for t in (1, 2, 7, 4000)
+    )
+    slice_ = 3 * 16_384
+    assert two - one == 8 * (plan.rows * (1280 + 40) + slice_)
+    assert many == seven == one + 6 * (two - one)
+    # n = 5's 384 cells make one chunk, which one worker runs.
+    one, many = (study_bytes((5,), ALL_METHODS, QuadSettings(), threads=t) for t in (1, 4000))
+    assert many == one
 
 
 def test_default_grids_read_shared_blocks_in_place():
@@ -462,45 +484,59 @@ def test_default_grids_read_shared_blocks_in_place():
     [StrategyConfig.volumetric_blend(a, b) for a in (0.25, 0.75) for b in (1.0, 2.0)],
     [StrategyConfig.edge_face(a, b) for a in (1.0, 2.0) for b in (1.0, 2.0)],
 ], ids=["converge", "fv-grid", "vol-grid", "ef-grid"])
-def test_refusal_counts_what_a_pass_allocates(configs):
+def test_refusal_counts_what_a_pass_allocates(configs, monkeypatch):
     import tracemalloc
 
-    from histotet.experiment import _ErrorEngine, _l1_errors, study_bytes
+    from histotet import experiment
+    from histotet.experiment import _ErrorEngine, _Plan, _passes, study_bytes
 
-    # The per-thread term of the --n refusal is one chunk's peak; a pass on
-    # one thread allocates that, plus its error array and the target's
-    # temporaries.  The 4,374 cells at n = 10 make two chunks, or one for
-    # the ef grid, whose tables are narrowest.
-    settings = QuadSettings()
-    mesh = build_mesh(10)
-    engines = [_ErrorEngine(cfg, settings) for cfg in configs]
-    f = TARGETS["f1"]
-    _l1_errors(engines, f, mesh)  # builds the error rule and the mesh's volumes
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        _l1_errors(engines, f, mesh)
-        grown = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-    one, two = (study_bytes((10,), configs, settings, threads=t) for t in (1, 2))
-    assert 0.85 * grown <= two - one <= grown
+    # The per-worker term of the --n refusal is one chunk's peak, counted as
+    # threads=2 - threads=1.  A study on one thread allocates that, its
+    # engines' DOF tables and its error array; the rest is the target's
+    # temporaries.  At the default budget, which the refusal uses, the 4,374
+    # cells at n = 10 make two chunks, or one for the ef grid, whose tables
+    # are narrowest; a budget of 1,000,000 makes at least three for all.
+    settings, meshes, f = QuadSettings(), {10: build_mesh(10)}, TARGETS["f1"]
+    tables = [_ErrorEngine(cfg, settings).table for cfg in configs]
+    once = sum(t.nodes.nbytes + t.weights.nbytes for t in tables) + 8 * len(configs) * len(meshes[10])
+    list(_passes(configs, [f], (10,), settings, 1, meshes))  # builds the rules and the mesh's volumes
+    default = 1 if configs[0].kind == "edge_face" else 2
+    for budget, at_least in ((experiment._CHUNK_BUDGET, default), (1_000_000, 3)):
+        monkeypatch.setattr(experiment, "_CHUNK_BUDGET", budget)
+        chunks = _Plan([t.blocks for t in tables], 216, len(meshes[10])).chunks
+        assert chunks >= at_least
+        if chunks == 1:
+            continue  # one worker: no per-worker term to compare
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            list(_passes(configs, [f], (10,), settings, 1, meshes))
+            grown = tracemalloc.get_traced_memory()[1] - before - once
+        finally:
+            tracemalloc.stop()
+        one, two = (study_bytes((10,), configs, settings, threads=t) for t in (1, 2))
+        assert 0.85 * grown <= two - one <= grown
 
 
 def test_slicing_does_not_move_a_bit(monkeypatch):
     from histotet import experiment
 
     mesh = build_mesh(4)
-    engines = [experiment._ErrorEngine(cfg, QuadSettings()) for cfg in ALL_METHODS]
     monkeypatch.setattr(experiment, "_CHUNK_BUDGET", 50_000)
-    plan = experiment._Plan([e.table.blocks for e in engines], 216, len(mesh))
-    assert plan.rows < len(mesh)  # several chunks
-    # Whole chunks, several cells, and one cell per target call.
-    errors = []
-    for points in (65_536, 1_000, 7):
-        monkeypatch.setattr(experiment, "_SLICE_POINTS", points)
-        errors.append(experiment._l1_errors(engines, TARGETS["f2"], mesh))
-    assert errors[1] == errors[0] and errors[2] == errors[0]  # bitwise
+    # The default methods scatter every face and edge source; the fv grid
+    # fills each alpha's faces in both beta groups, so it holds them.
+    grid = [StrategyConfig.face_volume(a, b) for a in (1.0, 2.0) for b in (1.0, 2.0)]
+    for configs, shared in ((ALL_METHODS, 0), (grid, 2)):
+        engines = [experiment._ErrorEngine(cfg, QuadSettings()) for cfg in configs]
+        plan = experiment._Plan([e.table.blocks for e in engines], 216, len(mesh))
+        assert plan.chunks > 2 and len(plan.held) == shared  # several chunks, on two workers
+        # Whole chunks, several cells, and one cell per target call.
+        errors = []
+        for points in (65_536, 1_000, 7):
+            monkeypatch.setattr(experiment, "_SLICE_POINTS", points)
+            for threads in (1, 2):
+                errors.append(experiment._l1_errors(engines, TARGETS["f2"], mesh, threads))
+        assert errors == [errors[0]] * 6  # bitwise
 
 
 def test_study_computes_each_mesh_volume_once(monkeypatch):
