@@ -247,7 +247,7 @@ def _method_ids(args, default):
     """Method ids named by --strategy, or by `default` without it ('all'
     names every METHODS entry), after checking that each parameter flag
     given belongs to one of them."""
-    text = args.strategy or default
+    text = default if args.strategy is None else args.strategy
     if text == "all":  # every method runs, so every parameter flag is read
         return list(METHODS)
     ids = [tok.strip() for tok in text.split(",") if tok.strip()]
@@ -291,7 +291,7 @@ def _parameters(args, method, single=False):
 
 def _targets(text, default):
     """(ids, TargetFunctions) named by --functions."""
-    ids = _distinct(_parse_function_ids(text) if text else default, "--functions")
+    ids = _distinct(default if text is None else _parse_function_ids(text), "--functions")
     if not ids:
         raise CliError("--functions names no target function")
     try:
@@ -301,7 +301,7 @@ def _targets(text, default):
 
 
 def _mesh_ns(text, default):
-    ns = _distinct(_parse_list(text, int) if text else default, "--n")
+    ns = _distinct(default if text is None else _parse_list(text, int), "--n")
     if not ns:
         raise CliError("--n names no mesh")
     for n in ns:
@@ -501,7 +501,7 @@ def cmd_project(args):
         raise CliError("project expects exactly one function id")
     (f,) = functions
 
-    if args.tet:
+    if args.tet is not None:
         coords = _parse_list(args.tet)
         if len(coords) != 12:
             raise CliError("--tet needs 12 coordinates (4 vertices x 3)")

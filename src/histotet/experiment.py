@@ -138,14 +138,26 @@ def _chunk_slices(n_cells, block):
     return [slice(i, min(i + block, n_cells)) for i in range(0, n_cells, block)]
 
 
-def _target_values(f, cells, nodes, out=None):
-    """f at the nodes mapped into each cell, shape (cells, nodes), evaluated a
-    few cells at a time into `out` or a new array."""
-    values = np.empty((len(cells), len(nodes))) if out is None else out
-    rows = max(1, _SLICE_POINTS // len(nodes))
-    for i in range(0, len(cells), rows):
-        # (P, 4) @ (c, 4, 3) -> (c, P, 3) batched over cells
-        values[i : i + rows] = f(np.matmul(nodes, cells[i : i + rows]))
+def _mapped(f, vertices, ids, slots, nodes):
+    """Yield (first, f at `nodes` in the domains ids[first : first + k]), one
+    slice of k domains at a time: each domain's vertex coordinates (the rows
+    of `vertices` that its row of ids names) placed on `slots` of an
+    otherwise zero cell, and mapped by the barycentric nodes."""
+    step = max(1, _SLICE_POINTS // len(nodes))
+    for first in range(0, len(ids), step):
+        part = ids[first : first + step]
+        lifted = np.zeros((len(part), 4, 3))
+        lifted[:, list(slots)] = vertices[part]
+        # (P, 4) @ (k, 4, 3) -> (k, P, 3) batched over domains
+        yield first, f(np.matmul(nodes, lifted))
+
+
+def _project(f, vertices, ids, nodes, out=None, slots=(0, 1, 2, 3)):
+    """f at `nodes` in each domain of ids (see _mapped), shape (domains,
+    nodes), into `out` or a new array; by default a domain is a cell."""
+    values = np.empty((len(ids), len(nodes))) if out is None else out
+    for first, part in _mapped(f, vertices, ids, slots, nodes):
+        values[first : first + len(part)] = part
     return values
 
 
@@ -156,7 +168,7 @@ def compute_dofs(f, tet, cfg, settings=QuadSettings()):
     averages) for the classical one.
     """
     table = build_dof_table(cfg, settings)
-    return (_target_values(f, tet.vertices[None], table.nodes) @ table.weights.T)[0]
+    return (_project(f, tet.vertices, np.arange(4)[None], table.nodes) @ table.weights.T)[0]
 
 
 def _run_chunks(work, slices, threads):
@@ -281,18 +293,6 @@ class _Plan:
         return max(1, min(threads, self.chunks))
 
 
-def _domain_values(f, mesh, tuples, vertices, nodes):
-    """Yield (first, f at `nodes` on the distinct domains tuples[first:
-    first + k]), one slice of k domains at a time, each domain's vertices
-    placed on `vertices` of an otherwise zero cell."""
-    step = max(1, _SLICE_POINTS // len(nodes))
-    for first in range(0, len(tuples), step):
-        part = tuples[first : first + step]
-        lifted = np.zeros((len(part), 4, 3))
-        lifted[:, list(vertices)] = mesh.vertices[part]
-        yield first, f(np.matmul(nodes, lifted))
-
-
 def _dof_values(f, mesh, sl, tables, plan, workspace):
     """Yield (engine, f at its DOF table's nodes in each of the cells sl of
     the mesh) for each engine in plan order, each a view of the engine's
@@ -308,7 +308,7 @@ def _dof_values(f, mesh, sl, tables, plan, workspace):
     than one block uses) is evaluated at its first use, copied into each of
     its blocks, a slice of rows at a time, and dropped when its count runs
     out."""
-    cells, ids = mesh.cell_vertex_array[sl], mesh.cells[sl]
+    ids = mesh.cells[sl]
     held, index, left = {}, {}, Counter(plan.uses)
     for i in plan.order:
         table = tables[i]
@@ -318,11 +318,11 @@ def _dof_values(f, mesh, sl, tables, plan, workspace):
             src, nodes, out = _source(key), table.nodes[start:stop], values[:, start:stop]
             vertices = key[0]
             if plan.uses[src] == 1:
-                _target_values(f, cells, nodes, out)
+                _project(f, mesh.vertices, ids, nodes, out)
                 continue
             if len(vertices) == 4:
                 if src not in held:
-                    held[src] = _target_values(f, cells, nodes)
+                    held[src] = _project(f, mesh.vertices, ids, nodes)
                 out[...] = held[src]
             else:
                 domains = plan.domains[len(vertices)]
@@ -337,15 +337,13 @@ def _dof_values(f, mesh, sl, tables, plan, workspace):
                             for k, a, b in plan.filled[i]
                             if _source(k) == src
                         ]
-                        for first, part in _domain_values(f, mesh, tuples, vertices, nodes):
+                        for first, part in _mapped(f, mesh.vertices, tuples, vertices, nodes):
                             for column, block in blocks:
                                 hit = np.flatnonzero((column >= first) & (column < first + len(part)))
                                 block[hit] = part[column[hit] - first]
                     continue
                 if src not in held:
-                    held[src] = np.empty((len(tuples), len(nodes)))
-                    for first, part in _domain_values(f, mesh, tuples, vertices, nodes):
-                        held[src][first : first + len(part)] = part
+                    held[src] = _project(f, mesh.vertices, tuples, nodes, slots=vertices)
                 column, step = inverse[:, domains.index(vertices)], max(1, _SLICE_POINTS // len(nodes))
                 for r in range(0, len(out), step):
                     out[r : r + step] = held[src][column[r : r + step]]
@@ -387,7 +385,7 @@ def _l1_errors(engines, f, mesh, threads=1):
             finite[i] = np.isfinite(dofs).all(axis=1)
         # The error stage reuses the workspace: f, then one |f - p| temporary.
         size, flat = rows * len(rule), workspace.reshape(-1)
-        fe = _target_values(f, mesh.cell_vertex_array[sl], rule.nodes, flat[:size].reshape(rows, -1))
+        fe = _project(f, mesh.vertices, mesh.cells[sl], rule.nodes, flat[:size].reshape(rows, -1))
         diff = flat[size : 2 * size].reshape(rows, -1)
         for i, row in enumerate(cell_err):
             np.matmul(coeffs[i], basis_t, out=diff)
@@ -448,7 +446,7 @@ def _passes(configs, functions, ns, settings, threads, meshes):
 
 def study_bytes(ns, configs, settings, threads=1):
     """Bytes of the arrays a study of `configs` on the meshes of grid
-    parameters ns holds, counted before any is built: every mesh's four
+    parameters ns holds, counted before any is built: every mesh's three
     arrays (mesh_size; a study keeps all its meshes); every engine's DOF
     table (4 coordinates and one weight per functional at each node); the
     error rule (4 coordinates, a weight and 10 basis values per node); and,

@@ -28,23 +28,15 @@ class TetMesh:
         self.n = int(n)
         self.vertices = np.asarray(vertices, dtype=float)
         self.cells = np.asarray(cells, dtype=np.int64)
-        self._cell_vertex_array = None
         self._cell_volumes = None
 
     def __len__(self):
         return len(self.cells)
 
-    @property
-    def cell_vertex_array(self):
-        """Vertex coordinates per cell, shape (n_cells, 4, 3); computed lazily."""
-        if self._cell_vertex_array is None:
-            self._cell_vertex_array = self.vertices[self.cells]
-        return self._cell_vertex_array
-
     def cell_volumes(self):
         """Volume per cell, shape (n_cells,); computed once."""
         if self._cell_volumes is None:
-            v = self.cell_vertex_array
+            v = self.vertices[self.cells]  # (n_cells, 4, 3), dropped after
             edges = v[:, 1:, :] - v[:, :1, :]
             self._cell_volumes = np.abs(np.linalg.det(edges)) / 6.0
         return self._cell_volumes
@@ -52,12 +44,12 @@ class TetMesh:
 
 def mesh_size(n):
     """(cells, scalars) of the mesh of grid parameter n, an integer >= 2: its
-    6 (n-1)^3 cells, and 3 coordinates per vertex (n^3) plus 4 vertex indices,
-    12 vertex coordinates and a volume per cell in its four arrays."""
+    6 (n-1)^3 cells, and 3 coordinates per vertex (n^3) plus 4 vertex indices
+    and a volume per cell in its three arrays."""
     if int(n) != n or n < 2:
         raise ValueError(f"grid parameter n must be an integer >= 2, got {n!r}")
     cells = 6 * (int(n) - 1) ** 3
-    return cells, 3 * int(n) ** 3 + cells * (4 + 12 + 1)
+    return cells, 3 * int(n) ** 3 + cells * (4 + 1)
 
 
 def kuhn_cells(n, count=None):

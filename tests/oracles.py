@@ -89,6 +89,14 @@ def dvol_entries(gamma):
     return s, t, z
 
 
+def cell_values(f, vertices, cells, nodes):
+    """f at the barycentric `nodes` in each cell (a row of vertex ids into
+    `vertices`), shape (cells, nodes): nodes @ the cell's four vertex
+    coordinates, one cell at a time.  The reference for the point mapping of
+    experiment._mapped."""
+    return f(np.array([nodes @ vertices[cell] for cell in cells]))
+
+
 def l1_error(f, mesh, cfg, settings=QuadSettings(), threads=1):
     """L1 reconstruction error of one strategy for one function on one mesh,
     scored in a pass of its own."""

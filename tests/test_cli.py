@@ -108,6 +108,11 @@ def test_commands_reject_flags_they_do_not_read(argv):
                  id="argv20---quad-m must be >= 3, got 2: a weighted moment"),
     # A range that ends before it starts names nothing; it is not an empty set.
     (["converge", "--functions", "f1,f5..f2"], "bad function range 'f5..f2'"),
+    # An empty value names nothing; it does not mean the default.
+    (["converge", "--functions=", "--n", "3"], "--functions names no target function"),
+    (["converge", "--strategy="], "--strategy names no strategy"),
+    (["converge", "--n="], "--n names no mesh"),
+    (["project", "--tet="], "--tet needs 12 coordinates"),
 ])
 def test_bad_input_exits_2(tmp_path, capsys, argv, message):
     # check and project take no --out

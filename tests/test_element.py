@@ -35,7 +35,7 @@ from histotet.densities import (
     volumetric_psi,
 )
 from histotet.simplex import EDGE_PAIRS, FACE_VERTEX_INDICES
-from oracles import apply_functionals, dfv_entries, dvol_entries, symmetric_quadratic_density
+from oracles import apply_functionals, cell_values, dfv_entries, dvol_entries, symmetric_quadratic_density
 
 PARAM_GRID = (0.5, 1.0, 2.0, 5.0)
 
@@ -294,25 +294,26 @@ def _scale_enrichments(funcs, factor):
 
 
 def test_scale_invariance_of_reconstruction(rng):
-    from histotet.experiment import _table_from_functionals, _target_values
+    from histotet.experiment import _table_from_functionals
     from histotet import TARGETS
 
     f = TARGETS["f4"]
-    verts = rng.random((1, 4, 3))
-    while abs(np.linalg.det(verts[0, 1:] - verts[0, 0])) / 6.0 < 0.01:
-        verts = rng.random((1, 4, 3))
+    verts = rng.random((4, 3))
+    while abs(np.linalg.det(verts[1:] - verts[0])) / 6.0 < 0.01:
+        verts = rng.random((4, 3))
+    cell = np.arange(4)[None]
 
     for cfg in CONFIGS[:3]:
         base_funcs = build_functionals(cfg)
         base_op = _assemble_operator(cfg, base_funcs)
         base_table = _table_from_functionals(base_funcs, 8)
-        base_dofs = _target_values(f, verts, base_table.nodes) @ base_table.weights.T
+        base_dofs = cell_values(f, verts, cell, base_table.nodes) @ base_table.weights.T
         base_coeffs = base_op.h_inv @ base_dofs[0]
         for factor in (-3.0, 0.01, 7.0):
             scaled = _scale_enrichments(base_funcs, factor)
             op = _assemble_operator(cfg, scaled)
             table = _table_from_functionals(scaled, 8)
-            coeffs = op.h_inv @ (_target_values(f, verts, table.nodes) @ table.weights.T)[0]
+            coeffs = op.h_inv @ (cell_values(f, verts, cell, table.nodes) @ table.weights.T)[0]
             np.testing.assert_allclose(coeffs, base_coeffs, atol=1e-10)
 
 

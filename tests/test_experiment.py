@@ -143,7 +143,7 @@ def test_non_finite_error_raises():
     with pytest.raises(ValueError, match=r"function poisoned on mesh n=4") as info:
         l1_error(f, mesh, StrategyConfig.of("classical"))
     cell = int(str(info.value).rsplit("cell ", 1)[1])
-    assert np.any(np.all(mesh.cell_vertex_array[cell] == 1.0, axis=-1))
+    assert np.any(np.all(mesh.vertices[mesh.cells[cell]] == 1.0, axis=-1))
 
 
 def test_non_finite_error_names_the_stage():
@@ -158,7 +158,7 @@ def test_non_finite_error_names_the_stage():
     message = str(info.value)
     assert "at the DOF nodes of fv," in message and "error nodes" not in message
     cell = int(message.rsplit("cell ", 1)[1])
-    assert np.sum(mesh.cell_vertex_array[cell][:, 0] == 0.0) == 3
+    assert np.sum(mesh.vertices[mesh.cells[cell]][:, 0] == 0.0) == 3
 
     n_err = len(simplex_rule_plain(3, 8))
     at_error_nodes = TargetFunction(
@@ -359,7 +359,7 @@ def test_study_bytes_counts_the_arrays_of_a_pass(monkeypatch):
         rule.nodes, rule.weights, lambda_basis(rule.nodes).T,
     ))
     fixed = study + sum(a.nbytes for a in (
-        *(a for m in meshes for a in (m.vertices, m.cells, m.cell_vertex_array, m.cell_volumes())),
+        *(a for m in meshes for a in (m.vertices, m.cells, m.cell_volumes())),
         np.empty((5, len(meshes[-1]))),  # the errors
     ))
 

@@ -32,7 +32,7 @@ def test_uniform_cell_volumes(n):
 def test_barycentric_identity_at_cell_vertices(rng):
     mesh = build_mesh(3)
     for i in rng.choice(len(mesh), size=10, replace=False):
-        tet = Tetrahedron(mesh.cell_vertex_array[i])
+        tet = Tetrahedron(mesh.vertices[mesh.cells[i]])
         np.testing.assert_allclose(
             tet.barycentric(tet.vertices), np.eye(4), atol=1e-12
         )
@@ -44,7 +44,7 @@ def test_random_points_lie_in_exactly_one_cell(rng):
     for p in points:
         hits = 0
         for i in range(len(mesh)):
-            if np.all(Tetrahedron(mesh.cell_vertex_array[i]).barycentric(p) >= -1e-12):
+            if np.all(Tetrahedron(mesh.vertices[mesh.cells[i]]).barycentric(p) >= -1e-12):
                 hits += 1
         assert hits == 1
 

@@ -23,7 +23,7 @@ from histotet.element import build_functionals
 from histotet.experiment import _ErrorEngine, _l1_errors
 from histotet.simplex import dirichlet_expectation
 from conftest import make_random_tet
-from oracles import l1_error
+from oracles import cell_values, l1_error
 
 MESH = build_mesh(3)
 
@@ -191,20 +191,19 @@ def test_shared_points_give_each_cell_its_own_values(budget, monkeypatch):
     # sharing would move bytes, and this fails instead.
     f = TARGETS["f1"]
     dof_values = experiment._dof_values
-    checked, own = [], {}  # own values of each (chunk, block), computed once
+    checked, own = [], {}  # own values of each block on the whole mesh, computed once
 
     def checked_dof_values(target, mesh, sl, tables, plan, workspace):
-        cells = mesh.cell_vertex_array[sl]
         for i, values in dof_values(target, mesh, sl, tables, plan, workspace):
             for key, start, stop in tables[i].blocks:
-                if (sl.start, key) not in own:
-                    own[sl.start, key] = experiment._target_values(f, cells, tables[i].nodes[start:stop])
-                assert np.array_equal(values[:, start:stop], own[sl.start, key])
+                if key not in own:
+                    own[key] = cell_values(f, mesh.vertices, mesh.cells, tables[i].nodes[start:stop])
+                assert np.array_equal(values[:, start:stop], own[key][sl])
             # values is a row-strided view of the workspace: its gemm must be
             # that of a contiguous copy, bit for bit.
             weights_t = tables[i].weights.T
             assert np.array_equal(values @ weights_t, np.ascontiguousarray(values) @ weights_t)
-            checked.append(len(cells))
+            checked.append(len(values))
             yield i, values
 
     monkeypatch.setattr(experiment, "_CHUNK_BUDGET", budget)
@@ -213,8 +212,8 @@ def test_shared_points_give_each_cell_its_own_values(budget, monkeypatch):
         engines = [_ErrorEngine(cfg, QuadSettings()) for cfg in configs]
         for n in range(2, 7):
             mesh = build_mesh(n)
+            own.clear()
             for threads in (1, 2):
                 del checked[:]
-                own.clear()
                 _l1_errors(engines, f, mesh, threads)
                 assert sum(checked) == len(engines) * len(mesh)
