@@ -491,6 +491,14 @@ _SAMPLE_BARY = np.array(
 )
 
 
+def _finite(values, f, stage):
+    """values, if all are finite; otherwise the error names the function and
+    the stage, as experiment._l1_errors does."""
+    if not np.isfinite(values).all():
+        raise CliError(f"non-finite projection of function {f.id}: non-finite value at {stage}")
+    return values
+
+
 def cmd_project(args):
     methods = _method_ids(args, "fv")
     if len(methods) != 1:
@@ -514,20 +522,19 @@ def cmd_project(args):
 
     settings = _settings(args)
     _check_study((), [cfg], settings)
-    dofs = compute_dofs(f, tet, cfg, settings)
+    dofs = _finite(compute_dofs(f, tet, cfg, settings), f, f"the DOF nodes of {cfg.method_id}")
+    if cfg.kind == "classical":
+        poly, cond = classical_project(dofs), "n/a (closed-form affine reconstruction)"
+    else:
+        op = assemble_H(cfg)
+        poly, cond = reconstruct(op, dofs), f"{op.cond:.6e}"
+    _finite(poly.coeffs, f, "the reconstruction")
 
     print(f"strategy : {cfg.method_id} ({cfg.params_text()})")
     print(f"function : {f.id}")
     print(f"tet      : volume {tet.volume:.6g}")
     print("dofs     :", " ".join(f"{d: .10e}" for d in dofs))
-
-    if cfg.kind == "classical":
-        poly = classical_project(dofs)
-        print("matrix cond : n/a (closed-form affine reconstruction)")
-    else:
-        op = assemble_H(cfg)
-        poly = reconstruct(op, dofs)
-        print(f"matrix cond : {op.cond:.6e}")
+    print(f"matrix cond : {cond}")
     print("coefficients:", " ".join(f"{c: .10e}" for c in poly.coeffs))
 
     recon_fn = TargetFunction("recon", lambda p: poly(tet.barycentric(p)))

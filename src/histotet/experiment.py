@@ -10,22 +10,23 @@ tuning candidate.  A table is a concatenation of blocks, one per (domain,
 Dirichlet component, m), and strategies share blocks (the uniform face
 block of classical, vol and ef; the dirichlet(2) volume block of fv and
 vol; a blend's uniform block for every theta).  Each chunk of cells
-evaluates the target once per distinct volume block and cell, once per
-distinct face or edge of the chunk for the face and edge blocks, and once
-at the shared error nodes.  One plan per pass (_Plan) orders the engines,
+evaluates the target once per distinct domain of each source of target
+values (the blocks of one domain length, Dirichlet component and m), a cell
+for a volume source and a face or edge of the chunk for the others, and
+once at the shared error nodes.  One plan per pass (_Plan) orders the engines,
 places each engine's DOF values at fixed columns of one workspace per
 chunk, so that a block an earlier engine left at the same columns is read
-in place, counts the other blocks that use each source of target values,
-and sizes the chunks.  A chunk scatters a face or edge source that one
-engine fills a slice at a time and holds any other source that several
-blocks use until its count runs out; study_bytes walks the same plan block
-by block to count a chunk's peak memory.  Per-cell contributions are
-accumulated in cell-index order so results are deterministic for any
-thread count.
+in place, names the sources that several engines fill, with the block
+after which each is released, and sizes the chunks.  Every other block is
+filled by one of two rules: a source that one engine fills is scattered a
+slice at a time into all of that engine's blocks of it, and a source that
+several engines fill is held from its first filled block to its last.
+study_bytes walks the same plan block by block to count a chunk's peak
+memory.  Per-cell contributions are accumulated in cell-index order so
+results are deterministic for any thread count.
 """
 
 import time
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -210,12 +211,13 @@ class _ErrorEngine:
 
 
 def _source(key):
-    """What the DOF block of `key` is evaluated from (see DofTable).  A volume
-    block's nodes are its own.  A face or edge block's points depend only on
-    its domain's vertices, so the blocks of one (dim, exponents, m) share one
-    source, evaluated once per distinct domain of a chunk."""
+    """What the DOF block of `key` is evaluated from (see DofTable).  A
+    block's points depend only on its domain's vertices, so the blocks of
+    one (domain length, exponents, m) share one source, evaluated once per
+    distinct domain of a chunk: a cell for a volume block, a face or an
+    edge for the others."""
     vertices, exps, m = key
-    return key if len(vertices) == 4 else (len(vertices), exps, m)
+    return len(vertices), exps, m
 
 
 def _distinct(ids, domains):
@@ -241,11 +243,12 @@ class _Plan:
     then holds its shared sources plus one of the others); the columns of a
     chunk's workspace, for the widest DOF table or the error stage's values
     and temporary; each engine's column offset in it and the blocks it
-    fills; the number of filled blocks that use each source, and the
-    sources a chunk holds (see _dof_values); the local domains of each
-    length below 4, one tuple for the faces and one for the edges (every
-    face source covers the four faces of a cell and every edge source its
-    six edges); each engine's chunk rows alone (its L1 sum's
+    fills; the sources a chunk holds, those that more than one engine
+    fills, each with its last filled block (engine, start column), after
+    which the chunk releases it (see _dof_values); the local domains of
+    each length, one tuple for the cell, one for the faces and one for the
+    edges (every face source covers the four faces of a cell and every edge
+    source its six edges); each engine's chunk rows alone (its L1 sum's
     partition); and the pass's chunk rows and number of chunks."""
 
     def __init__(self, tables, error_nodes, cells):
@@ -259,8 +262,9 @@ class _Plan:
         # shared face blocks with the widest table's.
         self.offsets = [self.width - b[-1][2] if len(b[-1][0][0]) == 4 else 0 for b in tables]
         # A block whose key sits at its columns, unwritten since, is read in
-        # place: neither evaluated, copied nor held.
+        # place: neither evaluated nor gathered.
         self.filled, placed = [[] for _ in tables], {}  # placed: (start, stop column) -> key
+        fillers, last = {}, {}
         for i in self.order:
             for key, start, stop in tables[i]:
                 cols = (self.offsets[i] + start, self.offsets[i] + stop)
@@ -268,19 +272,11 @@ class _Plan:
                     placed = {c: k for c, k in placed.items() if c[1] <= cols[0] or cols[1] <= c[0]}
                     placed[cols] = key
                     self.filled[i].append((key, start, stop))
-        self.uses = Counter(_source(key) for blocks in self.filled for key, _, _ in blocks)
-        # A source that more than one filled block uses is held, unless it is
-        # a face or edge source whose filled blocks are all one engine's.
-        # A volume source is its own key, whose first element is a vertex
-        # tuple; a face or edge source's is the domain's length.
-        owners = {(_source(key), i) for i, blocks in enumerate(self.filled) for key, _, _ in blocks}
-        fillers = Counter(src for src, _ in owners)
-        self.held = {
-            src for src, n in self.uses.items()
-            if n > 1 and (isinstance(src[0], tuple) or fillers[src] > 1)
-        }
+                    fillers.setdefault(_source(key), set()).add(i)
+                    last[_source(key)] = (i, start)
+        self.held = {src: last[src] for src, engines in fillers.items() if len(engines) > 1}
         self.domains = {}
-        for vertices in dict.fromkeys(v for v, _, _ in keys if len(v) < 4):
+        for vertices in dict.fromkeys(v for v, _, _ in keys):
             self.domains[len(vertices)] = self.domains.get(len(vertices), ()) + (vertices,)
         self.own_rows = [_CHUNK_BUDGET // (blocks[-1][2] + error_nodes) for blocks in tables]
         self.rows = max(1, min(min(self.own_rows), cells))
@@ -297,59 +293,46 @@ def _dof_values(f, mesh, sl, tables, plan, workspace):
     """Yield (engine, f at its DOF table's nodes in each of the cells sl of
     the mesh) for each engine in plan order, each a view of the engine's
     columns of the same (cells x plan.width) workspace.  A block read in
-    place is left as it is.  A source that one filled block uses is
-    evaluated straight into the block's columns.  A face or edge source is
-    evaluated once per distinct domain, keyed by the ordered global vertex
-    ids of the domain: build_mesh gives a shared face or edge the same
-    vertex order in all its cells, so each of them maps the same points.
-    One whose filled blocks all belong to the engine is evaluated a slice
-    of distinct domains at a time and scattered into its blocks.  Any other
-    source (one that several engines fill, or a volume source that more
-    than one block uses) is evaluated at its first use, copied into each of
-    its blocks, a slice of rows at a time, and dropped when its count runs
-    out."""
+    place is left as it is.  Every other block is filled from its source,
+    evaluated once per distinct domain: a cell, or a face or edge keyed by
+    the ordered global vertex ids of the domain (build_mesh gives a shared
+    face or edge the same vertex order in all its cells, so each of them
+    maps the same points).  A source that one engine fills is evaluated a
+    slice of domains at a time and scattered into all of that engine's
+    blocks of it.  A source that several engines fill is held from its
+    first filled block to its last (plan.held) and gathered into each
+    block, a slice of rows at a time."""
     ids = mesh.cells[sl]
-    held, index, left = {}, {}, Counter(plan.uses)
+    # A cell is the one domain of its volume blocks.
+    held, scattered, index = {}, set(), {((0, 1, 2, 3),): (ids, np.arange(len(ids))[:, None])}
     for i in plan.order:
         table = tables[i]
         values = workspace[:, plan.offsets[i] : plan.offsets[i] + len(table.nodes)]
-        scattered = set()
         for key, start, stop in plan.filled[i]:
-            src, nodes, out = _source(key), table.nodes[start:stop], values[:, start:stop]
-            vertices = key[0]
-            if plan.uses[src] == 1:
-                _project(f, mesh.vertices, ids, nodes, out)
-                continue
-            if len(vertices) == 4:
-                if src not in held:
-                    held[src] = _project(f, mesh.vertices, ids, nodes)
-                out[...] = held[src]
-            else:
-                domains = plan.domains[len(vertices)]
-                if domains not in index:
-                    index[domains] = _distinct(ids, domains)
-                tuples, inverse = index[domains]
-                if src not in plan.held:
-                    if src not in scattered:
-                        scattered.add(src)
-                        blocks = [
-                            (inverse[:, domains.index(k[0])], values[:, a:b])
-                            for k, a, b in plan.filled[i]
-                            if _source(k) == src
-                        ]
-                        for first, part in _mapped(f, mesh.vertices, tuples, vertices, nodes):
-                            for column, block in blocks:
-                                hit = np.flatnonzero((column >= first) & (column < first + len(part)))
-                                block[hit] = part[column[hit] - first]
-                    continue
+            src, vertices, nodes = _source(key), key[0], table.nodes[start:stop]
+            domains = plan.domains[len(vertices)]
+            if domains not in index:
+                index[domains] = _distinct(ids, domains)
+            tuples, inverse = index[domains]
+            if src in plan.held:
                 if src not in held:
                     held[src] = _project(f, mesh.vertices, tuples, nodes, slots=vertices)
                 column, step = inverse[:, domains.index(vertices)], max(1, _SLICE_POINTS // len(nodes))
-                for r in range(0, len(out), step):
-                    out[r : r + step] = held[src][column[r : r + step]]
-            left[src] -= 1
-            if not left[src]:
-                del held[src]
+                for r in range(0, len(ids), step):
+                    values[r : r + step, start:stop] = held[src][column[r : r + step]]
+                if plan.held[src] == (i, start):
+                    del held[src]
+            elif src not in scattered:
+                scattered.add(src)
+                blocks = [
+                    (inverse[:, domains.index(k[0])], values[:, a:b])
+                    for k, a, b in plan.filled[i]
+                    if _source(k) == src
+                ]
+                for first, part in _mapped(f, mesh.vertices, tuples, vertices, nodes):
+                    for column, block in blocks:
+                        hit = np.flatnonzero((column >= first) & (column < first + len(part)))
+                        block[hit] = part[column[hit] - first]
         yield i, values
 
 
@@ -358,7 +341,7 @@ def _l1_errors(engines, f, mesh, threads=1):
 
     The engines share the error rule of the first engine's settings.  Each
     chunk of cells (see _dof_values) evaluates f once per distinct face or
-    edge of each face or edge source, once per cell for each volume block,
+    edge of each face or edge source, once per cell for each volume source,
     and once at the error nodes, and stores every engine's per-cell errors.
     """
     if not engines:
@@ -448,11 +431,17 @@ def study_bytes(ns, configs, settings, threads=1):
     """Bytes of the arrays a study of `configs` on the meshes of grid
     parameters ns holds, counted before any is built: every mesh's three
     arrays (mesh_size; a study keeps all its meshes); every engine's DOF
-    table (4 coordinates and one weight per functional at each node); the
-    error rule (4 coordinates, a weight and 10 basis values per node); and,
-    for the largest mesh, a (configurations x cells) error array and one
-    chunk's peak per worker that can run (_Plan.workers).  The interpreter
-    comes on top; `project` is a study of one cell per chunk.
+    table (4 coordinates and one weight per functional at each node); each
+    distinct Dirichlet component's DOF rule, which the process caches
+    (dim + 1 coordinates and a weight per node); the error rule (4
+    coordinates, a weight and 10 basis values per node); a (configurations
+    x largest mesh's cells) error array; and the larger of what set-up and
+    the pass allocate for a while.  Set-up builds one rule or table at a
+    time: a rule's node and weight grids and two product scalars per node,
+    or a table's density rules and lifted nodes.  The pass runs one chunk's
+    peak per worker that can run (_Plan.workers).  The interpreter and the
+    target's temporaries come on top; `project` is a study of one cell per
+    chunk.
 
     A chunk's peak is its workspace, one target slice (3 x _SLICE_POINTS
     scalars of mapped points) and the most it holds at one filled block: the
@@ -460,8 +449,15 @@ def study_bytes(ns, configs, settings, threads=1):
     _dof_values), at each distinct face or edge of the largest mesh's first
     chunk or per cell, each from its first block to its last; or, after the
     last engine, every engine's coefficients."""
+    m = settings.dof_points
     functionals = [build_functionals(cfg) for cfg in configs]
-    tables = [_layout(fs, settings.dof_points)[1] for fs in functionals]
+    tables = [_layout(fs, m)[1] for fs in functionals]
+    densities = [dict.fromkeys(func.density for func in fs) for fs in functionals]
+    rules = {(d.dim, exps) for ds in densities for d in ds for _, exps in d.components}
+    setup = [m**dim * (2 * dim + 2) for dim, _ in rules] + [
+        sum(len(d.components) * m**d.dim * (d.dim + 2) for d in ds) + 4 * t[-1][2]
+        for ds, t in zip(densities, tables)
+    ]
     error_nodes = plain_points(3, settings.error_degree) ** 3
     sizes = [mesh_size(n) for n in ns]
     meshes, cells = sum(s for _, s in sizes), max((c for c, _ in sizes), default=0)
@@ -469,9 +465,9 @@ def study_bytes(ns, configs, settings, threads=1):
     # project's study has no mesh: its one-cell chunk shares no domain, as
     # one cell of any mesh does not.
     ids = kuhn_cells(max(ns, default=2), plan.rows)
-    held = {length: len(_distinct(ids, d)[0]) for length, d in plan.domains.items()}
+    held = {length: len(_distinct(ids, d)[0]) for length, d in plan.domains.items() if length < 4}
     held[4] = plan.rows  # a volume block's values, one row per cell
-    left, live = Counter(plan.uses), {}
+    live = {}
     peak = plan.rows * 10 * len(tables)
     for pos, i in enumerate(plan.order):
         for key, start, stop in plan.filled[i]:
@@ -479,13 +475,13 @@ def study_bytes(ns, configs, settings, threads=1):
             if src in plan.held:
                 live[src] = held[len(key[0])] * (stop - start)
             peak = max(peak, sum(live.values()) + plan.rows * 10 * pos)
-            left[src] -= 1
-            if not left[src]:
-                live.pop(src, None)
+            if plan.held.get(src) == (i, start):
+                del live[src]
     chunk = plan.rows * plan.width + 3 * _SLICE_POINTS + peak
     return 8 * (
         meshes + sum((4 + len(fs)) * t[-1][2] for fs, t in zip(functionals, tables))
-        + 15 * error_nodes + cells * len(configs) + plan.workers(threads) * chunk
+        + sum(m**dim * (dim + 2) for dim, _ in rules) + 15 * error_nodes
+        + cells * len(configs) + max(max(setup), plan.workers(threads) * chunk)
     )
 
 

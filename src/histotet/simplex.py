@@ -52,6 +52,8 @@ class Tetrahedron:
         self.vertices = v
         edges = v[1:] - v[0]
         self.volume = abs(np.linalg.det(edges)) / 6.0
+        if not np.isfinite(self.volume):
+            raise GeometryError(f"tetrahedron volume {self.volume} is not finite")
         if self.volume <= 1e-300:
             raise GeometryError("degenerate tetrahedron (zero volume)")
         # Affine system: rows are [x; y; z; 1], columns indexed by vertex.

@@ -6,6 +6,7 @@ import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import histotet
@@ -444,6 +445,27 @@ def test_project_quadratic_is_reproduced(capsys):
 def test_project_rejects_bad_input(capsys, argv, message):
     assert run(["project", *argv]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, dofs, message", [
+    # f4 = exp(|x|^2) overflows at the DOF nodes of a cell this large.
+    (["--tet", "0,0,0,1e3,0,0,0,1e3,0,0,0,1e3"], None,
+     "non-finite projection of function f4: non-finite value at the DOF nodes of fv"),
+    # The determinant of the cell's edges overflows.
+    (["--tet", "0,0,0,1e200,0,0,0,1e200,0,0,0,1e200"], None,
+     "--tet: tetrahedron volume inf is not finite"),
+    # Finite DOFs whose reconstruction overflows.
+    ([], np.full(10, 1e308), "non-finite projection of function f4: non-finite value at the reconstruction"),
+], ids=["dofs", "volume", "reconstruction"])
+def test_project_refuses_non_finite_values(capsys, monkeypatch, argv, dofs, message):
+    # Nothing is printed but the error: no NaN or inf reaches the output.
+    if dofs is not None:
+        monkeypatch.setattr(cli, "compute_dofs", lambda *args: dofs)
+    with pytest.warns(RuntimeWarning) as caught:  # numpy's overflow, and what follows it
+        assert run(["project", *argv]) == 2
+    assert any("overflow" in str(w.message) for w in caught)
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -343,19 +345,26 @@ def test_grid_surface_sums_the_study_rows_of_each_candidate(monkeypatch):
 
 def test_study_bytes_counts_the_arrays_of_a_pass(monkeypatch):
     from histotet import experiment
-    from histotet.element import lambda_basis
+    from histotet.densities import _component_rule
+    from histotet.element import build_functionals, lambda_basis
     from histotet.experiment import _ErrorEngine, _Plan, study_bytes
 
-    # A study keeps every mesh and every engine's DOF table; the error rule
-    # is shared, and the error array and the chunks are the largest mesh's
-    # pass, one chunk per worker that can run.
+    # A study keeps every mesh, every engine's DOF table and the rule of each
+    # distinct Dirichlet component; the error rule is shared, and the error
+    # array and the chunks are the largest mesh's pass, one chunk per worker
+    # that can run.
     settings = QuadSettings(dof_points=4, error_degree=5)
     configs = [StrategyConfig.of("classical"), *QUADRATIC_CONFIGS, StrategyConfig.edge_face(1, 3)]
     meshes = [build_mesh(3), build_mesh(4)]
     tables = [_ErrorEngine(cfg, settings).table for cfg in configs]
     rule = simplex_rule_plain(3, settings.error_degree)
+    components = {
+        (func.density.dim, exps)
+        for cfg in configs for func in build_functionals(cfg) for _, exps in func.density.components
+    }
     study = sum(a.nbytes for a in (
         *(a for t in tables for a in (t.nodes, t.weights)),
+        *(a for r in (_component_rule(*c, 4) for c in components) for a in (r.nodes, r.weights)),
         rule.nodes, rule.weights, lambda_basis(rule.nodes).T,
     ))
     fixed = study + sum(a.nbytes for a in (
@@ -407,7 +416,7 @@ def test_study_bytes_counts_the_arrays_of_a_pass(monkeypatch):
 
 
 def test_schedule_of_the_default_methods():
-    from histotet.experiment import _Plan, build_dof_table, study_bytes
+    from histotet.experiment import _Plan, _source, build_dof_table, study_bytes
 
     tables = [build_dof_table(cfg).blocks for cfg in ALL_METHODS]
     plan = _Plan(tables, 216, 10**6)
@@ -422,21 +431,20 @@ def test_schedule_of_the_default_methods():
     # volume block (fv's columns) in place, and ef the uniform faces.
     vol, ef = tables[2], tables[3]
     assert plan.filled == [list(tables[0]), list(tables[1]), [vol[4]], list(ef[4:])]
-    # The uniform face source (classical's four faces), fv's dirichlet(2)
-    # faces and ef's edges each serve one engine, so they are scattered a
-    # slice at a time, and the two volume blocks, used once, go straight
-    # into the DOF values of fv and vol: a chunk holds no source.
+    # Each source is filled by one engine, so a chunk scatters it a slice of
+    # domains at a time and holds none: the uniform faces (classical's four
+    # blocks), fv's dirichlet(2) faces and volume block, vol's uniform volume
+    # block and ef's six edges.
     faces = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
     edges = ((1, 0), (2, 0), (3, 0), (2, 1), (3, 1), (3, 2))
-    assert plan.uses == {
-        (3, (0.0,) * 3, 8): 4,
-        (3, (1.0,) * 3, 8): 4,
-        ((0, 1, 2, 3), (1.0,) * 4, 8): 1,
-        ((0, 1, 2, 3), (0.0,) * 4, 8): 1,
-        (2, (1.0, 1.0), 8): 6,
-    }
+    assert [Counter(_source(key) for key, _, _ in blocks) for blocks in plan.filled] == [
+        {(3, (0.0,) * 3, 8): 4},
+        {(3, (1.0,) * 3, 8): 4, (4, (1.0,) * 4, 8): 1},
+        {(4, (0.0,) * 4, 8): 1},
+        {(2, (1.0, 1.0), 8): 6},
+    ]
     assert not plan.held
-    assert plan.domains == {3: faces, 2: edges}
+    assert plan.domains == {4: ((0, 1, 2, 3),), 3: faces, 2: edges}
     assert plan.own_rows == [4_000_000 // (n + 216) for n in (256, 768, 1280, 304)]
     assert plan.rows == min(plan.own_rows) == 2673
     # The peak is after the last engine: the workspace, one target slice and
@@ -456,7 +464,7 @@ def test_schedule_of_the_default_methods():
 
 def test_default_grids_read_shared_blocks_in_place():
     from histotet.cli import _PARAM_FLAGS
-    from histotet.experiment import _Plan, build_dof_table
+    from histotet.experiment import _Plan, _source, build_dof_table
 
     grid = _PARAM_FLAGS["alpha"][1]
     fv, ef = (
@@ -464,18 +472,21 @@ def test_default_grids_read_shared_blocks_in_place():
         for kind in ("fv", "ef")
     )
     # The fv grid's engines that share a beta sit together and at the right
-    # edge: the first fills the dirichlet(beta) volume block straight, and
-    # the others read it in place, so no volume source is held.
+    # edge: the first fills the dirichlet(beta) volume block, and the others
+    # read it in place, so no volume source is held.  Each alpha's faces are
+    # filled again in every beta group, so all six face sources are held.
     plan = _Plan(fv, 216, 10**6)
-    volumes = {src: uses for src, uses in plan.uses.items() if src[0] == (0, 1, 2, 3)}
+    fills = Counter(_source(key) for blocks in plan.filled for key, _, _ in blocks)
+    volumes = {src: n for src, n in fills.items() if src[0] == 4}
     assert len(volumes) == len(grid) and set(volumes.values()) == {1}
-    assert sum(map(len, plan.filled)) == len(fv) * 4 + len(grid)
-    # The ef grid gathers the uniform faces for its first engine only; the
-    # others read them in place and fill their edges.
+    assert sum(fills.values()) == len(fv) * 4 + len(grid)
+    assert sorted(src[0] for src in plan.held) == [3] * len(grid)
+    # The ef grid fills the uniform faces for its first engine only; the
+    # others read them in place and fill their edges.  Nothing is held.
     plan = _Plan(ef, 216, 10**6)
     with_faces = [i for i, blocks in enumerate(plan.filled) if any(len(key[0]) == 3 for key, _, _ in blocks)]
     assert with_faces == [plan.order[0]]
-    assert plan.uses[3, (0.0,) * 3, 8] == 4
+    assert len(plan.filled[plan.order[0]]) == 4 + 6 and not plan.held
 
 
 @pytest.mark.parametrize("configs", [

@@ -176,10 +176,13 @@ DEFAULT_METHODS = [
     StrategyConfig.edge_face(2.0, 2.0),
 ]
 FV_GRID = [StrategyConfig.face_volume(a, b) for a in _PARAM_FLAGS["alpha"][1] for b in _PARAM_FLAGS["beta"][1]]
-# The one default grid that reads a volume block in place and also copies
+# The one default grid that reads a volume block in place and also gathers
 # one from held values: each gamma group's theta = 0 candidate writes its
 # faces over columns where the others keep the uniform volume block.
 VOL_GRID = [StrategyConfig.volumetric_blend(t, g) for t in _PARAM_FLAGS["theta"][1] for g in _PARAM_FLAGS["gamma"][1]]
+# A gamma = 1 blend lists the uniform volume block twice: one engine scatters
+# one source into two blocks, each checked against its own mapped points.
+TWIN_UNIFORM = [StrategyConfig.volumetric_blend(0.5, 1.0)]
 
 
 @pytest.mark.parametrize("budget", [experiment._CHUNK_BUDGET, 50_000, 20_000])
@@ -208,8 +211,12 @@ def test_shared_points_give_each_cell_its_own_values(budget, monkeypatch):
 
     monkeypatch.setattr(experiment, "_CHUNK_BUDGET", budget)
     monkeypatch.setattr(experiment, "_dof_values", checked_dof_values)
-    for configs in (DEFAULT_METHODS, FV_GRID, VOL_GRID):
+    for configs in (DEFAULT_METHODS, FV_GRID, VOL_GRID, TWIN_UNIFORM):
         engines = [_ErrorEngine(cfg, QuadSettings()) for cfg in configs]
+        if configs is TWIN_UNIFORM:
+            blocks = engines[0].table.blocks
+            assert [key for key, _, _ in blocks[-2:]] == [((0, 1, 2, 3), (0.0,) * 4, 8)] * 2
+            assert not experiment._Plan([blocks], 216, 1).held
         for n in range(2, 7):
             mesh = build_mesh(n)
             own.clear()
