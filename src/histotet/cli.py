@@ -44,6 +44,7 @@ from .element import (
 from .experiment import (
     QuadSettings,
     TuningGrid,
+    build_dof_table,
     compute_dofs,
     convergence_study,
     grid_search,
@@ -522,7 +523,8 @@ def cmd_project(args):
 
     settings = _settings(args)
     _check_study((), [cfg], settings)
-    dofs = _finite(compute_dofs(f, tet, cfg, settings), f, f"the DOF nodes of {cfg.method_id}")
+    table = build_dof_table(cfg, settings)  # for the DOFs and the reconstruction's
+    dofs = _finite(compute_dofs(f, tet, cfg, settings, table), f, f"the DOF nodes of {cfg.method_id}")
     if cfg.kind == "classical":
         poly, cond = classical_project(dofs), "n/a (closed-form affine reconstruction)"
     else:
@@ -538,7 +540,7 @@ def cmd_project(args):
     print("coefficients:", " ".join(f"{c: .10e}" for c in poly.coeffs))
 
     recon_fn = TargetFunction("recon", lambda p: poly(tet.barycentric(p)))
-    re_dofs = compute_dofs(recon_fn, tet, cfg, settings)
+    re_dofs = compute_dofs(recon_fn, tet, cfg, settings, table)
     print(f"max |dofs(reconstruction) - dofs| : {np.max(np.abs(re_dofs - dofs)):.3e}")
 
     print(f"{'sample (barycentric)':<26}{'f':>14}{'reconstruction':>16}{'|diff|':>12}")

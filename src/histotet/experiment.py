@@ -16,17 +16,18 @@ for a volume source and a face or edge of the chunk for the others, and
 once at the shared error nodes.  One plan per pass (_Plan) orders the engines,
 places each engine's DOF values at fixed columns of one workspace per
 chunk, so that a block an earlier engine left at the same columns is read
-in place, names the sources that several engines fill, with the block
-after which each is released, and sizes the chunks.  Every other block is
-filled by one of two rules: a source that one engine fills is scattered a
-slice at a time into all of that engine's blocks of it, and a source that
-several engines fill is held from its first filled block to its last.
-study_bytes walks the same plan block by block to count a chunk's peak
-memory.  Per-cell contributions are accumulated in cell-index order so
+in place, lists every other block once, by engine and source, and sizes
+the chunks.  Each engine fills its blocks in one step per source: a source
+that it alone fills is scattered a slice at a time into all of its blocks
+of it, and a source that several engines fill is evaluated once and held
+for the chunk's DOF stage.  study_bytes counts a chunk's peak memory from
+the same plan: its workspace, every engine's coefficients and the held
+sources.  Per-cell contributions are accumulated in cell-index order so
 results are deterministic for any thread count.
 """
 
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -162,13 +163,15 @@ def _project(f, vertices, ids, nodes, out=None, slots=(0, 1, 2, 3)):
     return values
 
 
-def compute_dofs(f, tet, cfg, settings=QuadSettings()):
+def compute_dofs(f, tet, cfg, settings=QuadSettings(), table=None):
     """Degrees of freedom of a function on one Tetrahedron.
 
     Returns 10 values for the quadratic strategies, 4 (the uniform face
-    averages) for the classical one.
+    averages) for the classical one.  `table` is cfg's DOF table at
+    `settings`, if the caller built it already.
     """
-    table = build_dof_table(cfg, settings)
+    if table is None:
+        table = build_dof_table(cfg, settings)
     return (_project(f, tet.vertices, np.arange(4)[None], table.nodes) @ table.weights.T)[0]
 
 
@@ -242,14 +245,13 @@ class _Plan:
     `tables`, computed once: the engine order, grouped by last block (a grid
     then holds its shared sources plus one of the others); the columns of a
     chunk's workspace, for the widest DOF table or the error stage's values
-    and temporary; each engine's column offset in it and the blocks it
-    fills; the sources a chunk holds, those that more than one engine
-    fills, each with its last filled block (engine, start column), after
-    which the chunk releases it (see _dof_values); the local domains of
-    each length, one tuple for the cell, one for the faces and one for the
-    edges (every face source covers the four faces of a cell and every edge
-    source its six edges); each engine's chunk rows alone (its L1 sum's
-    partition); and the pass's chunk rows and number of chunks."""
+    and temporary; each engine's column offset in it and, by source, the
+    blocks it fills (fills); the sources that more than one engine fills,
+    which a chunk holds for its DOF stage (held, see _dof_values); the local
+    domains of each length, one tuple for the cell, one for the faces and
+    one for the edges (every face source covers the four faces of a cell and
+    every edge source its six edges); each engine's chunk rows alone (its L1
+    sum's partition); and the pass's chunk rows and number of chunks."""
 
     def __init__(self, tables, error_nodes, cells):
         keys = [key for blocks in tables for key, _, _ in blocks]
@@ -263,18 +265,16 @@ class _Plan:
         self.offsets = [self.width - b[-1][2] if len(b[-1][0][0]) == 4 else 0 for b in tables]
         # A block whose key sits at its columns, unwritten since, is read in
         # place: neither evaluated nor gathered.
-        self.filled, placed = [[] for _ in tables], {}  # placed: (start, stop column) -> key
-        fillers, last = {}, {}
+        self.fills, placed = [{} for _ in tables], {}  # placed: (start, stop column) -> key
         for i in self.order:
             for key, start, stop in tables[i]:
                 cols = (self.offsets[i] + start, self.offsets[i] + stop)
                 if placed.get(cols) != key:
                     placed = {c: k for c, k in placed.items() if c[1] <= cols[0] or cols[1] <= c[0]}
                     placed[cols] = key
-                    self.filled[i].append((key, start, stop))
-                    fillers.setdefault(_source(key), set()).add(i)
-                    last[_source(key)] = (i, start)
-        self.held = {src: last[src] for src, engines in fillers.items() if len(engines) > 1}
+                    self.fills[i].setdefault(_source(key), []).append((key, start, stop))
+        fillers = Counter(src for fills in self.fills for src in fills)
+        self.held = {src for src, n in fillers.items() if n > 1}
         self.domains = {}
         for vertices in dict.fromkeys(v for v, _, _ in keys):
             self.domains[len(vertices)] = self.domains.get(len(vertices), ()) + (vertices,)
@@ -297,40 +297,34 @@ def _dof_values(f, mesh, sl, tables, plan, workspace):
     evaluated once per distinct domain: a cell, or a face or edge keyed by
     the ordered global vertex ids of the domain (build_mesh gives a shared
     face or edge the same vertex order in all its cells, so each of them
-    maps the same points).  A source that one engine fills is evaluated a
-    slice of domains at a time and scattered into all of that engine's
-    blocks of it.  A source that several engines fill is held from its
-    first filled block to its last (plan.held) and gathered into each
-    block, a slice of rows at a time."""
+    maps the same points).  Each engine takes one step per source it fills
+    (plan.fills): a source that it alone fills is evaluated a slice of
+    domains at a time and scattered into all of its blocks of it; a source
+    that several engines fill (plan.held) is evaluated at the first of them,
+    held until the last engine is done, and gathered into each block a slice
+    of rows at a time."""
     ids = mesh.cells[sl]
     # A cell is the one domain of its volume blocks.
-    held, scattered, index = {}, set(), {((0, 1, 2, 3),): (ids, np.arange(len(ids))[:, None])}
+    held, index = {}, {((0, 1, 2, 3),): (ids, np.arange(len(ids))[:, None])}
     for i in plan.order:
-        table = tables[i]
-        values = workspace[:, plan.offsets[i] : plan.offsets[i] + len(table.nodes)]
-        for key, start, stop in plan.filled[i]:
-            src, vertices, nodes = _source(key), key[0], table.nodes[start:stop]
-            domains = plan.domains[len(vertices)]
+        values = workspace[:, plan.offsets[i] : plan.offsets[i] + len(tables[i].nodes)]
+        for src, blocks in plan.fills[i].items():
+            (vertices, _, _), start, stop = blocks[0]
+            nodes, domains = tables[i].nodes[start:stop], plan.domains[src[0]]
             if domains not in index:
                 index[domains] = _distinct(ids, domains)
             tuples, inverse = index[domains]
+            columns = [(inverse[:, domains.index(k[0])], values[:, a:b]) for k, a, b in blocks]
             if src in plan.held:
                 if src not in held:
                     held[src] = _project(f, mesh.vertices, tuples, nodes, slots=vertices)
-                column, step = inverse[:, domains.index(vertices)], max(1, _SLICE_POINTS // len(nodes))
-                for r in range(0, len(ids), step):
-                    values[r : r + step, start:stop] = held[src][column[r : r + step]]
-                if plan.held[src] == (i, start):
-                    del held[src]
-            elif src not in scattered:
-                scattered.add(src)
-                blocks = [
-                    (inverse[:, domains.index(k[0])], values[:, a:b])
-                    for k, a, b in plan.filled[i]
-                    if _source(k) == src
-                ]
+                step = max(1, _SLICE_POINTS // len(nodes))
+                for column, block in columns:
+                    for r in range(0, len(ids), step):
+                        block[r : r + step] = held[src][column[r : r + step]]
+            else:
                 for first, part in _mapped(f, mesh.vertices, tuples, vertices, nodes):
-                    for column, block in blocks:
+                    for column, block in columns:
                         hit = np.flatnonzero((column >= first) & (column < first + len(part)))
                         block[hit] = part[column[hit] - first]
         yield i, values
@@ -444,11 +438,9 @@ def study_bytes(ns, configs, settings, threads=1):
     chunk.
 
     A chunk's peak is its workspace, one target slice (3 x _SLICE_POINTS
-    scalars of mapped points) and the most it holds at one filled block: the
-    coefficients of the engines before it, and the sources it holds (see
-    _dof_values), at each distinct face or edge of the largest mesh's first
-    chunk or per cell, each from its first block to its last; or, after the
-    last engine, every engine's coefficients."""
+    scalars of mapped points), every engine's coefficients and the sources
+    it holds for its DOF stage (_Plan.held), each a block's width at every
+    distinct face or edge of the largest mesh's first chunk, or per cell."""
     m = settings.dof_points
     functionals = [build_functionals(cfg) for cfg in configs]
     tables = [_layout(fs, m)[1] for fs in functionals]
@@ -465,19 +457,10 @@ def study_bytes(ns, configs, settings, threads=1):
     # project's study has no mesh: its one-cell chunk shares no domain, as
     # one cell of any mesh does not.
     ids = kuhn_cells(max(ns, default=2), plan.rows)
-    held = {length: len(_distinct(ids, d)[0]) for length, d in plan.domains.items() if length < 4}
-    held[4] = plan.rows  # a volume block's values, one row per cell
-    live = {}
-    peak = plan.rows * 10 * len(tables)
-    for pos, i in enumerate(plan.order):
-        for key, start, stop in plan.filled[i]:
-            src = _source(key)
-            if src in plan.held:
-                live[src] = held[len(key[0])] * (stop - start)
-            peak = max(peak, sum(live.values()) + plan.rows * 10 * pos)
-            if plan.held.get(src) == (i, start):
-                del live[src]
-    chunk = plan.rows * plan.width + 3 * _SLICE_POINTS + peak
+    domains = {length: len(_distinct(ids, d)[0]) for length, d in plan.domains.items() if length < 4}
+    domains[4] = plan.rows  # a volume source's values, one row per cell
+    held = sum(domains[length] * m ** (length - 1) for length, _, _ in plan.held)
+    chunk = plan.rows * (plan.width + 10 * len(tables)) + 3 * _SLICE_POINTS + held
     return 8 * (
         meshes + sum((4 + len(fs)) * t[-1][2] for fs, t in zip(functionals, tables))
         + sum(m**dim * (dim + 2) for dim, _ in rules) + 15 * error_nodes

@@ -436,6 +436,25 @@ def test_project_quadratic_is_reproduced(capsys):
     assert drift < 1e-9
 
 
+@pytest.mark.parametrize("strategy", ["classical", "fv", "vol", "ef"])
+def test_project_builds_its_dof_table_once(capsys, monkeypatch, strategy):
+    # The DOFs and the reconstruction's DOFs use one table: at --quad-m 100
+    # a vol table takes most of a second to build.
+    from histotet import experiment
+
+    built, build = [], experiment.build_dof_table
+
+    def counted(*args, **kwargs):
+        built.append(args[0].method_id)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "build_dof_table", counted)
+    monkeypatch.setattr(cli, "build_dof_table", counted, raising=False)
+    assert run(["project", "--strategy", strategy]) == 0
+    assert built == [strategy]
+    assert "max |dofs(reconstruction) - dofs|" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("argv, message", [
     (["--strategy", "vol,ef"], "exactly one strategy"),
     (["--strategy", "all"], "exactly one strategy"),

@@ -395,15 +395,14 @@ def test_study_bytes_counts_the_arrays_of_a_pass(monkeypatch):
     assert many == three
 
     # An fv grid refills each alpha's faces in the next beta group, so each
-    # face source is filled by two engines and held from its first block to
-    # its last: the peak is at the third engine's faces, with both sources
-    # (16 nodes at each distinct face of the first chunk) and two engines'
-    # coefficients.
+    # face source is filled by two engines and held for the chunk's DOF
+    # stage: the peak has both sources (16 nodes at each distinct face of the
+    # first chunk) beside all four engines' coefficients.
     grid = [StrategyConfig.face_volume(a, b) for a in (1, 2) for b in (1, 2)]
     plan = _Plan([_ErrorEngine(cfg, settings).table.blocks for cfg in grid], len(rule), len(meshes[-1]))
     assert len(plan.held) == 2 and plan.width == 128 and (plan.rows, plan.chunks) == (72, 3)
     faces = len({tuple(cell[list(v)]) for cell in meshes[-1].cells[:72] for v in plan.domains[3]})
-    assert chunk_bytes((3, 4), grid)[0] == 8 * (72 * (128 + 20) + slice_ + 2 * 16 * faces)
+    assert chunk_bytes((3, 4), grid)[0] == 8 * (72 * (128 + 40) + slice_ + 2 * 16 * faces)
 
     # A chunk holds at least one cell, however small the budget, and one
     # cell shares no face.  project's study, which has no mesh, counts one
@@ -430,14 +429,18 @@ def test_schedule_of_the_default_methods():
     # vol reads the uniform faces (classical's columns) and the dirichlet(2)
     # volume block (fv's columns) in place, and ef the uniform faces.
     vol, ef = tables[2], tables[3]
-    assert plan.filled == [list(tables[0]), list(tables[1]), [vol[4]], list(ef[4:])]
+    filled = [[block for blocks in fills.values() for block in blocks] for fills in plan.fills]
+    assert filled == [list(tables[0]), list(tables[1]), [vol[4]], list(ef[4:])]
     # Each source is filled by one engine, so a chunk scatters it a slice of
     # domains at a time and holds none: the uniform faces (classical's four
     # blocks), fv's dirichlet(2) faces and volume block, vol's uniform volume
     # block and ef's six edges.
     faces = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
     edges = ((1, 0), (2, 0), (3, 0), (2, 1), (3, 1), (3, 2))
-    assert [Counter(_source(key) for key, _, _ in blocks) for blocks in plan.filled] == [
+    assert all(
+        _source(key) == src for fills in plan.fills for src, blocks in fills.items() for key, _, _ in blocks
+    )
+    assert [{src: len(blocks) for src, blocks in fills.items()} for fills in plan.fills] == [
         {(3, (0.0,) * 3, 8): 4},
         {(3, (1.0,) * 3, 8): 4, (4, (1.0,) * 4, 8): 1},
         {(4, (0.0,) * 4, 8): 1},
@@ -464,7 +467,7 @@ def test_schedule_of_the_default_methods():
 
 def test_default_grids_read_shared_blocks_in_place():
     from histotet.cli import _PARAM_FLAGS
-    from histotet.experiment import _Plan, _source, build_dof_table
+    from histotet.experiment import _Plan, build_dof_table
 
     grid = _PARAM_FLAGS["alpha"][1]
     fv, ef = (
@@ -476,17 +479,19 @@ def test_default_grids_read_shared_blocks_in_place():
     # read it in place, so no volume source is held.  Each alpha's faces are
     # filled again in every beta group, so all six face sources are held.
     plan = _Plan(fv, 216, 10**6)
-    fills = Counter(_source(key) for blocks in plan.filled for key, _, _ in blocks)
-    volumes = {src: n for src, n in fills.items() if src[0] == 4}
+    filled = Counter(src for fills in plan.fills for src, blocks in fills.items() for _ in blocks)
+    volumes = {src: n for src, n in filled.items() if src[0] == 4}
     assert len(volumes) == len(grid) and set(volumes.values()) == {1}
-    assert sum(fills.values()) == len(fv) * 4 + len(grid)
+    assert sum(filled.values()) == len(fv) * 4 + len(grid)
     assert sorted(src[0] for src in plan.held) == [3] * len(grid)
     # The ef grid fills the uniform faces for its first engine only; the
     # others read them in place and fill their edges.  Nothing is held.
     plan = _Plan(ef, 216, 10**6)
-    with_faces = [i for i, blocks in enumerate(plan.filled) if any(len(key[0]) == 3 for key, _, _ in blocks)]
+    with_faces = [i for i, fills in enumerate(plan.fills) if any(src[0] == 3 for src in fills)]
     assert with_faces == [plan.order[0]]
-    assert len(plan.filled[plan.order[0]]) == 4 + 6 and not plan.held
+    first = plan.fills[plan.order[0]]
+    assert sorted((src[0], len(blocks)) for src, blocks in first.items()) == [(2, 6), (3, 4)]
+    assert not plan.held
 
 
 @pytest.mark.parametrize("configs", [
