@@ -32,19 +32,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .element import (
-    METHODS,
-    StrategyConfig,
-    assemble_H,
-    build_functionals,
-    classical_project,
-    reconstruct,
-    unisolvence_check,
-)
+from .densities import BaryQuadratic
+from .element import METHODS, StrategyConfig, build_functionals, unisolvence_check
 from .experiment import (
     QuadSettings,
     TuningGrid,
-    build_dof_table,
+    _ErrorEngine,
     compute_dofs,
     convergence_study,
     grid_search,
@@ -54,7 +47,7 @@ from .mesh import mesh_size
 from .plots import loglog_svg
 from .quadrature import RuleError
 from .simplex import REFERENCE_TET, GeometryError, Tetrahedron
-from .targets import TARGETS, TargetFunction, get_targets
+from .targets import TARGETS, get_targets
 
 #: Series colors: classical blue, face-volume red, volumetric green,
 #: edge-face cyan.
@@ -523,14 +516,11 @@ def cmd_project(args):
 
     settings = _settings(args)
     _check_study((), [cfg], settings)
-    table = build_dof_table(cfg, settings)  # for the DOFs and the reconstruction's
+    engine = _ErrorEngine(cfg, settings)  # one cell of a mesh pass
+    table, op = engine.table, engine.op
     dofs = _finite(compute_dofs(f, tet, cfg, settings, table), f, f"the DOF nodes of {cfg.method_id}")
-    if cfg.kind == "classical":
-        poly, cond = classical_project(dofs), "n/a (closed-form affine reconstruction)"
-    else:
-        op = assemble_H(cfg)
-        poly, cond = reconstruct(op, dofs), f"{op.cond:.6e}"
-    _finite(poly.coeffs, f, "the reconstruction")
+    poly = BaryQuadratic("volume", _finite(engine.coefficients(dofs), f, "the reconstruction"))
+    cond = "n/a (closed-form affine reconstruction)" if op is None else f"{op.cond:.6e}"
 
     print(f"strategy : {cfg.method_id} ({cfg.params_text()})")
     print(f"function : {f.id}")
@@ -539,8 +529,7 @@ def cmd_project(args):
     print(f"matrix cond : {cond}")
     print("coefficients:", " ".join(f"{c: .10e}" for c in poly.coeffs))
 
-    recon_fn = TargetFunction("recon", lambda p: poly(tet.barycentric(p)))
-    re_dofs = compute_dofs(recon_fn, tet, cfg, settings, table)
+    re_dofs = table.weights @ poly(table.nodes)  # on the table's own nodes
     print(f"max |dofs(reconstruction) - dofs| : {np.max(np.abs(re_dofs - dofs)):.3e}")
 
     print(f"{'sample (barycentric)':<26}{'f':>14}{'reconstruction':>16}{'|diff|':>12}")

@@ -23,7 +23,9 @@ of it, and a source that several engines fill is evaluated once and held
 for the chunk's DOF stage.  study_bytes counts a chunk's peak memory from
 the same plan: its workspace, every engine's coefficients and the held
 sources.  Per-cell contributions are accumulated in cell-index order so
-results are deterministic for any thread count.
+results are deterministic for any thread count.  `project` runs one cell
+through a pass's DOF table and reconstruction map (_ErrorEngine) and checks
+the reconstruction on the table's own barycentric nodes.
 """
 
 import time
@@ -35,6 +37,7 @@ import numpy as np
 
 from .element import (
     METHODS,
+    ElementOperator,
     StrategyConfig,
     assemble_H,
     build_functionals,
@@ -168,7 +171,8 @@ def compute_dofs(f, tet, cfg, settings=QuadSettings(), table=None):
 
     Returns 10 values for the quadratic strategies, 4 (the uniform face
     averages) for the classical one.  `table` is cfg's DOF table at
-    `settings`, if the caller built it already.
+    `settings`, if the caller built it already: `project` passes its
+    engine's, so its cell is evaluated at a pass's DOF nodes.
     """
     if table is None:
         table = build_dof_table(cfg, settings)
@@ -189,24 +193,22 @@ def _run_chunks(work, slices, threads):
 
 @dataclass
 class _ErrorEngine:
-    """A strategy's DOF table and reconstruction map, reused on every mesh."""
+    """A strategy's DOF table and reconstruction map (op, its ElementOperator;
+    None for classical), reused on every mesh and by `project` on its cell."""
 
     cfg: StrategyConfig
     settings: QuadSettings
     table: DofTable = field(init=False)
-    h_inv_t: np.ndarray | None = field(init=False)
+    op: ElementOperator | None = field(init=False)
 
     def __post_init__(self):
         self.table = build_dof_table(self.cfg, self.settings)
-        if self.cfg.kind == "classical":
-            self.h_inv_t = None
-        else:
-            self.h_inv_t = assemble_H(self.cfg).h_inv.T
+        self.op = None if self.cfg.kind == "classical" else assemble_H(self.cfg)
 
     def coefficients(self, dofs):
-        if self.h_inv_t is None:
+        if self.op is None:
             return classical_coefficients(dofs)
-        return dofs @ self.h_inv_t
+        return dofs @ self.op.h_inv.T
 
     def l1_on_mesh(self, f, mesh, threads=1):
         """Sum over cells of volume * E[|f - reconstruction|]."""
@@ -434,8 +436,9 @@ def study_bytes(ns, configs, settings, threads=1):
     time: a rule's node and weight grids and two product scalars per node,
     or a table's density rules and lifted nodes.  The pass runs one chunk's
     peak per worker that can run (_Plan.workers).  The interpreter and the
-    target's temporaries come on top; `project` is a study of one cell per
-    chunk.
+    target's temporaries at the DOF nodes come on top (f's own arrays, and
+    all mapped points of a cell of more than _SLICE_POINTS nodes); `project`
+    is a study of one cell per chunk, whose check adds no mapped point.
 
     A chunk's peak is its workspace, one target slice (3 x _SLICE_POINTS
     scalars of mapped points), every engine's coefficients and the sources

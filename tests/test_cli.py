@@ -449,10 +449,25 @@ def test_project_builds_its_dof_table_once(capsys, monkeypatch, strategy):
         return build(*args, **kwargs)
 
     monkeypatch.setattr(experiment, "build_dof_table", counted)
-    monkeypatch.setattr(cli, "build_dof_table", counted, raising=False)
     assert run(["project", "--strategy", strategy]) == 0
     assert built == [strategy]
     assert "max |dofs(reconstruction) - dofs|" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("tet", [[], ["--tet", "0,0,0,2,0,0,0,1,0,0,0,3"]], ids=["reference", "stretched"])
+@pytest.mark.parametrize("strategy", ["classical", "fv", "vol", "ef"])
+def test_project_checks_its_reconstruction_on_the_table_nodes(capsys, monkeypatch, strategy, tet):
+    # The reconstruction's DOFs come from its values at the DOF table's own
+    # barycentric nodes: no point is mapped into the cell and back.
+    from histotet.simplex import Tetrahedron
+
+    def no_round_trip(self, points):
+        raise AssertionError("a point was mapped back to barycentric coordinates")
+
+    monkeypatch.setattr(Tetrahedron, "barycentric", no_round_trip)
+    assert run(["project", "--strategy", strategy, *tet]) == 0
+    out = capsys.readouterr().out
+    assert float(out.split("max |dofs(reconstruction) - dofs| :")[1].split()[0]) <= 1e-12
 
 
 @pytest.mark.parametrize("argv, message", [

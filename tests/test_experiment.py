@@ -692,3 +692,30 @@ def test_quad_settings_affect_rule_sizes():
     large = build_dof_table(StrategyConfig.face_volume(1.0, 1.0), QuadSettings(dof_points=8))
     assert len(small.nodes) == 4 * 16 + 64
     assert len(large.nodes) == 4 * 64 + 512
+
+
+def test_engine_coefficients_equal_the_element_reconstruction():
+    # project and every mesh pass reconstruct through _ErrorEngine.coefficients;
+    # it must be the library's reconstruction, bit for bit, on each default
+    # grid point.
+    from itertools import product
+
+    from histotet import classical_project, reconstruct
+    from histotet.cli import _PARAM_FLAGS
+    from histotet.element import METHODS
+    from histotet.experiment import _ErrorEngine
+
+    rng = np.random.default_rng(24)
+    configs = [StrategyConfig.of("classical")] + [
+        StrategyConfig.of(method, *params)
+        for method, (_, names) in METHODS.items() if names
+        for params in product(*(_PARAM_FLAGS[name][1] for name in names))
+    ]
+    assert len(configs) == 1 + 36 + 30 + 36
+    for cfg in configs:
+        engine = _ErrorEngine(cfg, QuadSettings())
+        op = None if cfg.kind == "classical" else assemble_H(cfg)
+        scales = 10.0 ** rng.integers(-3, 4, (10, 1))
+        for d in rng.standard_normal((10, len(engine.table.weights))) * scales:
+            expected = classical_project(d) if op is None else reconstruct(op, d)
+            np.testing.assert_array_equal(engine.coefficients(d), expected.coeffs)
