@@ -10,8 +10,8 @@ Gauss-Jacobi rules:
   * volume_density(gamma, theta) -> theta * uniform + (1 - theta) * dirichlet(gamma)
   * edge_density(zeta, nu)       -> t^(zeta-1) (1-t)^(nu-1), normalized
 
-Every enrichment quadratic is gram_schmidt_enrich of a quadratic seed.  The
-paper's closed forms for symmetric Dirichlet laws serve the fv strategy only.
+Every enrichment quadratic comes from one gram_schmidt_enrich call over a list
+of seeds.  The paper's closed forms for symmetric Dirichlet laws serve fv only.
 """
 
 import functools
@@ -236,27 +236,13 @@ def dirichlet_volume_hk(gamma):
 
 def face_ortho_quadratic(density):
     """sum mu^2 made orthogonal to all affine functions under a face density."""
-    if density.space != "face":
-        raise ValueError("expected a face density")
-    return gram_schmidt_enrich(face_sum_of_squares_minus(0.0), density)
+    return gram_schmidt_enrich([face_sum_of_squares_minus(0.0)], density)[0]
 
 
 def volumetric_psi(density):
     """Six interior quadratics, lambda_i lambda_j made orthogonal to all
     affine functions under a volume density, one per pair in EDGE_PAIRS."""
-    if density.space != "volume":
-        raise ValueError("expected a volume density")
-    # gram_schmidt_enrich of each pair_quadratic(i, j, 0, 0) seed, with their
-    # common Gram matrix and six right-hand sides from one moment call each.
-    affine = np.array(VOLUME_BASIS_EXPONENTS[:4])
-    gram = density.moment(affine[:, None] + affine[None, :])
-    rhs = density.moment(np.array(VOLUME_BASIS_EXPONENTS[4:])[:, None] + affine[None, :])
-    psis = []
-    for (i, j), b in zip(EDGE_PAIRS, rhs):
-        coeffs = pair_quadratic(i, j, 0.0, 0.0).coeffs.copy()
-        coeffs[:4] -= np.linalg.solve(gram, b)
-        psis.append(BaryQuadratic("volume", coeffs))
-    return psis
+    return gram_schmidt_enrich([pair_quadratic(i, j, 0.0, 0.0) for i, j in EDGE_PAIRS], density)
 
 
 def edge_ortho_quadratic(density):
@@ -265,29 +251,34 @@ def edge_ortho_quadratic(density):
     Built by Gram-Schmidt from analytic Beta moments; the coefficients are
     exact rational functions of (zeta, nu) up to round-off.
     """
-    if density.space != "edge":
-        raise ValueError("expected an edge density")
-    return gram_schmidt_enrich(BaryQuadratic("edge", [0.0, 0.0, 1.0]), density)
+    return gram_schmidt_enrich([BaryQuadratic("edge", [0.0, 0.0, 1.0])], density)[0]
 
 
-def gram_schmidt_enrich(seed, density):
-    """Remove from `seed` its projection onto the affine span under `density`.
+def gram_schmidt_enrich(seeds, density):
+    """Remove from each seed its projection onto the affine span under `density`.
 
-    The result is orthogonal to every affine function with respect to the
-    density's inner product and keeps the seed's quadratic part (monic in
-    the seed).  Raises if the seed has no quadratic part.
+    Each result, in seed order, is orthogonal to every affine function in the
+    density's inner product and keeps its seed's quadratic part.  Every seed
+    is checked first: one of another space or with no quadratic part raises
+    before any moment is computed.  The seeds share one Gram matrix, and one
+    moment call covers every term of every seed, summed as Density.expect does.
     """
-    if seed.space != density.space:
-        raise ValueError("seed and density live on different domains")
     # In every basis the first dim + 1 monomials span the affines: 1 and t on
     # an edge, the coordinates (whose sum is 1) on a face or the volume.
     n = density.dim + 1
-    if not np.any(seed.coeffs[n:]):
-        raise ValueError("seed is affine; nothing to orthogonalize")
-    affine = np.array(_BASIS_BY_SPACE[seed.space][:n])
+    for seed in seeds:
+        if seed.space != density.space:
+            raise ValueError("seed and density live on different domains")
+        if not np.any(seed.coeffs[n:]):
+            raise ValueError("seed is affine; nothing to orthogonalize")
+    affine = np.array(_BASIS_BY_SPACE[density.space][:n])
     gram = density.moment(affine[:, None] + affine[None, :])
-    proj = np.linalg.solve(gram, density.expect(seed, affine))
-
-    coeffs = seed.coeffs.copy()
-    coeffs[:n] -= proj
-    return BaryQuadratic(seed.space, coeffs)
+    terms = [seed.terms() for seed in seeds]
+    exps = np.reshape([e for ts in terms for _, e in ts], (-1, 1, n))
+    moments = iter(density.moment(exps + affine))
+    enriched = []
+    for seed, ts in zip(seeds, terms):
+        coeffs = seed.coeffs.copy()
+        coeffs[:n] -= np.linalg.solve(gram, sum(c * next(moments) for c, _ in ts))
+        enriched.append(BaryQuadratic(seed.space, coeffs))
+    return enriched

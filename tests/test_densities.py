@@ -137,7 +137,7 @@ def test_psi_shares_one_gram_matrix_across_its_seeds(monkeypatch):
             psis = volumetric_psi(dens)
             assert len(calls) == 2
             for psi, (i, j) in zip(psis, EDGE_PAIRS):
-                enriched = gram_schmidt_enrich(pair_quadratic(i, j, 0.0, 0.0), dens)
+                (enriched,) = gram_schmidt_enrich([pair_quadratic(i, j, 0.0, 0.0)], dens)
                 assert np.array_equal(psi.coeffs, enriched.coeffs), (theta, gamma, i, j)
 
 
@@ -179,7 +179,7 @@ def test_edge_beta22_residuals():
 
 def test_gram_schmidt_reproduces_uniform_pair():
     seed = pair_quadratic(0, 1, 0.0, 0.0)
-    result = gram_schmidt_enrich(seed, volume_density(1.0))
+    (result,) = gram_schmidt_enrich([seed], volume_density(1.0))
     np.testing.assert_allclose(
         result.coeffs, pair_quadratic(0, 1, 1 / 30, 1 / 6).coeffs, atol=1e-15
     )
@@ -190,14 +190,14 @@ def test_gram_schmidt_reproduces_face_closed_form():
         dens = face_density(alpha)
         seed = BaryQuadratic("face", [1.0, 1.0, 1.0, -2.0, -2.0, -2.0])
         # seed written via sum mu = 1: sum mu^2 = sum mu - 2 sum mu mu
-        result = gram_schmidt_enrich(seed, dens)
+        (result,) = gram_schmidt_enrich([seed], dens)
         closed = face_sum_of_squares_minus(dirichlet_face_constant(alpha))
         np.testing.assert_allclose(result.coeffs, closed.coeffs, atol=1e-14)
 
 
 def test_gram_schmidt_edge_seed():
-    result = gram_schmidt_enrich(
-        BaryQuadratic("edge", [0.0, 0.0, 1.0]), edge_density(1.0, 1.0)
+    (result,) = gram_schmidt_enrich(
+        [BaryQuadratic("edge", [0.0, 0.0, 1.0])], edge_density(1.0, 1.0)
     )
     np.testing.assert_allclose(result.coeffs, [1 / 6, -1.0, 1.0], rtol=1e-13)
 
@@ -209,7 +209,50 @@ def test_gram_schmidt_rejects_affine_seed():
         (BaryQuadratic("edge", [1.0, 0.5, 0.0]), edge_density(1.0, 1.0)),
     ]:
         with pytest.raises(ValueError, match="affine"):
-            gram_schmidt_enrich(seed, density)
+            gram_schmidt_enrich([seed], density)
+
+
+def _seed_batches():
+    """(density, seeds) pairs: face, volume-blend and edge densities, each
+    with a batch of multi-term seeds of its space."""
+    face_seeds = [face_sum_of_squares_minus(c) for c in (0.0, 1 / 3, 0.4, 2.0)]
+    hk = ((0.1, 0.2), (1 / 30, 1 / 6), (-0.5, 0.3), (2.0, -1.0), (1e-3, 0.7), (0.25, 0.25))
+    volume_seeds = [pair_quadratic(i, j, h, k) for (i, j), (h, k) in zip(EDGE_PAIRS, hk)]
+    edge_seeds = [BaryQuadratic("edge", [a, b, 1.0]) for a, b in ((0.5, -1.0), (1 / 6, -1.0), (2.0, 3.0))]
+    for a in PARAM_GRID:
+        yield face_density(a), face_seeds
+        for theta in THETA_GRID:
+            yield volume_density(a, theta), volume_seeds
+        for b in PARAM_GRID:
+            yield edge_density(a, b), edge_seeds
+
+
+def test_gram_schmidt_batch_equals_one_call_per_seed(monkeypatch):
+    calls = []
+    moment = Density.moment
+    monkeypatch.setattr(Density, "moment", lambda self, p: calls.append(p) or moment(self, p))
+    constructors = {"face": face_ortho_quadratic, "volume": volumetric_psi, "edge": edge_ortho_quadratic}
+    for density, seeds in _seed_batches():
+        calls.clear()
+        constructors[density.space](density)
+        assert len(calls) == 2, density
+        calls.clear()
+        batch = gram_schmidt_enrich(seeds, density)
+        assert len(calls) == 2
+        assert len(batch) == len(seeds)
+        for seed, got in zip(seeds, batch):
+            (alone,) = gram_schmidt_enrich([seed], density)
+            assert np.array_equal(got.coeffs, alone.coeffs), (density, seed)
+            assert analytic_residual(got, density) < 1e-12, (density, seed)
+        # A bad seed after good ones raises before any moment is computed.
+        edge_seed = BaryQuadratic("edge", [0.0, 0.0, 1.0])
+        other = face_sum_of_squares_minus(0.0) if density.space == "edge" else edge_seed
+        affine = BaryQuadratic(density.space, np.eye(len(seeds[0].coeffs))[0])
+        for bad, match in ((affine, "affine"), (other, "different domains")):
+            calls.clear()
+            with pytest.raises(ValueError, match=match):
+                gram_schmidt_enrich(seeds + [bad], density)
+            assert calls == []
 
 
 # --- orthogonality sweep (analytic and quadrature paths) --------------------
