@@ -225,6 +225,8 @@ def _check_study(ns, configs, settings, threads=1):
 
 
 def _out_dir(args):
+    if not args.out:
+        raise CliError("--out names no directory")
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)

@@ -12,9 +12,12 @@ Gauss-Jacobi rules:
 
 Every enrichment quadratic comes from one gram_schmidt_enrich call over a list
 of seeds.  The paper's closed forms for symmetric Dirichlet laws serve fv only.
+One pair rule orders simplex.EDGE_PAIRS and the face and volume bases, whose
+exponent tables and monomial values both come from basis_monomials.
 """
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,31 +126,29 @@ def edge_density(zeta, nu):
 
 
 # ---------------------------------------------------------------------------
-# Quadratic polynomials in the fixed coefficient bases.
+# Quadratic polynomials in the fixed coefficient bases.  Face and volume bases
+# hold the coordinates, then their pairwise products in itertools.combinations
+# order, that of simplex.EDGE_PAIRS; basis_monomials states the rule once.
 
-#: Volume basis: lambda_1..lambda_4 then the six products in pair order.
-VOLUME_BASIS_EXPONENTS = (
-    (1, 0, 0, 0),
-    (0, 1, 0, 0),
-    (0, 0, 1, 0),
-    (0, 0, 0, 1),
-    (1, 1, 0, 0),
-    (1, 0, 1, 0),
-    (1, 0, 0, 1),
-    (0, 1, 1, 0),
-    (0, 1, 0, 1),
-    (0, 0, 1, 1),
-)
 
-#: Face basis: mu_1..mu_3 then the three products (constants are written via
-#: sum mu = 1, so no explicit constant slot is needed).
-FACE_BASIS_EXPONENTS = (
-    (1, 0, 0),
-    (0, 1, 0),
-    (0, 0, 1),
-    (1, 1, 0),
-    (1, 0, 1),
-    (0, 1, 1),
+def basis_monomials(x, n, product=np.multiply):
+    """Values at the coordinates x[..., :n] of the face (n = 3) or volume
+    (n = 4) basis monomials in basis order, each pair joined by `product`."""
+    coords = [x[..., k] for k in range(n)]
+    return coords + [product(a, b) for a, b in itertools.combinations(coords, 2)]
+
+
+def lambda_basis(lam):
+    """Values (..., 10) of the ten volume basis monomials at barycentric points (..., 4),
+    in Lambda order [l1, l2, l3, l4, l1*l2, l1*l3, l1*l4, l2*l3, l2*l4, l3*l4]."""
+    return np.stack(basis_monomials(np.asarray(lam, dtype=float), 4), axis=-1)
+
+
+#: Exponent tuples of the volume basis (Lambda order) and of the face basis, whose
+#: constants are written via sum mu = 1: a product adds its factors' unit exponents.
+VOLUME_BASIS_EXPONENTS, FACE_BASIS_EXPONENTS = (
+    tuple(tuple(map(int, m)) for m in basis_monomials(np.eye(n, dtype=int), n, np.add))
+    for n in (4, 3)
 )
 
 #: Edge basis: 1, t, t^2 in coordinates (t, 1-t).
@@ -193,16 +194,10 @@ class BaryQuadratic:
         x = np.asarray(coords, dtype=float)
         if self.space == "edge":
             return self.coeffs[0] + x * (self.coeffs[1] + x * self.coeffs[2])
-        basis = _BASIS_BY_SPACE[self.space]
         vals = np.zeros(x.shape[:-1])
-        for c, exps in zip(self.coeffs, basis):
-            if c == 0.0:
-                continue
-            mono = np.ones(x.shape[:-1])
-            for k, e in enumerate(exps):
-                if e:
-                    mono = mono * x[..., k] ** e
-            vals += c * mono
+        for c, mono in zip(self.coeffs, basis_monomials(x, len(_BASIS_BY_SPACE[self.space][0]))):
+            if c != 0.0:
+                vals += c * mono
         return vals
 
 

@@ -24,6 +24,7 @@ from .densities import (
     edge_ortho_quadratic,
     face_density,
     face_sum_of_squares_minus,
+    lambda_basis,
     pair_quadratic,
     volume_density,
     volumetric_psi,
@@ -39,18 +40,6 @@ RANK_RTOL = 1e-14
 
 class UnisolvenceError(RuntimeError):
     """Raised when a strategy's functional matrix is numerically singular."""
-
-
-def lambda_basis(lam):
-    """Values of the ten quadratic basis monomials at barycentric points.
-
-    Input shape (..., 4), output shape (..., 10) in Lambda order
-    [l1, l2, l3, l4, l1*l2, l1*l3, l1*l4, l2*l3, l2*l4, l3*l4].
-    """
-    lam = np.asarray(lam, dtype=float)
-    cols = [lam[..., i] for i in range(4)]
-    cols += [lam[..., i] * lam[..., j] for i, j in EDGE_PAIRS]
-    return np.stack(cols, axis=-1)
 
 
 #: Method id -> (StrategyConfig kind, parameter names in order): each

@@ -5,6 +5,8 @@ normalized monomial moments of barycentric coordinates, so the moment formula
 lives here together with the basic geometric types.
 """
 
+import itertools
+
 import numpy as np
 from scipy.special import gammaln
 
@@ -18,7 +20,7 @@ class GeometryError(ValueError):
 FACE_VERTEX_INDICES = tuple(tuple(i for i in range(4) if i != j) for j in range(4))
 
 #: Edge index pairs (i < j) in the order used for the quadratic monomial basis.
-EDGE_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+EDGE_PAIRS = tuple(itertools.combinations(range(4), 2))
 
 
 def dirichlet_expectation(weight_exponents, monomial_exponents):

@@ -3,7 +3,7 @@ against.  None of them is on a path the histotet command runs."""
 
 import numpy as np
 
-from histotet.densities import VOLUME_BASIS_EXPONENTS, Density
+from histotet.densities import FACE_BASIS_EXPONENTS, VOLUME_BASIS_EXPONENTS, Density
 from histotet.element import _functional_matrix
 from histotet.experiment import QuadSettings, _ErrorEngine, _l1_errors
 from histotet.simplex import dirichlet_expectation
@@ -47,6 +47,32 @@ def expect_per_term(density, poly, monomial_exponents):
         c * density.moment(np.add(exps, monomial_exponents))
         for c, exps in poly.terms()
     )
+
+
+def monomial_by_exponents(x, exps):
+    """One barycentric monomial at points x (..., d+1), a factor x_k^e for
+    each nonzero exponent e: the reference for densities.basis_monomials."""
+    mono = np.ones(x.shape[:-1])
+    for k, e in enumerate(exps):
+        if e:
+            mono = mono * x[..., k] ** e
+    return mono
+
+
+def evaluate_by_exponents(poly, coords):
+    """A BaryQuadratic at coords by one exponent-loop monomial per nonzero
+    term, summed in basis order (edges by Horner in t): the reference for
+    BaryQuadratic.__call__."""
+    x = np.asarray(coords, dtype=float)
+    if poly.space == "edge":
+        return poly.coeffs[0] + x * (poly.coeffs[1] + x * poly.coeffs[2])
+    basis = {"face": FACE_BASIS_EXPONENTS, "volume": VOLUME_BASIS_EXPONENTS}[poly.space]
+    vals = np.zeros(x.shape[:-1])
+    for c, exps in zip(poly.coeffs, basis):
+        if c == 0.0:
+            continue
+        vals += c * monomial_by_exponents(x, exps)
+    return vals
 
 
 def functional_matrix_per_row(functionals, columns=VOLUME_BASIS_EXPONENTS):

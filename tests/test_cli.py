@@ -123,6 +123,18 @@ def test_bad_input_exits_2(tmp_path, capsys, argv, message):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["converge", "--functions", "f4", "--n", "3"],
+    ["tune", "--strategy", "ef", "--functions", "f4", "--n", "3"],
+], ids=["converge", "tune"])
+def test_empty_out_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch, argv):
+    # An empty --out names no directory; it does not mean the working one.
+    monkeypatch.chdir(tmp_path)
+    assert run(argv + ["--out="]) == 2
+    assert capsys.readouterr().err == "error: --out names no directory\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv, rule", [
     (["converge", "--quad-m", "2"], lambda: QuadSettings(dof_points=2)),
     (["converge", "--error-degree", "0"], lambda: QuadSettings(error_degree=0)),

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -23,12 +24,19 @@ from histotet.densities import (
     _component_rule,
     dirichlet_face_constant,
     face_sum_of_squares_minus,
+    lambda_basis,
     pair_quadratic,
 )
 from histotet.element import _functional_matrix, build_functionals
 from histotet.quadrature import simplex_rule_plain
 from histotet.simplex import EDGE_PAIRS
-from oracles import expect_per_term, functional_matrix_per_row, symmetric_quadratic_density
+from oracles import (
+    evaluate_by_exponents,
+    expect_per_term,
+    functional_matrix_per_row,
+    monomial_by_exponents,
+    symmetric_quadratic_density,
+)
 
 PARAM_GRID = (0.5, 1.0, 1.5, 2.0, 3.0, 5.0)
 THETA_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -429,3 +437,97 @@ def test_bad_parameters_raise_on_every_call():
             volume_density(300.0).rule(8)
         with pytest.raises(ValueError, match="is not finite with mass 1"):
             build_dof_table(StrategyConfig.volumetric_blend(0.0, 300.0))
+
+
+# --- the quadratic basis: one pair rule, one monomial evaluator --------------
+
+
+def test_one_pair_rule_orders_edge_pairs_and_both_bases():
+    assert EDGE_PAIRS == ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+    for basis, n in ((VOLUME_BASIS_EXPONENTS, 4), (FACE_BASIS_EXPONENTS, 3)):
+        assert all(type(e) is int for exps in basis for e in exps)
+        # The coordinates, then one row per pair, marking exactly that pair.
+        assert basis[:n] == tuple(tuple(int(k == i) for k in range(n)) for i in range(n))
+        marked = [tuple(k for k in range(n) if exps[k] == 1) for exps in basis[n:]]
+        assert marked == list(itertools.combinations(range(n), 2))
+        assert all(sum(exps) == 2 for exps in basis[n:])
+    for k, (i, j) in enumerate(EDGE_PAIRS):
+        assert VOLUME_BASIS_EXPONENTS[4 + k] == tuple(int(r in (i, j)) for r in range(4))
+        coeffs = pair_quadratic(i, j, 0.0, 0.0).coeffs
+        assert np.flatnonzero(coeffs).tolist() == [4 + k]
+        assert coeffs[4 + k] == 1.0
+
+
+def _evaluation_points(rng, n):
+    """Points with n coordinates in three shapes, with negative entries,
+    exact zeros of both signs and infinities (a skipped zero term times an
+    infinity would be NaN)."""
+    x = rng.standard_normal((40, n))
+    x[rng.random(x.shape) < 0.1] = 0.0
+    x[rng.random(x.shape) < 0.1] = -0.0
+    x[rng.random(x.shape) < 0.05] = np.inf
+    return [x, x[0], x[:12].reshape(3, 4, n)]
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_one_evaluator_equals_the_exponent_loop(rng):
+    # Compared as bytes, so a signed zero counts.
+    for space, n in (("face", 3), ("volume", 4), ("edge", 2)):
+        size = {"face": 6, "volume": 10, "edge": 3}[space]
+        coeff_sets = [np.zeros(size)]
+        for _ in range(30):
+            coeffs = rng.standard_normal(size)
+            coeffs[rng.random(size) < 0.3] = 0.0
+            coeffs[rng.random(size) < 0.1] = -0.0
+            coeff_sets.append(coeffs)
+        points = _evaluation_points(rng, n)
+        if space == "edge":
+            points = [x[..., 0] for x in points]
+        for coeffs in coeff_sets:
+            poly = BaryQuadratic(space, coeffs)
+            for x in points:
+                with np.errstate(invalid="ignore"):  # inf - inf and 0 * inf are NaN
+                    got, want = poly(x), evaluate_by_exponents(poly, x)
+                assert _same_bits(got, want), (space, coeffs)
+    import histotet
+    from histotet import element
+
+    assert histotet.lambda_basis is element.lambda_basis is lambda_basis
+    for x in _evaluation_points(rng, 4) + [rng.dirichlet(np.ones(4), 100)]:
+        with np.errstate(invalid="ignore"):
+            got = lambda_basis(x)
+            want = np.stack([monomial_by_exponents(x, e) for e in VOLUME_BASIS_EXPONENTS], axis=-1)
+        assert _same_bits(got, want)
+
+
+def test_gram_schmidt_sums_each_seed_as_density_expect():
+    # gram_schmidt_enrich takes every seed's right-hand side from one moment
+    # call over all seeds; each must be the seed's own Density.expect.
+    params = (0.001, 0.5, 1.0, 2.0, 5.0, 200.0)
+    face_seeds = [face_sum_of_squares_minus(c) for c in (0.0, 0.4, 2.0)]
+    hk = ((0.1, 0.2), (1 / 30, 1 / 6), (-0.5, 0.3), (2.0, -1.0), (1e-3, 0.7), (0.25, 0.25))
+    volume_seeds = [pair_quadratic(i, j, h, k) for (i, j), (h, k) in zip(EDGE_PAIRS, hk)]
+    edge_seeds = [
+        BaryQuadratic("edge", [a, b, 1.0])
+        for a, b in ((0.5, -1.0), (1 / 6, -1.0), (2.0, 3.0), (-0.3, 0.7), (1e-3, 1e3), (0.0, 0.25))
+    ]
+    batches = []
+    for a in params:
+        batches.append((face_density(a), face_seeds))
+        batches += [(volume_density(a, theta), volume_seeds) for theta in (0.0, 0.25, 0.5, 1.0)]
+        batches += [(edge_density(a, b), edge_seeds) for b in params]
+    cases = 0
+    for density, seeds in batches:
+        n = density.dim + 1
+        affine = np.array(_affine_exponents(density.space))
+        gram = density.moment(affine[:, None] + affine[None, :])
+        for seed, got in zip(seeds, gram_schmidt_enrich(seeds, density), strict=True):
+            want = seed.coeffs[:n] - np.linalg.solve(gram, density.expect(seed, affine))
+            assert got.coeffs[:n].tobytes() == want.tobytes(), (density, seed)
+            assert got.coeffs[n:].tobytes() == seed.coeffs[n:].tobytes()
+            cases += 1
+    assert cases == 378

@@ -1,3 +1,4 @@
+import itertools
 from collections import Counter
 
 import numpy as np
@@ -18,7 +19,7 @@ from histotet import (
 )
 from histotet.quadrature import simplex_rule_plain
 from conftest import make_random_tet
-from oracles import l1_error
+from oracles import evaluate_by_exponents, l1_error
 
 QUADRATIC_CONFIGS = [
     StrategyConfig.face_volume(2.0, 2.0),
@@ -719,3 +720,26 @@ def test_engine_coefficients_equal_the_element_reconstruction():
         for d in rng.standard_normal((10, len(engine.table.weights))) * scales:
             expected = classical_project(d) if op is None else reconstruct(op, d)
             np.testing.assert_array_equal(engine.coefficients(d), expected.coeffs)
+
+
+def test_dof_weights_are_those_of_the_exponent_loop(monkeypatch):
+    # Every DOF weight polynomial goes through densities.basis_monomials; the
+    # exponent loop it replaced gives the same weights, bit for bit.
+    from histotet.cli import _PARAM_FLAGS
+    from histotet.element import METHODS
+    from histotet.experiment import build_dof_table
+
+    configs = [StrategyConfig.of("classical")] + [
+        StrategyConfig.of(method, *params)
+        for method in ("fv", "vol", "ef")
+        for params in itertools.product(*(_PARAM_FLAGS[name][1] for name in METHODS[method][1]))
+    ]
+    assert len(configs) == 103
+    for m in (3, 8):
+        settings = QuadSettings(dof_points=m)
+        weights = [build_dof_table(cfg, settings).weights for cfg in configs]
+        with monkeypatch.context() as patch:
+            patch.setattr(BaryQuadratic, "__call__", evaluate_by_exponents)
+            reference = [build_dof_table(cfg, settings).weights for cfg in configs]
+        for cfg, got, want in zip(configs, weights, reference):
+            assert got.tobytes() == want.tobytes(), (cfg, m)
