@@ -25,9 +25,7 @@ from .element import (
     UnisolvenceReport,
     assemble_D,
     assemble_H,
-    classical_project,
     lambda_basis,
-    reconstruct,
     unisolvence_check,
 )
 from .experiment import (

@@ -520,7 +520,7 @@ def cmd_project(args):
     _check_study((), [cfg], settings)
     engine = _ErrorEngine(cfg, settings)  # one cell of a mesh pass
     table, op = engine.table, engine.op
-    dofs = _finite(compute_dofs(f, tet, cfg, settings, table), f, f"the DOF nodes of {cfg.method_id}")
+    dofs = _finite(compute_dofs(f, tet, table), f, f"the DOF nodes of {cfg.method_id}")
     poly = BaryQuadratic("volume", _finite(engine.coefficients(dofs), f, "the reconstruction"))
     cond = "n/a (closed-form affine reconstruction)" if op is None else f"{op.cond:.6e}"
 

@@ -194,8 +194,11 @@ class BaryQuadratic:
         x = np.asarray(coords, dtype=float)
         if self.space == "edge":
             return self.coeffs[0] + x * (self.coeffs[1] + x * self.coeffs[2])
+        n = len(_BASIS_BY_SPACE[self.space][0])
+        if x.shape[-1:] != (n,):
+            raise ValueError(f"a {self.space} quadratic takes points of {n} coordinates, got shape {x.shape}")
         vals = np.zeros(x.shape[:-1])
-        for c, mono in zip(self.coeffs, basis_monomials(x, len(_BASIS_BY_SPACE[self.space][0]))):
+        for c, mono in zip(self.coeffs, basis_monomials(x, n)):
             if c != 0.0:
                 vals += c * mono
         return vals

@@ -377,32 +377,14 @@ def assemble_H(cfg):
     Raises UnisolvenceError when the configuration fails the rank-6 check.
     """
     if cfg.kind == "classical":
-        raise ValueError("the classical strategy uses classical_project directly")
+        raise ValueError("the classical strategy has no functional matrix: see classical_coefficients")
     return _assemble_operator(cfg, build_functionals(cfg))
 
 
-def reconstruct(op, dofs):
-    """Quadratic with the prescribed degrees of freedom: sum_l dof_l chi_l."""
-    dofs = np.asarray(dofs, dtype=float)
-    if dofs.shape != (10,):
-        raise ValueError("expected 10 degrees of freedom")
-    return BaryQuadratic("volume", op.h_inv @ dofs)
-
-
-def classical_project(face_averages):
-    """Affine reconstruction from the four uniform face averages.
-
-    Returns sum_j avg_j * (1 - 3 lambda_j) as a volume BaryQuadratic whose
-    quadratic part is zero.
-    """
-    avg = np.asarray(face_averages, dtype=float)
-    if avg.shape != (4,):
-        raise ValueError("expected 4 face averages")
-    return BaryQuadratic("volume", classical_coefficients(avg))
-
-
 def classical_coefficients(face_averages):
-    """Vectorized classical reconstruction: (..., 4) averages -> (..., 10)."""
+    """Classical affine reconstruction from the four uniform face averages:
+    sum_j avg_j * (1 - 3 lambda_j), as (..., 10) volume coefficients whose
+    quadratic part is zero, for (..., 4) averages."""
     avg = np.asarray(face_averages, dtype=float)
     coeffs = np.zeros(avg.shape[:-1] + (10,))
     coeffs[..., :4] = avg.sum(axis=-1, keepdims=True) - 3.0 * avg

@@ -166,16 +166,13 @@ def _project(f, vertices, ids, nodes, out=None, slots=(0, 1, 2, 3)):
     return values
 
 
-def compute_dofs(f, tet, cfg, settings=QuadSettings(), table=None):
-    """Degrees of freedom of a function on one Tetrahedron.
-
-    Returns 10 values for the quadratic strategies, 4 (the uniform face
-    averages) for the classical one.  `table` is cfg's DOF table at
-    `settings`, if the caller built it already: `project` passes its
-    engine's, so its cell is evaluated at a pass's DOF nodes.
+def compute_dofs(f, tet, table):
+    """Degrees of freedom of a function on one Tetrahedron: f at the nodes of
+    the caller's DOF table (build_dof_table of a configuration; `project`
+    passes its engine's, so its cell is evaluated at a pass's DOF nodes),
+    contracted with its weights.  Returns 10 values for the quadratic
+    strategies, 4 (the uniform face averages) for the classical one.
     """
-    if table is None:
-        table = build_dof_table(cfg, settings)
     return (_project(f, tet.vertices, np.arange(4)[None], table.nodes) @ table.weights.T)[0]
 
 

@@ -17,7 +17,6 @@ from histotet import (
     assemble_D,
     assemble_H,
     build_mesh,
-    classical_project,
     compute_dofs,
     convergence_study,
     edge_density,
@@ -30,8 +29,9 @@ from histotet.element import (
     det_dvol_closed,
     edge_diagonal_entry,
 )
+from histotet.experiment import build_dof_table
 from conftest import make_random_tet
-from oracles import apply_functionals
+from oracles import apply_functionals, reconstruction
 from test_densities import _all_family_cases, analytic_residual, quadrature_residual
 
 PARAM_GRID = (0.5, 1.0, 2.0, 5.0)
@@ -101,20 +101,20 @@ def test_criterion_4_reproduction_suite(rng):
     started = time.perf_counter()
     tet = make_random_tet(rng)
     for cfg in TUNED_DEFAULTS + UNIT_VARIANTS:
-        op = assemble_H(cfg)
+        op, table = assemble_H(cfg), build_dof_table(cfg)
         for c in range(10):
             coeffs = np.zeros(10)
             coeffs[c] = 1.0
             mono = BaryQuadratic("volume", coeffs)
             f = TargetFunction("mono", lambda p, mono=mono: mono(tet.barycentric(p)))
-            dofs = compute_dofs(f, tet, cfg)
+            dofs = compute_dofs(f, tet, table)
             recon = op.h_inv @ dofs
             assert np.max(np.abs(recon - coeffs)) < 1e-10, (cfg.method_id, c)
 
     for _ in range(50):
         lin = rng.normal(size=4)
         averages = (np.ones((4, 4)) - np.eye(4)) / 3.0 @ lin
-        poly = classical_project(averages)
+        poly = reconstruction(StrategyConfig.of("classical"), averages)
         lam = rng.dirichlet(np.ones(4), size=25)
         assert np.max(np.abs(poly(lam) - lam @ lin)) < 1e-12
 
@@ -136,16 +136,16 @@ def test_criterion_5_kronecker_and_projector(rng):
 
     tets = [make_random_tet(rng) for _ in range(20)]
     for cfg in TUNED_DEFAULTS:
-        op = assemble_H(cfg)
+        op, table = assemble_H(cfg), build_dof_table(cfg)
         for fid in ("f3", "f4"):
             f = TARGETS[fid]
             for tet in tets:
-                dofs = compute_dofs(f, tet, cfg)
+                dofs = compute_dofs(f, tet, table)
                 poly = BaryQuadratic("volume", op.h_inv @ dofs)
                 back = compute_dofs(
                     TargetFunction("pi", lambda p, poly=poly: poly(tet.barycentric(p))),
                     tet,
-                    cfg,
+                    table,
                 )
                 assert np.max(np.abs(back - dofs)) < 1e-9, (cfg.method_id, fid)
 

@@ -1,4 +1,6 @@
+import ast
 import csv
+import importlib
 import json
 import os
 import subprocess
@@ -537,3 +539,76 @@ def test_oversized_exponent_raises_instead_of_printing_nan(tmp_path, capsys, mon
     assert captured.err.startswith("error: weighted simplex rule for (d, exponents, m) = (")
     assert "nan" not in captured.out
     assert not out.exists()
+
+
+#: Functions of src/ that no command enters, each with its reason; any other
+#: function that no command enters is a helper that only tests call.
+_UNCALLED = {
+    # perfbench/ calls these five; the planned drop of scipy moves them.
+    "_ErrorEngine.l1_on_mesh",
+    "edge_diagonal_entry",
+    "StrategyConfig.face_volume",
+    "StrategyConfig.volumetric_blend",
+    "StrategyConfig.edge_face",
+    # The tests' reference map from physical points to barycentrics.
+    "Tetrahedron.barycentric",
+    # The fv enrichment by Gram-Schmidt, for the planned switch of fv's closed forms.
+    "face_ortho_quadratic",
+}
+
+
+def _defs(tree, prefix=""):
+    """(qualified name, lines a call of it may report) of each def below an
+    ast node: the def line, or a decorator's line on Python 3.10."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            lines = {node.lineno} | {d.lineno for d in node.decorator_list}
+            yield prefix + node.name, lines
+            yield from _defs(node, f"{prefix}{node.name}.")
+        elif isinstance(node, ast.ClassDef):
+            yield from _defs(node, f"{prefix}{node.name}.")
+        else:
+            yield from _defs(node, prefix)
+
+
+def test_every_function_runs_under_a_command(tmp_path, capsys):
+    # Single-threaded runs of every command, its error paths included, must
+    # enter every def in src/ but those of _UNCALLED.
+    modules = [importlib.import_module(f"histotet.{p.stem}")
+               for p in sorted(Path(histotet.__file__).parent.glob("*.py"))]
+    for module in modules:  # a cached result would enter no function
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+    commands = [
+        ["check", "--strategy", "fv,vol,ef", "--alpha", "1,2", "--beta", "1", "--theta", "0,1",
+         "--gamma", "2", "--zeta", "1", "--nu", "2"],
+        ["converge", "--functions", "f1..f8", "--n", "3", "--out", str(tmp_path / "converge")],
+        ["tune", "--strategy", "vol", "--theta", "0,0.5", "--gamma", "1,2", "--functions", "f1",
+         "--n", "3", "--out", str(tmp_path / "tune")],
+        ["project", "--strategy", "classical"],
+        ["project"],
+        ["project", "--strategy", "ef", "--tet", "0,0,0,2,0,0,0,1,0,0,0,3"],
+        ["project", "--strategy", "fv", "--alpha", "500"],  # RuleError
+        ["converge", "--n", "1", "--out", str(tmp_path / "refused")],
+    ]
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+    sys.setprofile(profile)
+    try:
+        codes = [run(argv) for argv in commands]
+    finally:
+        sys.setprofile(None)
+    capsys.readouterr()
+    assert codes == [0] * 6 + [2, 2]
+    uncalled = {
+        name
+        for module in modules
+        for name, lines in _defs(ast.parse(Path(module.__file__).read_text()))
+        if not any((module.__file__, line) in entered for line in lines)
+    }
+    assert uncalled == _UNCALLED

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -502,6 +503,22 @@ def test_one_evaluator_equals_the_exponent_loop(rng):
             got = lambda_basis(x)
             want = np.stack([monomial_by_exponents(x, e) for e in VOLUME_BASIS_EXPONENTS], axis=-1)
         assert _same_bits(got, want)
+
+
+@pytest.mark.parametrize("space, shape", [
+    ("face", (4,)),
+    ("volume", (5,)),
+    ("volume", (3,)),
+    ("volume", ()),
+])
+def test_quadratic_refuses_points_of_another_coordinate_count(space, shape):
+    poly = BaryQuadratic(space, np.ones(6 if space == "face" else 10))
+    expected = 3 if space == "face" else 4
+    message = f"a {space} quadratic takes points of {expected} coordinates, got shape {shape}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        poly(np.full(shape, 0.25))
+    # An edge quadratic takes bare parameters t, of any shape.
+    assert BaryQuadratic("edge", [1.0, 2.0, 3.0])(np.full(shape, 0.5)).shape == shape
 
 
 def test_gram_schmidt_sums_each_seed_as_density_expect():

@@ -9,9 +9,7 @@ from histotet import (
     UnisolvenceError,
     assemble_D,
     assemble_H,
-    classical_project,
     lambda_basis,
-    reconstruct,
     unisolvence_check,
 )
 from histotet import element
@@ -35,7 +33,14 @@ from histotet.densities import (
     volumetric_psi,
 )
 from histotet.simplex import EDGE_PAIRS, FACE_VERTEX_INDICES
-from oracles import apply_functionals, cell_values, dfv_entries, dvol_entries, symmetric_quadratic_density
+from oracles import (
+    apply_functionals,
+    cell_values,
+    dfv_entries,
+    dvol_entries,
+    reconstruction,
+    symmetric_quadratic_density,
+)
 
 PARAM_GRID = (0.5, 1.0, 2.0, 5.0)
 
@@ -236,12 +241,15 @@ def test_inverse_and_kronecker():
             np.testing.assert_allclose(values, np.eye(10)[ell], atol=1e-10)
 
 
+CLASSICAL = StrategyConfig.of("classical")
+
+
 def test_classical_project_examples():
-    constant = classical_project([1.0, 1.0, 1.0, 1.0])
+    constant = reconstruction(CLASSICAL, [1.0, 1.0, 1.0, 1.0])
     np.testing.assert_allclose(constant.coeffs, [1, 1, 1, 1, 0, 0, 0, 0, 0, 0], atol=1e-15)
-    kron = classical_project([1.0, 0.0, 0.0, 0.0])
+    kron = reconstruction(CLASSICAL, [1.0, 0.0, 0.0, 0.0])
     np.testing.assert_allclose(kron.coeffs[:4], [-2, 1, 1, 1], atol=1e-15)
-    lam1 = classical_project([0.0, 1 / 3, 1 / 3, 1 / 3])
+    lam1 = reconstruction(CLASSICAL, [0.0, 1 / 3, 1 / 3, 1 / 3])
     np.testing.assert_allclose(lam1.coeffs, [1, 0, 0, 0, 0, 0, 0, 0, 0, 0], atol=1e-14)
 
 
@@ -249,7 +257,7 @@ def test_classical_reproduces_affines(rng):
     for _ in range(50):
         coeff = rng.normal(size=4)
         averages = (np.ones((4, 4)) - np.eye(4)) / 3.0 @ coeff
-        poly = classical_project(averages)
+        poly = reconstruction(CLASSICAL, averages)
         lam = rng.dirichlet(np.ones(4), size=20)
         np.testing.assert_allclose(poly(lam), lam @ coeff, atol=1e-12)
 
@@ -259,7 +267,7 @@ def test_reconstruct_monomials_and_basis_columns():
         op = assemble_H(cfg)
         for c in range(10):
             dofs = op.h[:, c]  # analytic DOFs of the c-th monomial
-            poly = reconstruct(op, dofs)
+            poly = reconstruction(cfg, dofs)
             expected = np.zeros(10)
             expected[c] = 1.0
             np.testing.assert_allclose(poly.coeffs, expected, atol=1e-10)
@@ -267,7 +275,7 @@ def test_reconstruct_monomials_and_basis_columns():
             e = np.zeros(10)
             e[ell] = 1.0
             np.testing.assert_allclose(
-                reconstruct(op, e).coeffs, op.h_inv[:, ell], atol=1e-15
+                reconstruction(cfg, e).coeffs, op.h_inv[:, ell], atol=1e-15
             )
 
 

@@ -17,6 +17,7 @@ from histotet import (
     convergence_study,
     grid_search,
 )
+from histotet.experiment import build_dof_table
 from histotet.quadrature import simplex_rule_plain
 from conftest import make_random_tet
 from oracles import evaluate_by_exponents, l1_error
@@ -38,10 +39,10 @@ def poly_target(tet, coeffs):
 def test_dofs_of_constant(rng):
     tet = make_random_tet(rng)
     for cfg in QUADRATIC_CONFIGS:
-        dofs = compute_dofs(ONE, tet, cfg)
+        dofs = compute_dofs(ONE, tet, build_dof_table(cfg))
         np.testing.assert_allclose(dofs[:4], 1.0, atol=1e-13)
         np.testing.assert_allclose(dofs[4:], 0.0, atol=1e-13)
-    classical = compute_dofs(ONE, tet, StrategyConfig.of("classical"))
+    classical = compute_dofs(ONE, tet, build_dof_table(StrategyConfig.of("classical")))
     np.testing.assert_allclose(classical, np.ones(4), atol=1e-13)
 
 
@@ -49,7 +50,7 @@ def test_affine_functions_have_silent_enrichment(rng):
     tet = make_random_tet(rng)
     f = TargetFunction("affine", lambda p: 0.7 - 1.3 * p[..., 0] + 0.4 * p[..., 2])
     for cfg in QUADRATIC_CONFIGS:
-        dofs = compute_dofs(f, tet, cfg)
+        dofs = compute_dofs(f, tet, build_dof_table(cfg))
         assert np.max(np.abs(dofs[4:])) < 1e-12
 
 
@@ -58,7 +59,7 @@ def test_pair_monomial_dofs_match_operator_column(rng):
     cfg = StrategyConfig.face_volume(1.0, 1.0)
     op = assemble_H(cfg)
     f = poly_target(tet, [0, 0, 0, 0, 1, 0, 0, 0, 0, 0])  # lambda1 lambda2
-    dofs = compute_dofs(f, tet, cfg)
+    dofs = compute_dofs(f, tet, build_dof_table(cfg))
     np.testing.assert_allclose(dofs, op.h[:, 4], atol=1e-12)
     # the pair monomial survives only on the two faces that contain its edge
     assert dofs[6] == pytest.approx(-1 / 360, rel=1e-10)
@@ -67,14 +68,14 @@ def test_pair_monomial_dofs_match_operator_column(rng):
 
 def test_geometry_independence_of_dofs(rng):
     for cfg in QUADRATIC_CONFIGS:
-        op = assemble_H(cfg)
+        op, table = assemble_H(cfg), build_dof_table(cfg)
         for c in (0, 4, 9):
             column = op.h[:, c]
             for _ in range(10):
                 tet = make_random_tet(rng)
                 coeffs = np.zeros(10)
                 coeffs[c] = 1.0
-                dofs = compute_dofs(poly_target(tet, coeffs), tet, cfg)
+                dofs = compute_dofs(poly_target(tet, coeffs), tet, table)
                 np.testing.assert_allclose(dofs, column, atol=1e-12)
 
 
@@ -105,12 +106,12 @@ def test_refinement_reduces_error():
 def test_projector_consistency(rng):
     f = TARGETS["f5"]
     for cfg in QUADRATIC_CONFIGS:
-        op = assemble_H(cfg)
+        op, table = assemble_H(cfg), build_dof_table(cfg)
         for _ in range(3):
             tet = make_random_tet(rng)
-            dofs = compute_dofs(f, tet, cfg)
+            dofs = compute_dofs(f, tet, table)
             poly = BaryQuadratic("volume", op.h_inv @ dofs)
-            re_dofs = compute_dofs(poly_target(tet, poly.coeffs), tet, cfg)
+            re_dofs = compute_dofs(poly_target(tet, poly.coeffs), tet, table)
             np.testing.assert_allclose(re_dofs, dofs, atol=1e-9)
 
 
@@ -238,8 +239,6 @@ def distinct_points(mesh, configs, rows, error_nodes=216):
 
 
 def test_one_pass_evaluates_each_node_set_once():
-    from histotet.experiment import build_dof_table
-
     points = []
 
     def counted(p):
@@ -642,7 +641,6 @@ def test_grid_search_rejects_empty_grid():
 def test_one_rule_per_density(monkeypatch):
     from histotet import densities, quadrature
     from histotet.cli import _PARAM_FLAGS
-    from histotet.experiment import build_dof_table
 
     calls = []
     build = quadrature.simplex_rule_weighted
@@ -687,8 +685,6 @@ def test_quad_settings_reject_rules_too_coarse_for_quadratics():
 
 
 def test_quad_settings_affect_rule_sizes():
-    from histotet.experiment import build_dof_table
-
     small = build_dof_table(StrategyConfig.face_volume(1.0, 1.0), QuadSettings(dof_points=4))
     large = build_dof_table(StrategyConfig.face_volume(1.0, 1.0), QuadSettings(dof_points=8))
     assert len(small.nodes) == 4 * 16 + 64
@@ -697,11 +693,11 @@ def test_quad_settings_affect_rule_sizes():
 
 def test_engine_coefficients_equal_the_element_reconstruction():
     # project and every mesh pass reconstruct through _ErrorEngine.coefficients;
-    # it must be the library's reconstruction, bit for bit, on each default
-    # grid point.
+    # it must apply the element's formulas, bit for bit, on each default grid
+    # point: H^-1 d for a quadratic strategy, and for classical the affine
+    # sum_j d_j (1 - 3 lambda_j), whose lambda_k coefficient is sum(d) - 3 d_k.
     from itertools import product
 
-    from histotet import classical_project, reconstruct
     from histotet.cli import _PARAM_FLAGS
     from histotet.element import METHODS
     from histotet.experiment import _ErrorEngine
@@ -718,8 +714,12 @@ def test_engine_coefficients_equal_the_element_reconstruction():
         op = None if cfg.kind == "classical" else assemble_H(cfg)
         scales = 10.0 ** rng.integers(-3, 4, (10, 1))
         for d in rng.standard_normal((10, len(engine.table.weights))) * scales:
-            expected = classical_project(d) if op is None else reconstruct(op, d)
-            np.testing.assert_array_equal(engine.coefficients(d), expected.coeffs)
+            if op is None:
+                expected = np.zeros(10)
+                expected[:4] = d.sum() - 3 * d
+            else:
+                expected = op.h_inv @ d
+            np.testing.assert_array_equal(engine.coefficients(d), expected)
 
 
 def test_dof_weights_are_those_of_the_exponent_loop(monkeypatch):
@@ -727,7 +727,6 @@ def test_dof_weights_are_those_of_the_exponent_loop(monkeypatch):
     # exponent loop it replaced gives the same weights, bit for bit.
     from histotet.cli import _PARAM_FLAGS
     from histotet.element import METHODS
-    from histotet.experiment import build_dof_table
 
     configs = [StrategyConfig.of("classical")] + [
         StrategyConfig.of(method, *params)

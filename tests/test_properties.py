@@ -13,17 +13,16 @@ from histotet import (
     build_mesh,
     compute_dofs,
     face_ortho_quadratic,
-    reconstruct,
     volumetric_psi,
 )
 from histotet import experiment
 from histotet.cli import _PARAM_FLAGS
 from histotet.densities import Density
 from histotet.element import build_functionals
-from histotet.experiment import _ErrorEngine, _l1_errors
+from histotet.experiment import _ErrorEngine, _l1_errors, build_dof_table
 from histotet.simplex import dirichlet_expectation
 from conftest import make_random_tet
-from oracles import cell_values, l1_error
+from oracles import cell_values, l1_error, reconstruction
 
 MESH = build_mesh(3)
 
@@ -75,7 +74,7 @@ def test_quadratics_are_reproduced(candidate, tet, coeffs):
     op = assemble_H(cfg)
     poly = BaryQuadratic("volume", coeffs)
     f = TargetFunction("quadratic", lambda p: poly(tet.barycentric(p)))
-    error = np.max(np.abs(op.h_inv @ compute_dofs(f, tet, cfg) - poly.coeffs))
+    error = np.max(np.abs(op.h_inv @ compute_dofs(f, tet, build_dof_table(cfg)) - poly.coeffs))
     assert error <= 1e3 * op.cond * np.finfo(float).eps, (error, op.cond)
 
 
@@ -88,11 +87,11 @@ def test_projector_is_idempotent(candidate, tet, fid):
     # round-off amplified by cond(H): the worst drift seen over about 8,000
     # seeded draws is 2.4 cond(H) eps max|dofs| (fv with alpha near the floor).
     cfg = StrategyConfig.of(*candidate)
-    op = assemble_H(cfg)
-    dofs = compute_dofs(TARGETS[fid], tet, cfg)
-    poly = reconstruct(op, dofs)
+    op, table = assemble_H(cfg), build_dof_table(cfg)
+    dofs = compute_dofs(TARGETS[fid], tet, table)
+    poly = reconstruction(cfg, dofs)
     recon = TargetFunction("reconstruction", lambda p: poly(tet.barycentric(p)))
-    drift = np.max(np.abs(compute_dofs(recon, tet, cfg) - dofs))
+    drift = np.max(np.abs(compute_dofs(recon, tet, table) - dofs))
     bound = 100 * op.cond * np.finfo(float).eps * np.max(np.abs(dofs))
     assert drift <= bound, (drift, op.cond)
 
