@@ -41,7 +41,6 @@ from .mesh import TetMesh, build_mesh
 from .quadrature import (
     SimplexRule,
     gauss_jacobi,
-    simplex_rule_plain,
     simplex_rule_weighted,
 )
 from .simplex import (

@@ -16,13 +16,12 @@ One pair rule orders simplex.EDGE_PAIRS and the face and volume bases, whose
 exponent tables and monomial values both come from basis_monomials.
 """
 
-import functools
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import SimplexRule, simplex_rule_weighted
+from .quadrature import SimplexRule, simplex_rule
 from .simplex import EDGE_PAIRS, dirichlet_expectation
 
 #: Concentration-style parameters below this are rejected: the moment
@@ -78,23 +77,13 @@ class Density:
 
     def rule(self, m):
         """Weighted simplex rule (mass 1) with m Gauss points per direction:
-        the union of the component rules, each rule's weights times its coefficient."""
-        parts = [
-            (coef, _component_rule(self.dim, exps, m))
-            for coef, exps in self.components
-        ]
+        the union of the component rules, each rule's weights times its coefficient.
+        Densities with a common Dirichlet component (every blend's uniform part,
+        the uniform face) share its cached rule."""
+        parts = [(coef, simplex_rule(self.dim, exps, m)) for coef, exps in self.components]
         nodes = np.concatenate([r.nodes for _, r in parts])
         weights = np.concatenate([coef * r.weights for coef, r in parts])
         return SimplexRule(nodes, weights)
-
-
-@functools.cache
-def _component_rule(dim, exponents, m):
-    """simplex_rule_weighted(dim, exponents, m), built once per process:
-    densities with a common Dirichlet component (every blend's uniform part,
-    the uniform face) share its rule.  A failed build is not remembered, so
-    it raises again on the next call."""
-    return simplex_rule_weighted(dim, exponents, m)
 
 
 def face_density(alpha):

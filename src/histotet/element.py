@@ -279,11 +279,15 @@ def unisolvence_check(cfg):
     rank 6 from the singular values (see _full_rank).  A failed check is
     reported, not raised.
     """
-    return _report(cfg, assemble_D(cfg))
+    with np.errstate(invalid="ignore"):  # a NaN moment fails the rank check
+        return _report(cfg, assemble_D(cfg))
 
 
 def _full_rank(dmat):
-    """(smallest singular value > RANK_RTOL * largest, singular values)."""
+    """(smallest singular value > RANK_RTOL * largest, singular values); a
+    matrix with a non-finite entry is not of full rank, its values all NaN."""
+    if not np.isfinite(dmat).all():
+        return False, np.full(len(dmat), np.nan)
     s = np.linalg.svd(dmat, compute_uv=False)
     return bool(s[-1] > RANK_RTOL * s[0]), s
 

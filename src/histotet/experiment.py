@@ -45,7 +45,7 @@ from .element import (
     lambda_basis,
 )
 from .mesh import build_mesh, kuhn_cells, mesh_size
-from .quadrature import plain_points, simplex_rule_plain
+from .quadrature import plain_points, simplex_rule
 from .targets import TargetFunction
 
 #: Scalars of DOF- and error-node values per cell row that size an engine's
@@ -339,7 +339,7 @@ def _l1_errors(engines, f, mesh, threads=1):
     """
     if not engines:
         return []
-    rule = simplex_rule_plain(3, engines[0].settings.error_degree)
+    rule = simplex_rule(3, (0.0,) * 4, plain_points(3, engines[0].settings.error_degree))
     basis_t = lambda_basis(rule.nodes).T  # (10, E)
     n_cells = len(mesh)
     tables = [e.table for e in engines]
@@ -425,10 +425,11 @@ def study_bytes(ns, configs, settings, threads=1):
     parameters ns holds, counted before any is built: every mesh's three
     arrays (mesh_size; a study keeps all its meshes); every engine's DOF
     table (4 coordinates and one weight per functional at each node); each
-    distinct Dirichlet component's DOF rule, which the process caches
-    (dim + 1 coordinates and a weight per node); the error rule (4
-    coordinates, a weight and 10 basis values per node); a (configurations
-    x largest mesh's cells) error array; and the larger of what set-up and
+    distinct rule that the process caches, keyed (dim, exponents, m) as
+    quadrature.simplex_rule is: every Dirichlet component's DOF rule and the
+    error rule, a rule they share counted once (dim + 1 coordinates and a
+    weight per node); 10 basis values per error node; a (configurations x
+    largest mesh's cells) error array; and the larger of what set-up and
     the pass allocate for a while.  Set-up builds one rule or table at a
     time: a rule's node and weight grids and two product scalars per node,
     or a table's density rules and lifted nodes.  The pass runs one chunk's
@@ -445,12 +446,15 @@ def study_bytes(ns, configs, settings, threads=1):
     functionals = [build_functionals(cfg) for cfg in configs]
     tables = [_layout(fs, m)[1] for fs in functionals]
     densities = [dict.fromkeys(func.density for func in fs) for fs in functionals]
-    rules = {(d.dim, exps) for ds in densities for d in ds for _, exps in d.components}
-    setup = [m**dim * (2 * dim + 2) for dim, _ in rules] + [
+    e = plain_points(3, settings.error_degree)
+    # quadrature.simplex_rule's keys: the DOF rules, then the error rule.
+    rules = {(d.dim, exps, m) for ds in densities for d in ds for _, exps in d.components}
+    rules.add((3, (0.0,) * 4, e))
+    setup = [k**dim * (2 * dim + 2) for dim, _, k in rules] + [
         sum(len(d.components) * m**d.dim * (d.dim + 2) for d in ds) + 4 * t[-1][2]
         for ds, t in zip(densities, tables)
     ]
-    error_nodes = plain_points(3, settings.error_degree) ** 3
+    error_nodes = e**3
     sizes = [mesh_size(n) for n in ns]
     meshes, cells = sum(s for _, s in sizes), max((c for c, _ in sizes), default=0)
     plan = _Plan(tables, error_nodes, cells)
@@ -463,7 +467,7 @@ def study_bytes(ns, configs, settings, threads=1):
     chunk = plan.rows * (plan.width + 10 * len(tables)) + 3 * _SLICE_POINTS + held
     return 8 * (
         meshes + sum((4 + len(fs)) * t[-1][2] for fs, t in zip(functionals, tables))
-        + sum(m**dim * (dim + 2) for dim, _ in rules) + 15 * error_nodes
+        + sum(k**dim * (dim + 2) for dim, _, k in rules) + 10 * error_nodes
         + cells * len(configs) + max(max(setup), plan.workers(threads) * chunk)
     )
 

@@ -35,10 +35,14 @@ def gauss_jacobi(m, a, b):
     # At a + b = -1 (e.g. the first collapsed axis of a volume dirichlet(0.25)
     # rule) scipy's recurrence computes a 0/0 term that it then discards; the
     # rule is still exact, and the check below catches any real bad value.
+    message = f"non-finite Gauss-Jacobi rule for (m, a, b) = {(m, float(a), float(b))}"
     with np.errstate(invalid="ignore"):
-        x, w = roots_jacobi(m, b, a)
+        try:
+            x, w = roots_jacobi(m, b, a)
+        except ValueError as err:  # scipy's eigensolver refuses an overflowed Jacobi matrix
+            raise RuleError(message) from err
     if not (np.isfinite(x).all() and np.isfinite(w).all()):
-        raise RuleError(f"non-finite Gauss-Jacobi rule for (m, a, b) = {(m, a, b)}")
+        raise RuleError(message)
     return 0.5 * (x + 1.0), w / 2.0 ** (a + b + 1.0)
 
 
@@ -132,19 +136,16 @@ def simplex_rule_weighted(d, exponents, m):
 
 
 @functools.cache
-def simplex_rule_plain(d, target_degree):
-    """Rule exact for plain polynomials up to `target_degree` on the d-simplex.
-
-    Realized as the uniform-weight collapsed rule with enough points per
-    direction for the conservative exactness bound; weights sum to 1, so
-    integrals against Lebesgue measure are `volume * expectation`.  Built
-    once per process for each (d, target_degree).
-    """
-    if target_degree < 1:
-        raise ValueError("target_degree must be >= 1")
-    return simplex_rule_weighted(d, np.zeros(d + 1), plain_points(d, target_degree))
+def simplex_rule(d, exponents, m):
+    """simplex_rule_weighted(d, exponents, m) for a tuple of exponents, built
+    once per process: the process's one rule cache.  Every DOF density's
+    components and the plain L1 error rule (the uniform law, exponents
+    (0.0,) * (d + 1) at plain_points) share it.  A failed build is not
+    remembered, so it raises again on the next call."""
+    return simplex_rule_weighted(d, exponents, m)
 
 
 def plain_points(d, target_degree):
-    """Points per direction of simplex_rule_plain(d, target_degree)."""
+    """Points per direction of the uniform rule exact for plain polynomials
+    up to `target_degree` on the d-simplex (conservative exactness bound)."""
     return -(-(int(target_degree) + d) // 2)  # ceil((degree + d) / 2)

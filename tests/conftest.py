@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from histotet import Tetrahedron, densities, element, quadrature
+from histotet import Tetrahedron, element, quadrature
 
 
 def make_random_tet(rng, min_volume=0.01):
@@ -21,6 +21,5 @@ def rng():
 def empty_setup_caches():
     """Start every test with no cached rules or functionals, so that what a
     test counts or patches does not depend on the tests run before it."""
-    densities._component_rule.cache_clear()
-    quadrature.simplex_rule_plain.cache_clear()
+    quadrature.simplex_rule.cache_clear()
     element.build_functionals.cache_clear()

@@ -1,4 +1,5 @@
 import ast
+import contextlib
 import csv
 import importlib
 import json
@@ -538,6 +539,36 @@ def test_oversized_exponent_raises_instead_of_printing_nan(tmp_path, capsys, mon
     captured = capsys.readouterr()
     assert captured.err.startswith("error: weighted simplex rule for (d, exponents, m) = (")
     assert "nan" not in captured.out
+    assert not out.exists()
+
+
+_HUGE_EF = ["--strategy", "ef", "--zeta", "1e308", "--nu", "1"]
+_HUGE_VOL = ["--strategy", "vol", "--theta", "0.5", "--gamma", "1e200"]
+_GJ = "non-finite Gauss-Jacobi rule for (m, a, b) = "
+
+
+@pytest.mark.parametrize("argv, message, rank6", [
+    (["converge", *_HUGE_EF], f"error: {_GJ}(8, 1e+308, 0.0)\n", None),
+    (["converge", *_HUGE_VOL], f"error: {_GJ}(8, 1e+200, 3e+200)\n", None),
+    (["check", *_HUGE_VOL], f"error: vol (theta=0.5;gamma=1e+200): {_GJ}(8, 1e+200, 3e+200)\n", "True"),
+    (["check", *_HUGE_EF], f"error: ef (zeta=1e+308;nu=1): {_GJ}(8, 1e+308, 0.0)\n", "False"),
+], ids=["converge-ef", "converge-vol", "check-vol", "check-ef"])
+def test_parameters_too_large_for_any_rule_exit_2(tmp_path, capsys, argv, message, rank6):
+    # scipy refuses the overflowed Jacobi matrix of each rule, and at
+    # zeta = 1e308 the edge moments are NaN before any rule is built: check
+    # fails that row, and converge's set-up warns of the NaN.
+    out = tmp_path / "out"
+    nan_moments = argv[0] == "converge" and "ef" in argv
+    with pytest.warns(RuntimeWarning, match="invalid value") if nan_moments else contextlib.nullcontext():
+        if argv[0] == "converge":
+            assert run([*argv, "--functions", "f1", "--n", "3", "--out", str(out)]) == 2
+        else:
+            assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(message)
+    if rank6 is not None:
+        assert captured.out.splitlines()[2].split()[5] == rank6
+        assert captured.err.endswith("1 configuration(s) FAILED the check\n")
     assert not out.exists()
 
 

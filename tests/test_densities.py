@@ -22,14 +22,13 @@ from histotet.densities import (
     Density,
     FACE_BASIS_EXPONENTS,
     VOLUME_BASIS_EXPONENTS,
-    _component_rule,
     dirichlet_face_constant,
     face_sum_of_squares_minus,
     lambda_basis,
     pair_quadratic,
 )
 from histotet.element import _functional_matrix, build_functionals
-from histotet.quadrature import simplex_rule_plain
+from histotet.quadrature import plain_points, simplex_rule
 from histotet.simplex import EDGE_PAIRS
 from oracles import (
     evaluate_by_exponents,
@@ -410,14 +409,14 @@ def test_grouped_functional_matrix_equals_one_row_at_a_time():
 
 
 def test_cached_setup_is_read_only():
-    rule = _component_rule(3, (0.0,) * 4, 8)
-    assert _component_rule(3, (0.0,) * 4, 8) is rule
+    rule = simplex_rule(3, (0.0,) * 4, 8)
+    assert simplex_rule(3, (0.0,) * 4, 8) is rule
     with pytest.raises(ValueError, match="read-only"):
         rule.weights[0] = 1.0
     with pytest.raises(ValueError, match="read-only"):
         rule.nodes[0, 0] = 1.0
-    error_rule = simplex_rule_plain(3, 8)
-    assert simplex_rule_plain(3, 8) is error_rule
+    error_rule = simplex_rule(3, (0.0,) * 4, plain_points(3, 8))
+    assert simplex_rule(3, (0.0,) * 4, plain_points(3, 8)) is error_rule
     with pytest.raises(ValueError, match="read-only"):
         error_rule.weights[0] = 1.0
     funcs = build_functionals(StrategyConfig.edge_face(2.0, 3.0))

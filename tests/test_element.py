@@ -387,6 +387,19 @@ def test_rank_deficient_blocks_are_rejected(monkeypatch, cfg, ratio):
         assemble_H(cfg)
 
 
+def test_a_non_finite_enriched_block_is_not_of_full_rank():
+    # At zeta = 1e308 the edge moments overflow to NaN before any rule is
+    # built.  The check reports the block as failed, without a warning, and
+    # assembly raises; building the quadratic itself warns of the NaN.
+    cfg = StrategyConfig.edge_face(1e308, 1.0)
+    rep = unisolvence_check(cfg)
+    assert rep.rank6 is False and not rep.ok and np.isnan(rep.cond)
+    element.build_functionals.cache_clear()
+    with pytest.warns(RuntimeWarning, match="invalid value"):
+        with pytest.raises(UnisolvenceError, match=r"ef \(zeta=1e\+308;nu=1\) is not unisolvent"):
+            assemble_H(cfg)
+
+
 def test_volumetric_config_validation():
     with pytest.raises(ValueError, match=r"vol takes parameters \('theta', 'gamma'\)"):
         StrategyConfig.of("vol", 2.0)  # missing gamma

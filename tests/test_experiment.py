@@ -18,7 +18,7 @@ from histotet import (
     grid_search,
 )
 from histotet.experiment import build_dof_table
-from histotet.quadrature import simplex_rule_plain
+from histotet.quadrature import plain_points, simplex_rule
 from conftest import make_random_tet
 from oracles import evaluate_by_exponents, l1_error
 
@@ -124,7 +124,7 @@ def test_thread_count_does_not_change_results(monkeypatch):
     single_chunk = engine.l1_on_mesh(f, mesh, threads=1)
     # 750 cells fit in one default chunk; shrink the budget to 200 cells per
     # chunk, so that threads=2 really runs on the pool.
-    n_pts = len(engine.table.nodes) + len(simplex_rule_plain(3, 8))
+    n_pts = len(engine.table.nodes) + plain_points(3, 8) ** 3
     monkeypatch.setattr(experiment, "_CHUNK_BUDGET", 200 * n_pts)
     assert len(experiment._chunk_slices(len(mesh), 200)) == 4
     serial = engine.l1_on_mesh(f, mesh, threads=1)
@@ -164,7 +164,7 @@ def test_non_finite_error_names_the_stage():
     cell = int(message.rsplit("cell ", 1)[1])
     assert np.sum(mesh.vertices[mesh.cells[cell]][:, 0] == 0.0) == 3
 
-    n_err = len(simplex_rule_plain(3, 8))
+    n_err = plain_points(3, 8) ** 3
     at_error_nodes = TargetFunction(
         "errnodes",
         lambda p: np.full(p.shape[:-1], np.nan) if p.shape[-2] == n_err else np.sin(p[..., 0]),
@@ -199,7 +199,7 @@ def test_study_rows_equal_stand_alone_errors_for_any_chunking(monkeypatch):
     from histotet import experiment
 
     mesh = build_mesh(4)
-    n_err = len(simplex_rule_plain(3, 8))
+    n_err = plain_points(3, 8) ** 3
     sizes = [len(experiment.build_dof_table(cfg).nodes) for cfg in ALL_METHODS]
     monkeypatch.setattr(experiment, "_CHUNK_BUDGET", 50_000)
     blocks = [50_000 // (size + n_err) for size in sizes]
@@ -345,27 +345,29 @@ def test_grid_surface_sums_the_study_rows_of_each_candidate(monkeypatch):
 
 def test_study_bytes_counts_the_arrays_of_a_pass(monkeypatch):
     from histotet import experiment
-    from histotet.densities import _component_rule
     from histotet.element import build_functionals, lambda_basis
     from histotet.experiment import _ErrorEngine, _Plan, study_bytes
 
-    # A study keeps every mesh, every engine's DOF table and the rule of each
-    # distinct Dirichlet component; the error rule is shared, and the error
-    # array and the chunks are the largest mesh's pass, one chunk per worker
-    # that can run.
+    # A study keeps every mesh, every engine's DOF table and each distinct
+    # cached rule, the error rule among them; the error array and the chunks
+    # are the largest mesh's pass, one chunk per worker that can run.
     settings = QuadSettings(dof_points=4, error_degree=5)
     configs = [StrategyConfig.of("classical"), *QUADRATIC_CONFIGS, StrategyConfig.edge_face(1, 3)]
     meshes = [build_mesh(3), build_mesh(4)]
     tables = [_ErrorEngine(cfg, settings).table for cfg in configs]
-    rule = simplex_rule_plain(3, settings.error_degree)
     components = {
         (func.density.dim, exps)
         for cfg in configs for func in build_functionals(cfg) for _, exps in func.density.components
     }
+    # The error rule has 4 points per direction, as the DOF rules do, so it
+    # is vol's uniform volume rule: one cached rule of 64 nodes, counted once.
+    assert plain_points(3, settings.error_degree) == 4 and (3, (0.0,) * 4) in components
+    rule = simplex_rule(3, (0.0,) * 4, 4)
+    assert rule.nodes.nbytes + rule.weights.nbytes == 64 * 5 * 8  # what a second copy would add
     study = sum(a.nbytes for a in (
         *(a for t in tables for a in (t.nodes, t.weights)),
-        *(a for r in (_component_rule(*c, 4) for c in components) for a in (r.nodes, r.weights)),
-        rule.nodes, rule.weights, lambda_basis(rule.nodes).T,
+        *(a for r in (simplex_rule(*c, 4) for c in components) for a in (r.nodes, r.weights)),
+        lambda_basis(rule.nodes).T,
     ))
     fixed = study + sum(a.nbytes for a in (
         *(a for m in meshes for a in (m.vertices, m.cells, m.cell_volumes())),
@@ -639,7 +641,7 @@ def test_grid_search_rejects_empty_grid():
 
 
 def test_one_rule_per_density(monkeypatch):
-    from histotet import densities, quadrature
+    from histotet import quadrature
     from histotet.cli import _PARAM_FLAGS
 
     calls = []
@@ -649,9 +651,9 @@ def test_one_rule_per_density(monkeypatch):
         calls.append(args)
         return build(*args)
 
-    monkeypatch.setattr(densities, "simplex_rule_weighted", counted)
+    monkeypatch.setattr(quadrature, "simplex_rule_weighted", counted)
     for cfg, builds in zip(ALL_METHODS, (1, 2, 3, 2)):
-        densities._component_rule.cache_clear()
+        quadrature.simplex_rule.cache_clear()
         del calls[:]
         build_dof_table(cfg)
         assert len(calls) == builds, cfg.method_id
@@ -661,19 +663,49 @@ def test_one_rule_per_density(monkeypatch):
     # Classical, vol and ef share the uniform face rule, fv's beta = 2 and
     # vol's gamma = 2 one volume rule, and a blend shares its uniform part
     # with every other theta: five distinct rules.
-    densities._component_rule.cache_clear()
+    quadrature.simplex_rule.cache_clear()
     del calls[:]
     for cfg in ALL_METHODS + [StrategyConfig.volumetric_blend(0.25, 2.0)]:
         build_dof_table(cfg)
     assert len(calls) == 5
     # The default fv grid: 36 tables of two rules each, built from 6 face
     # (alpha) and 6 volume (beta) rules, plus one error rule.
-    densities._component_rule.cache_clear()
-    monkeypatch.setattr(quadrature, "simplex_rule_weighted", counted)
+    quadrature.simplex_rule.cache_clear()
     del calls[:]
     grid = _PARAM_FLAGS["alpha"][1]
     grid_search(TuningGrid("fv", grid, grid, (TARGETS["f2"],), (3,)))
     assert len(calls) == 13
+
+
+def test_error_rule_is_the_cached_uniform_volume_rule(monkeypatch):
+    from histotet import experiment, quadrature
+
+    # At --quad-m 6 the default error degree also takes 6 points per
+    # direction: a blend's uniform volume DOF rule is the pass's error rule.
+    settings = QuadSettings(dof_points=6)
+    assert plain_points(3, settings.error_degree) == settings.dof_points
+    calls, error_nodes = [], []
+    build, basis = quadrature.simplex_rule_weighted, experiment.lambda_basis
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    def recorded(nodes):
+        error_nodes.append(nodes)
+        return basis(nodes)
+
+    monkeypatch.setattr(quadrature, "simplex_rule_weighted", counted)
+    monkeypatch.setattr(experiment, "lambda_basis", recorded)
+    engine = experiment._ErrorEngine(StrategyConfig.volumetric_blend(0.5, 2.0), settings)
+    assert len(calls) == 3  # the uniform face, the uniform volume and dirichlet(2)
+    engine.l1_on_mesh(TARGETS["f2"], build_mesh(3))
+    assert len(calls) == 3  # the pass builds no rule
+    uniform = simplex_rule(3, (0.0,) * 4, 6)
+    assert error_nodes[-1] is uniform.nodes
+    ref = build(3, np.zeros(4), 6)
+    assert uniform.nodes.tobytes() == ref.nodes.tobytes()
+    assert uniform.weights.tobytes() == ref.weights.tobytes()
 
 
 def test_quad_settings_reject_rules_too_coarse_for_quadratics():

@@ -8,9 +8,9 @@ from scipy.special import gammaln
 
 from histotet import (
     gauss_jacobi,
-    simplex_rule_plain,
     simplex_rule_weighted,
 )
+from histotet.quadrature import RuleError, plain_points, simplex_rule
 from histotet.simplex import dirichlet_expectation
 from oracles import simplex_moment
 
@@ -77,6 +77,18 @@ def test_gauss_jacobi_rejects_a_non_finite_rule(monkeypatch):
         gauss_jacobi(3, 0.5, 2.0)
 
 
+@pytest.mark.parametrize("a, b, shown", [
+    (1e308, 0.0, "(8, 1e+308, 0.0)"),  # an overflowed Jacobi matrix, which scipy refuses
+    (1e200, 3e200, "(8, 1e+200, 3e+200)"),
+    (1e9 - 1.0, 0.0, "(8, 999999999.0, 0.0)"),  # NaN nodes: edge_density(1e9, 1)
+])
+def test_gauss_jacobi_names_a_rule_it_cannot_build_in_plain_numbers(a, b, shown):
+    # The edge rule's one axis is gauss_jacobi(8, a, b), with NumPy scalars.
+    with pytest.raises(RuleError) as info:
+        simplex_rule_weighted(1, (a, b), 8)
+    assert str(info.value) == f"non-finite Gauss-Jacobi rule for (m, a, b) = {shown}"
+
+
 @pytest.mark.parametrize("d, exponent", [(2, 499.0), (2, 349.0), (3, 300.0), (1, 600.0)])
 def test_weighted_rule_rejects_overflowing_exponents(d, exponent):
     # 2^(a+b+1) overflows once a + b + 1 > 1024 on a collapsed axis: the
@@ -105,12 +117,12 @@ def test_volume_mean_gamma2():
 
 
 def test_plain_rule_matches_moments():
-    r3 = simplex_rule_plain(3, 2)
+    r3 = simplex_rule(3, (0.0,) * 4, plain_points(3, 2))
     assert r3.nodes[:, 0] ** 2 @ r3.weights == pytest.approx(
         simplex_moment([2, 0, 0, 0], 3), rel=1e-13
     )
     assert r3.weights.sum() == pytest.approx(1.0, abs=1e-13)
-    r2 = simplex_rule_plain(2, 4)
+    r2 = simplex_rule(2, (0.0,) * 3, plain_points(2, 4))
     val = (r2.nodes[:, 0] ** 2 * r2.nodes[:, 1] ** 2) @ r2.weights
     assert val == pytest.approx(1.0 / 90.0, rel=1e-13)
 
@@ -148,5 +160,27 @@ def test_weighted_rule_rejects_bad_input():
         simplex_rule_weighted(2, (-1.5, 0.0, 0.0), 4)
     with pytest.raises(ValueError):
         simplex_rule_weighted(2, (0.0, 0.0), 4)
-    with pytest.raises(ValueError):
-        simplex_rule_plain(3, 0)
+
+
+def test_simplex_rule_is_the_weighted_rule_built_once(monkeypatch):
+    from histotet import quadrature
+
+    calls = []
+    build = quadrature.simplex_rule_weighted
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    # The cache looks the builder up at call time, so a patch sees every build.
+    monkeypatch.setattr(quadrature, "simplex_rule_weighted", counted)
+    rule = simplex_rule(3, (0.0,) * 4, 6)
+    assert simplex_rule(3, (0.0, 0.0, 0.0, 0.0), 6) is rule and len(calls) == 1
+    ref = build(3, np.zeros(4), 6)
+    assert rule.nodes.tobytes() == ref.nodes.tobytes()
+    assert rule.weights.tobytes() == ref.weights.tobytes()
+    # A failed build is not remembered: it raises again.
+    for _ in range(2):
+        with pytest.raises(RuleError):
+            simplex_rule(2, (499.0,) * 3, 8)
+    assert len(calls) == 3
