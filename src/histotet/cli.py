@@ -12,11 +12,12 @@ them, `converge` and `project` expect single values.  --functions and
 --quad-m exist on all but `check`; --n, --error-degree, --threads and --out
 on `tune` and `converge` only; a parameter flag of a strategy that does not
 run is invalid input.  Exit codes: 0 success, 2 invalid input (including a
-density parameter too large for its quadrature rule, and a number below its
-floor, given after the flag in the words of the code that states it:
---quad-m 3 and --error-degree 1 in QuadSettings, --n 2 in mesh.mesh_size,
---threads 1 here) or a failed check, 3 unwritable output directory; any
-other error is a bug and surfaces with a traceback.
+density parameter too large for its quadrature rule or for its enrichment
+quadratic in floating point, and a number below its floor, given after the
+flag in the words of the code that states it: --quad-m 3 and
+--error-degree 1 in QuadSettings, --n 2 in mesh.mesh_size, --threads 1
+here) or a failed check, 3 unwritable output directory; any other error is
+a bug and surfaces with a traceback.
 """
 
 import argparse
@@ -33,7 +34,7 @@ import numpy as np
 
 from . import __version__
 from .densities import BaryQuadratic
-from .element import METHODS, StrategyConfig, build_functionals, unisolvence_check
+from .element import METHODS, StrategyConfig, UnisolvenceError, build_functionals, unisolvence_check
 from .experiment import (
     QuadSettings,
     TuningGrid,
@@ -46,7 +47,7 @@ from .experiment import (
 from .mesh import mesh_size
 from .plots import loglog_svg
 from .quadrature import RuleError
-from .simplex import REFERENCE_TET, GeometryError, Tetrahedron
+from .simplex import EDGE_PAIRS, REFERENCE_TET, GeometryError, Tetrahedron
 from .targets import TARGETS, get_targets
 
 #: Series colors: classical blue, face-volume red, volumetric green,
@@ -317,7 +318,12 @@ def cmd_check(args):
     print("-" * len(header))
     failed = 0
     for cfg in configs:
-        rep = unisolvence_check(cfg)
+        try:
+            rep = unisolvence_check(cfg)
+        except UnisolvenceError as err:
+            print(f"error: {err}", file=sys.stderr)
+            failed += 1
+            continue
         closed = "-" if rep.closed_form_det is None else f"{rep.closed_form_det:.4e}"
         rel = "-" if rep.rel_error is None else f"{rep.rel_error:.2e}"
         spd = "-" if rep.spd is None else str(rep.spd)
@@ -382,11 +388,12 @@ def cmd_tune(args):
     result = grid_search(grid, settings=settings, threads=args.threads)
     elapsed = time.perf_counter() - started
 
+    a_name, b_name = METHODS[kind][1]
     surface_path = out / "tuning_surface.csv"
     with open(surface_path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
-        writer.writerow([*result.axes, "sum_l1_error"])
-        for a, b, err in result.surface_rows():
+        writer.writerow([a_name, b_name, "sum_l1_error"])
+        for (a, b), err in zip(product(first, second), result.surface.ravel()):
             writer.writerow([f"{a:g}", f"{b:g}", f"{err:.16e}"])
     _write_metadata(
         out,
@@ -396,15 +403,14 @@ def cmd_tune(args):
             "strategy": kind,
             "functions": ids,
             "meshes": list(ns),
-            "axes": list(result.axes),
+            "axes": [a_name, b_name],
         },
         result.passes,
     )
 
-    a_name, b_name = result.axes
     a_star, b_star = result.best
     print(f"optimal {a_name}={a_star:g}, {b_name}={b_star:g} (accumulated L1 error {result.best_error:.6e})")
-    print(f"surface written to {surface_path} ({len(result.surface_rows())} candidates, {elapsed:.1f} s)")
+    print(f"surface written to {surface_path} ({result.surface.size} candidates, {elapsed:.1f} s)")
     return 0
 
 
@@ -421,7 +427,7 @@ def cmd_converge(args):
     _check_study(ns, methods, settings, args.threads)
     out = _out_dir(args)
     started = time.perf_counter()
-    rows = convergence_study(functions, ns, methods, settings=settings, threads=args.threads)
+    rows, passes = convergence_study(functions, ns, methods, settings=settings, threads=args.threads)
     elapsed = time.perf_counter() - started
 
     csv_path = out / "errors.csv"
@@ -462,29 +468,16 @@ def cmd_converge(args):
             "meshes": list(ns),
             "methods": [f"{c.method_id}:{c.params_text()}" for c in methods],
         },
-        # Every method's rows repeat their pass, in (function, mesh) order.
-        dict.fromkeys((r.function, r.n, r.seconds, r.points) for r in rows),
+        passes,
     )
     print(f"{len(rows)} rows -> {csv_path} ({elapsed:.1f} s compute)")
     print(f"{len(svg_paths)} charts -> {out}")
     return 0
 
 
-_SAMPLE_BARY = np.array(
-    [
-        [1.0, 0.0, 0.0, 0.0],
-        [0.0, 1.0, 0.0, 0.0],
-        [0.0, 0.0, 1.0, 0.0],
-        [0.0, 0.0, 0.0, 1.0],
-        [0.5, 0.5, 0.0, 0.0],
-        [0.5, 0.0, 0.5, 0.0],
-        [0.5, 0.0, 0.0, 0.5],
-        [0.0, 0.5, 0.5, 0.0],
-        [0.0, 0.5, 0.0, 0.5],
-        [0.0, 0.0, 0.5, 0.5],
-        [0.25, 0.25, 0.25, 0.25],
-    ]
-)
+#: project's sample points: the vertices, the edge midpoints in EDGE_PAIRS
+#: order and the centroid.
+_SAMPLE_BARY = np.vstack([np.eye(4), np.eye(4)[list(EDGE_PAIRS)].mean(axis=1), np.full(4, 0.25)])
 
 
 def _finite(values, f, stage):
@@ -547,7 +540,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (CliError, RuleError) as err:
+    except (CliError, RuleError, UnisolvenceError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

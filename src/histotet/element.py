@@ -39,7 +39,8 @@ RANK_RTOL = 1e-14
 
 
 class UnisolvenceError(RuntimeError):
-    """Raised when a strategy's functional matrix is numerically singular."""
+    """Raised when a strategy's functional matrix is numerically singular or
+    its enrichment quadratics cannot be formed in floating point."""
 
 
 #: Method id -> (StrategyConfig kind, parameter names in order): each
@@ -150,33 +151,47 @@ def _densities(cfg):
 @functools.cache
 def build_functionals(cfg):
     """The ordered functionals of a strategy (4 for classical, 10 otherwise),
-    built once per configuration and shared by its DOF table, H and checks."""
+    built once per configuration and shared by its DOF table, H and checks.
+
+    Raises UnisolvenceError, naming the configuration, for a parameter too
+    large for its enrichment quadratics: the fv closed form overflows, or
+    the affine Gram matrix of a vol or ef density is singular."""
     face, dens = _densities(cfg)
     funcs = [Functional(FACE_VERTEX_INDICES[j], face, None) for j in range(4)]
 
     if cfg.kind == "classical":
         return tuple(funcs)
 
-    if cfg.kind == "face_volume":
-        # The paper's closed forms, at alpha and beta read back from the
-        # exponents ((0.1 - 1) + 1 != 0.1) as the fv outputs were computed.
-        # The planned byte move replaces them with face_ortho_quadratic and
-        # volumetric_psi, which agree with them to round-off.
-        alpha = face.components[0][1][0] + 1.0
-        beta = dens.components[0][1][0] + 1.0
-        q = face_sum_of_squares_minus(dirichlet_face_constant(alpha))
-        h, k = dirichlet_volume_hk(beta)
-        funcs += [Functional(FACE_VERTEX_INDICES[j], face, q) for j in range(4)]
-        funcs += [
-            Functional(VOLUME_VERTICES, dens, pair_quadratic(i, j, h, k))
-            for i, j in EDGE_PAIRS[:2]
-        ]
-    elif cfg.kind == "volumetric":
-        funcs += [Functional(VOLUME_VERTICES, dens, psi) for psi in volumetric_psi(dens)]
-    else:  # edge_face
-        q = edge_ortho_quadratic(dens)
-        funcs += [Functional((j, i), dens, q) for i, j in EDGE_PAIRS]
-    return tuple(funcs)
+    try:
+        if cfg.kind == "face_volume":
+            # The paper's closed forms, at alpha and beta read back from the
+            # exponents ((0.1 - 1) + 1 != 0.1) as the fv outputs were computed.
+            # The planned byte move replaces them with face_ortho_quadratic and
+            # volumetric_psi, which agree with them to round-off.
+            alpha = face.components[0][1][0] + 1.0
+            beta = dens.components[0][1][0] + 1.0
+            q = face_sum_of_squares_minus(dirichlet_face_constant(alpha))
+            h, k = dirichlet_volume_hk(beta)
+            funcs += [Functional(FACE_VERTEX_INDICES[j], face, q) for j in range(4)]
+            funcs += [
+                Functional(VOLUME_VERTICES, dens, pair_quadratic(i, j, h, k))
+                for i, j in EDGE_PAIRS[:2]
+            ]
+        elif cfg.kind == "volumetric":
+            funcs += [Functional(VOLUME_VERTICES, dens, psi) for psi in volumetric_psi(dens)]
+        else:  # edge_face
+            q = edge_ortho_quadratic(dens)
+            funcs += [Functional((j, i), dens, q) for i, j in EDGE_PAIRS]
+    except OverflowError:
+        why = "its closed-form interior quadratic overflows"
+    except np.linalg.LinAlgError:
+        why = f"the affine Gram matrix of its {dens.space} density is singular"
+    else:
+        return tuple(funcs)
+    raise UnisolvenceError(
+        f"strategy {cfg.method_id} ({cfg.params_text()}) has no enrichment quadratic "
+        f"in floating point: {why}"
+    )
 
 
 def _functional_matrix(functionals, columns=VOLUME_BASIS_EXPONENTS):

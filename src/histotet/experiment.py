@@ -400,9 +400,9 @@ def _l1_errors(engines, f, mesh, threads=1):
 
 def _passes(configs, functions, ns, settings, threads, meshes):
     """The study loop: add the meshes missing from `meshes` to it, build one
-    engine per configuration, and yield (function, n, errors by configuration,
-    wall seconds, target points evaluated) for each (function, mesh) pass,
-    function-major."""
+    engine per configuration, and yield (errors by configuration, record) for
+    each (function, mesh) pass, function-major.  The record, (function id, n,
+    wall seconds, target points evaluated), is the pass's one measurement."""
     for n in ns:
         if n not in meshes:
             meshes[n] = build_mesh(n)
@@ -417,7 +417,7 @@ def _passes(configs, functions, ns, settings, threads, meshes):
 
             start = time.perf_counter()
             errors = _l1_errors(engines, TargetFunction(f.id, counted), meshes[n], threads)
-            yield f, n, errors, time.perf_counter() - start, sum(calls)
+            yield errors, (f.id, int(n), time.perf_counter() - start, sum(calls))
 
 
 def study_bytes(ns, configs, settings, threads=1):
@@ -481,25 +481,25 @@ class ErrorRow:
     method: str
     params: str
     l1_error: float
-    seconds: float
-    points: int  # target points its pass evaluated
 
 
 def convergence_study(functions, ns, methods, settings=QuadSettings(), threads=1):
-    """One L1-error row per (function, mesh, method) combination.
+    """(rows, passes): one L1-error row per (function, mesh, method)
+    combination, and the record (function id, n, wall seconds, target points)
+    of each (function, mesh) pass, in pass order.
 
     `functions` are TargetFunctions, `ns` grid parameters, `methods`
-    StrategyConfigs.  One pass per (function, mesh) scores every method; a
-    row's seconds are the wall time of its pass.  Rows appear in
-    method-major, function, mesh order and the numbers are deterministic for
-    fixed settings.  A row's points are the target points its pass evaluated.
+    StrategyConfigs.  One pass per (function, mesh) scores every method.
+    Rows appear in method-major, function, mesh order and the numbers are
+    deterministic for fixed settings.
     """
     passes = list(_passes(methods, functions, ns, settings, threads, {}))
-    return [
-        ErrorRow(f.id, int(n), cfg.method_id, cfg.params_text(), errors[i], seconds, points)
+    rows = [
+        ErrorRow(f, n, cfg.method_id, cfg.params_text(), errors[i])
         for i, cfg in enumerate(methods)
-        for f, n, errors, seconds, points in passes
+        for errors, (f, n, _, _) in passes
     ]
+    return rows, [record for _, record in passes]
 
 
 @dataclass(frozen=True)
@@ -525,21 +525,10 @@ class TuningGrid:
 class TuneResult:
     """Optimal parameter pair and the full accumulated-error surface."""
 
-    axes: tuple
     best: tuple
     best_error: float
-    surface: np.ndarray  # (len(first), len(second)) accumulated L1 errors
-    first: tuple
-    second: tuple
+    surface: np.ndarray  # (len(first), len(second)) accumulated L1 errors, row-major
     passes: tuple  # (function id, n, wall seconds, target points) of each pass, in pass order
-
-    def surface_rows(self):
-        """(first, second, accumulated_error) triples in row-major order."""
-        rows = []
-        for ia, a in enumerate(self.first):
-            for ib, b in enumerate(self.second):
-                rows.append((a, b, float(self.surface[ia, ib])))
-        return rows
 
 
 def grid_search(grid, settings=QuadSettings(), threads=1, meshes=None):
@@ -555,22 +544,16 @@ def grid_search(grid, settings=QuadSettings(), threads=1, meshes=None):
     configs = [StrategyConfig.of(grid.kind, a, b) for a in grid.first for b in grid.second]
     surface = np.zeros((len(grid.first), len(grid.second)))
     passes = []
-    for f, n, errors, seconds, points in _passes(configs, grid.functions, grid.ns, settings, threads, meshes):
+    for errors, record in _passes(configs, grid.functions, grid.ns, settings, threads, meshes):
         surface += np.reshape(errors, surface.shape)
-        passes.append((f.id, n, seconds, points))
+        passes.append(record)
 
     # argmin returns the first minimum in row-major order; the surface is
     # finite, because _l1_errors raises on a non-finite cell error.
     ia, ib = np.unravel_index(np.argmin(surface), surface.shape)
-    best = (grid.first[ia], grid.second[ib])
-    best_error = float(surface[ia, ib])
-
     return TuneResult(
-        axes=METHODS[grid.kind][1],
-        best=best,
-        best_error=best_error,
+        best=(grid.first[ia], grid.second[ib]),
+        best_error=float(surface[ia, ib]),
         surface=surface,
-        first=tuple(grid.first),
-        second=tuple(grid.second),
         passes=tuple(passes),
     )

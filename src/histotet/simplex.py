@@ -58,15 +58,6 @@ class Tetrahedron:
             raise GeometryError(f"tetrahedron volume {self.volume} is not finite")
         if self.volume <= 1e-300:
             raise GeometryError("degenerate tetrahedron (zero volume)")
-        # Affine system: rows are [x; y; z; 1], columns indexed by vertex.
-        self._chart = np.vstack([v.T, np.ones(4)])
-        self._chart_inv = np.linalg.inv(self._chart)
-
-    def barycentric(self, points):
-        """Barycentric coordinates of physical points, shape (..., 3) -> (..., 4)."""
-        p = np.asarray(points, dtype=float)
-        rhs = np.concatenate([p, np.ones(p.shape[:-1] + (1,))], axis=-1)
-        return rhs @ self._chart_inv.T
 
     def point(self, lam):
         """Physical point of barycentric coordinates, shape (..., 4) -> (..., 3)."""

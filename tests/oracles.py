@@ -9,6 +9,15 @@ from histotet.experiment import QuadSettings, _ErrorEngine, _l1_errors
 from histotet.simplex import dirichlet_expectation
 
 
+def barycentric(tet, points):
+    """Barycentric coordinates of physical points in a Tetrahedron, shape
+    (..., 3) -> (..., 4): the inverse of tet.point, through the inverse of
+    the affine chart whose rows are [x; y; z; 1] and columns the vertices."""
+    p = np.asarray(points, dtype=float)
+    rhs = np.concatenate([p, np.ones(p.shape[:-1] + (1,))], axis=-1)
+    return rhs @ np.linalg.inv(np.vstack([tet.vertices.T, np.ones(4)])).T
+
+
 def simplex_moment(exponents, d=None):
     """Normalized monomial moment of barycentric coordinates on a d-simplex.
 

@@ -471,15 +471,14 @@ def test_project_builds_its_dof_table_once(capsys, monkeypatch, strategy):
 
 @pytest.mark.parametrize("tet", [[], ["--tet", "0,0,0,2,0,0,0,1,0,0,0,3"]], ids=["reference", "stretched"])
 @pytest.mark.parametrize("strategy", ["classical", "fv", "vol", "ef"])
-def test_project_checks_its_reconstruction_on_the_table_nodes(capsys, monkeypatch, strategy, tet):
+def test_project_checks_its_reconstruction_on_the_table_nodes(capsys, strategy, tet):
     # The reconstruction's DOFs come from its values at the DOF table's own
-    # barycentric nodes: no point is mapped into the cell and back.
+    # barycentric nodes: no point is mapped into the cell and back, as the
+    # package has no map from physical points to barycentrics (the tests'
+    # reference map is oracles.barycentric).
     from histotet.simplex import Tetrahedron
 
-    def no_round_trip(self, points):
-        raise AssertionError("a point was mapped back to barycentric coordinates")
-
-    monkeypatch.setattr(Tetrahedron, "barycentric", no_round_trip)
+    assert not hasattr(Tetrahedron, "barycentric")
     assert run(["project", "--strategy", strategy, *tet]) == 0
     out = capsys.readouterr().out
     assert float(out.split("max |dofs(reconstruction) - dofs| :")[1].split()[0]) <= 1e-12
@@ -572,6 +571,55 @@ def test_parameters_too_large_for_any_rule_exit_2(tmp_path, capsys, argv, messag
     assert not out.exists()
 
 
+_NO_ENRICHMENT = "has no enrichment quadratic in floating point: "
+_SINGULAR_EDGE = _NO_ENRICHMENT + "the affine Gram matrix of its edge density is singular"
+_OVERFLOWING_FV = _NO_ENRICHMENT + "its closed-form interior quadratic overflows"
+
+
+@pytest.mark.parametrize("argv, message, rows", [
+    (["check", "--strategy", "ef", "--zeta", "10000", "--nu", "0.001"],
+     f"ef (zeta=10000;nu=0.001) {_SINGULAR_EDGE}", 0),
+    (["converge", "--strategy", "ef", "--zeta", "10000", "--nu", "0.001"],
+     f"ef (zeta=10000;nu=0.001) {_SINGULAR_EDGE}", None),
+    (["project", "--strategy", "ef", "--zeta", "10000", "--nu", "0.001"],
+     f"ef (zeta=10000;nu=0.001) {_SINGULAR_EDGE}", None),
+    # check carries on past the failed configuration and prints the next row.
+    (["check", "--strategy", "ef", "--zeta", "1e20,2", "--nu", "1"],
+     f"ef (zeta=1e+20;nu=1) {_SINGULAR_EDGE}", 1),
+    (["converge", "--strategy", "ef", "--zeta", "1e20", "--nu", "1"],
+     f"ef (zeta=1e+20;nu=1) {_SINGULAR_EDGE}", None),
+    (["project", "--strategy", "ef", "--zeta", "1e20", "--nu", "1"],
+     f"ef (zeta=1e+20;nu=1) {_SINGULAR_EDGE}", None),
+    (["project", "--strategy", "fv", "--beta", "2e154"], f"fv (alpha=2;beta=2e+154) {_OVERFLOWING_FV}", None),
+    (["check", "--strategy", "fv", "--alpha", "1", "--beta", "2e154"],
+     f"fv (alpha=1;beta=2e+154) {_OVERFLOWING_FV}", 0),
+    (["tune", "--strategy", "fv", "--alpha", "1", "--beta", "1,2e154"],
+     f"fv (alpha=1;beta=2e+154) {_OVERFLOWING_FV}", None),
+], ids=["check-ef", "converge-ef", "project-ef", "check-ef-1e20", "converge-ef-1e20",
+        "project-ef-1e20", "project-fv", "check-fv", "tune-fv"])
+def test_parameters_beyond_floating_point_enrichment_exit_2(tmp_path, capsys, monkeypatch, argv, message, rows):
+    # The edge Beta law's affine Gram matrix is singular in floating point
+    # (Var(t) rounds to 0), and the fv closed form squares beta past the
+    # largest float: exit 2 naming the configuration, raised before any mesh
+    # or output directory exists.
+    from histotet import experiment
+
+    def no_mesh(n):
+        raise AssertionError("a mesh was built")
+
+    monkeypatch.setattr(experiment, "build_mesh", no_mesh)
+    out = tmp_path / "out"
+    mesh_run = argv[0] in ("converge", "tune")
+    assert run([*argv, "--functions", "f1", "--n", "3", "--out", str(out)] if mesh_run else argv) == 2
+    captured = capsys.readouterr()
+    if rows is None:
+        assert (captured.out, captured.err) == ("", f"error: strategy {message}\n")
+    else:
+        assert captured.err == f"error: strategy {message}\n1 configuration(s) FAILED the check\n"
+        assert len(captured.out.splitlines()) == 2 + rows  # the header, its rule and each row
+    assert not out.exists()
+
+
 #: Functions of src/ that no command enters, each with its reason; any other
 #: function that no command enters is a helper that only tests call.
 _UNCALLED = {
@@ -581,8 +629,6 @@ _UNCALLED = {
     "StrategyConfig.face_volume",
     "StrategyConfig.volumetric_blend",
     "StrategyConfig.edge_face",
-    # The tests' reference map from physical points to barycentrics.
-    "Tetrahedron.barycentric",
     # The fv enrichment by Gram-Schmidt, for the planned switch of fv's closed forms.
     "face_ortho_quadratic",
 }

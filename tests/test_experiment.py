@@ -20,7 +20,7 @@ from histotet import (
 from histotet.experiment import build_dof_table
 from histotet.quadrature import plain_points, simplex_rule
 from conftest import make_random_tet
-from oracles import evaluate_by_exponents, l1_error
+from oracles import barycentric, evaluate_by_exponents, l1_error
 
 QUADRATIC_CONFIGS = [
     StrategyConfig.face_volume(2.0, 2.0),
@@ -33,7 +33,7 @@ ONE = TargetFunction("one", lambda p: np.ones(p.shape[:-1]))
 
 def poly_target(tet, coeffs):
     poly = BaryQuadratic("volume", coeffs)
-    return TargetFunction("poly", lambda p: poly(tet.barycentric(p)))
+    return TargetFunction("poly", lambda p: poly(barycentric(tet, p)))
 
 
 def test_dofs_of_constant(rng):
@@ -184,11 +184,14 @@ def test_l1_error_is_deterministic():
 def test_convergence_study_shape_and_rows():
     functions = [TARGETS["f1"], TARGETS["f3"]]
     methods = [StrategyConfig.of("classical"), StrategyConfig.edge_face(2.0, 2.0)]
-    rows = convergence_study(functions, (3, 5), methods)
+    rows, passes = convergence_study(functions, (3, 5), methods)
     assert len(rows) == 8
     assert {r.method for r in rows} == {"classical", "ef"}
-    assert all(r.l1_error >= 0.0 and r.seconds >= 0.0 for r in rows)
-    again = convergence_study(functions, (3, 5), methods)
+    assert all(r.l1_error >= 0.0 for r in rows)
+    # One record per (function, mesh) pass, function-major, whatever the methods.
+    assert [(f, n) for f, n, _, _ in passes] == [("f1", 3), ("f1", 5), ("f3", 3), ("f3", 5)]
+    assert all(seconds >= 0.0 for _, _, seconds, _ in passes)
+    again, _ = convergence_study(functions, (3, 5), methods)
     assert [r.l1_error for r in rows] == [r.l1_error for r in again]
 
 
@@ -207,13 +210,13 @@ def test_study_rows_equal_stand_alone_errors_for_any_chunking(monkeypatch):
     assert len(set(blocks)) == 4 and max(blocks) < len(mesh)
     functions = [TARGETS["f2"], TARGETS["f7"]]
     for threads in (1, 2):
-        rows = convergence_study(functions, (4,), ALL_METHODS, threads=threads)
+        rows, passes = convergence_study(functions, (4,), ALL_METHODS, threads=threads)
         expected = [
             l1_error(f, mesh, cfg, threads=threads) for cfg in ALL_METHODS for f in functions
         ]
         assert [r.l1_error for r in rows] == expected  # bitwise
-        # A row's seconds are its (function, mesh) pass's, shared by every method.
-        assert [r.seconds for r in rows] == [r.seconds for r in rows[:2]] * 4
+        # One record per (function, mesh) pass, shared by every method's rows.
+        assert [(f, n) for f, n, _, _ in passes] == [("f2", 4), ("f7", 4)]
 
 
 def distinct_points(mesh, configs, rows, error_nodes=216):
@@ -247,7 +250,8 @@ def test_one_pass_evaluates_each_node_set_once():
 
     target = TargetFunction("counted", counted)
     mesh = build_mesh(3)
-    rows = convergence_study([target], (3,), ALL_METHODS)
+    rows, passes = convergence_study([target], (3,), ALL_METHODS)
+    assert len(rows) == len(ALL_METHODS)
     # Each distinct DOF block once per cell would be 1,584 points per cell
     # (the uniform face block serves classical, vol and ef; fv and vol share
     # the dirichlet(2) volume block), then the error nodes once.  The 48
@@ -261,12 +265,13 @@ def test_one_pass_evaluates_each_node_set_once():
     assert sum(blocks.values()) + 216 == 1800
     expected = distinct_points(mesh, ALL_METHODS, len(mesh))
     assert sum(points) == expected == 48 * (1024 + 216) + 64 * 120 * 2 + 8 * 98
-    # Every row records the points of its pass.
-    assert {r.points for r in rows} == {sum(points)}
-    # With no methods there is no pass to run.
+    # The pass's record holds the points it evaluated.
+    assert [(f, n, p) for f, n, _, p in passes] == [("counted", 3, sum(points))]
+    # With no methods a pass evaluates no point.
     del points[:]
-    assert convergence_study([target], (3,), []) == []
-    assert points == []
+    rows, passes = convergence_study([target], (3,), [])
+    assert rows == [] and points == []
+    assert [(f, n, p) for f, n, _, p in passes] == [("counted", 3, 0)]
 
 
 def test_grid_pass_evaluates_each_block_once(monkeypatch):
@@ -305,7 +310,7 @@ def test_grid_pass_evaluates_each_block_once(monkeypatch):
 def test_observed_convergence_orders():
     # h = 1 / (n - 1): quadratic strategies converge at order 3, classical at 2.
     functions = [TARGETS["f1"], TARGETS["f3"], TARGETS["f5"]]
-    rows = convergence_study(functions, (10, 15), ALL_METHODS)
+    rows, _ = convergence_study(functions, (10, 15), ALL_METHODS)
     errors = {(r.method, r.function, r.n): r.l1_error for r in rows}
     for cfg in ALL_METHODS:
         floor = 1.8 if cfg.kind == "classical" else 2.8
@@ -334,7 +339,9 @@ def test_grid_surface_sums_the_study_rows_of_each_candidate(monkeypatch):
     assert (again.surface == result.surface).all()
 
     configs = [StrategyConfig.of("vol", a, b) for a in grid.first for b in grid.second]
-    rows = convergence_study(functions, ns, configs)
+    rows, passes = convergence_study(functions, ns, configs)
+    # The grid's passes are the study's, record for record but the seconds.
+    assert [(f, n, p) for f, n, _, p in result.passes] == [(f, n, p) for f, n, _, p in passes]
     for k, cfg in enumerate(configs):
         total = 0.0
         for row in rows[4 * k : 4 * k + 4]:  # function, mesh order
@@ -576,7 +583,7 @@ def test_study_computes_each_mesh_volume_once(monkeypatch):
 
 def test_convergence_study_classical_exact_on_affine_lift():
     f = TargetFunction("affine", lambda p: 2.0 * p[..., 0] - p[..., 1] + 0.25)
-    rows = convergence_study([f], (4,), [StrategyConfig.of("classical")])
+    rows, _ = convergence_study([f], (4,), [StrategyConfig.of("classical")])
     assert rows[0].l1_error < 1e-11
 
 
@@ -591,7 +598,6 @@ def test_grid_search_single_candidate():
     result = grid_search(grid)
     assert result.best == (1.0, 1.0)
     assert result.surface.shape == (1, 1)
-    assert len(result.surface_rows()) == 1
 
 
 def test_grid_search_surface_and_optimum():
@@ -604,8 +610,8 @@ def test_grid_search_surface_and_optimum():
     )
     result = grid_search(grid)
     assert result.surface.shape == (2, 2)
-    ia = result.first.index(result.best[0])
-    ib = result.second.index(result.best[1])
+    ia = grid.first.index(result.best[0])
+    ib = grid.second.index(result.best[1])
     assert result.surface[ia, ib] == result.surface.min()
     # accumulated error over two meshes is larger than either alone
     assert result.best_error > 0.0
