@@ -1,28 +1,20 @@
 """Command-line interface: unisolvence checks, parameter tuning, convergence
-runs and single-element projection dumps.
+runs and single-element projection dumps; `histotet <command> --help` lists
+each command's flags.
 
-    histotet check     [--strategy ...] [parameter grids]
-    histotet tune      --strategy {fv|vol|ef} [grids] [--functions ...] [--n ...]
-    histotet converge  [--strategy ...] [parameters] [--functions ...] [--n ...]
-    histotet project   [--strategy one] [parameters] [--functions fid] [--tet coords]
-
-The parameter flags (--alpha, --beta for fv; --theta, --gamma for vol;
---zeta, --nu for ef) accept comma-separated lists; `check` and `tune` sweep
-them, `converge` and `project` expect single values.  --functions and
---quad-m exist on all but `check`; --n, --error-degree, --threads and --out
-on `tune` and `converge` only; a parameter flag of a strategy that does not
-run is invalid input.  Exit codes: 0 success, 2 invalid input (including a
-density parameter too large for its quadrature rule or for its enrichment
-quadratic in floating point, and a number below its floor, given after the
-flag in the words of the code that states it: --quad-m 3 and
---error-degree 1 in QuadSettings, --n 2 in mesh.mesh_size, --threads 1
-here) or a failed check, 3 unwritable output directory; any other error is
-a bug and surfaces with a traceback.
+The parameter flags accept comma-separated lists; `check` and `tune` sweep
+them, `converge` and `project` expect single values, and a parameter flag of
+a strategy that does not run is invalid input.  Exit codes: 0 success, 2
+invalid input (including a density parameter too large for its quadrature
+rule or for its enrichment quadratic in floating point, and a number below
+its floor, given after the flag in the words of the code that states it:
+--quad-m 3 and --error-degree 1 in QuadSettings, --n 2 in mesh.mesh_size,
+--threads 1 here) or a failed check, 3 unwritable output directory; any
+other error is a bug and surfaces with a traceback.
 """
 
 import argparse
 import csv
-import functools
 import json
 import os
 import sys
@@ -126,64 +118,41 @@ def _under_flag(flag, check, *args, **kwargs):
         raise CliError(f"{flag}: {err}") from None
 
 
-def _add_strategy_flags(parser):
-    parser.add_argument("--strategy", default=None, help="classical|fv|vol|ef|all")
-    for name, (help_text, _, _) in _PARAM_FLAGS.items():
-        parser.add_argument(f"--{name}", default=None, help=help_text)
-
-
-def _add_target_flags(parser):
-    parser.add_argument("--functions", default=None, help="target ids, e.g. f1,f3 or f1..f8")
-    parser.add_argument(
-        "--quad-m", type=int, default=QuadSettings.dof_points, help="Gauss points per direction for DOFs"
-    )
-
-
-def _add_mesh_run_flags(parser):
-    parser.add_argument("--n", default=None, help="mesh grid parameters, e.g. 5,10,15")
-    parser.add_argument(
-        "--error-degree", type=int, default=QuadSettings.error_degree, help="exactness degree of the L1 error rule"
-    )
-    parser.add_argument("--threads", type=int, default=1, help="worker threads for mesh loops")
-    parser.add_argument("--out", default=".", help="output directory for CSV/SVG files")
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="histotet",
         description="Quadratic weighted histopolation on tetrahedral meshes.",
     )
     parser.add_argument("--version", action="version", version=f"histotet {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    # No prefix matching: check and project would read --n as --nu.
-    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
-
-    p_check = add_parser("check", help="unisolvence diagnostics over a parameter grid")
-    _add_strategy_flags(p_check)
-    p_check.set_defaults(handler=cmd_check)
-
-    p_tune = add_parser("tune", help="bi-parametric grid search for optimal densities")
-    _add_strategy_flags(p_tune)
-    _add_target_flags(p_tune)
-    _add_mesh_run_flags(p_tune)
-    p_tune.set_defaults(handler=cmd_tune)
-
-    p_conv = add_parser("converge", help="L1 convergence study (CSV + SVG)")
-    _add_strategy_flags(p_conv)
-    _add_target_flags(p_conv)
-    _add_mesh_run_flags(p_conv)
-    p_conv.set_defaults(handler=cmd_converge)
-
-    p_proj = add_parser("project", help="single-element reconstruction dump")
-    _add_strategy_flags(p_proj)
-    _add_target_flags(p_proj)
-    p_proj.add_argument(
+    strategy, targets, mesh_run, cell = (argparse.ArgumentParser(add_help=False) for _ in range(4))
+    strategy.add_argument("--strategy", default=None, help="classical|fv|vol|ef|all")
+    for name, (help_text, _, _) in _PARAM_FLAGS.items():
+        strategy.add_argument(f"--{name}", default=None, help=help_text)
+    targets.add_argument("--functions", default=None, help="target ids, e.g. f1,f3 or f1..f8")
+    targets.add_argument(
+        "--quad-m", type=int, default=QuadSettings.dof_points, help="Gauss points per direction for DOFs"
+    )
+    mesh_run.add_argument("--n", default=None, help="mesh grid parameters, e.g. 5,10,15")
+    mesh_run.add_argument(
+        "--error-degree", type=int, default=QuadSettings.error_degree, help="exactness degree of the L1 error rule"
+    )
+    mesh_run.add_argument("--threads", type=int, default=1, help="worker threads for mesh loops")
+    mesh_run.add_argument("--out", default=".", help="output directory for CSV/SVG files")
+    cell.add_argument(
         "--tet",
         default=None,
         help="12 comma-separated vertex coordinates (default: reference tetrahedron)",
     )
-    p_proj.set_defaults(handler=cmd_project)
-
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, handler, help_text, parents in (
+        ("check", cmd_check, "unisolvence diagnostics over a parameter grid", [strategy]),
+        ("tune", cmd_tune, "bi-parametric grid search for optimal densities", [strategy, targets, mesh_run]),
+        ("converge", cmd_converge, "L1 convergence study (CSV + SVG)", [strategy, targets, mesh_run]),
+        ("project", cmd_project, "single-element reconstruction dump", [strategy, targets, cell]),
+    ):
+        # No prefix matching: check and project would read --n as --nu.
+        command = sub.add_parser(name, help=help_text, parents=parents, allow_abbrev=False)
+        command.set_defaults(handler=handler)
     return parser
 
 
@@ -439,25 +408,19 @@ def cmd_converge(args):
                 [row.function, row.n, row.method, row.params, f"{row.l1_error:.16e}", "0.000"]
             )
 
-    by_function = {}
-    for row in rows:
-        by_function.setdefault(row.function, {}).setdefault(row.method, []).append(row)
-    svg_paths = []
+    errors = {(row.function, row.method, row.n): row.l1_error for row in rows}
+    xs = sorted(ns)
     for fid in ids:
-        series = []
-        for cfg in methods:
-            mrows = sorted(by_function[fid][cfg.method_id], key=lambda r: r.n)
-            series.append(
-                (
-                    f"{cfg.method_id} ({cfg.params_text()})",
-                    _METHOD_COLORS[cfg.method_id],
-                    [r.n for r in mrows],
-                    [r.l1_error for r in mrows],
-                )
+        series = [
+            (
+                f"{cfg.method_id} ({cfg.params_text()})",
+                _METHOD_COLORS[cfg.method_id],
+                xs,
+                [errors[fid, cfg.method_id, n] for n in xs],
             )
-        svg_path = out / f"convergence_{fid}.svg"
-        loglog_svg(svg_path, f"L1 reconstruction error, {fid}", series)
-        svg_paths.append(svg_path)
+            for cfg in methods
+        ]
+        loglog_svg(out / f"convergence_{fid}.svg", f"L1 reconstruction error, {fid}", series)
 
     _write_metadata(
         out,
@@ -471,7 +434,7 @@ def cmd_converge(args):
         passes,
     )
     print(f"{len(rows)} rows -> {csv_path} ({elapsed:.1f} s compute)")
-    print(f"{len(svg_paths)} charts -> {out}")
+    print(f"{len(ids)} charts -> {out}")
     return 0
 
 

@@ -154,8 +154,9 @@ def build_functionals(cfg):
     built once per configuration and shared by its DOF table, H and checks.
 
     Raises UnisolvenceError, naming the configuration, for a parameter too
-    large for its enrichment quadratics: the fv closed form overflows, or
-    the affine Gram matrix of a vol or ef density is singular."""
+    large for its enrichment quadratics: the fv closed form overflows, the
+    affine Gram matrix of a vol or ef density is singular, or a quadratic is
+    not finite."""
     face, dens = _densities(cfg)
     funcs = [Functional(FACE_VERTEX_INDICES[j], face, None) for j in range(4)]
 
@@ -163,31 +164,34 @@ def build_functionals(cfg):
         return tuple(funcs)
 
     try:
-        if cfg.kind == "face_volume":
-            # The paper's closed forms, at alpha and beta read back from the
-            # exponents ((0.1 - 1) + 1 != 0.1) as the fv outputs were computed.
-            # The planned byte move replaces them with face_ortho_quadratic and
-            # volumetric_psi, which agree with them to round-off.
-            alpha = face.components[0][1][0] + 1.0
-            beta = dens.components[0][1][0] + 1.0
-            q = face_sum_of_squares_minus(dirichlet_face_constant(alpha))
-            h, k = dirichlet_volume_hk(beta)
-            funcs += [Functional(FACE_VERTEX_INDICES[j], face, q) for j in range(4)]
-            funcs += [
-                Functional(VOLUME_VERTICES, dens, pair_quadratic(i, j, h, k))
-                for i, j in EDGE_PAIRS[:2]
-            ]
-        elif cfg.kind == "volumetric":
-            funcs += [Functional(VOLUME_VERTICES, dens, psi) for psi in volumetric_psi(dens)]
-        else:  # edge_face
-            q = edge_ortho_quadratic(dens)
-            funcs += [Functional((j, i), dens, q) for i, j in EDGE_PAIRS]
+        with np.errstate(all="ignore"):  # a non-finite quadratic is refused below
+            if cfg.kind == "face_volume":
+                # The paper's closed forms, at alpha and beta read back from the
+                # exponents ((0.1 - 1) + 1 != 0.1) as the fv outputs were computed.
+                # The planned byte move replaces them with face_ortho_quadratic and
+                # volumetric_psi, which agree with them to round-off.
+                alpha = face.components[0][1][0] + 1.0
+                beta = dens.components[0][1][0] + 1.0
+                q = face_sum_of_squares_minus(dirichlet_face_constant(alpha))
+                h, k = dirichlet_volume_hk(beta)
+                funcs += [Functional(FACE_VERTEX_INDICES[j], face, q) for j in range(4)]
+                funcs += [
+                    Functional(VOLUME_VERTICES, dens, pair_quadratic(i, j, h, k))
+                    for i, j in EDGE_PAIRS[:2]
+                ]
+            elif cfg.kind == "volumetric":
+                funcs += [Functional(VOLUME_VERTICES, dens, psi) for psi in volumetric_psi(dens)]
+            else:  # edge_face
+                q = edge_ortho_quadratic(dens)
+                funcs += [Functional((j, i), dens, q) for i, j in EDGE_PAIRS]
     except OverflowError:
         why = "its closed-form interior quadratic overflows"
     except np.linalg.LinAlgError:
         why = f"the affine Gram matrix of its {dens.space} density is singular"
     else:
-        return tuple(funcs)
+        if all(np.isfinite(func.weight_poly.coeffs).all() for func in funcs[4:]):
+            return tuple(funcs)
+        why = f"the moments of its {dens.space} density are not finite"
     raise UnisolvenceError(
         f"strategy {cfg.method_id} ({cfg.params_text()}) has no enrichment quadratic "
         f"in floating point: {why}"
@@ -294,7 +298,7 @@ def unisolvence_check(cfg):
     rank 6 from the singular values (see _full_rank).  A failed check is
     reported, not raised.
     """
-    with np.errstate(invalid="ignore"):  # a NaN moment fails the rank check
+    with np.errstate(all="ignore"):  # a non-finite moment fails the rank check
         return _report(cfg, assemble_D(cfg))
 
 
@@ -311,11 +315,16 @@ def _report(cfg, dmat):
     det = float(np.linalg.det(dmat))
 
     closed = None
-    if cfg.kind == "face_volume":
-        closed = det_dfv_closed(cfg.alpha, cfg.beta)
-    elif cfg.kind == "volumetric" and cfg.theta in (0.0, 1.0):
-        # theta=0 is dirichlet(gamma), theta=1 the uniform law dirichlet(1)
-        closed = det_dvol_closed(cfg.gamma if cfg.theta == 0.0 else 1.0)
+    try:
+        if cfg.kind == "face_volume":
+            closed = det_dfv_closed(cfg.alpha, cfg.beta)
+        elif cfg.kind == "volumetric" and cfg.theta in (0.0, 1.0):
+            # theta=0 is dirichlet(gamma), theta=1 the uniform law dirichlet(1)
+            closed = det_dvol_closed(cfg.gamma if cfg.theta == 0.0 else 1.0)
+    except OverflowError:
+        pass
+    if not (closed and np.isfinite(closed)):  # absent, or beyond floating point
+        closed = None
     rel = None if closed is None else abs(det - closed) / abs(closed)
 
     spd = None

@@ -1,5 +1,4 @@
 import ast
-import contextlib
 import csv
 import importlib
 import json
@@ -68,6 +67,23 @@ def test_commands_reject_flags_they_do_not_read(argv):
     with pytest.raises(SystemExit) as exc:
         run(argv)
     assert exc.value.code == 2
+
+
+_PARAMETER_FLAGS = ["--alpha", "--beta", "--theta", "--gamma", "--zeta", "--nu"]
+_MESH_RUN_FLAGS = ["--functions", "--quad-m", "--n", "--error-degree", "--threads", "--out"]
+
+
+def test_each_command_takes_exactly_its_flags():
+    # argparse offers no public view of a parser's options, hence _actions.
+    (commands,) = [a.choices for a in cli.build_parser()._actions if a.dest == "command"]
+    flags = {name: [s for a in p._actions for s in a.option_strings] for name, p in commands.items()}
+    common = ["-h", "--help", "--strategy", *_PARAMETER_FLAGS]
+    assert flags == {
+        "check": common,
+        "tune": [*common, *_MESH_RUN_FLAGS],
+        "converge": [*common, *_MESH_RUN_FLAGS],
+        "project": [*common, "--functions", "--quad-m", "--tet"],
+    }
 
 
 # The floor cases keep the ids that pytest derived from their earlier,
@@ -544,31 +560,50 @@ def test_oversized_exponent_raises_instead_of_printing_nan(tmp_path, capsys, mon
 _HUGE_EF = ["--strategy", "ef", "--zeta", "1e308", "--nu", "1"]
 _HUGE_VOL = ["--strategy", "vol", "--theta", "0.5", "--gamma", "1e200"]
 _GJ = "non-finite Gauss-Jacobi rule for (m, a, b) = "
+_NAN_EDGE = (
+    "strategy ef (zeta=1e+308;nu=1) has no enrichment quadratic in floating point: "
+    "the moments of its edge density are not finite"
+)
 
 
 @pytest.mark.parametrize("argv, message, rank6", [
-    (["converge", *_HUGE_EF], f"error: {_GJ}(8, 1e+308, 0.0)\n", None),
+    (["converge", *_HUGE_EF], f"error: {_NAN_EDGE}\n", None),
     (["converge", *_HUGE_VOL], f"error: {_GJ}(8, 1e+200, 3e+200)\n", None),
     (["check", *_HUGE_VOL], f"error: vol (theta=0.5;gamma=1e+200): {_GJ}(8, 1e+200, 3e+200)\n", "True"),
-    (["check", *_HUGE_EF], f"error: ef (zeta=1e+308;nu=1): {_GJ}(8, 1e+308, 0.0)\n", "False"),
+    (["check", *_HUGE_EF], f"error: {_NAN_EDGE}\n", None),
 ], ids=["converge-ef", "converge-vol", "check-vol", "check-ef"])
 def test_parameters_too_large_for_any_rule_exit_2(tmp_path, capsys, argv, message, rank6):
     # scipy refuses the overflowed Jacobi matrix of each rule, and at
-    # zeta = 1e308 the edge moments are NaN before any rule is built: check
-    # fails that row, and converge's set-up warns of the NaN.
+    # zeta = 1e308 the edge moments are NaN before any rule is built: that
+    # configuration has no enrichment quadratic, so check prints no row for
+    # it.  Neither warns of the overflow or the NaN.
     out = tmp_path / "out"
-    nan_moments = argv[0] == "converge" and "ef" in argv
-    with pytest.warns(RuntimeWarning, match="invalid value") if nan_moments else contextlib.nullcontext():
-        if argv[0] == "converge":
-            assert run([*argv, "--functions", "f1", "--n", "3", "--out", str(out)]) == 2
-        else:
-            assert run(argv) == 2
+    if argv[0] == "converge":
+        assert run([*argv, "--functions", "f1", "--n", "3", "--out", str(out)]) == 2
+    else:
+        assert run(argv) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith(message)
-    if rank6 is not None:
-        assert captured.out.splitlines()[2].split()[5] == rank6
+    if argv[0] == "check":
+        assert [row.split()[5] for row in captured.out.splitlines()[2:]] == ([] if rank6 is None else [rank6])
         assert captured.err.endswith("1 configuration(s) FAILED the check\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("alpha, beta, rule", [
+    ("1e78", "1", "(8, 1e+78, 2e+78)"),  # the closed form's a**4 overflows
+    ("1", "1e100", "(8, 1e+100, 3.0000000000000002e+100)"),  # it underflows to 0
+    ("1e306", "1", "(8, 1e+306, 2e+306)"),  # and the face moments are NaN
+])
+def test_check_leaves_out_a_closed_form_beyond_floating_point(capsys, alpha, beta, rule):
+    assert run(["check", "--strategy", "fv", "--alpha", alpha, "--beta", beta]) == 2
+    captured = capsys.readouterr()
+    (row,) = captured.out.splitlines()[2:]
+    assert row.split()[3:5] == ["-", "-"]  # closed, rel_err
+    assert captured.err == (
+        f"error: fv (alpha={float(alpha):g};beta={float(beta):g}): {_GJ}{rule}\n"
+        "1 configuration(s) FAILED the check\n"
+    )
 
 
 _NO_ENRICHMENT = "has no enrichment quadratic in floating point: "

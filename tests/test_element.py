@@ -388,15 +388,17 @@ def test_rank_deficient_blocks_are_rejected(monkeypatch, cfg, ratio):
 
 
 def test_a_non_finite_enriched_block_is_not_of_full_rank():
-    # At zeta = 1e308 the edge moments overflow to NaN before any rule is
-    # built.  The check reports the block as failed, without a warning, and
-    # assembly raises; building the quadratic itself warns of the NaN.
-    cfg = StrategyConfig.edge_face(1e308, 1.0)
+    # At alpha = 1e306 the fv quadratics are finite but the face moments are
+    # NaN.  The check reports the block as failed, without a warning (the
+    # closed form overflows and is left out); assembly warns of the NaN and
+    # raises.
+    cfg = StrategyConfig.face_volume(1e306, 1.0)
+    assert all(np.isfinite(f.weight_poly.coeffs).all() for f in element.build_functionals(cfg)[4:])
     rep = unisolvence_check(cfg)
     assert rep.rank6 is False and not rep.ok and np.isnan(rep.cond)
-    element.build_functionals.cache_clear()
+    assert rep.closed_form_det is None and rep.rel_error is None
     with pytest.warns(RuntimeWarning, match="invalid value"):
-        with pytest.raises(UnisolvenceError, match=r"ef \(zeta=1e\+308;nu=1\) is not unisolvent"):
+        with pytest.raises(UnisolvenceError, match=r"fv \(alpha=1e\+306;beta=1\) is not unisolvent"):
             assemble_H(cfg)
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from histotet import Tetrahedron, build_mesh
+from histotet.simplex import EDGE_PAIRS, FACE_VERTEX_INDICES
 from oracles import barycentric
 
 
@@ -62,3 +63,16 @@ def test_invalid_n_rejected():
         build_mesh(1)
     with pytest.raises(ValueError):
         build_mesh(2.5)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 9])
+def test_shared_faces_and_edges_keep_one_vertex_order(n):
+    # A pass keys each face and edge by its ordered global vertex ids, so a
+    # shared one must list its vertices in the same order in all its cells.
+    cells = build_mesh(n).cells
+    assert (np.diff(cells, axis=1) > 0).all()
+    for domains in (FACE_VERTEX_INDICES, EDGE_PAIRS):
+        orders = {}
+        for ids in cells[:, np.array(domains)].reshape(-1, len(domains[0])).tolist():
+            orders.setdefault(frozenset(ids), set()).add(tuple(ids))
+        assert {len(order) for order in orders.values()} == {1}
