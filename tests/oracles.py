@@ -1,6 +1,8 @@
 """Closed forms and direct evaluations that the tests compare the library
 against.  None of them is on a path the histotet command runs."""
 
+from fractions import Fraction
+
 import numpy as np
 
 from histotet.densities import FACE_BASIS_EXPONENTS, VOLUME_BASIS_EXPONENTS, BaryQuadratic, Density
@@ -99,6 +101,23 @@ def functional_matrix_per_row(functionals, columns=VOLUME_BASIS_EXPONENTS):
 def apply_functionals(functionals, poly):
     """Apply functionals to a volume BaryQuadratic via analytic moments."""
     return _functional_matrix(functionals) @ poly.coeffs
+
+
+def exact_solve(h, d):
+    """The solution x of h x = d, by Gauss-Jordan elimination in exact
+    rationals on the float entries, rounded once to floats: the reference for
+    a float64 solve of the same system."""
+    n = len(h)
+    rows = [[Fraction(float(v)) for v in row] + [Fraction(float(b))] for row, b in zip(h, d)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if rows[r][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [v / rows[col][col] for v in rows[col]]
+        for r in range(n):
+            if r != col and rows[r][col] != 0:
+                factor = rows[r][col]
+                rows[r] = [v - factor * p for v, p in zip(rows[r], rows[col])]
+    return np.array([float(row[n]) for row in rows])
 
 
 def dfv_entries(alpha, beta):

@@ -1,14 +1,18 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 
 from histotet import (
+    REFERENCE_TET,
+    TARGETS,
     BaryQuadratic,
     StrategyConfig,
     UnisolvenceError,
     assemble_D,
     assemble_H,
+    compute_dofs,
     lambda_basis,
     unisolvence_check,
 )
@@ -32,12 +36,14 @@ from histotet.densities import (
     volume_density,
     volumetric_psi,
 )
+from histotet.experiment import QuadSettings, _ErrorEngine
 from histotet.simplex import EDGE_PAIRS, FACE_VERTEX_INDICES
 from oracles import (
     apply_functionals,
     cell_values,
     dfv_entries,
     dvol_entries,
+    exact_solve,
     reconstruction,
     symmetric_quadratic_density,
 )
@@ -389,17 +395,43 @@ def test_rank_deficient_blocks_are_rejected(monkeypatch, cfg, ratio):
 
 def test_a_non_finite_enriched_block_is_not_of_full_rank():
     # At alpha = 1e306 the fv quadratics are finite but the face moments are
-    # NaN.  The check reports the block as failed, without a warning (the
-    # closed form overflows and is left out); assembly warns of the NaN and
-    # raises.
+    # NaN.  The check reports the block as failed (the closed form overflows
+    # and is left out), and assembly raises; neither warns of the NaN.
     cfg = StrategyConfig.face_volume(1e306, 1.0)
     assert all(np.isfinite(f.weight_poly.coeffs).all() for f in element.build_functionals(cfg)[4:])
     rep = unisolvence_check(cfg)
     assert rep.rank6 is False and not rep.ok and np.isnan(rep.cond)
     assert rep.closed_form_det is None and rep.rel_error is None
-    with pytest.warns(RuntimeWarning, match="invalid value"):
-        with pytest.raises(UnisolvenceError, match=r"fv \(alpha=1e\+306;beta=1\) is not unisolvent"):
-            assemble_H(cfg)
+    with pytest.raises(UnisolvenceError, match=r"fv \(alpha=1e\+306;beta=1\) is not unisolvent"):
+        assemble_H(cfg)
+
+
+EF_CORNERS = [StrategyConfig.edge_face(*p) for p in ((0.001, 500.0), (500.0, 0.001), (0.001, 1000.0))]
+
+
+@pytest.mark.parametrize("cfg", CONFIGS[:3] + EF_CORNERS, ids=lambda c: f"{c.method_id}({c.params_text()})")
+def test_raw_cond_measures_row_scaling_not_accuracy(cfg):
+    # The DOFs are normalized expectations: at the ef corners the six edge
+    # rows shrink together, so raw cond(H) passes 1e12 while H with unit rows
+    # stays well conditioned, and the float64 coefficients keep the digits of
+    # an exact solve.  Assembly warns of nothing.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        op = assemble_H(cfg)
+    if cfg in EF_CORNERS:
+        assert op.cond > 1e12
+    assert np.linalg.cond(op.h / np.abs(op.h).max(axis=1, keepdims=True)) < 20.0
+    engine = _ErrorEngine(cfg, QuadSettings())
+    dofs = compute_dofs(TARGETS["f4"], REFERENCE_TET, engine.table)
+    exact = exact_solve(engine.op.h, dofs)
+    assert np.abs(engine.coefficients(dofs) - exact).max() <= 1e-14 * np.abs(exact).max()
+
+
+def test_rank6_is_the_singular_value_verdict_alone():
+    # A well-conditioned block whose determinant underflows to 0 has rank 6.
+    rep = _report(CONFIGS[2], 1e-60 * np.eye(6))
+    assert rep.det == 0.0 and rep.cond == 1.0
+    assert rep.rank6 is True and rep.ok
 
 
 def test_volumetric_config_validation():

@@ -307,19 +307,6 @@ def test_grid_pass_evaluates_each_block_once(monkeypatch):
     assert distinct_points(mesh, configs, 20) == 48 * (3072 + 216) + 6 * 64 * 137
 
 
-def test_observed_convergence_orders():
-    # h = 1 / (n - 1): quadratic strategies converge at order 3, classical at 2.
-    functions = [TARGETS["f1"], TARGETS["f3"], TARGETS["f5"]]
-    rows, _ = convergence_study(functions, (10, 15), ALL_METHODS)
-    errors = {(r.method, r.function, r.n): r.l1_error for r in rows}
-    for cfg in ALL_METHODS:
-        floor = 1.8 if cfg.kind == "classical" else 2.8
-        for f in functions:
-            coarse, fine = errors[cfg.method_id, f.id, 10], errors[cfg.method_id, f.id, 15]
-            order = np.log(coarse / fine) / np.log(14 / 9)
-            assert order >= floor, (cfg.method_id, f.id, order)
-
-
 def test_grid_surface_sums_the_study_rows_of_each_candidate(monkeypatch):
     from histotet import experiment
 
