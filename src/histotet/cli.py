@@ -222,8 +222,8 @@ def _method_ids(args, default):
             raise CliError(f"unknown strategy {method!r}")
     if not ids:
         raise CliError("--strategy names no strategy")
-    for method, (_, names) in METHODS.items():
-        for name in names:
+    for method, row in METHODS.items():
+        for name in row.params:
             if method not in ids and getattr(args, name) is not None:
                 raise CliError(
                     f"--{name} is a {method} parameter; --strategy does not name {method}"
@@ -236,7 +236,7 @@ def _parameters(args, method, single=False):
     or default (one value each when `single`), and the admissible
     StrategyConfig of every combination."""
     grids = []
-    for name in METHODS[method][1]:
+    for name in METHODS[method].params:
         _, grid, value = _PARAM_FLAGS[name]
         raw = getattr(args, name)
         if raw is None:
@@ -278,7 +278,7 @@ def _mesh_ns(text, default):
 def cmd_check(args):
     configs = []
     for method in _method_ids(args, "fv,vol,ef"):
-        if METHODS[method][1]:  # classical has no enriched moment matrix
+        if METHODS[method].params:  # classical has no enriched moment matrix
             configs += _parameters(args, method)[1]
     if not configs:
         raise CliError("nothing to check: classical has no enriched moment matrix")
@@ -342,7 +342,7 @@ def _write_metadata(out, args, extra, passes):
 
 def cmd_tune(args):
     kind = args.strategy
-    if kind not in METHODS or not METHODS[kind][1]:
+    if kind not in METHODS or not METHODS[kind].params:
         raise CliError("tune needs --strategy fv, vol or ef")
     _method_ids(args, kind)  # rejects the parameter flags of the other methods
     (first, second), configs = _parameters(args, kind)
@@ -357,7 +357,7 @@ def cmd_tune(args):
     result = grid_search(grid, settings=settings, threads=args.threads)
     elapsed = time.perf_counter() - started
 
-    a_name, b_name = METHODS[kind][1]
+    a_name, b_name = METHODS[kind].params
     surface_path = out / "tuning_surface.csv"
     with open(surface_path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)

@@ -31,7 +31,9 @@ PARAM_FLOOR = 1e-3
 
 def _check_param(name, value):
     v = float(value)
-    if not np.isfinite(v) or v < PARAM_FLOOR:
+    if not np.isfinite(v):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    if v < PARAM_FLOOR:
         raise ValueError(f"{name} must be >= {PARAM_FLOOR}, the admissible floor, got {value!r}")
     return v
 

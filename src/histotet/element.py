@@ -9,7 +9,8 @@ once per strategy from closed-form density moments and reused mesh-wide.
 """
 
 import functools
-from dataclasses import dataclass, fields
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,77 +40,6 @@ class UnisolvenceError(RuntimeError):
     its enrichment quadratics cannot be formed in floating point."""
 
 
-#: Method id -> (StrategyConfig kind, parameter names in order): each
-#: strategy is one two-parameter density family, classical has none.
-METHODS = {
-    "classical": ("classical", ()),
-    "fv": ("face_volume", ("alpha", "beta")),
-    "vol": ("volumetric", ("theta", "gamma")),
-    "ef": ("edge_face", ("zeta", "nu")),
-}
-
-_METHOD_OF_KIND = {kind: method for method, (kind, _) in METHODS.items()}
-
-
-@dataclass(frozen=True)
-class StrategyConfig:
-    """Which reconstruction scheme to use, with its density parameters.
-
-    Use the classmethod constructors; positional construction is internal.
-    The face averages use the dirichlet(alpha) density for the face-volume
-    strategy and the uniform density otherwise.  The volumetric density is
-    always the blend theta * uniform + (1 - theta) * dirichlet(gamma).
-    """
-
-    kind: str
-    alpha: float | None = None
-    beta: float | None = None
-    theta: float | None = None
-    gamma: float | None = None
-    zeta: float | None = None
-    nu: float | None = None
-
-    @classmethod
-    def of(cls, method, *params):
-        """Config of a method id from its parameters in METHODS order."""
-        if method not in METHODS:
-            raise ValueError(f"unknown strategy {method!r}")
-        kind, names = METHODS[method]
-        if len(params) != len(names):
-            raise ValueError(f"{method} takes parameters {names}, got {params}")
-        return cls(kind, **{name: float(p) for name, p in zip(names, params)})
-
-    @classmethod
-    def face_volume(cls, alpha, beta):
-        return cls.of("fv", alpha, beta)
-
-    @classmethod
-    def volumetric_blend(cls, theta, gamma):
-        return cls.of("vol", theta, gamma)
-
-    @classmethod
-    def edge_face(cls, zeta, nu):
-        return cls.of("ef", zeta, nu)
-
-    def __post_init__(self):
-        if self.kind not in _METHOD_OF_KIND:
-            raise ValueError(f"unknown strategy kind {self.kind!r}")
-        for field in fields(self)[1:]:
-            if getattr(self, field.name) is not None and field.name not in METHODS[self.method_id][1]:
-                raise ValueError(f"{field.name} is not a {self.method_id} parameter")
-        _densities(self)  # the density constructors check the values
-
-    @property
-    def method_id(self):
-        return _METHOD_OF_KIND[self.kind]
-
-    def params_text(self):
-        names = METHODS[self.method_id][1]
-        if not names:
-            return "-"
-        return ";".join(f"{name}={getattr(self, name):g}" for name in names)
-
-
 #: Barycentric indices of the volume's native coordinates.
 VOLUME_VERTICES = (0, 1, 2, 3)
 
@@ -132,16 +62,144 @@ class Functional:
     weight_poly: BaryQuadratic | None
 
 
-def _densities(cfg):
-    """(face density, enrichment density or None) of a configuration."""
-    face = face_density(cfg.alpha if cfg.kind == "face_volume" else 1.0)
-    if cfg.kind == "classical":
-        return face, None
-    if cfg.kind == "face_volume":
-        return face, volume_density(cfg.beta)
-    if cfg.kind == "volumetric":
-        return face, volume_density(cfg.gamma, cfg.theta)
-    return face, edge_density(cfg.zeta, cfg.nu)
+def det_dfv_closed(alpha, beta):
+    """Closed-form determinant of the face-volume matrix (positive for a,b > 0)."""
+    a, b = float(alpha), float(beta)
+    return (
+        a**4
+        * b**2
+        / (
+            2.0
+            * (3.0 * (3.0 * a + 1.0)) ** 8
+            * (3.0 * a + 2.0) ** 4
+            * (2.0 * b + 1.0) ** 2
+            * (4.0 * b + 1.0) ** 2
+            * (4.0 * b + 3.0) ** 2
+        )
+    )
+
+
+def det_dvol_closed(gamma):
+    """Closed-form determinant of the volumetric matrix (positive for gamma > 0)."""
+    g = float(gamma)
+    return (
+        g**6
+        * (g + 1.0) ** 4
+        / (
+            2.0**18
+            * (2.0 * g + 1.0) ** 9
+            * (4.0 * g + 1.0) ** 7
+            * (4.0 * g + 3.0) ** 6
+        )
+    )
+
+
+def _fv_functionals(face, dens):
+    # The paper's closed forms, at alpha and beta read back from the
+    # exponents ((0.1 - 1) + 1 != 0.1) as the fv outputs were computed.
+    # The planned byte move replaces them with face_ortho_quadratic and
+    # volumetric_psi, which agree with them to round-off.
+    q = face_sum_of_squares_minus(dirichlet_face_constant(face.components[0][1][0] + 1.0))
+    h, k = dirichlet_volume_hk(dens.components[0][1][0] + 1.0)
+    return [Functional(FACE_VERTEX_INDICES[j], face, q) for j in range(4)] + [
+        Functional(VOLUME_VERTICES, dens, pair_quadratic(i, j, h, k)) for i, j in EDGE_PAIRS[:2]
+    ]
+
+
+@dataclass(frozen=True)
+class Method:
+    """One strategy's row of METHODS: its long name, its parameter names, and
+    each decision that differs between strategies.  densities(*values) is
+    (face density, enrichment density or None) and checks the values;
+    enrich(face, density) lists the six enriched functionals; closed_det
+    (*values) is the enriched block's closed-form determinant or None; spd
+    says whether check factors the block."""
+
+    kind: str
+    params: tuple
+    densities: Callable
+    enrich: Callable | None = None
+    closed_det: Callable = lambda *values: None
+    spd: bool = False
+
+
+#: Method id -> Method: each strategy is one two-parameter density family,
+#: classical has none.  vol's blend theta * uniform + (1 - theta) *
+#: dirichlet(gamma) is the uniform law dirichlet(1) at theta = 1 or gamma = 1.
+METHODS = {
+    "classical": Method("classical", (), lambda: (face_density(1.0), None)),
+    "fv": Method(
+        "face_volume", ("alpha", "beta"),
+        lambda alpha, beta: (face_density(alpha), volume_density(beta)),
+        _fv_functionals, det_dfv_closed,
+    ),
+    "vol": Method(
+        "volumetric", ("theta", "gamma"),
+        lambda theta, gamma: (face_density(1.0), volume_density(gamma, theta)),
+        lambda face, dens: [Functional(VOLUME_VERTICES, dens, psi) for psi in volumetric_psi(dens)],
+        lambda theta, gamma: (
+            det_dvol_closed(1.0 if theta == 1.0 else gamma) if theta in (0.0, 1.0) or gamma == 1.0 else None
+        ),
+        spd=True,
+    ),
+    "ef": Method(
+        "edge_face", ("zeta", "nu"),
+        lambda zeta, nu: (face_density(1.0), edge_density(zeta, nu)),
+        # one quadratic, shared by the six edge functionals
+        lambda face, dens: [Functional((j, i), dens, q) for q in [edge_ortho_quadratic(dens)] for i, j in EDGE_PAIRS],
+    ),
+}
+
+
+@dataclass(frozen=True)
+class StrategyConfig:
+    """A METHODS id and its parameter values, in the row's order, as floats
+    (-0 becomes 0, the config it equals) that the row's densities check."""
+
+    method_id: str
+    params: tuple = ()
+
+    @classmethod
+    def of(cls, method, *params):
+        """Config of a method id from its parameters in METHODS order."""
+        return cls(method, params)
+
+    @classmethod
+    def face_volume(cls, alpha, beta):
+        return cls.of("fv", alpha, beta)
+
+    @classmethod
+    def volumetric_blend(cls, theta, gamma):
+        return cls.of("vol", theta, gamma)
+
+    @classmethod
+    def edge_face(cls, zeta, nu):
+        return cls.of("ef", zeta, nu)
+
+    def __post_init__(self):
+        if self.method_id not in METHODS:
+            raise ValueError(f"unknown strategy {self.method_id!r}")
+        if len(self.params) != len(self.row.params):
+            raise ValueError(f"{self.method_id} takes parameters {self.row.params}, got {self.params}")
+        object.__setattr__(self, "params", tuple(float(p) + 0.0 for p in self.params))
+        self.row.densities(*self.params)
+
+    @property
+    def row(self):
+        return METHODS[self.method_id]
+
+    @property
+    def kind(self):
+        return self.row.kind
+
+    def __getattr__(self, name):
+        row = METHODS.get(vars(self).get("method_id"))
+        if row is None or name not in row.params:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        return self.params[row.params.index(name)]
+
+    def params_text(self):
+        return ";".join(f"{name}={p:g}" for name, p in zip(self.row.params, self.params)) or "-"
 
 
 @functools.cache
@@ -153,33 +211,13 @@ def build_functionals(cfg):
     large for its enrichment quadratics: the fv closed form overflows, the
     affine Gram matrix of a vol or ef density is singular, or a quadratic is
     not finite."""
-    face, dens = _densities(cfg)
+    face, dens = cfg.row.densities(*cfg.params)
     funcs = [Functional(FACE_VERTEX_INDICES[j], face, None) for j in range(4)]
-
-    if cfg.kind == "classical":
+    if dens is None:
         return tuple(funcs)
-
     try:
         with np.errstate(all="ignore"):  # a non-finite quadratic is refused below
-            if cfg.kind == "face_volume":
-                # The paper's closed forms, at alpha and beta read back from the
-                # exponents ((0.1 - 1) + 1 != 0.1) as the fv outputs were computed.
-                # The planned byte move replaces them with face_ortho_quadratic and
-                # volumetric_psi, which agree with them to round-off.
-                alpha = face.components[0][1][0] + 1.0
-                beta = dens.components[0][1][0] + 1.0
-                q = face_sum_of_squares_minus(dirichlet_face_constant(alpha))
-                h, k = dirichlet_volume_hk(beta)
-                funcs += [Functional(FACE_VERTEX_INDICES[j], face, q) for j in range(4)]
-                funcs += [
-                    Functional(VOLUME_VERTICES, dens, pair_quadratic(i, j, h, k))
-                    for i, j in EDGE_PAIRS[:2]
-                ]
-            elif cfg.kind == "volumetric":
-                funcs += [Functional(VOLUME_VERTICES, dens, psi) for psi in volumetric_psi(dens)]
-            else:  # edge_face
-                q = edge_ortho_quadratic(dens)
-                funcs += [Functional((j, i), dens, q) for i, j in EDGE_PAIRS]
+            funcs += cfg.row.enrich(face, dens)
     except OverflowError:
         why = "its closed-form interior quadratic overflows"
     except np.linalg.LinAlgError:
@@ -218,38 +256,6 @@ def _functional_matrix(functionals, columns=VOLUME_BASIS_EXPONENTS):
     return out
 
 
-def det_dfv_closed(alpha, beta):
-    """Closed-form determinant of the face-volume matrix (positive for a,b > 0)."""
-    a, b = float(alpha), float(beta)
-    return (
-        a**4
-        * b**2
-        / (
-            2.0
-            * (3.0 * (3.0 * a + 1.0)) ** 8
-            * (3.0 * a + 2.0) ** 4
-            * (2.0 * b + 1.0) ** 2
-            * (4.0 * b + 1.0) ** 2
-            * (4.0 * b + 3.0) ** 2
-        )
-    )
-
-
-def det_dvol_closed(gamma):
-    """Closed-form determinant of the volumetric matrix (positive for gamma > 0)."""
-    g = float(gamma)
-    return (
-        g**6
-        * (g + 1.0) ** 4
-        / (
-            2.0**18
-            * (2.0 * g + 1.0) ** 9
-            * (4.0 * g + 1.0) ** 7
-            * (4.0 * g + 3.0) ** 6
-        )
-    )
-
-
 def _enriched_block(functionals):
     # Six enriched functionals against the six pair monomials.
     return _functional_matrix(functionals[4:], VOLUME_BASIS_EXPONENTS[4:])
@@ -257,8 +263,8 @@ def _enriched_block(functionals):
 
 def assemble_D(cfg):
     """The 6x6 enriched-moment matrix, assembled with the moment engine."""
-    if cfg.kind == "classical":
-        raise ValueError("the classical strategy has no enriched moment matrix")
+    if cfg.row.enrich is None:
+        raise ValueError(f"the {cfg.method_id} strategy has no enriched moment matrix")
     return _enriched_block(build_functionals(cfg))
 
 
@@ -310,21 +316,16 @@ def _full_rank(dmat):
 def _report(cfg, dmat):
     det = float(np.linalg.det(dmat))
 
-    closed = None
     try:
-        if cfg.kind == "face_volume":
-            closed = det_dfv_closed(cfg.alpha, cfg.beta)
-        elif cfg.kind == "volumetric" and cfg.theta in (0.0, 1.0):
-            # theta=0 is dirichlet(gamma), theta=1 the uniform law dirichlet(1)
-            closed = det_dvol_closed(cfg.gamma if cfg.theta == 0.0 else 1.0)
+        closed = cfg.row.closed_det(*cfg.params)
     except OverflowError:
-        pass
+        closed = None
     if not (closed and np.isfinite(closed)):  # absent, or beyond floating point
         closed = None
     rel = None if closed is None else abs(det - closed) / abs(closed)
 
     spd = None
-    if cfg.kind == "volumetric":
+    if cfg.row.spd:
         try:
             np.linalg.cholesky(0.5 * (dmat + dmat.T))
             spd = bool(np.allclose(dmat, dmat.T, rtol=0.0, atol=1e-15))
@@ -393,8 +394,8 @@ def assemble_H(cfg):
 
     Raises UnisolvenceError when the configuration fails the rank-6 check.
     """
-    if cfg.kind == "classical":
-        raise ValueError("the classical strategy has no functional matrix: see classical_coefficients")
+    if cfg.row.enrich is None:
+        raise ValueError(f"the {cfg.method_id} strategy has no functional matrix: see classical_coefficients")
     return _assemble_operator(cfg, build_functionals(cfg))
 
 

@@ -200,7 +200,7 @@ class _ErrorEngine:
 
     def __post_init__(self):
         self.table = build_dof_table(self.cfg, self.settings)
-        self.op = None if self.cfg.kind == "classical" else assemble_H(self.cfg)
+        self.op = None if self.cfg.row.enrich is None else assemble_H(self.cfg)
 
     def coefficients(self, dofs):
         if self.op is None:
@@ -513,7 +513,7 @@ class TuningGrid:
     ns: tuple
 
     def __post_init__(self):
-        if self.kind not in METHODS or not METHODS[self.kind][1]:
+        if self.kind not in METHODS or not METHODS[self.kind].params:
             raise ValueError(f"unknown tunable strategy kind {self.kind!r}")
         if not self.first or not self.second:
             raise ValueError("candidate grids must be nonempty")

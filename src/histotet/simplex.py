@@ -53,7 +53,8 @@ class Tetrahedron:
             raise GeometryError("vertices must be a finite 4x3 array")
         self.vertices = v
         edges = v[1:] - v[0]
-        self.volume = abs(np.linalg.det(edges)) / 6.0
+        with np.errstate(over="ignore"):  # an overflow is refused as not finite
+            self.volume = abs(np.linalg.det(edges)) / 6.0
         if not np.isfinite(self.volume):
             raise GeometryError(f"tetrahedron volume {self.volume} is not finite")
         if self.volume <= 1e-300:

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -133,6 +134,9 @@ def test_each_command_takes_exactly_its_flags():
     (["converge", "--strategy="], "--strategy names no strategy"),
     (["converge", "--n="], "--n names no mesh"),
     (["project", "--tet="], "--tet needs 12 coordinates"),
+    # Not finite is its own rule: inf is not below the floor.
+    (["check", "--strategy", "fv", "--alpha", "inf"], "alpha must be finite, got inf"),
+    (["check", "--strategy", "fv", "--alpha", "nan"], "alpha must be finite, got nan"),
 ])
 def test_bad_input_exits_2(tmp_path, capsys, argv, message):
     # check and project take no --out
@@ -511,23 +515,29 @@ def test_project_rejects_bad_input(capsys, argv, message):
     assert message in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv, dofs, message", [
+@pytest.mark.parametrize("argv, dofs, message, overflow", [
     # f4 = exp(|x|^2) overflows at the DOF nodes of a cell this large.
     (["--tet", "0,0,0,1e3,0,0,0,1e3,0,0,0,1e3"], None,
-     "non-finite projection of function f4: non-finite value at the DOF nodes of fv"),
-    # The determinant of the cell's edges overflows.
+     "non-finite projection of function f4: non-finite value at the DOF nodes of fv", True),
+    # The determinant of the cell's edges overflows; the volume check refuses
+    # the cell, so numpy's overflow is not printed.
     (["--tet", "0,0,0,1e200,0,0,0,1e200,0,0,0,1e200"], None,
-     "--tet: tetrahedron volume inf is not finite"),
+     "--tet: tetrahedron volume inf is not finite", False),
     # Finite DOFs whose reconstruction overflows.
-    ([], np.full(10, 1e308), "non-finite projection of function f4: non-finite value at the reconstruction"),
+    ([], np.full(10, 1e308), "non-finite projection of function f4: non-finite value at the reconstruction", True),
 ], ids=["dofs", "volume", "reconstruction"])
-def test_project_refuses_non_finite_values(capsys, monkeypatch, argv, dofs, message):
+def test_project_refuses_non_finite_values(capsys, monkeypatch, argv, dofs, message, overflow):
     # Nothing is printed but the error: no NaN or inf reaches the output.
     if dofs is not None:
         monkeypatch.setattr(cli, "compute_dofs", lambda *args: dofs)
-    with pytest.warns(RuntimeWarning) as caught:  # numpy's overflow, and what follows it
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         assert run(["project", *argv]) == 2
-    assert any("overflow" in str(w.message) for w in caught)
+    if overflow:  # the target's overflow, and what follows it
+        assert all(issubclass(w.category, RuntimeWarning) for w in caught)
+        assert any("overflow" in str(w.message) for w in caught)
+    else:
+        assert caught == []
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
@@ -658,12 +668,14 @@ def test_parameters_beyond_floating_point_enrichment_exit_2(tmp_path, capsys, mo
 #: Functions of src/ that no command enters, each with its reason; any other
 #: function that no command enters is a helper that only tests call.
 _UNCALLED = {
-    # perfbench/ calls these five; the planned drop of scipy moves them.
+    # perfbench/ calls these seven; the planned drop of scipy moves them.
     "_ErrorEngine.l1_on_mesh",
     "edge_diagonal_entry",
     "StrategyConfig.face_volume",
     "StrategyConfig.volumetric_blend",
     "StrategyConfig.edge_face",
+    "StrategyConfig.kind",
+    "StrategyConfig.__getattr__",
     # The fv enrichment by Gram-Schmidt, for the planned switch of fv's closed forms.
     "face_ortho_quadratic",
 }

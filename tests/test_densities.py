@@ -394,7 +394,7 @@ def test_grouped_functional_matrix_equals_one_row_at_a_time():
     for cfg in configs:
         funcs = build_functionals(cfg)
         assert np.array_equal(_functional_matrix(funcs), functional_matrix_per_row(funcs)), cfg
-        if cfg.kind != "classical":
+        if cfg.method_id != "classical":
             enriched = VOLUME_BASIS_EXPONENTS[4:]
             assert np.array_equal(
                 _functional_matrix(funcs[4:], enriched), functional_matrix_per_row(funcs[4:], enriched)

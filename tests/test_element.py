@@ -201,6 +201,11 @@ def test_vol_determinants_on_grid():
         rep = unisolvence_check(StrategyConfig.volumetric_blend(1.0, gamma))
         assert rep.closed_form_det == det_dvol_closed(1.0)
         assert rep.rel_error < 1e-9
+    # gamma=1 is the uniform law whatever theta is
+    for theta in (0.25, 0.5, 0.75):
+        rep = unisolvence_check(StrategyConfig.volumetric_blend(theta, 1.0))
+        assert rep.closed_form_det == det_dvol_closed(1.0)
+        assert rep.rel_error < 1e-13
 
 
 def test_vol_determinant_gamma1_value():
@@ -443,36 +448,55 @@ def test_volumetric_config_validation():
         StrategyConfig.of("nope", 2.0)
 
 
-def test_config_rejects_another_methods_parameters():
-    # Such a config would print fv's params_text yet differ from fv(1, 1).
-    with pytest.raises(ValueError, match="zeta is not a fv parameter"):
-        StrategyConfig("face_volume", alpha=1.0, beta=1.0, zeta=3.0)
-    with pytest.raises(ValueError, match="alpha is not a classical parameter"):
-        StrategyConfig("classical", alpha=-5.0)
-    with pytest.raises(ValueError, match="beta is not a vol parameter"):
-        StrategyConfig("volumetric", theta=0.5, gamma=2.0, beta=2.0)
+def test_direct_construction_checks_the_id_and_the_arity():
+    # A value past the row's parameters, such as another method's, has no name.
+    cases = [("fv", (1.0,)), ("fv", (1.0, 1.0, 3.0)), ("classical", (-5.0,)), ("vol", (0.5, 2.0, 2.0))]
+    for method, params in cases:
+        with pytest.raises(ValueError, match=rf"{method} takes parameters \("):
+            StrategyConfig(method, params)
+    with pytest.raises(ValueError, match="unknown strategy 'nope'"):
+        StrategyConfig("nope", ())
+
+
+def test_negative_zero_prints_as_the_config_it_equals():
+    cfg = StrategyConfig.of("vol", -0.0, 2)
+    assert cfg == StrategyConfig.volumetric_blend(0, 2)
+    assert cfg.params_text() == "theta=0;gamma=2"
 
 
 def test_volume_variants_are_blend_members():
     # The dirichlet(gamma) and uniform volume densities are the blend's ends.
     for gamma in ORACLE_GRID:
-        _, dirichlet = element._densities(StrategyConfig.volumetric_blend(0, gamma))
+        _, dirichlet = METHODS["vol"].densities(0.0, gamma)
         assert dirichlet == volume_density(gamma)
-        _, uniform = element._densities(StrategyConfig.volumetric_blend(1, gamma))
+        _, uniform = METHODS["vol"].densities(1.0, gamma)
         assert uniform == volume_density(1.0)
 
 
 def test_methods_table_drives_configs():
-    assert [f.name for f in dataclasses.fields(StrategyConfig)] == [
-        "kind", "alpha", "beta", "theta", "gamma", "zeta", "nu"
-    ]
-    for method, (kind, names) in METHODS.items():
-        cfg = StrategyConfig.of(method, *[0.5] * len(names))
-        assert (cfg.kind, cfg.method_id) == (kind, method)
-        expected = ";".join(f"{name}=0.5" for name in names) or "-"
+    assert [f.name for f in dataclasses.fields(StrategyConfig)] == ["method_id", "params"]
+    closed = {
+        "classical": None,
+        "fv": det_dfv_closed(0.5, 1.0),
+        "vol": det_dvol_closed(1.0),  # gamma = 1: the uniform law
+        "ef": None,
+    }
+    kinds = {"classical": "classical", "fv": "face_volume", "vol": "volumetric", "ef": "edge_face"}
+    assert list(METHODS) == list(closed)
+    for method, row in METHODS.items():
+        values = (0.5, 1.0)[: len(row.params)]
+        cfg = StrategyConfig.of(method, *values)
+        assert (cfg.kind, cfg.method_id, cfg.params) == (kinds[method], method, values)
+        expected = ";".join(f"{name}={v:g}" for name, v in zip(row.params, values)) or "-"
         assert cfg.params_text() == expected
+        assert row.closed_det(*values) == closed[method]
+        assert [getattr(cfg, name) for name in row.params] == list(values)
+        with pytest.raises(AttributeError):
+            getattr(cfg, "gamma" if method == "fv" else "alpha")
         with pytest.raises(ValueError):
-            StrategyConfig.of(method, *[0.5] * (len(names) + 1))
+            StrategyConfig.of(method, *[0.5] * (len(row.params) + 1))
+    assert [m for m, row in METHODS.items() if row.spd] == ["vol"]
+    assert METHODS["vol"].closed_det(0.5, 2.0) is None
     assert StrategyConfig.face_volume(2, 3) == StrategyConfig.of("fv", 2, 3)
     assert StrategyConfig.edge_face(2, 3) == StrategyConfig.of("ef", 2, 3)
     with pytest.raises(ValueError):

@@ -512,7 +512,7 @@ def test_refusal_counts_what_a_pass_allocates(configs, monkeypatch):
     tables = [_ErrorEngine(cfg, settings).table for cfg in configs]
     once = sum(t.nodes.nbytes + t.weights.nbytes for t in tables) + 8 * len(configs) * len(meshes[10])
     list(_passes(configs, [f], (10,), settings, 1, meshes))  # builds the rules and the mesh's volumes
-    default = 1 if configs[0].kind == "edge_face" else 2
+    default = 1 if configs[0].method_id == "ef" else 2
     for budget, at_least in ((experiment._CHUNK_BUDGET, default), (1_000_000, 3)):
         monkeypatch.setattr(experiment, "_CHUNK_BUDGET", budget)
         chunks = _Plan([t.blocks for t in tables], 216, len(meshes[10])).chunks
@@ -730,13 +730,13 @@ def test_engine_coefficients_equal_the_element_reconstruction():
     rng = np.random.default_rng(24)
     configs = [StrategyConfig.of("classical")] + [
         StrategyConfig.of(method, *params)
-        for method, (_, names) in METHODS.items() if names
-        for params in product(*(_PARAM_FLAGS[name][1] for name in names))
+        for method, row in METHODS.items() if row.params
+        for params in product(*(_PARAM_FLAGS[name][1] for name in row.params))
     ]
     assert len(configs) == 1 + 36 + 30 + 36
     for cfg in configs:
         engine = _ErrorEngine(cfg, QuadSettings())
-        op = None if cfg.kind == "classical" else assemble_H(cfg)
+        op = None if cfg.method_id == "classical" else assemble_H(cfg)
         scales = 10.0 ** rng.integers(-3, 4, (10, 1))
         for d in rng.standard_normal((10, len(engine.table.weights))) * scales:
             if op is None:
@@ -756,7 +756,7 @@ def test_dof_weights_are_those_of_the_exponent_loop(monkeypatch):
     configs = [StrategyConfig.of("classical")] + [
         StrategyConfig.of(method, *params)
         for method in ("fv", "vol", "ef")
-        for params in itertools.product(*(_PARAM_FLAGS[name][1] for name in METHODS[method][1]))
+        for params in itertools.product(*(_PARAM_FLAGS[name][1] for name in METHODS[method].params))
     ]
     assert len(configs) == 103
     for m in (3, 8):
