@@ -22,8 +22,6 @@ from .element import (
     ElementOperator,
     StrategyConfig,
     UnisolvenceError,
-    UnisolvenceReport,
-    assemble_D,
     assemble_H,
     lambda_basis,
     unisolvence_check,

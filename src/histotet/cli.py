@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .densities import BaryQuadratic
-from .element import METHODS, StrategyConfig, UnisolvenceError, build_functionals, unisolvence_check
+from .element import METHODS, StrategyConfig, UnisolvenceError, build_functionals, param_text, unisolvence_check
 from .experiment import (
     QuadSettings,
     TuningGrid,
@@ -297,13 +297,13 @@ def cmd_check(args):
         rel = "-" if rep.rel_error is None else f"{rep.rel_error:.2e}"
         spd = "-" if rep.spd is None else str(rep.spd)
         print(
-            f"{rep.strategy:<9}{rep.params:<28}{rep.det:>13.4e}{closed:>13}"
-            f"{rel:>10}{str(rep.rank6):>7}{spd:>6}{rep.cond:>11.3e}"
+            f"{cfg.method_id:<9}{cfg.params_text():<28}{rep.det:>13.4e}{closed:>13}"
+            f"{rel:>10}{str(rep.rank6):>7}{spd:>6}{rep.block_cond:>11.3e}"
         )
         try:
             _build_rules([cfg], QuadSettings.dof_points)  # as every other command does
         except RuleError as err:
-            print(f"error: {rep.strategy} ({rep.params}): {err}", file=sys.stderr)
+            print(f"error: {cfg.method_id} ({cfg.params_text()}): {err}", file=sys.stderr)
             failed += 1
             continue
         if not rep.ok:
@@ -363,7 +363,7 @@ def cmd_tune(args):
         writer = csv.writer(handle)
         writer.writerow([a_name, b_name, "sum_l1_error"])
         for (a, b), err in zip(product(first, second), result.surface.ravel()):
-            writer.writerow([f"{a:g}", f"{b:g}", f"{err:.16e}"])
+            writer.writerow([param_text(a), param_text(b), f"{err:.16e}"])
     _write_metadata(
         out,
         args,
@@ -377,8 +377,8 @@ def cmd_tune(args):
         result.passes,
     )
 
-    a_star, b_star = result.best
-    print(f"optimal {a_name}={a_star:g}, {b_name}={b_star:g} (accumulated L1 error {result.best_error:.6e})")
+    a_star, b_star = map(param_text, result.best)
+    print(f"optimal {a_name}={a_star}, {b_name}={b_star} (accumulated L1 error {result.best_error:.6e})")
     print(f"surface written to {surface_path} ({result.surface.size} candidates, {elapsed:.1f} s)")
     return 0
 

@@ -147,6 +147,8 @@ METHODS = {
         lambda zeta, nu: (face_density(1.0), edge_density(zeta, nu)),
         # one quadratic, shared by the six edge functionals
         lambda face, dens: [Functional((j, i), dens, q) for q in [edge_ortho_quadratic(dens)] for i, j in EDGE_PAIRS],
+        # the block is the edge pivot times the identity
+        lambda zeta, nu: edge_diagonal_entry(zeta, nu) ** 6,
     ),
 }
 
@@ -199,7 +201,14 @@ class StrategyConfig:
         return self.params[row.params.index(name)]
 
     def params_text(self):
-        return ";".join(f"{name}={p:g}" for name, p in zip(self.row.params, self.params)) or "-"
+        return ";".join(f"{name}={param_text(p)}" for name, p in zip(self.row.params, self.params)) or "-"
+
+
+def param_text(value):
+    """A parameter value as text that parses back to it: :g where that
+    round-trips, repr otherwise, so distinct values never print alike."""
+    text = f"{value:g}"
+    return text if float(text) == value else repr(float(value))
 
 
 @functools.cache
@@ -261,47 +270,10 @@ def _enriched_block(functionals):
     return _functional_matrix(functionals[4:], VOLUME_BASIS_EXPONENTS[4:])
 
 
-def assemble_D(cfg):
-    """The 6x6 enriched-moment matrix, assembled with the moment engine."""
-    if cfg.row.enrich is None:
-        raise ValueError(f"the {cfg.method_id} strategy has no enriched moment matrix")
-    return _enriched_block(build_functionals(cfg))
-
-
 def edge_diagonal_entry(zeta, nu):
     """Expectation of t(1-t) q(t) under Beta(zeta, nu); the unisolvence pivot."""
     dens = edge_density(zeta, nu)
     return dens.expect(edge_ortho_quadratic(dens), (1, 1))
-
-
-@dataclass(frozen=True)
-class UnisolvenceReport:
-    """Diagnostics of the rank-6 condition for one strategy configuration."""
-
-    strategy: str
-    params: str
-    det: float
-    closed_form_det: float | None
-    rel_error: float | None
-    rank6: bool
-    spd: bool | None
-    cond: float
-
-    @property
-    def ok(self):
-        return self.rank6 and (self.spd is not False)
-
-
-def unisolvence_check(cfg):
-    """Numerical rank-6 diagnostics of the enriched moment matrix.
-
-    Compares the determinant against the closed form where one exists,
-    attempts a Cholesky factorization for volumetric strategies, and judges
-    rank 6 from the singular values (see _full_rank).  A failed check is
-    reported, not raised.
-    """
-    with np.errstate(all="ignore"):  # a non-finite moment fails the rank check
-        return _report(cfg, assemble_D(cfg))
 
 
 def _full_rank(dmat):
@@ -313,55 +285,30 @@ def _full_rank(dmat):
     return bool(s[-1] > RANK_RTOL * s[0]), s
 
 
-def _report(cfg, dmat):
-    det = float(np.linalg.det(dmat))
-
-    try:
-        closed = cfg.row.closed_det(*cfg.params)
-    except OverflowError:
-        closed = None
-    if not (closed and np.isfinite(closed)):  # absent, or beyond floating point
-        closed = None
-    rel = None if closed is None else abs(det - closed) / abs(closed)
-
-    spd = None
-    if cfg.row.spd:
-        try:
-            np.linalg.cholesky(0.5 * (dmat + dmat.T))
-            spd = bool(np.allclose(dmat, dmat.T, rtol=0.0, atol=1e-15))
-        except np.linalg.LinAlgError:
-            spd = False
-
-    rank6, s = _full_rank(dmat)
-    with np.errstate(divide="ignore"):  # as np.linalg.cond: inf when singular
-        cond = float(s[0] / s[-1])
-
-    return UnisolvenceReport(
-        strategy=cfg.method_id,
-        params=cfg.params_text(),
-        det=det,
-        closed_form_det=closed,
-        rel_error=rel,
-        rank6=rank6,
-        spd=spd,
-        cond=cond,
-    )
-
-
 @dataclass(frozen=True)
 class ElementOperator:
-    """The assembled 10x10 functional matrix of a strategy and its inverse.
+    """A strategy's 10x10 functional matrix H, the diagnostics of its
+    enriched block h[4:, 4:] that check prints, and, when that block has
+    rank 6 (see _full_rank), H's inverse and cond(H); both are None otherwise.
 
     The inverse columns are the coefficient vectors of the basis functions
     (chi_1..chi_10 in Lambda coordinates).  Geometry-independent: valid on
     every tetrahedron.
     """
 
-    cfg: StrategyConfig
-    functionals: tuple
     h: np.ndarray
-    h_inv: np.ndarray
-    cond: float
+    h_inv: np.ndarray | None
+    cond: float | None
+    det: float
+    closed_form_det: float | None
+    rel_error: float | None
+    rank6: bool
+    spd: bool | None
+    block_cond: float
+
+    @property
+    def ok(self):
+        return self.rank6 and (self.spd is not False)
 
 
 def _assemble_operator(cfg, functionals):
@@ -372,31 +319,59 @@ def _assemble_operator(cfg, functionals):
     with np.errstate(all="ignore"):  # a non-finite moment fails the rank check
         h[:4] = _functional_matrix(functionals[:4])
         h[4:, 4:] = _enriched_block(functionals)
-    full, s = _full_rank(h[4:, 4:])
-    if not full:
-        raise UnisolvenceError(
-            f"strategy {cfg.method_id} ({cfg.params_text()}) is not unisolvent: "
-            f"its enriched block's singular values range from {s[-1]:.3e} to {s[0]:.3e}"
-        )
-    try:
-        h_inv = np.linalg.solve(h, np.eye(len(h)))
-    except np.linalg.LinAlgError as err:
-        raise UnisolvenceError(
-            f"functional matrix of {cfg.method_id} ({cfg.params_text()}) "
-            "is singular"
-        ) from err
-    cond = float(np.linalg.cond(h))
-    return ElementOperator(cfg=cfg, functionals=functionals, h=h, h_inv=h_inv, cond=cond)
+        block = h[4:, 4:]
+        det = float(np.linalg.det(block))
+        try:
+            closed = cfg.row.closed_det(*cfg.params)
+        except OverflowError:
+            closed = None
+        if not (closed and np.isfinite(closed)):  # absent, or beyond floating point
+            closed = None
+        spd = None
+        if cfg.row.spd:
+            try:
+                np.linalg.cholesky(0.5 * (block + block.T))
+                spd = bool(np.allclose(block, block.T, rtol=0.0, atol=1e-15))
+            except np.linalg.LinAlgError:
+                spd = False
+        rank6, s = _full_rank(block)
+        block_cond = float(s[0] / s[-1])  # as np.linalg.cond: inf when singular
+        h_inv = cond = None
+        if rank6:
+            try:
+                h_inv = np.linalg.solve(h, np.eye(len(h)))
+            except np.linalg.LinAlgError as err:
+                raise UnisolvenceError(
+                    f"functional matrix of {cfg.method_id} ({cfg.params_text()}) is singular"
+                ) from err
+            cond = float(np.linalg.cond(h))
+    rel = None if closed is None else abs(det - closed) / abs(closed)
+    return ElementOperator(h, h_inv, cond, det, closed, rel, rank6, spd, block_cond)
+
+
+def unisolvence_check(cfg):
+    """The ElementOperator of a strategy, for its rank-6 diagnostics: a
+    failed rank test is reported, not raised."""
+    if cfg.row.enrich is None:
+        raise ValueError(f"the {cfg.method_id} strategy has no enriched moment matrix")
+    return _assemble_operator(cfg, build_functionals(cfg))
 
 
 def assemble_H(cfg):
-    """Assemble the full 10x10 functional matrix and its inverse for a strategy.
+    """The ElementOperator of a strategy, whose inverse every command applies.
 
     Raises UnisolvenceError when the configuration fails the rank-6 check.
     """
     if cfg.row.enrich is None:
         raise ValueError(f"the {cfg.method_id} strategy has no functional matrix: see classical_coefficients")
-    return _assemble_operator(cfg, build_functionals(cfg))
+    op = _assemble_operator(cfg, build_functionals(cfg))
+    if not op.rank6:
+        s = _full_rank(op.h[4:, 4:])[1]
+        raise UnisolvenceError(
+            f"strategy {cfg.method_id} ({cfg.params_text()}) is not unisolvent: "
+            f"its enriched block's singular values range from {s[-1]:.3e} to {s[0]:.3e}"
+        )
+    return op
 
 
 def classical_coefficients(face_averages):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 
 from histotet.densities import FACE_BASIS_EXPONENTS, VOLUME_BASIS_EXPONENTS, BaryQuadratic, Density
-from histotet.element import _functional_matrix
+from histotet.element import _enriched_block, _functional_matrix, build_functionals
 from histotet.experiment import QuadSettings, _ErrorEngine, _l1_errors
 from histotet.simplex import dirichlet_expectation
 
@@ -96,6 +96,13 @@ def functional_matrix_per_row(functionals, columns=VOLUME_BASIS_EXPONENTS):
         values = expect_per_term(f.density, f.weight_poly, cols[:, f.vertices])
         rows.append(np.where(vanishes, 0.0, values))
     return np.array(rows)
+
+
+def assemble_D(cfg):
+    """The 6x6 enriched-moment matrix, assembled with the moment engine."""
+    if cfg.row.enrich is None:
+        raise ValueError(f"the {cfg.method_id} strategy has no enriched moment matrix")
+    return _enriched_block(build_functionals(cfg))
 
 
 def apply_functionals(functionals, poly):

@@ -14,7 +14,6 @@ from histotet import (
     StrategyConfig,
     TargetFunction,
     TuningGrid,
-    assemble_D,
     assemble_H,
     build_mesh,
     compute_dofs,
@@ -25,13 +24,14 @@ from histotet import (
 )
 from histotet.cli import main as cli_main
 from histotet.element import (
+    build_functionals,
     det_dfv_closed,
     det_dvol_closed,
     edge_diagonal_entry,
 )
 from histotet.experiment import build_dof_table
 from conftest import make_random_tet
-from oracles import apply_functionals, barycentric, reconstruction
+from oracles import apply_functionals, assemble_D, barycentric, reconstruction
 from test_densities import _all_family_cases, analytic_residual, quadrature_residual
 
 PARAM_GRID = (0.5, 1.0, 2.0, 5.0)
@@ -131,7 +131,7 @@ def test_criterion_5_kronecker_and_projector(rng):
     for cfg in TUNED_DEFAULTS:
         op = assemble_H(cfg)
         for ell in range(10):
-            values = apply_functionals(op.functionals, BaryQuadratic("volume", op.h_inv[:, ell]))
+            values = apply_functionals(build_functionals(cfg), BaryQuadratic("volume", op.h_inv[:, ell]))
             assert np.max(np.abs(values - np.eye(10)[ell])) < 1e-10, (cfg.method_id, ell)
 
     tets = [make_random_tet(rng) for _ in range(20)]

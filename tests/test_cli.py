@@ -452,6 +452,36 @@ def test_tune_requires_tunable_strategy(capsys):
     assert "fv, vol or ef" in capsys.readouterr().err
 
 
+def test_tune_keys_distinct_candidates_apart(tmp_path, capsys):
+    # 1 and 1.0000001 print alike under :g; their keys must not.
+    out = tmp_path / "close"
+    assert run([
+        "tune", "--strategy", "fv", "--alpha", "1,1.0000001", "--beta", "1",
+        "--functions", "f1", "--n", "3", "--out", str(out),
+    ]) == 0
+    with open(out / "tuning_surface.csv", newline="") as handle:
+        rows = list(csv.reader(handle))[1:]
+    assert [row[:2] for row in rows] == [["1", "1"], ["1.0000001", "1"]]
+    best = min(rows, key=lambda row: float(row[2]))
+    assert capsys.readouterr().out.startswith(f"optimal alpha={best[0]}, beta=1 (")
+
+
+def test_check_keys_distinct_candidates_apart(capsys):
+    assert run(["check", "--strategy", "fv", "--alpha", "1,1.0000001", "--beta", "1"]) == 0
+    rows = capsys.readouterr().out.splitlines()[2:-1]
+    assert [row.split()[1] for row in rows] == ["alpha=1;beta=1", "alpha=1.0000001;beta=1"]
+
+
+def test_converge_keys_a_parameter_by_the_value_it_ran(tmp_path):
+    out = tmp_path / "close"
+    assert run([
+        "converge", "--strategy", "fv", "--alpha", "2.0000001", "--beta", "2", "--functions", "f2",
+        "--n", "3", "--quad-m", "4", "--error-degree", "4", "--out", str(out),
+    ]) == 0
+    lines = (out / "errors.csv").read_text().splitlines()
+    assert lines[1].startswith("f2,3,fv,alpha=2.0000001;beta=2,")
+
+
 def test_project_constant_function(capsys):
     code = run(["project", "--strategy", "vol", "--functions", "f1",
                 "--tet", "0,0,0,1,0,0,0,1,0,0,0,1", "--quad-m", "6"])
@@ -668,9 +698,8 @@ def test_parameters_beyond_floating_point_enrichment_exit_2(tmp_path, capsys, mo
 #: Functions of src/ that no command enters, each with its reason; any other
 #: function that no command enters is a helper that only tests call.
 _UNCALLED = {
-    # perfbench/ calls these seven; the planned drop of scipy moves them.
+    # perfbench/ calls these six; the planned drop of scipy moves them.
     "_ErrorEngine.l1_on_mesh",
-    "edge_diagonal_entry",
     "StrategyConfig.face_volume",
     "StrategyConfig.volumetric_blend",
     "StrategyConfig.edge_face",

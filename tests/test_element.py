@@ -1,5 +1,6 @@
 import dataclasses
 import warnings
+from itertools import product
 
 import numpy as np
 import pytest
@@ -10,13 +11,13 @@ from histotet import (
     BaryQuadratic,
     StrategyConfig,
     UnisolvenceError,
-    assemble_D,
     assemble_H,
     compute_dofs,
     lambda_basis,
     unisolvence_check,
 )
 from histotet import element
+from histotet.cli import _PARAM_FLAGS
 from histotet.element import (
     METHODS,
     RANK_RTOL,
@@ -24,7 +25,6 @@ from histotet.element import (
     Functional,
     _assemble_operator,
     _functional_matrix,
-    _report,
     build_functionals,
     det_dfv_closed,
     det_dvol_closed,
@@ -40,6 +40,7 @@ from histotet.experiment import QuadSettings, _ErrorEngine
 from histotet.simplex import EDGE_PAIRS, FACE_VERTEX_INDICES
 from oracles import (
     apply_functionals,
+    assemble_D,
     cell_values,
     dfv_entries,
     dvol_entries,
@@ -208,6 +209,17 @@ def test_vol_determinants_on_grid():
         assert rep.rel_error < 1e-13
 
 
+def test_ef_determinants_on_grid():
+    # The ef block is the edge pivot times the identity: its closed form is
+    # the pivot to the sixth, on the grid and at the admissible corners.
+    corners = [(0.001, 0.001), (0.001, 500.0), (500.0, 0.001), (0.001, 1000.0), (1000.0, 1000.0)]
+    for zeta, nu in list(product(PARAM_GRID, PARAM_GRID)) + corners:
+        rep = unisolvence_check(StrategyConfig.edge_face(zeta, nu))
+        assert rep.closed_form_det == edge_diagonal_entry(zeta, nu) ** 6
+        assert rep.rel_error < 1e-13, (zeta, nu)
+        assert rep.rank6
+
+
 def test_vol_determinant_gamma1_value():
     assert det_dvol_closed(1.0) == pytest.approx(
         16.0 / (2.0**18 * 3**9 * 5**7 * 7**6), rel=1e-13
@@ -222,8 +234,26 @@ def test_blend_spd_sweep():
             assert rep.rank6
 
 
+DEFAULT_GRID_CONFIGS = [
+    StrategyConfig.of(method, *params)
+    for method in ("fv", "vol", "ef")
+    for params in product(*(_PARAM_FLAGS[name][1] for name in METHODS[method].params))
+]
+
+
+def test_check_reads_the_operator_every_command_inverts():
+    # check prints the verdicts of the very H, and the inverse, that an
+    # error engine applies, bit for bit, on check's default grids.
+    assert len(DEFAULT_GRID_CONFIGS) == 102
+    for cfg in DEFAULT_GRID_CONFIGS:
+        rep = unisolvence_check(cfg)
+        assert rep.h.tobytes() == assemble_H(cfg).h.tobytes(), cfg
+        assert rep.h_inv.tobytes() == _ErrorEngine(cfg, QuadSettings()).op.h_inv.tobytes(), cfg
+
+
 def test_functional_matrix_blocks():
-    op = assemble_H(StrategyConfig.face_volume(2.0, 2.0))
+    cfg = StrategyConfig.face_volume(2.0, 2.0)
+    op = assemble_H(cfg)
     np.testing.assert_allclose(op.h[:4, :4], (np.ones((4, 4)) - np.eye(4)) / 3.0, atol=1e-15)
     # N block carries alpha/(3(3 alpha + 1)) = 2/21 in the complementary pattern
     n_block = op.h[:4, 4:]
@@ -239,7 +269,7 @@ def test_functional_matrix_blocks():
     np.testing.assert_allclose(n_block, pattern * (2.0 / 21.0), atol=1e-16)
     # zero lower-left block, exactly
     assert np.max(np.abs(op.h[4:, :4])) == 0.0
-    np.testing.assert_allclose(op.h[4:, 4:], assemble_D(op.cfg), atol=1e-18)
+    np.testing.assert_allclose(op.h[4:, 4:], assemble_D(cfg), atol=1e-18)
 
 
 def test_inverse_and_kronecker():
@@ -248,7 +278,7 @@ def test_inverse_and_kronecker():
         np.testing.assert_allclose(op.h @ op.h_inv, np.eye(10), atol=1e-10)
         # analytic functionals applied to every basis column give e_l
         for ell in range(10):
-            values = apply_functionals(op.functionals, BaryQuadratic("volume", op.h_inv[:, ell]))
+            values = apply_functionals(build_functionals(cfg), BaryQuadratic("volume", op.h_inv[:, ell]))
             np.testing.assert_allclose(values, np.eye(10)[ell], atol=1e-10)
 
 
@@ -345,12 +375,15 @@ def test_parameter_floor_rejected():
         StrategyConfig.volumetric_blend(1.2, 2.0)
 
 
-def test_singular_functionals_raise():
+def test_singular_functionals_raise(monkeypatch):
     cfg = StrategyConfig.face_volume(1.0, 1.0)
     funcs = build_functionals(cfg)
     broken = _scale_enrichments(funcs, 0.0)
+    op = _assemble_operator(cfg, broken)
+    assert op.rank6 is False and op.h_inv is None
+    monkeypatch.setattr(element, "build_functionals", lambda cfg: broken)
     with pytest.raises(UnisolvenceError):
-        _assemble_operator(cfg, broken)
+        assemble_H(cfg)
 
 
 def _lu_pivot_rank6(dmat):
@@ -371,8 +404,7 @@ def test_singular_value_verdict_equals_lu_pivot_verdict():
     configs = [StrategyConfig.of(m, a, b) for m in ("fv", "ef") for a in grid for b in grid]
     configs += [StrategyConfig.of("vol", t, g) for t in np.linspace(0.0, 1.0, 15) for g in grid]
     for cfg in configs:
-        dmat = assemble_D(cfg)
-        assert _report(cfg, dmat).rank6 == _lu_pivot_rank6(dmat), cfg
+        assert unisolvence_check(cfg).rank6 == _lu_pivot_rank6(assemble_D(cfg)), cfg
 
 
 def _with_smallest_singular_value(dmat, ratio):
@@ -393,7 +425,7 @@ def test_rank_deficient_blocks_are_rejected(monkeypatch, cfg, ratio):
     monkeypatch.setattr(element, "_enriched_block", lambda functionals: bad)
     rep = unisolvence_check(cfg)
     assert rep.rank6 is False and not rep.ok
-    assert rep.cond > 1.0 / RANK_RTOL
+    assert rep.block_cond > 1.0 / RANK_RTOL
     with pytest.raises(UnisolvenceError, match="singular values range from"):
         assemble_H(cfg)
 
@@ -405,7 +437,7 @@ def test_a_non_finite_enriched_block_is_not_of_full_rank():
     cfg = StrategyConfig.face_volume(1e306, 1.0)
     assert all(np.isfinite(f.weight_poly.coeffs).all() for f in element.build_functionals(cfg)[4:])
     rep = unisolvence_check(cfg)
-    assert rep.rank6 is False and not rep.ok and np.isnan(rep.cond)
+    assert rep.rank6 is False and not rep.ok and np.isnan(rep.block_cond)
     assert rep.closed_form_det is None and rep.rel_error is None
     with pytest.raises(UnisolvenceError, match=r"fv \(alpha=1e\+306;beta=1\) is not unisolvent"):
         assemble_H(cfg)
@@ -432,10 +464,11 @@ def test_raw_cond_measures_row_scaling_not_accuracy(cfg):
     assert np.abs(engine.coefficients(dofs) - exact).max() <= 1e-14 * np.abs(exact).max()
 
 
-def test_rank6_is_the_singular_value_verdict_alone():
+def test_rank6_is_the_singular_value_verdict_alone(monkeypatch):
     # A well-conditioned block whose determinant underflows to 0 has rank 6.
-    rep = _report(CONFIGS[2], 1e-60 * np.eye(6))
-    assert rep.det == 0.0 and rep.cond == 1.0
+    monkeypatch.setattr(element, "_enriched_block", lambda functionals: 1e-60 * np.eye(6))
+    rep = unisolvence_check(CONFIGS[2])
+    assert rep.det == 0.0 and rep.block_cond == 1.0
     assert rep.rank6 is True and rep.ok
 
 
@@ -479,7 +512,7 @@ def test_methods_table_drives_configs():
         "classical": None,
         "fv": det_dfv_closed(0.5, 1.0),
         "vol": det_dvol_closed(1.0),  # gamma = 1: the uniform law
-        "ef": None,
+        "ef": edge_diagonal_entry(0.5, 1.0) ** 6,
     }
     kinds = {"classical": "classical", "fv": "face_volume", "vol": "volumetric", "ef": "edge_face"}
     assert list(METHODS) == list(closed)

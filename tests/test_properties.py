@@ -49,6 +49,22 @@ def test_pass_errors_equal_stand_alone_errors(candidates):
         assert _l1_errors(engines, f, MESH, threads) == alone
 
 
+# Any finite admissible value, from the floor 1e-3 up.
+ADMISSIBLE = st.floats(1e-3, allow_infinity=False)
+
+
+@given(st.one_of(
+    st.tuples(st.just("fv"), ADMISSIBLE, ADMISSIBLE),
+    st.tuples(st.just("vol"), st.floats(0.0, 1.0), ADMISSIBLE),
+    st.tuples(st.just("ef"), ADMISSIBLE, ADMISSIBLE),
+))
+@example(("fv", 1.0000001, 1.0))  # :g prints it as 1
+def test_parameter_text_parses_back(candidate):
+    cfg = StrategyConfig.of(*candidate)
+    values = tuple(float(item.split("=")[1]) for item in cfg.params_text().split(";"))
+    assert values == cfg.params
+
+
 # Down to the admissible floor 1e-3, log-uniform so every decade is drawn.
 LOG_PARAM = st.floats(-3.0, np.log10(8.0)).map(lambda x: 10.0**x)
 LOG_CANDIDATE = st.one_of(
