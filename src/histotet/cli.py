@@ -172,11 +172,14 @@ def _physical_memory():
 
 
 def _build_rules(configs, dof_points):
-    """Build the DOF quadrature rules of every configuration; they are cached,
-    so a study reuses them.  Raises RuleError for one that cannot be built."""
+    """Build the DOF quadrature rules of every configuration (cached, so a
+    study reuses them); a RuleError names the configuration it stops at."""
     for cfg in configs:
-        for density in dict.fromkeys(func.density for func in build_functionals(cfg)):
-            density.rule(dof_points)
+        try:
+            for density in dict.fromkeys(func.density for func in build_functionals(cfg)):
+                density.rule(dof_points)
+        except RuleError as err:
+            raise RuleError(f"{cfg.method_id} ({cfg.params_text()}): {err}") from err
 
 
 def _check_study(ns, configs, settings, threads=1):
@@ -303,7 +306,7 @@ def cmd_check(args):
         try:
             _build_rules([cfg], QuadSettings.dof_points)  # as every other command does
         except RuleError as err:
-            print(f"error: {cfg.method_id} ({cfg.params_text()}): {err}", file=sys.stderr)
+            print(f"error: {err}", file=sys.stderr)
             failed += 1
             continue
         if not rep.ok:
@@ -341,10 +344,10 @@ def _write_metadata(out, args, extra, passes):
 
 
 def cmd_tune(args):
-    kind = args.strategy
-    if kind not in METHODS or not METHODS[kind].params:
+    methods = [] if args.strategy is None else _method_ids(args, None)
+    if len(methods) != 1 or not METHODS[methods[0]].params:
         raise CliError("tune needs --strategy fv, vol or ef")
-    _method_ids(args, kind)  # rejects the parameter flags of the other methods
+    (kind,) = methods
     (first, second), configs = _parameters(args, kind)
     ids, functions = _targets(args.functions, sorted(TARGETS))
     ns = _mesh_ns(args.n, (5, 10, 15))
