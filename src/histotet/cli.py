@@ -5,12 +5,13 @@ each command's flags.
 The parameter flags accept comma-separated lists; `check` and `tune` sweep
 them, `converge` and `project` expect single values, and a parameter flag of
 a strategy that does not run is invalid input.  Exit codes: 0 success, 2
-invalid input (including a density parameter too large for its quadrature
-rule or for its enrichment quadratic in floating point, and a number below
-its floor, given after the flag in the words of the code that states it:
---quad-m 3 and --error-degree 1 in QuadSettings, --n 2 in mesh.mesh_size,
---threads 1 here) or a failed check, 3 unwritable output directory; any
-other error is a bug and surfaces with a traceback.
+invalid input (including a number below its floor, given after the flag in
+the words of the code that states it: --quad-m 3 and --error-degree 1 in
+QuadSettings, --n 2 in mesh.mesh_size, --threads 1 here) or a configuration
+that its engine refuses in every command alike (experiment._ErrorEngine: a
+density parameter too large for its rule or enrichment quadratic, a block
+not of rank 6 or not SPD, or r above its tolerance), 3 unwritable output
+directory; any other error is a bug and surfaces with a traceback.
 """
 
 import argparse
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .densities import BaryQuadratic
-from .element import METHODS, StrategyConfig, UnisolvenceError, build_functionals, param_text, unisolvence_check
+from .element import METHODS, StrategyConfig, UnisolvenceError, param_text
 from .experiment import (
     QuadSettings,
     TuningGrid,
@@ -171,21 +172,10 @@ def _physical_memory():
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _build_rules(configs, dof_points):
-    """Build the DOF quadrature rules of every configuration (cached, so a
-    study reuses them); a RuleError names the configuration it stops at."""
-    for cfg in configs:
-        try:
-            for density in dict.fromkeys(func.density for func in build_functionals(cfg)):
-                density.rule(dof_points)
-        except RuleError as err:
-            raise RuleError(f"{cfg.method_id} ({cfg.params_text()}): {err}") from err
-
-
 def _check_study(ns, configs, settings, threads=1):
-    """Refuse, before any mesh or output exists, a run whose arrays
-    (experiment.study_bytes) need more than the machine's physical memory,
-    then one whose quadrature rules cannot be built."""
+    """Each configuration's engine, built before any mesh or output exists,
+    after refusing a run whose arrays (experiment.study_bytes) need more than
+    the machine's physical memory: building an engine admits or refuses it."""
     need, have = study_bytes(ns, configs, settings, threads), _physical_memory()
     if need > have:
         run = f"--n {','.join(map(str, ns))}" if ns else "project"
@@ -194,7 +184,7 @@ def _check_study(ns, configs, settings, threads=1):
             f"{run} needs at least {need / 1e6:,.0f} MB for its arrays at --quad-m "
             f"{settings.dof_points}{degree}, more than the {have / 1e6:,.0f} MB of physical memory"
         )
-    _build_rules(configs, settings.dof_points)
+    return [_ErrorEngine(cfg, settings) for cfg in configs]
 
 
 def _out_dir(args):
@@ -285,32 +275,28 @@ def cmd_check(args):
             configs += _parameters(args, method)[1]
     if not configs:
         raise CliError("nothing to check: classical has no enriched moment matrix")
-    header = f"{'strategy':<9}{'params':<28}{'det':>13}{'closed':>13}{'rel_err':>10}{'rank6':>7}{'spd':>6}{'cond':>11}"
+    header = (
+        f"{'strategy':<9}{'params':<28}{'det':>13}{'closed':>13}{'rel_err':>10}"
+        f"{'rank6':>7}{'spd':>6}{'cond':>11}{'r':>10}"
+    )
     print(header)
     print("-" * len(header))
     failed = 0
     for cfg in configs:
-        try:
-            rep = unisolvence_check(cfg)
-        except UnisolvenceError as err:
+        try:  # admitted as project admits it
+            (engine,) = _check_study((), [cfg], QuadSettings())
+        except (RuleError, UnisolvenceError) as err:
             print(f"error: {err}", file=sys.stderr)
             failed += 1
             continue
-        closed = "-" if rep.closed_form_det is None else f"{rep.closed_form_det:.4e}"
-        rel = "-" if rep.rel_error is None else f"{rep.rel_error:.2e}"
-        spd = "-" if rep.spd is None else str(rep.spd)
+        op = engine.op
+        closed = "-" if op.closed_form_det is None else f"{op.closed_form_det:.4e}"
+        rel = "-" if op.rel_error is None else f"{op.rel_error:.2e}"
+        spd = "-" if op.spd is None else str(op.spd)
         print(
-            f"{cfg.method_id:<9}{cfg.params_text():<28}{rep.det:>13.4e}{closed:>13}"
-            f"{rel:>10}{str(rep.rank6):>7}{spd:>6}{rep.block_cond:>11.3e}"
+            f"{cfg.method_id:<9}{cfg.params_text():<28}{op.det:>13.4e}{closed:>13}"
+            f"{rel:>10}{str(op.rank6):>7}{spd:>6}{op.block_cond:>11.3e}{engine.r:>10.1e}"
         )
-        try:
-            _build_rules([cfg], QuadSettings.dof_points)  # as every other command does
-        except RuleError as err:
-            print(f"error: {err}", file=sys.stderr)
-            failed += 1
-            continue
-        if not rep.ok:
-            failed += 1
     if failed:
         print(f"{failed} configuration(s) FAILED the check", file=sys.stderr)
         return 2
@@ -352,12 +338,11 @@ def cmd_tune(args):
     ids, functions = _targets(args.functions, sorted(TARGETS))
     ns = _mesh_ns(args.n, (5, 10, 15))
 
-    settings = _settings(args)
-    _check_study(ns, configs, settings, args.threads)
+    engines = _check_study(ns, configs, _settings(args), args.threads)
     out = _out_dir(args)
     grid = TuningGrid(kind=kind, first=first, second=second, functions=tuple(functions), ns=ns)
     started = time.perf_counter()
-    result = grid_search(grid, settings=settings, threads=args.threads)
+    result = grid_search(grid, engines, threads=args.threads)
     elapsed = time.perf_counter() - started
 
     a_name, b_name = METHODS[kind].params
@@ -395,11 +380,10 @@ def cmd_converge(args):
     ids, functions = _targets(args.functions, sorted(TARGETS))
     ns = _mesh_ns(args.n, (5, 10, 15, 20, 25))
 
-    settings = _settings(args)
-    _check_study(ns, methods, settings, args.threads)
+    engines = _check_study(ns, methods, _settings(args), args.threads)
     out = _out_dir(args)
     started = time.perf_counter()
-    rows, passes = convergence_study(functions, ns, methods, settings=settings, threads=args.threads)
+    rows, passes = convergence_study(functions, ns, engines, threads=args.threads)
     elapsed = time.perf_counter() - started
 
     csv_path = out / "errors.csv"
@@ -461,7 +445,7 @@ def cmd_project(args):
     (cfg,) = _parameters(args, methods[0], single=True)[1]
     ids, functions = _targets(args.functions, ["f4"])
     if len(ids) != 1:
-        raise CliError("project expects exactly one function id")
+        raise CliError(f"project takes exactly one function id, got {ids}")
     (f,) = functions
 
     if args.tet is not None:
@@ -475,9 +459,7 @@ def cmd_project(args):
     else:
         tet = REFERENCE_TET
 
-    settings = _settings(args)
-    _check_study((), [cfg], settings)
-    engine = _ErrorEngine(cfg, settings)  # one cell of a mesh pass
+    (engine,) = _check_study((), [cfg], _settings(args))  # one cell of a mesh pass
     table, op = engine.table, engine.op
     dofs = _finite(compute_dofs(f, tet, table), f, f"the DOF nodes of {cfg.method_id}")
     poly = BaryQuadratic("volume", _finite(engine.coefficients(dofs), f, "the reconstruction"))

@@ -37,7 +37,9 @@ RANK_RTOL = 1e-14
 
 class UnisolvenceError(RuntimeError):
     """Raised when a strategy's functional matrix is numerically singular or
-    its enrichment quadratics cannot be formed in floating point."""
+    its enrichment quadratics cannot be formed in floating point, and by the
+    engine that admits a configuration (experiment._ErrorEngine) for a block
+    that is not SPD or DOFs that do not reproduce quadratics."""
 
 
 #: Barycentric indices of the volume's native coordinates.

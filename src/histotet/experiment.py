@@ -23,9 +23,10 @@ of it, and a source that several engines fill is evaluated once and held
 for the chunk's DOF stage.  study_bytes counts a chunk's peak memory from
 the same plan: its workspace, every engine's coefficients and the held
 sources.  Per-cell contributions are accumulated in cell-index order so
-results are deterministic for any thread count.  `project` runs one cell
-through a pass's DOF table and reconstruction map (_ErrorEngine) and checks
-the reconstruction on the table's own barycentric nodes.
+results are deterministic for any thread count.  The studies take the
+engines (_ErrorEngine) that admitted their configurations.  `project` runs
+one cell through a pass's DOF table and reconstruction map (an engine) and
+checks the reconstruction on the table's own barycentric nodes.
 """
 
 import time
@@ -39,13 +40,14 @@ from .element import (
     METHODS,
     ElementOperator,
     StrategyConfig,
+    UnisolvenceError,
     assemble_H,
     build_functionals,
     classical_coefficients,
     lambda_basis,
 )
 from .mesh import build_mesh, kuhn_cells, mesh_size
-from .quadrature import plain_points, simplex_rule
+from .quadrature import RuleError, plain_points, simplex_rule
 from .targets import TargetFunction
 
 #: Scalars of DOF- and error-node values per cell row that size an engine's
@@ -54,6 +56,15 @@ _CHUNK_BUDGET = 4_000_000
 
 #: Points mapped and evaluated at a time inside a chunk.
 _SLICE_POINTS = 16_384
+
+#: Largest reproduction residual r (see _ErrorEngine) that a command admits.
+#: r is how far a configuration's DOF quadrature disagrees with H's exact
+#: moments on the monomials it reproduces, so its reconstruction of f moves
+#: by about r max|f|.  Below 1e-8 that stays under every L1 error of the
+#: default converge run (the smallest relative to max|f| is 1.3e-8, f3 at
+#: n = 25), while the default check grids reach 3.1e-12 (ef (5, 1.5)) and
+#: the parameter floor 2.2e-10 (ef (0.001, 0.01)).
+REPRODUCTION_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -191,16 +202,40 @@ def _run_chunks(work, slices, threads):
 @dataclass
 class _ErrorEngine:
     """A strategy's DOF table and reconstruction map (op, its ElementOperator;
-    None for classical), reused on every mesh and by `project` on its cell."""
+    None for classical), reused on every mesh and by `project` on its cell.
+
+    Building one is the admission of its configuration.  RuleError refuses a
+    DOF rule that cannot be built; UnisolvenceError no enrichment quadratic,
+    an enriched block of rank below 6 or not SPD (op.ok), and a reproduction
+    residual r = max |H^-1 (W Lambda) - I| above REPRODUCTION_TOL (W the
+    table's weights, Lambda the reproduced monomials at its nodes)."""
 
     cfg: StrategyConfig
     settings: QuadSettings
     table: DofTable = field(init=False)
     op: ElementOperator | None = field(init=False)
+    r: float = field(init=False)
 
     def __post_init__(self):
-        self.table = build_dof_table(self.cfg, self.settings)
+        name = f"{self.cfg.method_id} ({self.cfg.params_text()})"
+        try:
+            self.table = build_dof_table(self.cfg, self.settings)
+        except RuleError as err:
+            raise RuleError(f"{name}: {err}") from err
         self.op = None if self.cfg.row.enrich is None else assemble_H(self.cfg)
+        if self.op is not None and not self.op.ok:
+            raise UnisolvenceError(
+                f"strategy {name} has an enriched block that is not symmetric positive definite"
+            )
+        # Classical reproduces the four affine monomials, the others all ten.
+        k = len(self.table.weights)
+        dofs = (self.table.weights @ lambda_basis(self.table.nodes)[:, :k]).T
+        self.r = float(np.abs(self.coefficients(dofs) - np.eye(k, 10)).max())
+        if not self.r <= REPRODUCTION_TOL:
+            raise UnisolvenceError(
+                f"strategy {name} does not reproduce quadratics: "
+                f"r = max |H^-1 (W Lambda) - I| is {self.r:.1e}, above {REPRODUCTION_TOL:g}"
+            )
 
     def coefficients(self, dofs):
         if self.op is None:
@@ -398,15 +433,14 @@ def _l1_errors(engines, f, mesh, threads=1):
     ]
 
 
-def _passes(configs, functions, ns, settings, threads, meshes):
-    """The study loop: add the meshes missing from `meshes` to it, build one
-    engine per configuration, and yield (errors by configuration, record) for
-    each (function, mesh) pass, function-major.  The record, (function id, n,
-    wall seconds, target points evaluated), is the pass's one measurement."""
+def _passes(engines, functions, ns, threads, meshes):
+    """The study loop: add the meshes missing from `meshes` to it, and yield
+    (errors by engine, record) for each (function, mesh) pass,
+    function-major.  The record, (function id, n, wall seconds, target points
+    evaluated), is the pass's one measurement."""
     for n in ns:
         if n not in meshes:
             meshes[n] = build_mesh(n)
-    engines = [_ErrorEngine(cfg, settings) for cfg in configs]
     for f in functions:
         for n in ns:
             calls = []  # points per target call; list.append is safe across threads
@@ -483,20 +517,21 @@ class ErrorRow:
     l1_error: float
 
 
-def convergence_study(functions, ns, methods, settings=QuadSettings(), threads=1):
+def convergence_study(functions, ns, engines, threads=1):
     """(rows, passes): one L1-error row per (function, mesh, method)
     combination, and the record (function id, n, wall seconds, target points)
     of each (function, mesh) pass, in pass order.
 
-    `functions` are TargetFunctions, `ns` grid parameters, `methods`
-    StrategyConfigs.  One pass per (function, mesh) scores every method.
-    Rows appear in method-major, function, mesh order and the numbers are
+    `functions` are TargetFunctions, `ns` grid parameters, `engines` the
+    _ErrorEngine of each method, which share the error rule of the first one's
+    settings.  One pass per (function, mesh) scores every method.  Rows
+    appear in method-major, function, mesh order and the numbers are
     deterministic for fixed settings.
     """
-    passes = list(_passes(methods, functions, ns, settings, threads, {}))
+    passes = list(_passes(engines, functions, ns, threads, {}))
     rows = [
-        ErrorRow(f, n, cfg.method_id, cfg.params_text(), errors[i])
-        for i, cfg in enumerate(methods)
+        ErrorRow(f, n, e.cfg.method_id, e.cfg.params_text(), errors[i])
+        for i, e in enumerate(engines)
         for errors, (f, n, _, _) in passes
     ]
     return rows, [record for _, record in passes]
@@ -531,20 +566,23 @@ class TuneResult:
     passes: tuple  # (function id, n, wall seconds, target points) of each pass, in pass order
 
 
-def grid_search(grid, settings=QuadSettings(), threads=1, meshes=None):
+def grid_search(grid, engines, threads=1, meshes=None):
     """Exhaustive bi-parametric search minimizing the accumulated L1 error.
 
-    Every candidate pair is scored by the sum of L1 errors over the
-    validation functions and meshes, one pass per (function, mesh) for all
-    candidates; the reported optimum is the first strict minimizer in
-    row-major (outer first-axis, inner second-axis) order.
+    `engines` are the _ErrorEngine of each candidate pair, in row-major
+    (outer first-axis, inner second-axis) order.  Every candidate is scored
+    by the sum of L1 errors over the validation functions and meshes, one
+    pass per (function, mesh) for all candidates; the reported optimum is the
+    first strict minimizer in row-major order.
     """
+    configs = [StrategyConfig.of(grid.kind, a, b) for a in grid.first for b in grid.second]
+    if [e.cfg for e in engines] != configs:
+        raise ValueError(f"the engines' configurations are not the {grid.kind} grid's row-major product")
     if meshes is None:
         meshes = {}
-    configs = [StrategyConfig.of(grid.kind, a, b) for a in grid.first for b in grid.second]
     surface = np.zeros((len(grid.first), len(grid.second)))
     passes = []
-    for errors, record in _passes(configs, grid.functions, grid.ns, settings, threads, meshes):
+    for errors, record in _passes(engines, grid.functions, grid.ns, threads, meshes):
         surface += np.reshape(errors, surface.shape)
         passes.append(record)
 

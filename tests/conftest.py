@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from histotet import Tetrahedron, element, quadrature
+from histotet import QuadSettings, StrategyConfig, Tetrahedron, element, quadrature
+from histotet.experiment import _ErrorEngine
 
 
 def make_random_tet(rng, min_volume=0.01):
@@ -10,6 +11,17 @@ def make_random_tet(rng, min_volume=0.01):
         v = rng.random((4, 3))
         if abs(np.linalg.det(v[1:] - v[0])) / 6.0 >= min_volume:
             return Tetrahedron(v)
+
+
+def engines_of(configs, settings=QuadSettings()):
+    """The engine of each configuration, as every command admits it: the
+    studies take these."""
+    return [_ErrorEngine(cfg, settings) for cfg in configs]
+
+
+def grid_engines(grid, settings=QuadSettings()):
+    """The engines of a TuningGrid's candidates, in grid_search's row-major order."""
+    return engines_of([StrategyConfig.of(grid.kind, a, b) for a in grid.first for b in grid.second], settings)
 
 
 @pytest.fixture

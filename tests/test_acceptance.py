@@ -30,7 +30,7 @@ from histotet.element import (
     edge_diagonal_entry,
 )
 from histotet.experiment import build_dof_table
-from conftest import make_random_tet
+from conftest import engines_of, grid_engines, make_random_tet
 from oracles import apply_functionals, assemble_D, barycentric, reconstruction
 from test_densities import _all_family_cases, analytic_residual, quadrature_residual
 
@@ -204,7 +204,7 @@ def test_criterion_7_convergence_reproduction():
     functions = [TARGETS[fid] for fid in ("f1", "f3", "f5")]
     ns = (5, 10, 15)
     methods = [StrategyConfig.of("classical")] + TUNED_DEFAULTS
-    rows, _ = convergence_study(functions, ns, methods)
+    rows, _ = convergence_study(functions, ns, engines_of(methods))
 
     table = {(r.function, r.method, r.n): r.l1_error for r in rows}
     for f in functions:
@@ -248,7 +248,7 @@ def test_criterion_8_tuning_reproduction():
     findings = []
     for kind, (first, second) in grids.items():
         grid = TuningGrid(kind=kind, first=first, second=second, functions=functions, ns=ns)
-        result = grid_search(grid, meshes=meshes)
+        result = grid_search(grid, grid_engines(grid), meshes=meshes)
         assert result.surface.shape == (len(first), len(second))
         assert np.all(result.surface > 0.0)
         assert result.best[0] in first and result.best[1] in second

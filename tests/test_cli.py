@@ -24,14 +24,15 @@ def run(argv):
 def test_check_small_grid_passes(capsys):
     # A small grid of each method; the default fv 6x6, vol 5x6 and ef 6x6
     # grids (a grid that shrank would still exit 0); and the one enrichment
-    # routine at the parameter floor and near the rule limits.  The ef block
+    # routine at the parameter floor and within a factor of 10 of the
+    # reproduction tolerance (r up to 9.2e-10, at ef (5, 0.001)).  The ef block
     # is the edge pivot times the identity: every ef row has a closed form.
     for argv, counts in [
         (["--alpha", "1,2", "--beta", "1", "--theta", "0,1", "--gamma", "2", "--zeta", "1", "--nu", "2"],
          {"fv": 2, "vol": 2, "ef": 1}),
         ([], {"fv": 36, "vol": 30, "ef": 36}),
-        (["--strategy", "vol,ef", "--theta", "0,0.5,1", "--gamma", "0.001,200", "--zeta", "0.001,500",
-          "--nu", "0.001,500"], {"vol": 6, "ef": 4}),
+        (["--strategy", "vol,ef", "--theta", "0,0.5,1", "--gamma", "0.001,20", "--zeta", "0.001,5",
+          "--nu", "0.001,10"], {"vol": 6, "ef": 4}),
     ]:
         assert run(["check", *argv]) == 0
         captured = capsys.readouterr()
@@ -99,7 +100,7 @@ _NO_ENRICHMENT = "has no enrichment quadratic in floating point: "
 _NAN_EDGE = _NO_ENRICHMENT + "the moments of its edge density are not finite"
 _SINGULAR_EDGE = _NO_ENRICHMENT + "the affine Gram matrix of its edge density is singular"
 _OVERFLOWING_FV = _NO_ENRICHMENT + "its closed-form interior quadratic overflows"
-_CHECK_COLUMNS = ["strategy", "params", "det", "closed", "rel_err", "rank6", "spd", "cond"]
+_CHECK_COLUMNS = ["strategy", "params", "det", "closed", "rel_err", "rank6", "spd", "cond", "r"]
 
 
 def _rule(config, rule, mass):
@@ -173,11 +174,11 @@ def _case(case_id, argv, message, rows=None):
     _case("test_check_rejects_below_floor", ["check", "--strategy", "fv", "--alpha", "1e-6", "--beta", "1"],
           "alpha must be >= 0.001, the admissible floor, got 1e-06"),
     # The moments of fv(500, 2) are fine, but its face rule overflows as in
-    # every other command: check fails that configuration after its row.
+    # every other command: check prints no row for that configuration.
     _case("test_check_fails_a_configuration_whose_rules_overflow",
           ["check", "--strategy", "fv", "--alpha", "1,500", "--beta", "2"],
           _rule("fv (alpha=500;beta=2)", "(2, (499.0, 499.0, 499.0), 8)", "nan"),
-          [{"params": "alpha=1;beta=2"}, {"params": "alpha=500;beta=2"}]),
+          [{"params": "alpha=1;beta=2"}]),
     _case("test_converge_rejects_unknown_function", ["converge", "--functions", "f9", "--n", "3"],
           f"unknown function id 'f9' {_KNOWN}"),
     _case("test_threads_below_one_rejected-0",
@@ -195,7 +196,7 @@ def _case(case_id, argv, message, rows=None):
     _case("test_project_rejects_bad_input-argv1-exactly one strategy", ["project", "--strategy", "all"],
           "project takes exactly one strategy, got ['classical', 'fv', 'vol', 'ef']"),
     _case("test_project_rejects_bad_input-argv2-exactly one function", ["project", "--functions", "f1,f2"],
-          "project expects exactly one function id"),
+          "project takes exactly one function id, got ['f1', 'f2']"),
     _case("test_project_rejects_bad_input-argv3-degenerate", ["project", "--tet", "0,0,0,1,0,0,2,0,0,3,0,0"],
           "--tet: degenerate tetrahedron (zero volume)"),
     # A face Dirichlet(alpha) rule overflows its Gauss-Jacobi weights near
@@ -223,25 +224,21 @@ def _case(case_id, argv, message, rows=None):
     _case("test_parameters_too_large_for_any_rule_exit_2-converge-vol", ["converge", *_HUGE_VOL, *_ONE_MESH],
           f"vol (theta=0.5;gamma=1e+200): {_GJ}(8, 1e+200, 3e+200)"),
     _case("test_parameters_too_large_for_any_rule_exit_2-check-vol", ["check", *_HUGE_VOL],
-          f"vol (theta=0.5;gamma=1e+200): {_GJ}(8, 1e+200, 3e+200)",
-          [{"params": "theta=0.5;gamma=1e+200", "rank6": "True"}]),
+          f"vol (theta=0.5;gamma=1e+200): {_GJ}(8, 1e+200, 3e+200)", []),
     _case("test_parameters_too_large_for_any_rule_exit_2-check-ef", ["check", *_HUGE_EF],
           f"strategy ef (zeta=1e+308;nu=1) {_NAN_EDGE}", []),
-    # check prints the row of a closed form that floating point cannot hold
-    # (a**4 overflows, the determinant underflows to 0, the face moments
-    # are NaN), then fails the configuration at its rule.
+    # A closed form that floating point cannot hold (a**4 overflows, the
+    # determinant underflows to 0, the face moments are NaN) comes with a
+    # rule that cannot be built: check fails the configuration at its rule.
     _case("test_check_leaves_out_a_closed_form_beyond_floating_point-1e78-1-(8, 1e+78, 2e+78)",
           ["check", "--strategy", "fv", "--alpha", "1e78", "--beta", "1"],
-          f"fv (alpha=1e+78;beta=1): {_GJ}(8, 1e+78, 2e+78)",
-          [{"params": "alpha=1e+78;beta=1", "closed": "-", "rel_err": "-"}]),
+          f"fv (alpha=1e+78;beta=1): {_GJ}(8, 1e+78, 2e+78)", []),
     _case("test_check_leaves_out_a_closed_form_beyond_floating_point-1-1e100-(8, 1e+100, 3.0000000000000002e+100)",
           ["check", "--strategy", "fv", "--alpha", "1", "--beta", "1e100"],
-          f"fv (alpha=1;beta=1e+100): {_GJ}(8, 1e+100, 3.0000000000000002e+100)",
-          [{"params": "alpha=1;beta=1e+100", "closed": "-", "rel_err": "-"}]),
+          f"fv (alpha=1;beta=1e+100): {_GJ}(8, 1e+100, 3.0000000000000002e+100)", []),
     _case("test_check_leaves_out_a_closed_form_beyond_floating_point-1e306-1-(8, 1e+306, 2e+306)",
           ["check", "--strategy", "fv", "--alpha", "1e306", "--beta", "1"],
-          f"fv (alpha=1e+306;beta=1): {_GJ}(8, 1e+306, 2e+306)",
-          [{"params": "alpha=1e+306;beta=1", "closed": "-", "rel_err": "-"}]),
+          f"fv (alpha=1e+306;beta=1): {_GJ}(8, 1e+306, 2e+306)", []),
 ])
 def test_bad_input_exits_2(tmp_path, capsys, monkeypatch, argv, message, rows):
     _assert_refused(tmp_path, capsys, monkeypatch, argv, message, rows)
@@ -283,6 +280,64 @@ def test_bad_input_exits_2(tmp_path, capsys, monkeypatch, argv, message, rows):
 ])
 def test_parameters_beyond_floating_point_enrichment_exit_2(tmp_path, capsys, monkeypatch, argv, message, rows):
     _assert_refused(tmp_path, capsys, monkeypatch, argv, message, rows)
+
+
+def _r(config, r):
+    """The refusal of a configuration whose DOFs do not reproduce quadratics."""
+    return f"strategy {config} does not reproduce quadratics: r = max |H^-1 (W Lambda) - I| is {r}, above 1e-08"
+
+
+# Each refusal states its r.  Raw cond(H) of the ef corners is 3.4e13 to
+# 5.5e14, but that is row scaling: r is what they lack.
+@pytest.mark.parametrize("argv, message, rows", [
+    _case("check-vol", ["check", "--strategy", "vol", "--theta", "0,0.5", "--gamma", "200"],
+          _r("vol (theta=0;gamma=200)", "2.8e-07"), [{"params": "theta=0.5;gamma=200"}]),
+    _case("tune-ef", ["tune", "--strategy", "ef", "--zeta", "500", "--nu", "500", *_ONE_MESH],
+          _r("ef (zeta=500;nu=500)", "1.4e-06")),
+    _case("project-ef-corner", ["project", "--strategy", "ef", "--zeta", "0.001", "--nu", "500"],
+          _r("ef (zeta=0.001;nu=500)", "1.5e-05")),
+    _case("converge-ef-corner", ["converge", "--strategy", "ef", "--zeta", "0.001", "--nu", "1000", *_ONE_MESH],
+          _r("ef (zeta=0.001;nu=1000)", "2.1e-03")),
+    _case("check-ef-corner", ["check", "--strategy", "ef", "--zeta", "500", "--nu", "0.001"],
+          _r("ef (zeta=500;nu=0.001)", "9.4e-01"), []),
+])
+def test_configurations_that_do_not_reproduce_quadratics_exit_2(tmp_path, capsys, monkeypatch, argv, message, rows):
+    _assert_refused(tmp_path, capsys, monkeypatch, argv, message, rows)
+
+
+@pytest.mark.parametrize("command", ["check", "converge", "tune", "project"])
+@pytest.mark.parametrize("block, verdict", [
+    (np.diag([1.0] * 5 + [0.0]), "is not unisolvent: its enriched block's singular values range from 0.000e+00 to 1.000e+00"),
+    (-np.eye(6), "has an enriched block that is not symmetric positive definite"),
+], ids=["rank", "spd"])
+def test_operators_that_fail_a_verdict_exit_2(tmp_path, capsys, monkeypatch, command, block, verdict):
+    # No parameter value is known to fail the rank or the SPD verdict once
+    # its rules and quadratics exist, so the enriched block is replaced.
+    from histotet import element
+
+    monkeypatch.setattr(element, "_enriched_block", lambda functionals: block)
+    argv = [command, "--strategy", "vol", "--theta", "0.5", "--gamma", "2"]
+    _assert_refused(tmp_path, capsys, monkeypatch, argv + (_ONE_MESH if command in ("converge", "tune") else []),
+                    f"strategy vol (theta=0.5;gamma=2) {verdict}",
+                    [] if command == "check" else None)
+
+
+@pytest.mark.parametrize("params, code", [
+    (["--strategy", "fv", "--alpha", "2", "--beta", "2"], 0),
+    (["--strategy", "fv", "--alpha", "500", "--beta", "2"], 2),  # its face rule overflows
+    (["--strategy", "ef", "--zeta", "10000", "--nu", "0.001"], 2),  # no enrichment quadratic
+    (["--strategy", "ef", "--zeta", "500", "--nu", "0.001"], 2),  # r = 0.94
+], ids=["fv-default", "fv-rule", "ef-gram", "ef-r"])
+def test_check_fails_what_every_command_refuses(tmp_path, capsys, params, code):
+    # One configuration, one verdict: each command exits with the same code
+    # and the same first line of stderr (check adds its count of failures).
+    verdicts = {}
+    for command in ("check", "converge", "tune", "project"):
+        run_args = ["--functions", "f1", "--n", "3", "--out", str(tmp_path / command)]
+        assert run([command, *params, *(run_args if command in ("converge", "tune") else [])]) == code
+        verdicts[command] = capsys.readouterr().err.splitlines()[:1]
+    assert list(verdicts.values()) == [verdicts["check"]] * 4
+    assert bool(verdicts["check"]) == (code == 2)
 
 
 def _assert_refused(tmp_path, capsys, monkeypatch, argv, message, rows):
@@ -504,8 +559,9 @@ def test_thread_count_moves_no_byte(tmp_path, monkeypatch):
 
 
 def test_converge_at_the_ef_corner_exits_0_quietly(tmp_path, capsys):
-    # Raw cond(H) is 5.5e14 here, all of it row scaling: no refusal, no warning.
-    assert run(["converge", "--strategy", "ef", "--zeta", "0.001", "--nu", "1000", "--functions", "f1",
+    # Raw cond(H) is 3.6e7 here, all of it row scaling (r is 2.3e-11): no
+    # refusal, no warning.
+    assert run(["converge", "--strategy", "ef", "--zeta", "0.1", "--nu", "50", "--functions", "f1",
                 "--n", "3", "--out", str(tmp_path)]) == 0
     assert capsys.readouterr().err == ""
 
@@ -669,22 +725,39 @@ def test_project_quadratic_is_reproduced(capsys):
     assert drift < 1e-9
 
 
-@pytest.mark.parametrize("strategy", ["classical", "fv", "vol", "ef"])
-def test_project_builds_its_dof_table_once(capsys, monkeypatch, strategy):
+_DEFAULT_CONFIGS = {
+    "classical": StrategyConfig.of("classical"),
+    "fv": StrategyConfig.face_volume(2, 2),
+    "vol": StrategyConfig.volumetric_blend(0.5, 2),
+    "ef": StrategyConfig.edge_face(2, 2),
+}
+
+
+@pytest.mark.parametrize("argv, configs", [
+    *((["project", "--strategy", method], [cfg]) for method, cfg in _DEFAULT_CONFIGS.items()),
+    (["check", "--strategy", "fv,ef", "--alpha", "1,2", "--beta", "1", "--zeta", "1", "--nu", "2"],
+     [StrategyConfig.face_volume(1, 1), StrategyConfig.face_volume(2, 1), StrategyConfig.edge_face(1, 2)]),
+    (["converge", "--functions", "f1", "--n", "3"], list(_DEFAULT_CONFIGS.values())),
+    (["tune", "--strategy", "vol", "--theta", "0,1", "--gamma", "2", "--functions", "f1", "--n", "3"],
+     [StrategyConfig.volumetric_blend(0, 2), StrategyConfig.volumetric_blend(1, 2)]),
+], ids=[*_DEFAULT_CONFIGS, "check", "converge", "tune"])
+def test_project_builds_its_dof_table_once(tmp_path, capsys, monkeypatch, argv, configs):
     # The DOFs and the reconstruction's DOFs use one table: at --quad-m 100
-    # a vol table takes most of a second to build.
+    # a vol table takes most of a second to build.  Every other command
+    # builds one table per configuration too, in the engine that admits it.
     from histotet import experiment
 
     built, build = [], experiment.build_dof_table
 
     def counted(*args, **kwargs):
-        built.append(args[0].method_id)
+        built.append(args[0])
         return build(*args, **kwargs)
 
     monkeypatch.setattr(experiment, "build_dof_table", counted)
-    assert run(["project", "--strategy", strategy]) == 0
-    assert built == [strategy]
-    assert "max |dofs(reconstruction) - dofs|" in capsys.readouterr().out
+    assert run(argv + (["--out", str(tmp_path)] if argv[0] in ("converge", "tune") else [])) == 0
+    assert built == configs
+    if argv[0] == "project":
+        assert "max |dofs(reconstruction) - dofs|" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("tet", [[], ["--tet", "0,0,0,2,0,0,0,1,0,0,0,3"]], ids=["reference", "stretched"])
@@ -732,7 +805,8 @@ def test_project_refuses_non_finite_values(capsys, monkeypatch, argv, dofs, mess
 #: Functions of src/ that no command enters, each with its reason; any other
 #: function that no command enters is a helper that only tests call.
 _UNCALLED = {
-    # perfbench/ calls these six; the planned drop of scipy moves them.
+    # perfbench/ calls these seven; the planned drop of scipy moves them.
+    "unisolvence_check",
     "_ErrorEngine.l1_on_mesh",
     "StrategyConfig.face_volume",
     "StrategyConfig.volumetric_blend",

@@ -36,7 +36,7 @@ from histotet.densities import (
     volume_density,
     volumetric_psi,
 )
-from histotet.experiment import QuadSettings, _ErrorEngine
+from histotet.experiment import REPRODUCTION_TOL, QuadSettings, _ErrorEngine
 from histotet.simplex import EDGE_PAIRS, FACE_VERTEX_INDICES
 from oracles import (
     apply_functionals,
@@ -251,6 +251,17 @@ def test_check_reads_the_operator_every_command_inverts():
         assert rep.h_inv.tobytes() == _ErrorEngine(cfg, QuadSettings()).op.h_inv.tobytes(), cfg
 
 
+def test_every_default_configuration_reproduces_quadratics():
+    # The engine's r, against a solve of H on the table's own DOFs of the ten
+    # basis monomials, stays below the tolerance on check's default grids.
+    for cfg in DEFAULT_GRID_CONFIGS:
+        engine = _ErrorEngine(cfg, QuadSettings())
+        dofs = engine.table.weights @ lambda_basis(engine.table.nodes)
+        r = np.abs(np.linalg.solve(engine.op.h, dofs) - np.eye(10)).max()
+        assert engine.r == pytest.approx(r, rel=1e-2, abs=1e-15), cfg
+        assert engine.r <= REPRODUCTION_TOL, cfg
+
+
 def test_functional_matrix_blocks():
     cfg = StrategyConfig.face_volume(2.0, 2.0)
     op = assemble_H(cfg)
@@ -450,14 +461,19 @@ EF_CORNERS = [StrategyConfig.edge_face(*p) for p in ((0.001, 500.0), (500.0, 0.0
 def test_raw_cond_measures_row_scaling_not_accuracy(cfg):
     # The DOFs are normalized expectations: at the ef corners the six edge
     # rows shrink together, so raw cond(H) passes 1e12 while H with unit rows
-    # stays well conditioned, and the float64 coefficients keep the digits of
-    # an exact solve.  Assembly warns of nothing.
+    # stays well conditioned.  Assembly warns of nothing.  What the corners
+    # lack is accuracy: their DOF quadrature and H's exact moments disagree
+    # on quadratics (r), so no command admits them.  Elsewhere the float64
+    # coefficients keep the digits of an exact solve.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         op = assemble_H(cfg)
+    assert np.linalg.cond(op.h / np.abs(op.h).max(axis=1, keepdims=True)) < 20.0
     if cfg in EF_CORNERS:
         assert op.cond > 1e12
-    assert np.linalg.cond(op.h / np.abs(op.h).max(axis=1, keepdims=True)) < 20.0
+        with pytest.raises(UnisolvenceError, match="does not reproduce quadratics"):
+            _ErrorEngine(cfg, QuadSettings())
+        return
     engine = _ErrorEngine(cfg, QuadSettings())
     dofs = compute_dofs(TARGETS["f4"], REFERENCE_TET, engine.table)
     exact = exact_solve(engine.op.h, dofs)

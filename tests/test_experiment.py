@@ -19,7 +19,7 @@ from histotet import (
 )
 from histotet.experiment import build_dof_table
 from histotet.quadrature import plain_points, simplex_rule
-from conftest import make_random_tet
+from conftest import engines_of, grid_engines, make_random_tet
 from oracles import barycentric, evaluate_by_exponents, l1_error
 
 QUADRATIC_CONFIGS = [
@@ -170,7 +170,7 @@ def test_non_finite_error_names_the_stage():
         lambda p: np.full(p.shape[:-1], np.nan) if p.shape[-2] == n_err else np.sin(p[..., 0]),
     )
     with pytest.raises(ValueError, match=r"at the error nodes, first at cell 0$") as info:
-        convergence_study([at_error_nodes], (4,), QUADRATIC_CONFIGS)
+        convergence_study([at_error_nodes], (4,), engines_of(QUADRATIC_CONFIGS))
     assert "DOF nodes" not in str(info.value)
 
 
@@ -184,14 +184,14 @@ def test_l1_error_is_deterministic():
 def test_convergence_study_shape_and_rows():
     functions = [TARGETS["f1"], TARGETS["f3"]]
     methods = [StrategyConfig.of("classical"), StrategyConfig.edge_face(2.0, 2.0)]
-    rows, passes = convergence_study(functions, (3, 5), methods)
+    rows, passes = convergence_study(functions, (3, 5), engines_of(methods))
     assert len(rows) == 8
     assert {r.method for r in rows} == {"classical", "ef"}
     assert all(r.l1_error >= 0.0 for r in rows)
     # One record per (function, mesh) pass, function-major, whatever the methods.
     assert [(f, n) for f, n, _, _ in passes] == [("f1", 3), ("f1", 5), ("f3", 3), ("f3", 5)]
     assert all(seconds >= 0.0 for _, _, seconds, _ in passes)
-    again, _ = convergence_study(functions, (3, 5), methods)
+    again, _ = convergence_study(functions, (3, 5), engines_of(methods))
     assert [r.l1_error for r in rows] == [r.l1_error for r in again]
 
 
@@ -210,7 +210,7 @@ def test_study_rows_equal_stand_alone_errors_for_any_chunking(monkeypatch):
     assert len(set(blocks)) == 4 and max(blocks) < len(mesh)
     functions = [TARGETS["f2"], TARGETS["f7"]]
     for threads in (1, 2):
-        rows, passes = convergence_study(functions, (4,), ALL_METHODS, threads=threads)
+        rows, passes = convergence_study(functions, (4,), engines_of(ALL_METHODS), threads=threads)
         expected = [
             l1_error(f, mesh, cfg, threads=threads) for cfg in ALL_METHODS for f in functions
         ]
@@ -250,7 +250,7 @@ def test_one_pass_evaluates_each_node_set_once():
 
     target = TargetFunction("counted", counted)
     mesh = build_mesh(3)
-    rows, passes = convergence_study([target], (3,), ALL_METHODS)
+    rows, passes = convergence_study([target], (3,), engines_of(ALL_METHODS))
     assert len(rows) == len(ALL_METHODS)
     # Each distinct DOF block once per cell would be 1,584 points per cell
     # (the uniform face block serves classical, vol and ef; fv and vol share
@@ -295,7 +295,7 @@ def test_grid_pass_evaluates_each_block_once(monkeypatch):
         monkeypatch.setattr(experiment, "_CHUNK_BUDGET", budget)
         alone = [l1_error(target, mesh, cfg) for cfg in configs]
         del points[:]
-        result = grid_search(TuningGrid("fv", grid, grid, (target,), (3,)), threads=2, meshes={3: mesh})
+        result = grid_search(TuningGrid("fv", grid, grid, (target,), (3,)), engines, threads=2, meshes={3: mesh})
         assert sum(points) == distinct_points(mesh, configs, rows)
         assert [p for *_, p in result.passes] == [sum(points)]
         assert list(result.surface.ravel()) == alone  # bitwise
@@ -320,13 +320,13 @@ def test_grid_surface_sums_the_study_rows_of_each_candidate(monkeypatch):
     functions, ns = (TARGETS["f2"], TARGETS["f6"]), (3, 4)
     grid = TuningGrid("vol", (0.25, 0.75), (1.0, 3.0), functions, ns)
     meshes = {}
-    result = grid_search(grid, meshes=meshes)
-    again = grid_search(grid, meshes=meshes)
+    result = grid_search(grid, grid_engines(grid), meshes=meshes)
+    again = grid_search(grid, grid_engines(grid), meshes=meshes)
     assert sorted(built) == [3, 4]  # the shared dict keeps the first call's meshes
     assert (again.surface == result.surface).all()
 
     configs = [StrategyConfig.of("vol", a, b) for a in grid.first for b in grid.second]
-    rows, passes = convergence_study(functions, ns, configs)
+    rows, passes = convergence_study(functions, ns, engines_of(configs))
     # The grid's passes are the study's, record for record but the seconds.
     assert [(f, n, p) for f, n, _, p in result.passes] == [(f, n, p) for f, n, _, p in passes]
     for k, cfg in enumerate(configs):
@@ -511,7 +511,7 @@ def test_refusal_counts_what_a_pass_allocates(configs, monkeypatch):
     settings, meshes, f = QuadSettings(), {10: build_mesh(10)}, TARGETS["f1"]
     tables = [_ErrorEngine(cfg, settings).table for cfg in configs]
     once = sum(t.nodes.nbytes + t.weights.nbytes for t in tables) + 8 * len(configs) * len(meshes[10])
-    list(_passes(configs, [f], (10,), settings, 1, meshes))  # builds the rules and the mesh's volumes
+    list(_passes(engines_of(configs, settings), [f], (10,), 1, meshes))  # builds the rules and the mesh's volumes
     default = 1 if configs[0].method_id == "ef" else 2
     for budget, at_least in ((experiment._CHUNK_BUDGET, default), (1_000_000, 3)):
         monkeypatch.setattr(experiment, "_CHUNK_BUDGET", budget)
@@ -522,7 +522,7 @@ def test_refusal_counts_what_a_pass_allocates(configs, monkeypatch):
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            list(_passes(configs, [f], (10,), settings, 1, meshes))
+            list(_passes(engines_of(configs, settings), [f], (10,), 1, meshes))
             grown = tracemalloc.get_traced_memory()[1] - before - once
         finally:
             tracemalloc.stop()
@@ -564,13 +564,13 @@ def test_study_computes_each_mesh_volume_once(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "det", counting_det)
     functions = [TARGETS[fid] for fid in ("f1", "f2", "f3")]
-    convergence_study(functions, (3, 4), [StrategyConfig.of("classical")])
+    convergence_study(functions, (3, 4), engines_of([StrategyConfig.of("classical")]))
     assert sorted(sweeps) == [48, 162]
 
 
 def test_convergence_study_classical_exact_on_affine_lift():
     f = TargetFunction("affine", lambda p: 2.0 * p[..., 0] - p[..., 1] + 0.25)
-    rows, _ = convergence_study([f], (4,), [StrategyConfig.of("classical")])
+    rows, _ = convergence_study([f], (4,), engines_of([StrategyConfig.of("classical")]))
     assert rows[0].l1_error < 1e-11
 
 
@@ -582,7 +582,7 @@ def test_grid_search_single_candidate():
         functions=(TARGETS["f1"],),
         ns=(3,),
     )
-    result = grid_search(grid)
+    result = grid_search(grid, grid_engines(grid))
     assert result.best == (1.0, 1.0)
     assert result.surface.shape == (1, 1)
 
@@ -595,7 +595,7 @@ def test_grid_search_surface_and_optimum():
         functions=(TARGETS["f1"],),
         ns=(3, 4),
     )
-    result = grid_search(grid)
+    result = grid_search(grid, grid_engines(grid))
     assert result.surface.shape == (2, 2)
     ia = grid.first.index(result.best[0])
     ib = grid.second.index(result.best[1])
@@ -618,12 +618,20 @@ def test_strict_minimizer_keeps_earlier_tie(monkeypatch):
     )
     # a unique minimum away from the first candidate
     errors.update({(1.0, 1.0): 2.0, (1.0, 2.0): 3.0, (2.0, 1.0): 1.0, (2.0, 2.0): 4.0})
-    result = grid_search(grid)
+    result = grid_search(grid, grid_engines(grid))
     assert (result.best, result.best_error) == ((2.0, 1.0), 1.0)
     # an all-equal surface: the first candidate in row-major order wins
     errors.update(dict.fromkeys(errors, 5.0))
-    result = grid_search(grid)
+    result = grid_search(grid, grid_engines(grid))
     assert (result.best, result.best_error) == ((1.0, 1.0), 5.0)
+
+
+def test_grid_search_takes_the_engines_of_its_grid_in_row_major_order():
+    grid = TuningGrid("ef", (1.0, 2.0), (1.0, 2.0), (TARGETS["f1"],), (3,))
+    engines = grid_engines(grid)
+    for wrong in (engines[::-1], engines[:3], engines_of([StrategyConfig.face_volume(1, 1)] * 4)):
+        with pytest.raises(ValueError, match="not the ef grid's row-major product"):
+            grid_search(grid, wrong)
 
 
 def test_grid_search_rejects_empty_grid():
@@ -666,7 +674,8 @@ def test_one_rule_per_density(monkeypatch):
     quadrature.simplex_rule.cache_clear()
     del calls[:]
     grid = _PARAM_FLAGS["alpha"][1]
-    grid_search(TuningGrid("fv", grid, grid, (TARGETS["f2"],), (3,)))
+    tuning = TuningGrid("fv", grid, grid, (TARGETS["f2"],), (3,))
+    grid_search(tuning, grid_engines(tuning))
     assert len(calls) == 13
 
 
