@@ -38,7 +38,6 @@ from .experiment import (
 from .mesh import TetMesh, build_mesh
 from .quadrature import (
     SimplexRule,
-    gauss_jacobi,
     simplex_rule_weighted,
 )
 from .simplex import (

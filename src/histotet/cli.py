@@ -283,8 +283,8 @@ def cmd_check(args):
     print("-" * len(header))
     failed = 0
     for cfg in configs:
-        try:  # admitted as project admits it
-            (engine,) = _check_study((), [cfg], QuadSettings())
+        try:  # admitted as every command admits it, at fixed settings and no mesh
+            engine = _ErrorEngine(cfg, QuadSettings())
         except (RuleError, UnisolvenceError) as err:
             print(f"error: {err}", file=sys.stderr)
             failed += 1
@@ -304,10 +304,11 @@ def cmd_check(args):
     return 0
 
 
-def _write_metadata(out, args, extra, passes):
-    """run_metadata.json: the run's settings, `extra`, and the wall seconds
-    and target points of each pass, given as (function id, n, seconds,
-    points) in pass order."""
+def _write_metadata(out, args, extra, engines, passes):
+    """run_metadata.json: the run's settings, `extra`, the admission numbers
+    of each engine in the order the command built them (cond(H), None for
+    classical, and r), and the wall seconds and target points of each pass,
+    given as (function id, n, seconds, points) in pass order."""
     meta = {
         "version": __version__,
         "quad_points_per_direction": args.quad_m,
@@ -322,6 +323,11 @@ def _write_metadata(out, args, extra, passes):
         ),
     }
     meta.update(extra)
+    meta["engines"] = [
+        {"method": e.cfg.method_id, "params": e.cfg.params_text(),
+         "cond": None if e.op is None else e.op.cond, "r": e.r}
+        for e in engines
+    ]
     meta["pass_seconds"] = [{"function": f, "n": n, "seconds": s} for f, n, s, _ in passes]
     meta["pass_points"] = [{"function": f, "n": n, "points": p} for f, n, _, p in passes]
     with open(out / "run_metadata.json", "w", encoding="utf-8") as handle:
@@ -362,6 +368,7 @@ def cmd_tune(args):
             "meshes": list(ns),
             "axes": [a_name, b_name],
         },
+        engines,
         result.passes,
     )
 
@@ -418,6 +425,7 @@ def cmd_converge(args):
             "meshes": list(ns),
             "methods": [f"{c.method_id}:{c.params_text()}" for c in methods],
         },
+        engines,
         passes,
     )
     print(f"{len(rows)} rows -> {csv_path} ({elapsed:.1f} s compute)")

@@ -1,4 +1,4 @@
-"""Gauss-Jacobi rules on [0,1] and collapsed tensor rules on simplices.
+"""Probability Gauss-Jacobi rules on [0,1] and collapsed tensor rules on simplices.
 
 Weighted simplex rules absorb a Dirichlet-type density exactly by collapsing
 the simplex onto a tensor cube (Duffy map): under the Dirichlet law each
@@ -20,17 +20,10 @@ class RuleError(ValueError):
     floating point (its density parameters are too large)."""
 
 
-def gauss_jacobi(m, a, b):
-    """(nodes, weights) of the m-point rule for integrals of g(t) t^a (1-t)^b
-    over [0,1].
-
-    Exact for polynomials g up to degree 2m - 1; the weights sum to the Beta
-    function B(a+1, b+1) (the mass of the weight itself).
-    """
-    if m < 1:
-        raise ValueError("node count m must be >= 1")
-    if a <= -1.0 or b <= -1.0:
-        raise ValueError("weight exponents must be > -1")
+def _jacobi_probability(m, a, b):
+    """(nodes, weights) of the m-point Gauss rule on [0,1] for the Beta(a+1,
+    b+1) probability density, proportional to t^a (1-t)^b: exact for
+    polynomials up to degree 2m - 1, with weights summing to 1."""
     # scipy's rule targets (1-x)^alpha (1+x)^beta on [-1,1]; map x = 2t - 1.
     # At a + b = -1 (e.g. the first collapsed axis of a volume dirichlet(0.25)
     # rule) scipy's recurrence computes a 0/0 term that it then discards; the
@@ -43,7 +36,7 @@ def gauss_jacobi(m, a, b):
             raise RuleError(message) from err
     if not (np.isfinite(x).all() and np.isfinite(w).all()):
         raise RuleError(message)
-    return 0.5 * (x + 1.0), w / 2.0 ** (a + b + 1.0)
+    return 0.5 * (x + 1.0), w / 2.0 ** (a + b + 1.0) / np.exp(betaln(a + 1.0, b + 1.0))
 
 
 @dataclass(frozen=True)
@@ -96,19 +89,15 @@ def simplex_rule_weighted(d, exponents, m):
         raise ValueError("node count m must be >= 1")
 
     conc = e + 1.0  # Dirichlet concentration parameters
-    node_axes, weight_axes = [], []
     # At large exponents (a + b + 1 > 1024 on an axis) the scale 2^(a+b+1)
-    # in gauss_jacobi overflows and the Beta normalizer underflows, leaving
-    # zero or NaN weights; the mass check below reports that instead.
+    # in _jacobi_probability overflows and the Beta normalizer underflows,
+    # leaving zero or NaN weights; the mass check below reports that instead.
+    # Each axis is a probability rule, so the product has mass 1 regardless
+    # of the Dirichlet normalizing constant.
     with np.errstate(all="ignore"):
-        for i in range(d):
-            a_i = conc[i] - 1.0
-            b_i = conc[i + 1 :].sum() - 1.0
-            nodes, weights = gauss_jacobi(m, a_i, b_i)
-            node_axes.append(nodes)
-            # Normalize each factor to a probability rule; the product then has
-            # mass exactly 1 regardless of the Dirichlet normalizing constant.
-            weight_axes.append(weights / np.exp(betaln(a_i + 1.0, b_i + 1.0)))
+        node_axes, weight_axes = zip(
+            *(_jacobi_probability(m, conc[i] - 1.0, conc[i + 1 :].sum() - 1.0) for i in range(d))
+        )
 
     node_grids = np.meshgrid(*node_axes, indexing="ij")
     weight_grids = np.meshgrid(*weight_axes, indexing="ij")

@@ -43,6 +43,22 @@ def test_check_small_grid_passes(capsys):
         assert all(row[3] != "-" for row in rows if row[0] == "ef")
 
 
+def test_default_check_estimates_no_memory(capsys, monkeypatch):
+    # check builds no mesh, chunk or output at fixed settings, so the memory
+    # refusal of the other commands can never fire there.
+    calls = []
+    estimate = cli.study_bytes
+
+    def counted(*args):
+        calls.append(args)
+        return estimate(*args)
+
+    monkeypatch.setattr(cli, "study_bytes", counted)
+    assert run(["check"]) == 0
+    capsys.readouterr()
+    assert calls == []
+
+
 def test_check_reports_blend_endpoint_closed_forms(capsys):
     # At theta 0 or 1, and at gamma = 1 (the uniform law) for any theta.
     for argv, count in [(["--theta", "0,1", "--gamma", "0.5,2,5"], 6), (["--theta", "0.5", "--gamma", "1"], 1)]:
@@ -499,6 +515,44 @@ def test_cli_import_leaves_out_heavy_modules():
     assert result.stdout.strip() == "[]"
 
 
+def _scoped_names(node, names, scope=None):
+    """(innermost enclosing def, name) of each Name or attribute in `names`
+    below an ast node; import statements hold neither."""
+    for child in ast.iter_child_nodes(node):
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope
+        ref = getattr(child, "id", None) if isinstance(child, ast.Name) else getattr(child, "attr", None)
+        if isinstance(child, (ast.Name, ast.Attribute)) and ref in names:
+            yield scope, ref
+        yield from _scoped_names(child, names, inner)
+
+
+def test_scipy_serves_only_the_jacobi_rule_and_the_dirichlet_moments():
+    # Only the two functions that the planned drop of scipy rewrites use it,
+    # and no test does.
+    files = {f"{path.parent.name}/{path.name}": path
+             for folder in (Path(histotet.__file__).parent, Path(__file__).parent)
+             for path in folder.glob("*.py")}
+    importers, uses = set(), set()
+    for label, path in files.items():
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            else:
+                modules = [node.module or ""] if isinstance(node, ast.ImportFrom) else []
+            if any(module.split(".")[0] == "scipy" for module in modules):
+                importers.add(label)
+        if label.startswith("histotet/"):
+            uses |= {(label, *use) for use in
+                     _scoped_names(tree, {"roots_jacobi", "betaln", "gammaln"})}
+    assert importers == {"histotet/quadrature.py", "histotet/simplex.py"}
+    assert uses == {
+        ("histotet/quadrature.py", "_jacobi_probability", "roots_jacobi"),
+        ("histotet/quadrature.py", "_jacobi_probability", "betaln"),
+        ("histotet/simplex.py", "dirichlet_expectation", "gammaln"),
+    }
+
+
 def test_internal_error_propagates(tmp_path, monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("internal failure")
@@ -647,6 +701,30 @@ def test_metadata_counts_the_target_points_of_each_pass(tmp_path, monkeypatch):
             assert sum(p["points"] for p in passes if p["function"] == fid) == tally[fid] > 0
         # Counting changes no output file.
         assert {path.name: path.read_bytes() for path in out.glob("*.csv")} == plain[name]
+
+
+def test_metadata_records_each_engine_as_admitted(tmp_path, capsys):
+    from histotet.experiment import _ErrorEngine
+
+    settings = QuadSettings(4, 4)
+    for argv, configs in [
+        (["converge", "--functions", "f1", "--n", "3", "--strategy", "classical,vol,ef"],
+         [StrategyConfig.of("classical"), StrategyConfig.of("vol", 0.5, 2.0),
+          StrategyConfig.of("ef", 2.0, 2.0)]),
+        (["tune", "--strategy", "fv", "--alpha", "1,2", "--beta", "0.5,3", "--functions", "f1",
+          "--n", "3"],
+         [StrategyConfig.of("fv", a, b) for a in (1.0, 2.0) for b in (0.5, 3.0)]),
+    ]:
+        out = tmp_path / argv[0]
+        assert run([*argv, "--quad-m", "4", "--error-degree", "4", "--out", str(out)]) == 0
+        meta = json.loads((out / "run_metadata.json").read_text())
+        want = []
+        for cfg in configs:
+            engine = _ErrorEngine(cfg, settings)
+            cond = None if engine.op is None else engine.op.cond
+            want.append({"method": cfg.method_id, "params": cfg.params_text(), "cond": cond, "r": engine.r})
+        assert meta["engines"] == want
+    capsys.readouterr()
 
 
 def test_tune_writes_surface(tmp_path, capsys):

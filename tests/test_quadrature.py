@@ -4,54 +4,56 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.special import gammaln
 
-from histotet import (
-    gauss_jacobi,
-    simplex_rule_weighted,
-)
+from histotet import simplex_rule_weighted
 from histotet.quadrature import RuleError, plain_points, simplex_rule
 from histotet.simplex import dirichlet_expectation
 from oracles import simplex_moment
 
 
 def beta_fn(x, y):
-    return math.exp(gammaln(x) + gammaln(y) - gammaln(x + y))
+    return math.exp(math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y))
+
+
+def segment_rule(a, b, m):
+    """(t, weights) of the 1-simplex rule for the density t^a (1-t)^b."""
+    rule = simplex_rule_weighted(1, (a, b), m)
+    return rule.nodes[:, 0], rule.weights
 
 
 def test_one_point_legendre_is_midpoint():
-    nodes, weights = gauss_jacobi(1, 0.0, 0.0)
+    nodes, weights = segment_rule(0.0, 0.0, 1)
     np.testing.assert_allclose(nodes, [0.5], atol=1e-15)
     np.testing.assert_allclose(weights, [1.0], atol=1e-15)
 
 
 def test_one_point_weighted_node_is_moment_ratio():
-    # weight t: node = (1/3)/(1/2), weight = integral of t
-    nodes, weights = gauss_jacobi(1, 1.0, 0.0)
+    # density 2t: node = E[t] = (1/3)/(1/2), weight = total probability
+    nodes, weights = segment_rule(1.0, 0.0, 1)
     np.testing.assert_allclose(nodes, [2.0 / 3.0], rtol=1e-14)
-    np.testing.assert_allclose(weights, [0.5], rtol=1e-14)
+    np.testing.assert_allclose(weights, [1.0], rtol=1e-14)
 
 
 def test_fractional_weight_against_gamma_oracle():
-    # integral of t^4 * t^0.5 (1-t)^1.5 dt = B(5.5, 2.5)
-    nodes, weights = gauss_jacobi(3, 0.5, 1.5)
+    # E[t^4] under the density t^0.5 (1-t)^1.5 / B(1.5, 2.5) = B(5.5, 2.5) / B(1.5, 2.5)
+    nodes, weights = segment_rule(0.5, 1.5, 3)
     val = float(np.dot(nodes**4, weights))
-    assert val == pytest.approx(beta_fn(5.5, 2.5), abs=1e-13)
+    assert val == pytest.approx(beta_fn(5.5, 2.5) / beta_fn(1.5, 2.5), abs=1e-13)
 
 
 @pytest.mark.parametrize("a,b", [(0.0, 0.0), (1.0, 0.0), (-0.5, 2.5), (4.0, 0.25)])
 def test_weight_mass_and_positivity(a, b):
-    nodes, weights = gauss_jacobi(6, a, b)
+    nodes, weights = segment_rule(a, b, 6)
     assert np.all(weights > 0.0)
-    assert weights.sum() == pytest.approx(beta_fn(a + 1.0, b + 1.0), rel=1e-13)
+    assert weights.sum() == pytest.approx(1.0, rel=1e-13)
     assert np.all((nodes > 0.0) & (nodes < 1.0))
 
 
 def test_gauss_jacobi_rejects_bad_exponents():
     with pytest.raises(ValueError):
-        gauss_jacobi(3, -1.0, 0.0)
+        simplex_rule_weighted(1, (-1.0, 0.0), 3)
     with pytest.raises(ValueError):
-        gauss_jacobi(0, 0.0, 0.0)
+        simplex_rule_weighted(1, (0.0, 0.0), 0)
 
 
 def test_dirichlet_quarter_rule_is_quiet_and_exact():
@@ -74,7 +76,7 @@ def test_gauss_jacobi_rejects_a_non_finite_rule(monkeypatch):
         quadrature, "roots_jacobi", lambda m, a, b: (np.full(m, np.nan), np.ones(m))
     )
     with pytest.raises(ValueError, match=r"\(m, a, b\) = \(3, 0.5, 2.0\)"):
-        gauss_jacobi(3, 0.5, 2.0)
+        simplex_rule_weighted(1, (0.5, 2.0), 3)
 
 
 @pytest.mark.parametrize("a, b, shown", [
@@ -83,7 +85,7 @@ def test_gauss_jacobi_rejects_a_non_finite_rule(monkeypatch):
     (1e9 - 1.0, 0.0, "(8, 999999999.0, 0.0)"),  # NaN nodes: edge_density(1e9, 1)
 ])
 def test_gauss_jacobi_names_a_rule_it_cannot_build_in_plain_numbers(a, b, shown):
-    # The edge rule's one axis is gauss_jacobi(8, a, b), with NumPy scalars.
+    # The edge rule's one axis is _jacobi_probability(8, a, b), with NumPy scalars.
     with pytest.raises(RuleError) as info:
         simplex_rule_weighted(1, (a, b), 8)
     assert str(info.value) == f"non-finite Gauss-Jacobi rule for (m, a, b) = {shown}"
