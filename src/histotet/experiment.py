@@ -566,7 +566,7 @@ class TuneResult:
     passes: tuple  # (function id, n, wall seconds, target points) of each pass, in pass order
 
 
-def grid_search(grid, engines, threads=1, meshes=None):
+def grid_search(grid, engines, threads=1):
     """Exhaustive bi-parametric search minimizing the accumulated L1 error.
 
     `engines` are the _ErrorEngine of each candidate pair, in row-major
@@ -578,11 +578,9 @@ def grid_search(grid, engines, threads=1, meshes=None):
     configs = [StrategyConfig.of(grid.kind, a, b) for a in grid.first for b in grid.second]
     if [e.cfg for e in engines] != configs:
         raise ValueError(f"the engines' configurations are not the {grid.kind} grid's row-major product")
-    if meshes is None:
-        meshes = {}
     surface = np.zeros((len(grid.first), len(grid.second)))
     passes = []
-    for errors, record in _passes(engines, grid.functions, grid.ns, threads, meshes):
+    for errors, record in _passes(engines, grid.functions, grid.ns, threads, {}):
         surface += np.reshape(errors, surface.shape)
         passes.append(record)
 

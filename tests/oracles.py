@@ -127,19 +127,6 @@ def exact_solve(h, d):
     return np.array([float(row[n]) for row in rows])
 
 
-def lu_pivots(a):
-    """|diag(U)| of the LU factorization of a square matrix with partial
-    pivoting (at each column, the row of largest magnitude leads), as LAPACK's
-    getrf pivots."""
-    u = np.array(a, dtype=float)
-    for col in range(len(u) - 1):
-        pivot = col + int(np.argmax(np.abs(u[col:, col])))
-        u[[col, pivot]] = u[[pivot, col]]
-        if u[col, col] != 0.0:
-            u[col + 1 :, col:] -= np.outer(u[col + 1 :, col] / u[col, col], u[col, col:])
-    return np.abs(np.diag(u))
-
-
 def dfv_entries(alpha, beta):
     """(d, v, u, w): closed-form entries of the face-volume moment matrix."""
     a, b = float(alpha), float(beta)

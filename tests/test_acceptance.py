@@ -1,9 +1,12 @@
-"""Acceptance suite: one test per release criterion, each printing a summary
-line (run with -s to see them; `pytest -v` shows one pass/fail line per
-criterion either way)."""
+"""Acceptance suite: one test per release criterion, each the one Tier-1
+statement of its paper identity and each printing a summary line (run with
+-s or -rP to see them; `pytest -v` shows one pass/fail line per criterion
+either way)."""
 
+import csv
 import time
 import warnings
+from itertools import product
 
 import numpy as np
 import pytest
@@ -15,9 +18,7 @@ from histotet import (
     TargetFunction,
     TuningGrid,
     assemble_H,
-    build_mesh,
     compute_dofs,
-    convergence_study,
     edge_density,
     edge_ortho_quadratic,
     grid_search,
@@ -30,7 +31,7 @@ from histotet.element import (
     edge_diagonal_entry,
 )
 from histotet.experiment import build_dof_table
-from conftest import engines_of, grid_engines, make_random_tet
+from conftest import grid_engines, make_random_tet
 from oracles import apply_functionals, assemble_D, barycentric, reconstruction
 from test_densities import _all_family_cases, analytic_residual, quadrature_residual
 
@@ -42,29 +43,62 @@ TUNED_DEFAULTS = [
     StrategyConfig.edge_face(2.0, 2.0),
 ]
 
+# Each family at its uniform law; vol's blend reaches it at gamma = 1 and at
+# theta = 1.
 UNIT_VARIANTS = [
     StrategyConfig.face_volume(1.0, 1.0),
     StrategyConfig.volumetric_blend(0.0, 1.0),
+    StrategyConfig.volumetric_blend(1.0, 1.0),
     StrategyConfig.edge_face(1.0, 1.0),
 ]
 
 
 def test_criterion_1_determinant_reproduction():
+    # The enriched block's determinant, by np.linalg.det of the moment
+    # engine's block and as check prints it (the ElementOperator of
+    # assemble_H: det, closed_form_det, rel_error, rank6), against the
+    # paper's closed forms.
     started = time.perf_counter()
 
+    # abs=0: pytest.approx's default absolute tolerance of 1e-12 would pass
+    # any determinant this small.
+    expected = 1.0 / (2.0 * 3**2 * 12.0**8 * 5**6 * 7**2)  # fv (1, 1)
     det11 = float(np.linalg.det(assemble_D(StrategyConfig.face_volume(1.0, 1.0))))
-    expected = 1.0 / (2.0 * 3**2 * 12.0**8 * 5**6 * 7**2)
-    assert det11 == pytest.approx(expected, rel=1e-10)
+    assert det11 == pytest.approx(expected, rel=1e-10, abs=0.0)
+    op = assemble_H(StrategyConfig.face_volume(1.0, 1.0))
+    assert op.det == pytest.approx(expected, rel=1e-10, abs=0.0)
+    assert op.closed_form_det == pytest.approx(expected, rel=1e-12, abs=0.0)
+    expected = 16.0 / (2.0**18 * 3**9 * 5**7 * 7**6)  # vol at the uniform law
+    assert det_dvol_closed(1.0) == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+    def reads(cfg, closed, tol):
+        op = assemble_H(cfg)
+        assert op.closed_form_det == closed and closed > 0.0, cfg
+        assert op.rel_error < tol and op.rank6, cfg
 
     for alpha in PARAM_GRID:
         for beta in PARAM_GRID:
-            det = float(np.linalg.det(assemble_D(StrategyConfig.face_volume(alpha, beta))))
+            cfg = StrategyConfig.face_volume(alpha, beta)
+            det = float(np.linalg.det(assemble_D(cfg)))
             closed = det_dfv_closed(alpha, beta)
             assert abs(det - closed) / closed < 1e-9, (alpha, beta)
+            reads(cfg, closed, 1e-9)
     for gamma in PARAM_GRID:
-        det = float(np.linalg.det(assemble_D(StrategyConfig.volumetric_blend(0.0, gamma))))
+        cfg = StrategyConfig.volumetric_blend(0.0, gamma)
+        det = float(np.linalg.det(assemble_D(cfg)))
         closed = det_dvol_closed(gamma)
         assert abs(det - closed) / closed < 1e-9, gamma
+        reads(cfg, closed, 1e-9)
+        # theta = 1 is the uniform law whatever gamma is
+        reads(StrategyConfig.volumetric_blend(1.0, gamma), det_dvol_closed(1.0), 1e-9)
+    # gamma = 1 is the uniform law whatever theta is
+    for theta in (0.25, 0.5, 0.75):
+        reads(StrategyConfig.volumetric_blend(theta, 1.0), det_dvol_closed(1.0), 1e-13)
+    # The ef block is the edge pivot times the identity: its closed form is
+    # the pivot to the sixth, on the grid and at the admissible corners.
+    corners = [(0.001, 0.001), (0.001, 500.0), (500.0, 0.001), (0.001, 1000.0), (1000.0, 1000.0)]
+    for zeta, nu in list(product(PARAM_GRID, PARAM_GRID)) + corners:
+        reads(StrategyConfig.edge_face(zeta, nu), edge_diagonal_entry(zeta, nu) ** 6, 1e-13)
 
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0
@@ -75,9 +109,12 @@ def test_criterion_2_spd_suite():
     started = time.perf_counter()
     for theta in (0.0, 0.25, 0.5, 1.0):
         for gamma in PARAM_GRID:
-            mat = assemble_D(StrategyConfig.volumetric_blend(theta, gamma))
+            cfg = StrategyConfig.volumetric_blend(theta, gamma)
+            mat = assemble_D(cfg)
             np.testing.assert_allclose(mat, mat.T, atol=1e-15)
             np.linalg.cholesky(mat)  # raises if not positive definite
+            op = assemble_H(cfg)  # check's verdicts on the same block
+            assert op.spd and op.rank6, (theta, gamma)
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0
     print(f"criterion 2 PASSED: volumetric matrices SPD on the blend grid ({elapsed:.3f} s)")
@@ -128,8 +165,10 @@ def test_criterion_4_reproduction_suite(rng):
 
 def test_criterion_5_kronecker_and_projector(rng):
     started = time.perf_counter()
-    for cfg in TUNED_DEFAULTS:
+    for cfg in TUNED_DEFAULTS + UNIT_VARIANTS:
         op = assemble_H(cfg)
+        assert np.max(np.abs(op.h @ op.h_inv - np.eye(10))) < 1e-10, cfg.method_id
+        assert np.max(np.abs(op.h_inv @ op.h - np.eye(10))) < 1e-10, cfg.method_id
         for ell in range(10):
             values = apply_functionals(build_functionals(cfg), BaryQuadratic("volume", op.h_inv[:, ell]))
             assert np.max(np.abs(values - np.eye(10)[ell])) < 1e-10, (cfg.method_id, ell)
@@ -137,7 +176,7 @@ def test_criterion_5_kronecker_and_projector(rng):
     tets = [make_random_tet(rng) for _ in range(20)]
     for cfg in TUNED_DEFAULTS:
         op, table = assemble_H(cfg), build_dof_table(cfg)
-        for fid in ("f3", "f4"):
+        for fid in ("f3", "f4", "f5"):
             f = TARGETS[fid]
             for tet in tets:
                 dofs = compute_dofs(f, tet, table)
@@ -179,8 +218,8 @@ def test_criterion_6_edge_polynomial_oracle(rng):
     q11 = edge_ortho_quadratic(edge_density(1.0, 1.0))
     integrand = t * (1.0 - t) * q11(t)
     brute = 0.5 * float(np.dot(integrand, w))
-    assert brute == pytest.approx(-1.0 / 180.0, rel=1e-12)
-    assert edge_diagonal_entry(1.0, 1.0) == pytest.approx(-1.0 / 180.0, rel=1e-12)
+    assert brute == pytest.approx(-1.0 / 180.0, rel=1e-12, abs=0.0)
+    assert edge_diagonal_entry(1.0, 1.0) == pytest.approx(-1.0 / 180.0, rel=1e-12, abs=0.0)
 
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0
@@ -199,32 +238,49 @@ def _check_monotone(errors, tolerance=0.05):
     return inversions <= 1
 
 
-def test_criterion_7_convergence_reproduction():
-    started = time.perf_counter()
-    functions = [TARGETS[fid] for fid in ("f1", "f3", "f5")]
-    ns = (5, 10, 15)
-    methods = [StrategyConfig.of("classical")] + TUNED_DEFAULTS
-    rows, _ = convergence_study(functions, ns, engines_of(methods))
+@pytest.fixture(scope="module")
+def converge_runs(tmp_path_factory):
+    """errors.csv of two consecutive `histotet converge --functions f1,f3,f5
+    --n 5,10,15` runs with the default methods, and each run's seconds:
+    criterion 7 reads the first, criterion 9 compares the two."""
+    root = tmp_path_factory.mktemp("converge")
+    outputs, seconds = [], []
+    for run_dir in (root / "first", root / "second"):
+        started = time.perf_counter()
+        argv = ["converge", "--functions", "f1,f3,f5", "--n", "5,10,15", "--out", str(run_dir)]
+        assert cli_main(argv) == 0
+        outputs.append((run_dir / "errors.csv").read_bytes())
+        seconds.append(time.perf_counter() - started)
+    return outputs, seconds
 
-    table = {(r.function, r.method, r.n): r.l1_error for r in rows}
-    for f in functions:
+
+def test_criterion_7_convergence_reproduction(converge_runs):
+    started = time.perf_counter()
+    (first, _), (study_seconds, _) = converge_runs
+    functions, ns = ("f1", "f3", "f5"), (5, 10, 15)
+    rows = list(csv.DictReader(first.decode().splitlines()))
+    methods = [StrategyConfig.of("classical")] + TUNED_DEFAULTS
+    assert {(r["method"], r["params"]) for r in rows} == {(c.method_id, c.params_text()) for c in methods}
+
+    table = {(r["function"], r["method"], int(r["n"])): float(r["l1_error"]) for r in rows}
+    for fid in functions:
         for n in (10, 15):
-            classical = table[(f.id, "classical", n)]
+            classical = table[(fid, "classical", n)]
             for cfg in TUNED_DEFAULTS:
-                quad = table[(f.id, cfg.method_id, n)]
-                assert quad < classical, (f.id, cfg.method_id, n, quad, classical)
+                quad = table[(fid, cfg.method_id, n)]
+                assert quad < classical, (fid, cfg.method_id, n, quad, classical)
         for method in ("classical", "fv", "vol", "ef"):
-            series = [table[(f.id, method, n)] for n in ns]
-            assert _check_monotone(series), (f.id, method, series)
+            series = [table[(fid, method, n)] for n in ns]
+            assert _check_monotone(series), (fid, method, series)
             # Observed order from n = 10 to 15, with h = 1 / (n - 1): 2 for
             # the affine classical scheme, 3 for the quadratic strategies.
             order = np.log(series[1] / series[2]) / np.log(14 / 9)
             if method == "classical":
-                assert 1.8 <= order <= 2.4, (f.id, method, order)
+                assert 1.8 <= order <= 2.4, (fid, method, order)
             else:
-                assert order >= 2.8, (f.id, method, order)
+                assert order >= 2.8, (fid, method, order)
 
-    elapsed = time.perf_counter() - started
+    elapsed = study_seconds + time.perf_counter() - started
     assert elapsed < 300.0
     print(
         "criterion 7 PASSED: every quadratic strategy beats classical at "
@@ -244,11 +300,10 @@ def test_criterion_8_tuning_reproduction():
         "ef": ((1.0, 2.0), (1.0, 2.0)),
     }
 
-    meshes = {}
     findings = []
     for kind, (first, second) in grids.items():
         grid = TuningGrid(kind=kind, first=first, second=second, functions=functions, ns=ns)
-        result = grid_search(grid, grid_engines(grid), meshes=meshes)
+        result = grid_search(grid, grid_engines(grid))
         assert result.surface.shape == (len(first), len(second))
         assert np.all(result.surface > 0.0)
         assert result.best[0] in first and result.best[1] in second
@@ -270,25 +325,13 @@ def test_criterion_8_tuning_reproduction():
     print(f"criterion 8 PASSED (soft): {summary} ({elapsed:.1f} s)")
 
 
-def test_criterion_9_converge_determinism(tmp_path):
-    started = time.perf_counter()
-    args = [
-        "converge",
-        "--functions", "f1,f3,f5",
-        "--n", "5,10,15",
-        "--out", None,  # placeholder, replaced per run
-    ]
-    outputs = []
-    for run_dir in (tmp_path / "first", tmp_path / "second"):
-        argv = args[:-1] + [str(run_dir)]
-        assert cli_main(argv) == 0
-        outputs.append((run_dir / "errors.csv").read_bytes())
-
+def test_criterion_9_converge_determinism(converge_runs):
+    outputs, seconds = converge_runs
     assert outputs[0] == outputs[1], "consecutive converge runs differ"
     n_rows = outputs[0].decode().strip().count("\n")
     assert n_rows == 3 * 3 * 4  # functions x meshes x methods
 
-    elapsed = time.perf_counter() - started
+    elapsed = sum(seconds)
     assert elapsed < 600.0
     print(
         "criterion 9 PASSED: two consecutive converge runs produced "

@@ -883,7 +883,8 @@ def test_project_refuses_non_finite_values(capsys, monkeypatch, argv, dofs, mess
 #: Functions of src/ that no command enters, each with its reason; any other
 #: function that no command enters is a helper that only tests call.
 _UNCALLED = {
-    # perfbench/ calls these seven; the planned drop of scipy moves them.
+    # perfbench/ calls these seven; they leave src/ once perfbench reads the
+    # pass's own stage timings instead of patching src/.
     "unisolvence_check",
     "_ErrorEngine.l1_on_mesh",
     "StrategyConfig.face_volume",

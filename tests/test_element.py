@@ -39,18 +39,14 @@ from histotet.densities import (
 from histotet.experiment import REPRODUCTION_TOL, QuadSettings, _ErrorEngine
 from histotet.simplex import EDGE_PAIRS, FACE_VERTEX_INDICES
 from oracles import (
-    apply_functionals,
     assemble_D,
     cell_values,
     dfv_entries,
     dvol_entries,
     exact_solve,
-    lu_pivots,
     reconstruction,
     symmetric_quadratic_density,
 )
-
-PARAM_GRID = (0.5, 1.0, 2.0, 5.0)
 
 CONFIGS = [
     StrategyConfig.face_volume(2.0, 2.0),
@@ -176,65 +172,6 @@ def test_functional_lifts_onto_their_domain():
     assert [f.vertices for f in edge_funcs] == [(j, i) for i, j in EDGE_PAIRS]
 
 
-def test_fv_determinant_example1():
-    rep = unisolvence_check(StrategyConfig.face_volume(1.0, 1.0))
-    expected = 1.0 / (2.0 * 3**2 * 12.0**8 * 5**6 * 7**2)
-    assert rep.det == pytest.approx(expected, rel=1e-10)
-    assert rep.closed_form_det == pytest.approx(expected, rel=1e-12)
-
-
-def test_fv_determinants_on_grid():
-    for alpha in PARAM_GRID:
-        for beta in PARAM_GRID:
-            rep = unisolvence_check(StrategyConfig.face_volume(alpha, beta))
-            assert rep.closed_form_det == det_dfv_closed(alpha, beta)
-            assert rep.closed_form_det > 0.0
-            assert rep.rel_error < 1e-9
-            assert rep.rank6
-
-
-def test_vol_determinants_on_grid():
-    for gamma in PARAM_GRID:
-        rep = unisolvence_check(StrategyConfig.volumetric_blend(0.0, gamma))
-        assert rep.closed_form_det == det_dvol_closed(gamma)
-        assert rep.rel_error < 1e-9
-        assert rep.rank6 and rep.spd
-        # theta=1 is the uniform law whatever gamma is
-        rep = unisolvence_check(StrategyConfig.volumetric_blend(1.0, gamma))
-        assert rep.closed_form_det == det_dvol_closed(1.0)
-        assert rep.rel_error < 1e-9
-    # gamma=1 is the uniform law whatever theta is
-    for theta in (0.25, 0.5, 0.75):
-        rep = unisolvence_check(StrategyConfig.volumetric_blend(theta, 1.0))
-        assert rep.closed_form_det == det_dvol_closed(1.0)
-        assert rep.rel_error < 1e-13
-
-
-def test_ef_determinants_on_grid():
-    # The ef block is the edge pivot times the identity: its closed form is
-    # the pivot to the sixth, on the grid and at the admissible corners.
-    corners = [(0.001, 0.001), (0.001, 500.0), (500.0, 0.001), (0.001, 1000.0), (1000.0, 1000.0)]
-    for zeta, nu in list(product(PARAM_GRID, PARAM_GRID)) + corners:
-        rep = unisolvence_check(StrategyConfig.edge_face(zeta, nu))
-        assert rep.closed_form_det == edge_diagonal_entry(zeta, nu) ** 6
-        assert rep.rel_error < 1e-13, (zeta, nu)
-        assert rep.rank6
-
-
-def test_vol_determinant_gamma1_value():
-    assert det_dvol_closed(1.0) == pytest.approx(
-        16.0 / (2.0**18 * 3**9 * 5**7 * 7**6), rel=1e-13
-    )
-
-
-def test_blend_spd_sweep():
-    for theta in (0.0, 0.25, 0.5, 1.0):
-        for gamma in PARAM_GRID:
-            rep = unisolvence_check(StrategyConfig.volumetric_blend(theta, gamma))
-            assert rep.spd, (theta, gamma)
-            assert rep.rank6
-
-
 DEFAULT_GRID_CONFIGS = [
     StrategyConfig.of(method, *params)
     for method in ("fv", "vol", "ef")
@@ -284,16 +221,6 @@ def test_functional_matrix_blocks():
     np.testing.assert_allclose(op.h[4:, 4:], assemble_D(cfg), atol=1e-18)
 
 
-def test_inverse_and_kronecker():
-    for cfg in CONFIGS:
-        op = assemble_H(cfg)
-        np.testing.assert_allclose(op.h @ op.h_inv, np.eye(10), atol=1e-10)
-        # analytic functionals applied to every basis column give e_l
-        for ell in range(10):
-            values = apply_functionals(build_functionals(cfg), BaryQuadratic("volume", op.h_inv[:, ell]))
-            np.testing.assert_allclose(values, np.eye(10)[ell], atol=1e-10)
-
-
 CLASSICAL = StrategyConfig.of("classical")
 
 
@@ -304,32 +231,6 @@ def test_classical_project_examples():
     np.testing.assert_allclose(kron.coeffs[:4], [-2, 1, 1, 1], atol=1e-15)
     lam1 = reconstruction(CLASSICAL, [0.0, 1 / 3, 1 / 3, 1 / 3])
     np.testing.assert_allclose(lam1.coeffs, [1, 0, 0, 0, 0, 0, 0, 0, 0, 0], atol=1e-14)
-
-
-def test_classical_reproduces_affines(rng):
-    for _ in range(50):
-        coeff = rng.normal(size=4)
-        averages = (np.ones((4, 4)) - np.eye(4)) / 3.0 @ coeff
-        poly = reconstruction(CLASSICAL, averages)
-        lam = rng.dirichlet(np.ones(4), size=20)
-        np.testing.assert_allclose(poly(lam), lam @ coeff, atol=1e-12)
-
-
-def test_reconstruct_monomials_and_basis_columns():
-    for cfg in CONFIGS:
-        op = assemble_H(cfg)
-        for c in range(10):
-            dofs = op.h[:, c]  # analytic DOFs of the c-th monomial
-            poly = reconstruction(cfg, dofs)
-            expected = np.zeros(10)
-            expected[c] = 1.0
-            np.testing.assert_allclose(poly.coeffs, expected, atol=1e-10)
-        for ell in (0, 4, 9):
-            e = np.zeros(10)
-            e[ell] = 1.0
-            np.testing.assert_allclose(
-                reconstruction(cfg, e).coeffs, op.h_inv[:, ell], atol=1e-15
-            )
 
 
 def test_evaluate_basics():
@@ -398,24 +299,6 @@ def test_singular_functionals_raise(monkeypatch):
         assemble_H(cfg)
 
 
-def _lu_pivot_rank6(dmat):
-    """The rank-6 test the SVD verdict replaced: every LU pivot above 1e-14
-    times the largest entry, and a determinant above 1e-300."""
-    pivots = lu_pivots(dmat)
-    return bool(
-        np.all(pivots > 1e-14 * np.max(np.abs(dmat)))
-        and abs(np.linalg.det(dmat)) > 1e-300
-    )
-
-
-def test_singular_value_verdict_equals_lu_pivot_verdict():
-    grid = np.geomspace(1e-3, 200.0, 15)
-    configs = [StrategyConfig.of(m, a, b) for m in ("fv", "ef") for a in grid for b in grid]
-    configs += [StrategyConfig.of("vol", t, g) for t in np.linspace(0.0, 1.0, 15) for g in grid]
-    for cfg in configs:
-        assert unisolvence_check(cfg).rank6 == _lu_pivot_rank6(assemble_D(cfg)), cfg
-
-
 def _with_smallest_singular_value(dmat, ratio):
     """dmat with its smallest singular value set to ratio times the largest."""
     u, s, vt = np.linalg.svd(dmat)
@@ -423,16 +306,22 @@ def _with_smallest_singular_value(dmat, ratio):
     return (u * s) @ vt
 
 
-@pytest.mark.parametrize("ratio", [0.0, 1e-15])
+@pytest.mark.parametrize("ratio", [0.0, 1e-15, 1e-13])
 @pytest.mark.parametrize("cfg", CONFIGS[:3], ids=lambda c: c.method_id)
 def test_rank_deficient_blocks_are_rejected(monkeypatch, cfg, ratio):
     # ratio 0 is a rank-5 block, 1e-15 a near-singular one; both fall below
-    # RANK_RTOL, in the report and in assembly alike.
+    # RANK_RTOL, in the report and in assembly alike.  1e-13, on the other
+    # side, is admitted.
+    admitted = ratio == 1e-13
     bad = _with_smallest_singular_value(assemble_D(cfg), ratio)
     s = np.linalg.svd(bad, compute_uv=False)
-    assert s[-1] < RANK_RTOL * s[0] and s[-2] > 1e-3 * s[0]
+    assert (s[-1] > RANK_RTOL * s[0]) == admitted and s[-2] > 1e-3 * s[0]
     monkeypatch.setattr(element, "_enriched_block", lambda functionals: bad)
     rep = unisolvence_check(cfg)
+    if admitted:
+        assert rep.rank6 is True and rep.ok
+        assert assemble_H(cfg).h_inv is not None
+        return
     assert rep.rank6 is False and not rep.ok
     assert rep.block_cond > 1.0 / RANK_RTOL
     with pytest.raises(UnisolvenceError, match="singular values range from"):
