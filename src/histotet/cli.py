@@ -449,11 +449,11 @@ def _finite(values, f, stage):
 def cmd_project(args):
     methods = _method_ids(args, "fv")
     if len(methods) != 1:
-        raise CliError(f"project takes exactly one strategy, got {methods}")
+        raise CliError(f"--strategy: project takes exactly one strategy, got {methods}")
     (cfg,) = _parameters(args, methods[0], single=True)[1]
     ids, functions = _targets(args.functions, ["f4"])
     if len(ids) != 1:
-        raise CliError(f"project takes exactly one function id, got {ids}")
+        raise CliError(f"--functions: project takes exactly one function id, got {ids}")
     (f,) = functions
 
     if args.tet is not None:

@@ -433,14 +433,12 @@ def _l1_errors(engines, f, mesh, threads=1):
     ]
 
 
-def _passes(engines, functions, ns, threads, meshes):
-    """The study loop: add the meshes missing from `meshes` to it, and yield
-    (errors by engine, record) for each (function, mesh) pass,
-    function-major.  The record, (function id, n, wall seconds, target points
-    evaluated), is the pass's one measurement."""
-    for n in ns:
-        if n not in meshes:
-            meshes[n] = build_mesh(n)
+def _passes(engines, functions, ns, threads):
+    """The study loop: build each mesh once, and yield (errors by engine,
+    record) for each (function, mesh) pass, function-major.  The record,
+    (function id, n, wall seconds, target points evaluated), is the pass's
+    one measurement."""
+    meshes = {n: build_mesh(n) for n in ns}
     for f in functions:
         for n in ns:
             calls = []  # points per target call; list.append is safe across threads
@@ -528,7 +526,7 @@ def convergence_study(functions, ns, engines, threads=1):
     appear in method-major, function, mesh order and the numbers are
     deterministic for fixed settings.
     """
-    passes = list(_passes(engines, functions, ns, threads, {}))
+    passes = list(_passes(engines, functions, ns, threads))
     rows = [
         ErrorRow(f, n, e.cfg.method_id, e.cfg.params_text(), errors[i])
         for i, e in enumerate(engines)
@@ -580,7 +578,7 @@ def grid_search(grid, engines, threads=1):
         raise ValueError(f"the engines' configurations are not the {grid.kind} grid's row-major product")
     surface = np.zeros((len(grid.first), len(grid.second)))
     passes = []
-    for errors, record in _passes(engines, grid.functions, grid.ns, threads, {}):
+    for errors, record in _passes(engines, grid.functions, grid.ns, threads):
         surface += np.reshape(errors, surface.shape)
         passes.append(record)
 

@@ -5,9 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from histotet.densities import FACE_BASIS_EXPONENTS, VOLUME_BASIS_EXPONENTS, BaryQuadratic, Density
+from histotet.densities import FACE_BASIS_EXPONENTS, VOLUME_BASIS_EXPONENTS, Density
 from histotet.element import _enriched_block, _functional_matrix, build_functionals
-from histotet.experiment import QuadSettings, _ErrorEngine, _l1_errors
 from histotet.simplex import dirichlet_expectation
 
 
@@ -156,16 +155,3 @@ def cell_values(f, vertices, cells, nodes):
     coordinates, one cell at a time.  The reference for the point mapping of
     experiment._mapped."""
     return f(np.array([nodes @ vertices[cell] for cell in cells]))
-
-
-def l1_error(f, mesh, cfg, settings=QuadSettings(), threads=1):
-    """L1 reconstruction error of one strategy for one function on one mesh,
-    scored in a pass of its own."""
-    return _l1_errors([_ErrorEngine(cfg, settings)], f, mesh, threads)[0]
-
-
-def reconstruction(cfg, dofs, settings=QuadSettings()):
-    """The volume quadratic with degrees of freedom `dofs` under `cfg`, from
-    _ErrorEngine.coefficients: the one reconstruction map of project and of
-    every mesh pass."""
-    return BaryQuadratic("volume", _ErrorEngine(cfg, settings).coefficients(np.asarray(dofs, dtype=float)))

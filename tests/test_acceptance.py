@@ -31,8 +31,8 @@ from histotet.element import (
     edge_diagonal_entry,
 )
 from histotet.experiment import build_dof_table
-from conftest import grid_engines, make_random_tet
-from oracles import apply_functionals, assemble_D, barycentric, reconstruction
+from conftest import grid_engines, make_random_tet, reconstruction
+from oracles import apply_functionals, assemble_D, barycentric
 from test_densities import _all_family_cases, analytic_residual, quadrature_residual
 
 PARAM_GRID = (0.5, 1.0, 2.0, 5.0)

@@ -208,11 +208,11 @@ def _case(case_id, argv, message, rows=None):
     _case("tune-all", ["tune", "--strategy", "all"], _TUNE),
     _case("tune-two-methods", ["tune", "--strategy", "fv,vol"], _TUNE),
     _case("test_project_rejects_bad_input-argv0-exactly one strategy", ["project", "--strategy", "vol,ef"],
-          "project takes exactly one strategy, got ['vol', 'ef']"),
+          "--strategy: project takes exactly one strategy, got ['vol', 'ef']"),
     _case("test_project_rejects_bad_input-argv1-exactly one strategy", ["project", "--strategy", "all"],
-          "project takes exactly one strategy, got ['classical', 'fv', 'vol', 'ef']"),
+          "--strategy: project takes exactly one strategy, got ['classical', 'fv', 'vol', 'ef']"),
     _case("test_project_rejects_bad_input-argv2-exactly one function", ["project", "--functions", "f1,f2"],
-          "project takes exactly one function id, got ['f1', 'f2']"),
+          "--functions: project takes exactly one function id, got ['f1', 'f2']"),
     _case("test_project_rejects_bad_input-argv3-degenerate", ["project", "--tet", "0,0,0,1,0,0,2,0,0,3,0,0"],
           "--tet: degenerate tetrahedron (zero volume)"),
     # A face Dirichlet(alpha) rule overflows its Gauss-Jacobi weights near
@@ -586,30 +586,6 @@ def test_converge_csv_schema_and_determinism(tmp_path):
     assert (out1 / "run_metadata.json").exists()
     tree = ET.parse(out1 / "convergence_f1.svg")
     assert tree.getroot().tag.endswith("svg")
-
-
-def test_thread_count_moves_no_byte(tmp_path, monkeypatch):
-    # A budget of 20,000 scalars splits n = 4 into several chunks, each
-    # filling its own workspace: the default methods, vol and fv grids that
-    # share blocks across engines, the default fv grid, which holds all six
-    # alpha face sources, and a gamma = 1 blend, which scatters one source
-    # into two blocks of one engine.
-    from histotet import experiment
-
-    monkeypatch.setattr(experiment, "_CHUNK_BUDGET", 20_000)
-    for i, argv in enumerate([
-        ["converge"],
-        ["tune", "--strategy", "vol", "--theta", "0,0.5", "--gamma", "1,2"],
-        ["tune", "--strategy", "fv", "--alpha", "1,2", "--beta", "1,2"],
-        ["tune", "--strategy", "fv"],
-        ["tune", "--strategy", "vol", "--theta", "0.5", "--gamma", "1"],
-    ]):
-        written = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"{i}-{threads}"
-            assert run([*argv, "--functions", "f8", "--n", "4", "--threads", threads, "--out", str(out)]) == 0
-            written.append({path.name: path.read_bytes() for path in out.glob("*.csv")})
-        assert written[0] == written[1]
 
 
 def test_converge_at_the_ef_corner_exits_0_quietly(tmp_path, capsys):

@@ -324,12 +324,12 @@ def test_single_component_rule_is_the_weighted_rule():
 def test_face_mean_is_third_for_every_alpha():
     for alpha in PARAM_GRID:
         dens = face_density(alpha)
-        assert dens.moment((1, 0, 0)) == pytest.approx(1 / 3, rel=1e-14)
+        assert dens.moment((1, 0, 0)) == pytest.approx(1 / 3, rel=1e-14, abs=0.0)
 
 
 def test_face_pair_moment_alpha2():
     dens = face_density(2.0)
-    assert dens.moment((1, 1, 0)) == pytest.approx(2 / 21, rel=1e-14)
+    assert dens.moment((1, 1, 0)) == pytest.approx(2 / 21, rel=1e-14, abs=0.0)
 
 
 def test_every_density_has_unit_mass():

@@ -38,13 +38,13 @@ from histotet.densities import (
 )
 from histotet.experiment import REPRODUCTION_TOL, QuadSettings, _ErrorEngine
 from histotet.simplex import EDGE_PAIRS, FACE_VERTEX_INDICES
+from conftest import reconstruction
 from oracles import (
     assemble_D,
     cell_values,
     dfv_entries,
     dvol_entries,
     exact_solve,
-    reconstruction,
     symmetric_quadratic_density,
 )
 
@@ -76,17 +76,17 @@ def test_dfv_matrix_uniform_case():
     mat = assemble_D(StrategyConfig.face_volume(1.0, 1.0))
     np.testing.assert_allclose(mat, example1_matrix(), rtol=1e-14)
     d, v, u, w = dfv_entries(1.0, 1.0)
-    assert d == pytest.approx(-1 / 360, rel=1e-15)
-    assert v == pytest.approx(11 / 12600, rel=1e-15)
-    assert w == pytest.approx(1 / 12600, rel=1e-15)
-    assert u == pytest.approx(-1 / 8400, rel=1e-15)
+    assert d == pytest.approx(-1 / 360, rel=1e-15, abs=0.0)
+    assert v == pytest.approx(11 / 12600, rel=1e-15, abs=0.0)
+    assert w == pytest.approx(1 / 12600, rel=1e-15, abs=0.0)
+    assert u == pytest.approx(-1 / 8400, rel=1e-15, abs=0.0)
 
 
 def test_dvol_entries_gamma1():
     s, t, z = dvol_entries(1.0)
-    assert s == pytest.approx(11 / 12600, rel=1e-15)
-    assert t == pytest.approx(-1 / 8400, rel=1e-15)
-    assert z == pytest.approx(1 / 12600, rel=1e-15)
+    assert s == pytest.approx(11 / 12600, rel=1e-15, abs=0.0)
+    assert t == pytest.approx(-1 / 8400, rel=1e-15, abs=0.0)
+    assert z == pytest.approx(1 / 12600, rel=1e-15, abs=0.0)
 
 
 def test_edge_matrix_uniform_diagonal():
@@ -94,7 +94,7 @@ def test_edge_matrix_uniform_diagonal():
     np.testing.assert_allclose(np.diag(mat), -1 / 180, rtol=1e-13)
     off = mat - np.diag(np.diag(mat))
     assert np.max(np.abs(off)) == 0.0  # vanishes by edge restriction, exactly
-    assert edge_diagonal_entry(1.0, 1.0) == pytest.approx(-1 / 180, rel=1e-13)
+    assert edge_diagonal_entry(1.0, 1.0) == pytest.approx(-1 / 180, rel=1e-13, abs=0.0)
 
 
 def test_symmetric_quadratic_matrix_from_moment_engine():

@@ -19,8 +19,8 @@ from histotet import (
 )
 from histotet.experiment import build_dof_table
 from histotet.quadrature import plain_points, simplex_rule
-from conftest import engines_of, grid_engines, make_random_tet
-from oracles import barycentric, evaluate_by_exponents, l1_error
+from conftest import engines_of, grid_engines, l1_error, make_random_tet
+from oracles import barycentric, cell_values, evaluate_by_exponents
 
 QUADRATIC_CONFIGS = [
     StrategyConfig.face_volume(2.0, 2.0),
@@ -62,8 +62,8 @@ def test_pair_monomial_dofs_match_operator_column(rng):
     dofs = compute_dofs(f, tet, build_dof_table(cfg))
     np.testing.assert_allclose(dofs, op.h[:, 4], atol=1e-12)
     # the pair monomial survives only on the two faces that contain its edge
-    assert dofs[6] == pytest.approx(-1 / 360, rel=1e-10)
-    assert dofs[7] == pytest.approx(-1 / 360, rel=1e-10)
+    assert dofs[6] == pytest.approx(-1 / 360, rel=1e-10, abs=0.0)
+    assert dofs[7] == pytest.approx(-1 / 360, rel=1e-10, abs=0.0)
 
 
 def test_geometry_independence_of_dofs(rng):
@@ -93,26 +93,6 @@ def test_classical_reproduces_affines_in_l1():
     mesh = build_mesh(5)
     f = TargetFunction("affine", lambda p: 1.0 - p[..., 0] + 3.0 * p[..., 1])
     assert l1_error(f, mesh, StrategyConfig.of("classical")) < 1e-11
-
-
-def test_thread_count_does_not_change_results(monkeypatch):
-    from histotet import experiment
-
-    mesh = build_mesh(6)
-    engine = experiment._ErrorEngine(StrategyConfig.volumetric_blend(0.5, 2.0), QuadSettings())
-    f = TARGETS["f2"]
-    single_chunk = engine.l1_on_mesh(f, mesh, threads=1)
-    # 750 cells fit in one default chunk; shrink the budget to 200 cells per
-    # chunk, so that threads=2 really runs on the pool.
-    n_pts = len(engine.table.nodes) + plain_points(3, 8) ** 3
-    monkeypatch.setattr(experiment, "_CHUNK_BUDGET", 200 * n_pts)
-    assert len(experiment._chunk_slices(len(mesh), 200)) == 4
-    serial = engine.l1_on_mesh(f, mesh, threads=1)
-    threaded = engine.l1_on_mesh(f, mesh, threads=2)
-    assert serial == threaded  # bitwise: fixed chunking and reduction order
-    # Chunk partials are summed after each chunk's dot product, so another
-    # chunk size may round differently in the last bits.
-    assert serial == pytest.approx(single_chunk, rel=1e-14)
 
 
 def test_non_finite_error_raises():
@@ -169,27 +149,6 @@ def test_convergence_study_shape_and_rows():
 
 
 ALL_METHODS = [StrategyConfig.of("classical")] + QUADRATIC_CONFIGS
-
-
-def test_study_rows_equal_stand_alone_errors_for_any_chunking(monkeypatch):
-    from histotet import experiment
-
-    mesh = build_mesh(4)
-    n_err = plain_points(3, 8) ** 3
-    sizes = [len(experiment.build_dof_table(cfg).nodes) for cfg in ALL_METHODS]
-    monkeypatch.setattr(experiment, "_CHUNK_BUDGET", 50_000)
-    blocks = [50_000 // (size + n_err) for size in sizes]
-    # Four different chunkings of the mesh; the pass runs on the smallest.
-    assert len(set(blocks)) == 4 and max(blocks) < len(mesh)
-    functions = [TARGETS["f2"], TARGETS["f7"]]
-    for threads in (1, 2):
-        rows, passes = convergence_study(functions, (4,), engines_of(ALL_METHODS), threads=threads)
-        expected = [
-            l1_error(f, mesh, cfg, threads=threads) for cfg in ALL_METHODS for f in functions
-        ]
-        assert [r.l1_error for r in rows] == expected  # bitwise
-        # One record per (function, mesh) pass, shared by every method's rows.
-        assert [(f, n) for f, n, _, _ in passes] == [("f2", 4), ("f7", 4)]
 
 
 def distinct_points(mesh, configs, rows, error_nodes=216):
@@ -266,14 +225,10 @@ def test_grid_pass_evaluates_each_block_once(monkeypatch):
     # volume blocks of 512 nodes and the 216 error nodes per cell.
     for budget, rows in ((experiment._CHUNK_BUDGET, 48), (20_000, 20)):
         monkeypatch.setattr(experiment, "_CHUNK_BUDGET", budget)
-        alone = [l1_error(target, mesh, cfg) for cfg in configs]
         del points[:]
         result = grid_search(TuningGrid("fv", grid, grid, (target,), (3,)), engines, threads=2)
         assert sum(points) == distinct_points(mesh, configs, rows)
         assert [p for *_, p in result.passes] == [sum(points)]
-        assert list(result.surface.ravel()) == alone  # bitwise
-        reversed_errors = experiment._l1_errors(engines[::-1], target, mesh)
-        assert reversed_errors == alone[::-1]
     assert len(experiment._chunk_slices(len(mesh), 20_000 // (768 + 216))) == 3
     # One chunk evaluates the 120 distinct faces of the 192; three chunks 137.
     assert distinct_points(mesh, configs, 48) == 48 * (3072 + 216) + 6 * 64 * 120
@@ -460,6 +415,91 @@ def test_default_grids_read_shared_blocks_in_place():
     assert not plan.held
 
 
+# Five engine sets, one per fill path of _dof_values: (configurations, the
+# dimensions of the sources the pass holds, the blocks read in place, the
+# blocks an engine scatters from a key it already filled).
+PASS_SETS = {
+    # Scatter only; vol and ef read the uniform faces, vol also fv's volume.
+    "default": (ALL_METHODS, [], 9, 0),
+    # Each alpha's faces are filled again in the next beta group: 2 held.
+    "fv": ([StrategyConfig.face_volume(a, b) for a in (1, 2) for b in (1, 2)], [3, 3], 2, 0),
+    # theta = 0 writes its faces over the blend's uniform volume block, so a
+    # volume and a face source are held and 6 blocks read in place.
+    "vol": ([StrategyConfig.volumetric_blend(t, g) for t in (0, 0.5) for g in (1, 2)], [3, 4], 6, 0),
+    # The first engine fills the uniform faces; the other three read them in place.
+    "ef": ([StrategyConfig.edge_face(a, b) for a in (1, 2) for b in (1, 2)], [], 12, 0),
+    # gamma = 1 lists the uniform volume block twice: one source, two blocks.
+    "twin": ([StrategyConfig.volumetric_blend(0.5, 1)], [], 0, 1),
+}
+
+
+@pytest.mark.parametrize("configs, held, in_place, twins", PASS_SETS.values(), ids=PASS_SETS)
+def test_a_pass_moves_no_bit(configs, held, in_place, twins, monkeypatch):
+    # What a pass guarantees, on f1 over the 162 cells of n = 4 in 1, 2-5
+    # and 5-13 chunks: each cell's DOF values are those of its own mapped
+    # points, whatever engines share them; threads, slicing and the engine
+    # order never move a bit; an engine's error equals its stand-alone run
+    # bit for bit when its chunk rows alone are the pass's, and otherwise
+    # moves in its last bits with the per-cell DOFs of other row counts.
+    from histotet import experiment
+
+    f, mesh, engines = TARGETS["f1"], build_mesh(4), engines_of(configs)
+    tables = [e.table for e in engines]
+    plan = experiment._Plan([t.blocks for t in tables], 216, len(mesh))
+    filled = [blocks for fills in plan.fills for blocks in fills.values()]
+    assert sorted(src[0] for src in plan.held) == held
+    assert sum(len(t.blocks) for t in tables) - sum(map(len, filled)) == in_place
+    assert sum(len(blocks) - len({key for key, _, _ in blocks}) for blocks in filled) == twins
+
+    dof_values = experiment._dof_values
+    own, rows = {}, []  # each block's values on the whole mesh; the rows each pass checked
+
+    def checked_dof_values(target, mesh, sl, tables, plan, workspace):
+        # A chunk evaluates a face or edge source once per distinct face or
+        # edge: if a BLAS mapped a shared face differently in two of its
+        # cells, sharing would move bytes, and this fails instead.
+        for i, values in dof_values(target, mesh, sl, tables, plan, workspace):
+            for key, start, stop in tables[i].blocks:
+                if key not in own:
+                    own[key] = cell_values(f, mesh.vertices, mesh.cells, tables[i].nodes[start:stop])
+                assert np.array_equal(values[:, start:stop], own[key][sl])
+            # values is a row-strided view of the workspace: its gemm must be
+            # that of a contiguous copy, bit for bit.
+            weights_t = tables[i].weights.T
+            assert np.array_equal(values @ weights_t, np.ascontiguousarray(values) @ weights_t)
+            rows.append(len(values))
+            yield i, values
+
+    def scored(engines, threads=1):
+        del rows[:]
+        errors = experiment._l1_errors(engines, f, mesh, threads)
+        assert sum(rows) == len(engines) * len(mesh)
+        return errors
+
+    monkeypatch.setattr(experiment, "_dof_values", checked_dof_values)
+    by_budget = []
+    for budget in (4_000_000, 50_000, 20_000):
+        monkeypatch.setattr(experiment, "_CHUNK_BUDGET", budget)
+        monkeypatch.setattr(experiment, "_SLICE_POINTS", 16_384)
+        plan = experiment._Plan([t.blocks for t in tables], 216, len(mesh))
+        assert (plan.chunks == 1) == (budget == 4_000_000)
+        errors = scored(engines)
+        for i, engine in enumerate(engines):
+            alone = scored([engine])[0]
+            if plan.own_rows[i] == plan.rows or plan.chunks == 1:
+                assert alone == errors[i]
+            else:
+                assert alone == pytest.approx(errors[i], rel=1e-14, abs=0.0)
+        # Per target call: up to a whole chunk, several cells, one cell.
+        for points in (16_384, 1_000, 7):
+            monkeypatch.setattr(experiment, "_SLICE_POINTS", points)
+            assert scored(engines, threads=2) == errors
+        assert scored(engines[::-1], threads=2) == errors[::-1]
+        by_budget.append(errors)
+    for errors in by_budget[1:]:
+        assert errors == pytest.approx(by_budget[0], rel=1e-14, abs=0.0)
+
+
 @pytest.mark.parametrize("configs", [
     ALL_METHODS,  # converge's four default methods
     [StrategyConfig.face_volume(a, b) for a in (1.0, 2.0) for b in (1.0, 2.0)],
@@ -479,9 +519,10 @@ def test_refusal_counts_what_a_pass_allocates(configs, monkeypatch):
     # cells at n = 10 make two chunks, or one for the ef grid, whose tables
     # are narrowest; a budget of 1,000,000 makes at least three for all.
     settings, meshes, f = QuadSettings(), {10: build_mesh(10)}, TARGETS["f1"]
+    monkeypatch.setattr(experiment, "build_mesh", meshes.__getitem__)  # the pass builds no mesh
     tables = [_ErrorEngine(cfg, settings).table for cfg in configs]
     once = sum(t.nodes.nbytes + t.weights.nbytes for t in tables) + 8 * len(configs) * len(meshes[10])
-    list(_passes(engines_of(configs, settings), [f], (10,), 1, meshes))  # builds the rules and the mesh's volumes
+    list(_passes(engines_of(configs, settings), [f], (10,), 1))  # builds the rules and the mesh's volumes
     default = 1 if configs[0].method_id == "ef" else 2
     for budget, at_least in ((experiment._CHUNK_BUDGET, default), (1_000_000, 3)):
         monkeypatch.setattr(experiment, "_CHUNK_BUDGET", budget)
@@ -492,33 +533,12 @@ def test_refusal_counts_what_a_pass_allocates(configs, monkeypatch):
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            list(_passes(engines_of(configs, settings), [f], (10,), 1, meshes))
+            list(_passes(engines_of(configs, settings), [f], (10,), 1))
             grown = tracemalloc.get_traced_memory()[1] - before - once
         finally:
             tracemalloc.stop()
         one, two = (study_bytes((10,), configs, settings, threads=t) for t in (1, 2))
         assert 0.85 * grown <= two - one <= grown
-
-
-def test_slicing_does_not_move_a_bit(monkeypatch):
-    from histotet import experiment
-
-    mesh = build_mesh(4)
-    monkeypatch.setattr(experiment, "_CHUNK_BUDGET", 50_000)
-    # The default methods scatter every face and edge source; the fv grid
-    # fills each alpha's faces in both beta groups, so it holds them.
-    grid = [StrategyConfig.face_volume(a, b) for a in (1.0, 2.0) for b in (1.0, 2.0)]
-    for configs, shared in ((ALL_METHODS, 0), (grid, 2)):
-        engines = [experiment._ErrorEngine(cfg, QuadSettings()) for cfg in configs]
-        plan = experiment._Plan([e.table.blocks for e in engines], 216, len(mesh))
-        assert plan.chunks > 2 and len(plan.held) == shared  # several chunks, on two workers
-        # Whole chunks, several cells, and one cell per target call.
-        errors = []
-        for points in (65_536, 1_000, 7):
-            monkeypatch.setattr(experiment, "_SLICE_POINTS", points)
-            for threads in (1, 2):
-                errors.append(experiment._l1_errors(engines, TARGETS["f2"], mesh, threads))
-        assert errors == [errors[0]] * 6  # bitwise
 
 
 def test_study_computes_each_mesh_volume_once(monkeypatch):

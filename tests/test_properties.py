@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from histotet import (
     TARGETS,
     BaryQuadratic,
-    QuadSettings,
     StrategyConfig,
     TargetFunction,
     assemble_H,
@@ -16,15 +15,14 @@ from histotet import (
     volumetric_psi,
 )
 from histotet import experiment
-from histotet.cli import _PARAM_FLAGS
 from histotet.densities import Density
 from histotet.element import build_functionals
-from histotet.experiment import _ErrorEngine, _l1_errors, build_dof_table
+from histotet.experiment import _l1_errors, build_dof_table
 from histotet.simplex import dirichlet_expectation
-from conftest import make_random_tet
-from oracles import barycentric, cell_values, l1_error, reconstruction
+from conftest import engines_of, l1_error, make_random_tet, reconstruction
+from oracles import barycentric
 
-MESH = build_mesh(3)
+MESH, MESH4 = build_mesh(3), build_mesh(4)
 
 PARAM = st.floats(1e-3, 8.0)
 CANDIDATE = st.one_of(
@@ -40,13 +38,20 @@ CANDIDATE = st.one_of(
 @example([("vol", 0.5, 1.0), ("fv", 1.0, 1.0)])  # vol's two components coincide
 def test_pass_errors_equal_stand_alone_errors(candidates):
     # Candidates share DOF blocks (a uniform face, a volume component) in any
-    # mix; sharing must not move a bit of any candidate's error.
+    # mix; sharing must not move a bit of any candidate's error.  n = 3 is
+    # one chunk, so each engine's stand-alone partition is the pass's.
     configs = [StrategyConfig.of(*c) for c in candidates]
-    engines = [_ErrorEngine(cfg, QuadSettings()) for cfg in configs]
+    engines = engines_of(configs)
     f = TARGETS["f2"]
     for threads in (1, 2):
         alone = [l1_error(f, MESH, cfg, threads=threads) for cfg in configs]
         assert _l1_errors(engines, f, MESH, threads) == alone
+    # A budget of 20,000 scalars splits n = 4 (162 cells) into 5 to 13
+    # chunks, which two threads then score out of order.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(experiment, "_CHUNK_BUDGET", 20_000)
+        assert experiment._Plan([e.table.blocks for e in engines], 216, len(MESH4)).chunks >= 3
+        assert _l1_errors(engines, f, MESH4, threads=1) == _l1_errors(engines, f, MESH4, threads=2)
 
 
 # Any finite admissible value, from the floor 1e-3 up.
@@ -157,85 +162,3 @@ def test_stacked_moments_equal_per_tuple_moments(case):
     density = Density(space, tuple((1.0 / len(weights), e) for e in weights))
     looped = [density.moment(p) for p in tuples]
     assert np.array_equal(density.moment(stack), np.reshape(looped, stack.shape[:-1]))
-
-
-MESH4 = build_mesh(4)
-
-
-@settings(deadline=None, max_examples=10)
-@given(st.lists(CANDIDATE, min_size=1, max_size=4), st.sampled_from(["f2", "f7"]))
-def test_pass_errors_do_not_depend_on_thread_count(candidates, fid):
-    # A budget of 20,000 scalars splits n=4 (162 cells) into 5 to 13 chunks,
-    # which two threads then score out of order.
-    engines = [_ErrorEngine(StrategyConfig.of(*c), QuadSettings()) for c in candidates]
-    chunk_counts = []
-    run_chunks = experiment._run_chunks
-
-    def counting_run_chunks(work, slices, threads):
-        chunk_counts.append(len(slices))
-        return run_chunks(work, slices, threads)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(experiment, "_CHUNK_BUDGET", 20_000)
-        mp.setattr(experiment, "_run_chunks", counting_run_chunks)
-        serial = _l1_errors(engines, TARGETS[fid], MESH4, threads=1)
-        threaded = _l1_errors(engines, TARGETS[fid], MESH4, threads=2)
-    assert min(chunk_counts) >= 3
-    assert serial == threaded
-
-
-DEFAULT_METHODS = [
-    StrategyConfig.of("classical"),
-    StrategyConfig.face_volume(2.0, 2.0),
-    StrategyConfig.volumetric_blend(0.5, 2.0),
-    StrategyConfig.edge_face(2.0, 2.0),
-]
-FV_GRID = [StrategyConfig.face_volume(a, b) for a in _PARAM_FLAGS["alpha"][1] for b in _PARAM_FLAGS["beta"][1]]
-# The one default grid that reads a volume block in place and also gathers
-# one from held values: each gamma group's theta = 0 candidate writes its
-# faces over columns where the others keep the uniform volume block.
-VOL_GRID = [StrategyConfig.volumetric_blend(t, g) for t in _PARAM_FLAGS["theta"][1] for g in _PARAM_FLAGS["gamma"][1]]
-# A gamma = 1 blend lists the uniform volume block twice: one engine scatters
-# one source into two blocks, each checked against its own mapped points.
-TWIN_UNIFORM = [StrategyConfig.volumetric_blend(0.5, 1.0)]
-
-
-@pytest.mark.parametrize("budget", [experiment._CHUNK_BUDGET, 50_000, 20_000])
-def test_shared_points_give_each_cell_its_own_values(budget, monkeypatch):
-    # A chunk evaluates each face and edge source once per distinct face or
-    # edge and gathers the values into every cell that has it.  Each cell's
-    # DOF-block values must still be those of its own mapped points, bit for
-    # bit: if a BLAS maps a shared face differently in two of its cells, the
-    # sharing would move bytes, and this fails instead.
-    f = TARGETS["f1"]
-    dof_values = experiment._dof_values
-    checked, own = [], {}  # own values of each block on the whole mesh, computed once
-
-    def checked_dof_values(target, mesh, sl, tables, plan, workspace):
-        for i, values in dof_values(target, mesh, sl, tables, plan, workspace):
-            for key, start, stop in tables[i].blocks:
-                if key not in own:
-                    own[key] = cell_values(f, mesh.vertices, mesh.cells, tables[i].nodes[start:stop])
-                assert np.array_equal(values[:, start:stop], own[key][sl])
-            # values is a row-strided view of the workspace: its gemm must be
-            # that of a contiguous copy, bit for bit.
-            weights_t = tables[i].weights.T
-            assert np.array_equal(values @ weights_t, np.ascontiguousarray(values) @ weights_t)
-            checked.append(len(values))
-            yield i, values
-
-    monkeypatch.setattr(experiment, "_CHUNK_BUDGET", budget)
-    monkeypatch.setattr(experiment, "_dof_values", checked_dof_values)
-    for configs in (DEFAULT_METHODS, FV_GRID, VOL_GRID, TWIN_UNIFORM):
-        engines = [_ErrorEngine(cfg, QuadSettings()) for cfg in configs]
-        if configs is TWIN_UNIFORM:
-            blocks = engines[0].table.blocks
-            assert [key for key, _, _ in blocks[-2:]] == [((0, 1, 2, 3), (0.0,) * 4, 8)] * 2
-            assert not experiment._Plan([blocks], 216, 1).held
-        for n in range(2, 7):
-            mesh = build_mesh(n)
-            own.clear()
-            for threads in (1, 2):
-                del checked[:]
-                _l1_errors(engines, f, mesh, threads)
-                assert sum(checked) == len(engines) * len(mesh)

@@ -45,7 +45,7 @@ def test_fractional_weight_against_gamma_oracle():
 def test_weight_mass_and_positivity(a, b):
     nodes, weights = segment_rule(a, b, 6)
     assert np.all(weights > 0.0)
-    assert weights.sum() == pytest.approx(1.0, rel=1e-13)
+    assert weights.sum() == pytest.approx(1.0, rel=1e-13, abs=0.0)
     assert np.all((nodes > 0.0) & (nodes < 1.0))
 
 
@@ -110,23 +110,23 @@ def test_face_pair_moment_alpha2():
     # E[mu1 mu2] under dirichlet(alpha=2) face density = alpha / (3(3 alpha + 1))
     rule = simplex_rule_weighted(2, (1.0, 1.0, 1.0), 4)
     val = (rule.nodes[:, 0] * rule.nodes[:, 1]) @ rule.weights
-    assert val == pytest.approx(2.0 / 21.0, rel=1e-13)
+    assert val == pytest.approx(2.0 / 21.0, rel=1e-13, abs=0.0)
 
 
 def test_volume_mean_gamma2():
     rule = simplex_rule_weighted(3, (1.0,) * 4, 4)
-    assert rule.nodes[:, 0] @ rule.weights == pytest.approx(0.25, rel=1e-13)
+    assert rule.nodes[:, 0] @ rule.weights == pytest.approx(0.25, rel=1e-13, abs=0.0)
 
 
 def test_plain_rule_matches_moments():
     r3 = simplex_rule(3, (0.0,) * 4, plain_points(3, 2))
     assert r3.nodes[:, 0] ** 2 @ r3.weights == pytest.approx(
-        simplex_moment([2, 0, 0, 0], 3), rel=1e-13
+        simplex_moment([2, 0, 0, 0], 3), rel=1e-13, abs=0.0
     )
     assert r3.weights.sum() == pytest.approx(1.0, abs=1e-13)
     r2 = simplex_rule(2, (0.0,) * 3, plain_points(2, 4))
     val = (r2.nodes[:, 0] ** 2 * r2.nodes[:, 1] ** 2) @ r2.weights
-    assert val == pytest.approx(1.0 / 90.0, rel=1e-13)
+    assert val == pytest.approx(1.0 / 90.0, rel=1e-13, abs=0.0)
 
 
 def _random_monomials(rng, d, max_degree, count):
@@ -152,7 +152,7 @@ def test_exactness_against_moment_formula(rng):
                 vals = np.prod(rule.nodes ** exps[None, :], axis=1)
                 got = vals @ rule.weights
                 want = simplex_moment(weight + exps, d) / simplex_moment(weight, d)
-                assert got == pytest.approx(want, rel=1e-11), (d, m, exps)
+                assert got == pytest.approx(want, rel=1e-11, abs=0.0), (d, m, exps)
                 checked += 1
     assert checked >= 200
 

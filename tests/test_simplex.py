@@ -15,12 +15,12 @@ def test_moment_of_constant_is_one():
 
 
 def test_face_linear_moment():
-    assert simplex_moment([1, 0, 0], d=2) == pytest.approx(1.0 / 3.0, rel=1e-14)
+    assert simplex_moment([1, 0, 0], d=2) == pytest.approx(1.0 / 3.0, rel=1e-14, abs=0.0)
 
 
 def test_pair_moment_on_tet():
     # 3! * Gamma(2)^2 / Gamma(6) = 6 / 120
-    assert simplex_moment([1, 1, 0, 0], d=3) == pytest.approx(1.0 / 20.0, rel=1e-14)
+    assert simplex_moment([1, 1, 0, 0], d=3) == pytest.approx(1.0 / 20.0, rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -34,7 +34,7 @@ def test_moment_permutation_invariance(rng):
         exps = rng.uniform(-0.9, 6.0, size=d + 1)
         shuffled = rng.permutation(exps)
         assert simplex_moment(exps, d) == pytest.approx(
-            simplex_moment(shuffled, d), rel=1e-13
+            simplex_moment(shuffled, d), rel=1e-13, abs=0.0
         )
 
 
