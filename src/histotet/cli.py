@@ -26,7 +26,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .densities import BaryQuadratic
 from .element import METHODS, StrategyConfig, UnisolvenceError, param_text
 from .experiment import (
     QuadSettings,
@@ -470,7 +469,7 @@ def cmd_project(args):
     (engine,) = _check_study((), [cfg], _settings(args))  # one cell of a mesh pass
     table, op = engine.table, engine.op
     dofs = _finite(compute_dofs(f, tet, table), f, f"the DOF nodes of {cfg.method_id}")
-    poly = BaryQuadratic("volume", _finite(engine.coefficients(dofs), f, "the reconstruction"))
+    coeffs = _finite(engine.coefficients(dofs), f, "the reconstruction")
     cond = "n/a (closed-form affine reconstruction)" if op is None else f"{op.cond:.6e}"
 
     print(f"strategy : {cfg.method_id} ({cfg.params_text()})")
@@ -478,15 +477,14 @@ def cmd_project(args):
     print(f"tet      : volume {tet.volume:.6g}")
     print("dofs     :", " ".join(f"{d: .10e}" for d in dofs))
     print(f"matrix cond : {cond}")
-    print("coefficients:", " ".join(f"{c: .10e}" for c in poly.coeffs))
+    print("coefficients:", " ".join(f"{c: .10e}" for c in coeffs))
 
-    re_dofs = table.weights @ poly(table.nodes)  # on the table's own nodes
+    re_dofs = table.weights @ engine.reconstruct(dofs, table.nodes)  # on the table's own nodes
     print(f"max |dofs(reconstruction) - dofs| : {np.max(np.abs(re_dofs - dofs)):.3e}")
 
     print(f"{'sample (barycentric)':<26}{'f':>14}{'reconstruction':>16}{'|diff|':>12}")
-    for lam in _SAMPLE_BARY:
+    for lam, px in zip(_SAMPLE_BARY, engine.reconstruct(dofs, _SAMPLE_BARY)):
         fx = float(f(tet.point(lam)))
-        px = float(poly(lam))
         lam_txt = ",".join(f"{v:g}" for v in lam)
         print(f"{lam_txt:<26}{fx:>14.8f}{px:>16.8f}{abs(fx - px):>12.3e}")
     return 0

@@ -365,7 +365,7 @@ def assemble_H(cfg):
     Raises UnisolvenceError when the configuration fails the rank-6 check.
     """
     if cfg.row.enrich is None:
-        raise ValueError(f"the {cfg.method_id} strategy has no functional matrix: see classical_coefficients")
+        raise ValueError(f"the {cfg.method_id} strategy has no functional matrix: see _ErrorEngine.coefficients")
     op = _assemble_operator(cfg, build_functionals(cfg))
     if not op.rank6:
         s = _full_rank(op.h[4:, 4:])[1]
@@ -374,13 +374,3 @@ def assemble_H(cfg):
             f"its enriched block's singular values range from {s[-1]:.3e} to {s[0]:.3e}"
         )
     return op
-
-
-def classical_coefficients(face_averages):
-    """Classical affine reconstruction from the four uniform face averages:
-    sum_j avg_j * (1 - 3 lambda_j), as (..., 10) volume coefficients whose
-    quadratic part is zero, for (..., 4) averages."""
-    avg = np.asarray(face_averages, dtype=float)
-    coeffs = np.zeros(avg.shape[:-1] + (10,))
-    coeffs[..., :4] = avg.sum(axis=-1, keepdims=True) - 3.0 * avg
-    return coeffs

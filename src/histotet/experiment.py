@@ -43,7 +43,6 @@ from .element import (
     UnisolvenceError,
     assemble_H,
     build_functionals,
-    classical_coefficients,
     lambda_basis,
 )
 from .mesh import build_mesh, kuhn_cells, mesh_size
@@ -238,9 +237,21 @@ class _ErrorEngine:
             )
 
     def coefficients(self, dofs):
+        """Volume coefficients (..., 10) of the reconstruction from DOFs
+        (..., k): H^-1 applied to the ten DOFs of a quadratic strategy, and
+        for classical the affine sum_j avg_j (1 - 3 lambda_j) of the four
+        uniform face averages, whose quadratic part is zero."""
         if self.op is None:
-            return classical_coefficients(dofs)
+            avg = np.asarray(dofs, dtype=float)
+            coeffs = np.zeros(avg.shape[:-1] + (10,))
+            coeffs[..., :4] = avg.sum(axis=-1, keepdims=True) - 3.0 * avg
+            return coeffs
         return dofs @ self.op.h_inv.T
+
+    def reconstruct(self, dofs, points):
+        """The reconstruction from DOFs (..., k) at barycentric points
+        (..., 4), shape dofs.shape[:-1] + points.shape[:-1]."""
+        return np.tensordot(self.coefficients(dofs), lambda_basis(points), (-1, -1))
 
     def l1_on_mesh(self, f, mesh, threads=1):
         """Sum over cells of volume * E[|f - reconstruction|]."""
@@ -367,14 +378,20 @@ def _dof_values(f, mesh, sl, tables, plan, workspace):
 def _l1_errors(engines, f, mesh, threads=1):
     """L1 error of every engine for one target on one mesh, in one pass.
 
-    The engines share the error rule of the first engine's settings.  Each
+    The engines share one error rule, so they must share its degree.  Each
     chunk of cells (see _dof_values) evaluates f once per distinct face or
     edge of each face or edge source, once per cell for each volume source,
     and once at the error nodes, and stores every engine's per-cell errors.
     """
     if not engines:
         return []
-    rule = simplex_rule(3, (0.0,) * 4, plain_points(3, engines[0].settings.error_degree))
+    degrees = list(dict.fromkeys(e.settings.error_degree for e in engines))
+    if len(degrees) > 1:
+        raise ValueError(
+            f"a pass scores its engines on one error rule, but their error degrees are "
+            f"{' and '.join(map(str, degrees))}"
+        )
+    rule = simplex_rule(3, (0.0,) * 4, plain_points(3, degrees[0]))
     basis_t = lambda_basis(rule.nodes).T  # (10, E)
     n_cells = len(mesh)
     tables = [e.table for e in engines]
@@ -521,10 +538,10 @@ def convergence_study(functions, ns, engines, threads=1):
     of each (function, mesh) pass, in pass order.
 
     `functions` are TargetFunctions, `ns` grid parameters, `engines` the
-    _ErrorEngine of each method, which share the error rule of the first one's
-    settings.  One pass per (function, mesh) scores every method.  Rows
-    appear in method-major, function, mesh order and the numbers are
-    deterministic for fixed settings.
+    _ErrorEngine of each method, which share one error degree.  One pass per
+    (function, mesh) scores every method.  Rows appear in method-major,
+    function, mesh order and the numbers are deterministic for fixed
+    settings.
     """
     passes = list(_passes(engines, functions, ns, threads))
     rows = [

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from histotet import BaryQuadratic, QuadSettings, StrategyConfig, Tetrahedron, element, quadrature
+from histotet import QuadSettings, StrategyConfig, Tetrahedron, element, quadrature
 from histotet.experiment import _ErrorEngine, _l1_errors
 
 
@@ -28,13 +28,6 @@ def l1_error(f, mesh, cfg, settings=QuadSettings(), threads=1):
     """L1 reconstruction error of one strategy for one function on one mesh,
     scored in a pass of its own."""
     return _l1_errors([_ErrorEngine(cfg, settings)], f, mesh, threads)[0]
-
-
-def reconstruction(cfg, dofs, settings=QuadSettings()):
-    """The volume quadratic with degrees of freedom `dofs` under `cfg`, from
-    _ErrorEngine.coefficients: the one reconstruction map of project and of
-    every mesh pass."""
-    return BaryQuadratic("volume", _ErrorEngine(cfg, settings).coefficients(np.asarray(dofs, dtype=float)))
 
 
 @pytest.fixture

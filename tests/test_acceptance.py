@@ -18,7 +18,9 @@ from histotet import (
     TargetFunction,
     TuningGrid,
     assemble_H,
+    build_mesh,
     compute_dofs,
+    convergence_study,
     edge_density,
     edge_ortho_quadratic,
     grid_search,
@@ -31,7 +33,8 @@ from histotet.element import (
     edge_diagonal_entry,
 )
 from histotet.experiment import build_dof_table
-from conftest import grid_engines, make_random_tet, reconstruction
+from histotet.quadrature import plain_points, simplex_rule
+from conftest import engines_of, grid_engines, make_random_tet
 from oracles import apply_functionals, assemble_D, barycentric
 from test_densities import _all_family_cases, analytic_residual, quadrature_residual
 
@@ -148,12 +151,12 @@ def test_criterion_4_reproduction_suite(rng):
             recon = op.h_inv @ dofs
             assert np.max(np.abs(recon - coeffs)) < 1e-10, (cfg.method_id, c)
 
+    (classical,) = engines_of([StrategyConfig.of("classical")])
     for _ in range(50):
         lin = rng.normal(size=4)
         averages = (np.ones((4, 4)) - np.eye(4)) / 3.0 @ lin
-        poly = reconstruction(StrategyConfig.of("classical"), averages)
         lam = rng.dirichlet(np.ones(4), size=25)
-        assert np.max(np.abs(poly(lam) - lam @ lin)) < 1e-12
+        assert np.max(np.abs(classical.reconstruct(averages, lam) - lam @ lin)) < 1e-12
 
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0
@@ -254,6 +257,39 @@ def converge_runs(tmp_path_factory):
     return outputs, seconds
 
 
+def _cubic_part(p):
+    x, y, z = p[..., 0], p[..., 1], p[..., 2]
+    return x**3 - 2.0 * x * y * z + 0.5 * y**2 * z + 3.0 * z**3
+
+
+def _quadratic_part(p):
+    return p[..., 0] ** 2 - 2.0 * p[..., 1] * p[..., 2]
+
+
+#: The cubic gate's targets: a cubic, its lower-degree part (a quadratic
+#: that the quadratic strategies reproduce) and an affine that classical
+#: reproduces.
+GATE_TARGETS = (
+    TargetFunction("cubic", lambda p: _cubic_part(p) + _quadratic_part(p) + p[..., 0] + 0.5),
+    TargetFunction("quadratic", lambda p: _quadratic_part(p) + p[..., 0] + 0.5),
+    TargetFunction("affine", lambda p: 1.0 - p[..., 0] + 3.0 * p[..., 1]),
+)
+
+
+def _asymptotic_constant(engine, part):
+    """K = (1/6) sum_s E_y |(I - P) part(y V_s)|, V_s the vertices of the
+    six cells of build_mesh(2) (one per Kuhn cell shape) and E_y the pass's
+    error rule, through the engine's reconstruction on one cell per shape:
+    no mesh pass runs."""
+    rule = simplex_rule(3, (0.0,) * 4, plain_points(3, engine.settings.error_degree))
+    table, cube = engine.table, build_mesh(2)
+    total = 0.0
+    for shape in cube.vertices[cube.cells]:
+        dofs = table.weights @ part(table.nodes @ shape)
+        total += np.abs(part(rule.nodes @ shape) - engine.reconstruct(dofs, rule.nodes)) @ rule.weights
+    return total / 6.0
+
+
 def test_criterion_7_convergence_reproduction(converge_runs):
     started = time.perf_counter()
     (first, _), (study_seconds, _) = converge_runs
@@ -280,12 +316,35 @@ def test_criterion_7_convergence_reproduction(converge_runs):
             else:
                 assert order >= 2.8, (fid, method, order)
 
+    # The cubic gate.  A quadratic strategy reproduces the lower-degree part,
+    # so on a Kuhn cell of size h = 1 / (n - 1) the cubic's defect is h^3
+    # (I - P) applied to its cubic part, one polynomial per cell shape, and
+    # L1(n) (n - 1)^3 is K at every n.  Classical does the same on the
+    # quadratic with h^2.  Each scheme's lower-degree input is reproduced.
+    engines = engines_of(methods)
+    rows, _ = convergence_study(GATE_TARGETS, (3, 5, 9), engines)
+    l1 = {(r.function, r.method, r.n): r.l1_error for r in rows}
+    constants = {}
+    for engine in engines:
+        method = engine.cfg.method_id
+        if method == "classical":
+            target, lower, degree, part, rel, floor = "quadratic", "affine", 2, _quadratic_part, 1e-13, 1e-11
+        else:
+            target, lower, degree, part, rel, floor = "cubic", "quadratic", 3, _cubic_part, 1e-11, 1e-9
+        constants[method] = k = _asymptotic_constant(engine, part)
+        for n in (3, 5, 9):
+            scaled = l1[target, method, n] * (n - 1) ** degree
+            assert scaled == pytest.approx(k, rel=rel, abs=0.0), (method, n, scaled, k)
+            assert l1[lower, method, n] < floor, (method, n, l1[lower, method, n])
+
     elapsed = study_seconds + time.perf_counter() - started
     assert elapsed < 300.0
     print(
         "criterion 7 PASSED: every quadratic strategy beats classical at "
         f"n in (10, 15) for f1, f3, f5, errors decay monotonically, observed "
-        f"orders 2 (classical) and 3 (quadratic) ({elapsed:.1f} s)"
+        f"orders 2 (classical) and 3 (quadratic); at n = 3, 5, 9 a cubic's L1 (n - 1)^3 "
+        f"(a quadratic's L1 (n - 1)^2 for classical) is its one-cell constant "
+        f"({', '.join(f'{m} {k:.7g}' for m, k in constants.items())}) ({elapsed:.1f} s)"
     )
 
 

@@ -38,7 +38,7 @@ from histotet.densities import (
 )
 from histotet.experiment import REPRODUCTION_TOL, QuadSettings, _ErrorEngine
 from histotet.simplex import EDGE_PAIRS, FACE_VERTEX_INDICES
-from conftest import reconstruction
+from conftest import engines_of
 from oracles import (
     assemble_D,
     cell_values,
@@ -225,12 +225,13 @@ CLASSICAL = StrategyConfig.of("classical")
 
 
 def test_classical_project_examples():
-    constant = reconstruction(CLASSICAL, [1.0, 1.0, 1.0, 1.0])
-    np.testing.assert_allclose(constant.coeffs, [1, 1, 1, 1, 0, 0, 0, 0, 0, 0], atol=1e-15)
-    kron = reconstruction(CLASSICAL, [1.0, 0.0, 0.0, 0.0])
-    np.testing.assert_allclose(kron.coeffs[:4], [-2, 1, 1, 1], atol=1e-15)
-    lam1 = reconstruction(CLASSICAL, [0.0, 1 / 3, 1 / 3, 1 / 3])
-    np.testing.assert_allclose(lam1.coeffs, [1, 0, 0, 0, 0, 0, 0, 0, 0, 0], atol=1e-14)
+    (engine,) = engines_of([CLASSICAL])
+    constant = engine.coefficients([1.0, 1.0, 1.0, 1.0])
+    np.testing.assert_allclose(constant, [1, 1, 1, 1, 0, 0, 0, 0, 0, 0], atol=1e-15)
+    kron = engine.coefficients([1.0, 0.0, 0.0, 0.0])
+    np.testing.assert_allclose(kron[:4], [-2, 1, 1, 1], atol=1e-15)
+    lam1 = engine.coefficients([0.0, 1 / 3, 1 / 3, 1 / 3])
+    np.testing.assert_allclose(lam1, [1, 0, 0, 0, 0, 0, 0, 0, 0, 0], atol=1e-14)
 
 
 def test_evaluate_basics():

@@ -79,22 +79,6 @@ def test_geometry_independence_of_dofs(rng):
                 np.testing.assert_allclose(dofs, column, atol=1e-12)
 
 
-def test_quadratics_are_reproduced_in_l1():
-    mesh = build_mesh(5)
-    f = TargetFunction(
-        "quad",
-        lambda p: 0.5 + p[..., 0] - 2.0 * p[..., 1] * p[..., 2] + p[..., 0] ** 2,
-    )
-    for cfg in QUADRATIC_CONFIGS:
-        assert l1_error(f, mesh, cfg) < 1e-9
-
-
-def test_classical_reproduces_affines_in_l1():
-    mesh = build_mesh(5)
-    f = TargetFunction("affine", lambda p: 1.0 - p[..., 0] + 3.0 * p[..., 1])
-    assert l1_error(f, mesh, StrategyConfig.of("classical")) < 1e-11
-
-
 def test_non_finite_error_raises():
     mesh = build_mesh(4)
 
@@ -558,10 +542,17 @@ def test_study_computes_each_mesh_volume_once(monkeypatch):
     assert sorted(sweeps) == [48, 162]
 
 
-def test_convergence_study_classical_exact_on_affine_lift():
-    f = TargetFunction("affine", lambda p: 2.0 * p[..., 0] - p[..., 1] + 0.25)
-    rows, _ = convergence_study([f], (4,), engines_of([StrategyConfig.of("classical")]))
-    assert rows[0].l1_error < 1e-11
+def test_a_pass_refuses_engines_of_different_error_degrees():
+    # A pass scores every engine on one error rule: an engine of another
+    # error degree is refused, not scored on the first engine's rule.
+    fine, coarse = QuadSettings(), QuadSettings(error_degree=4)
+    engines = engines_of([StrategyConfig.of("classical")], fine) + engines_of(QUADRATIC_CONFIGS[:1], coarse)
+    with pytest.raises(ValueError, match="their error degrees are 8 and 4$"):
+        convergence_study([ONE], (2,), engines)
+    grid = TuningGrid(kind="vol", first=(0.5,), second=(1.0, 2.0), functions=(ONE,), ns=(2,))
+    engines = grid_engines(grid, coarse)[:1] + grid_engines(grid, fine)[1:]
+    with pytest.raises(ValueError, match="their error degrees are 4 and 8$"):
+        grid_search(grid, engines)
 
 
 def test_grid_search_single_candidate():

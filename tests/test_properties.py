@@ -19,7 +19,7 @@ from histotet.densities import Density
 from histotet.element import build_functionals
 from histotet.experiment import _l1_errors, build_dof_table
 from histotet.simplex import dirichlet_expectation
-from conftest import engines_of, l1_error, make_random_tet, reconstruction
+from conftest import engines_of, l1_error, make_random_tet
 from oracles import barycentric
 
 MESH, MESH4 = build_mesh(3), build_mesh(4)
@@ -107,11 +107,10 @@ def test_projector_is_idempotent(candidate, tet, fid):
     # The DOFs of the reconstruction are the DOFs it was built from, up to
     # round-off amplified by cond(H): the worst drift seen over about 8,000
     # seeded draws is 2.4 cond(H) eps max|dofs| (fv with alpha near the floor).
-    cfg = StrategyConfig.of(*candidate)
-    op, table = assemble_H(cfg), build_dof_table(cfg)
+    (engine,) = engines_of([StrategyConfig.of(*candidate)])
+    op, table = engine.op, engine.table
     dofs = compute_dofs(TARGETS[fid], tet, table)
-    poly = reconstruction(cfg, dofs)
-    recon = TargetFunction("reconstruction", lambda p: poly(barycentric(tet, p)))
+    recon = TargetFunction("reconstruction", lambda p: engine.reconstruct(dofs, barycentric(tet, p)))
     drift = np.max(np.abs(compute_dofs(recon, tet, table) - dofs))
     bound = 100 * op.cond * np.finfo(float).eps * np.max(np.abs(dofs))
     assert drift <= bound, (drift, op.cond)
