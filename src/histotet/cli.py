@@ -467,7 +467,8 @@ def cmd_project(args):
         tet = REFERENCE_TET
 
     (engine,) = _check_study((), [cfg], _settings(args))  # one cell of a mesh pass
-    table, op = engine.table, engine.op
+    # The dense nodes and weights once: at --quad-m 150 vol's weights alone are 547 MB.
+    table, op = engine.table.dense(), engine.op
     dofs = _finite(compute_dofs(f, tet, table), f, f"the DOF nodes of {cfg.method_id}")
     coeffs = _finite(engine.coefficients(dofs), f, "the reconstruction")
     cond = "n/a (closed-form affine reconstruction)" if op is None else f"{op.cond:.6e}"

@@ -131,8 +131,15 @@ def basis_monomials(x, n, product=np.multiply):
 
 def lambda_basis(lam):
     """Values (..., 10) of the ten volume basis monomials at barycentric points (..., 4),
-    in Lambda order [l1, l2, l3, l4, l1*l2, l1*l3, l1*l4, l2*l3, l2*l4, l3*l4]."""
-    return np.stack(basis_monomials(np.asarray(lam, dtype=float), 4), axis=-1)
+    in Lambda order [l1, l2, l3, l4, l1*l2, l1*l3, l1*l4, l2*l3, l2*l4, l3*l4].
+    Each product is written straight into its column, so the only array
+    allocated is the result (r and project build it at every DOF node)."""
+    lam = np.asarray(lam, dtype=float)
+    values = np.empty(lam.shape[:-1] + (10,))
+    values[..., :4] = lam
+    products = (values[..., k] for k in range(4, 10))
+    basis_monomials(lam, 4, lambda a, b: np.multiply(a, b, out=next(products)))
+    return values
 
 
 #: Exponent tuples of the volume basis (Lambda order) and of the face basis, whose

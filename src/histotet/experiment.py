@@ -2,14 +2,18 @@
 tuning by grid search, and the convergence study.
 
 The mesh loops are vectorized: each strategy's functionals are turned once
-into a quadrature table (barycentric nodes plus one weight row per
-functional), DOFs of all cells in a chunk are a single matrix product, and
-the reconstruction coefficients follow from the precomputed inverse of the
-functional matrix.  One pass per (function, mesh) scores every strategy or
-tuning candidate.  A table is a concatenation of blocks, one per (domain,
-Dirichlet component, m), and strategies share blocks (the uniform face
-block of classical, vol and ef; the dirichlet(2) volume block of fv and
-vol; a blend's uniform block for every theta).  Each chunk of cells
+into a quadrature table, DOFs of all cells in a chunk are a single matrix
+product, and the reconstruction coefficients follow from the precomputed
+inverse of the functional matrix.  A table stores, per (domain, density)
+group, the cached rules of the density's Dirichlet components and each
+functional's weights on the group's own nodes; its dense nodes and weights
+are built only for the moment a caller reads them (one engine's weights
+for its DOF matrix product in a chunk).  One pass per (function, mesh)
+scores every strategy or tuning candidate.  A table's nodes are a
+concatenation of blocks, one per (domain, Dirichlet component, m), and
+strategies share blocks (the uniform face block of classical, vol and ef;
+the dirichlet(2) volume block of fv and vol; a blend's uniform block for
+every theta).  Each chunk of cells
 evaluates the target once per distinct domain of each source of target
 values (the blocks of one domain length, Dirichlet component and m), a cell
 for a volume source and a face or edge of the chunk for the others, and
@@ -21,18 +25,20 @@ the chunks.  Each engine fills its blocks in one step per source: a source
 that it alone fills is scattered a slice at a time into all of its blocks
 of it, and a source that several engines fill is evaluated once and held
 for the chunk's DOF stage.  study_bytes counts a chunk's peak memory from
-the same plan: its workspace, every engine's coefficients and the held
-sources.  Per-cell contributions are accumulated in cell-index order so
-results are deterministic for any thread count.  The studies take the
-engines (_ErrorEngine) that admitted their configurations.  `project` runs
-one cell through a pass's DOF table and reconstruction map (an engine) and
-checks the reconstruction on the table's own barycentric nodes.
+the same plan: its workspace, every engine's coefficients, one engine's
+dense weights and the held sources.  Per-cell contributions are
+accumulated in cell-index order so results are deterministic for any
+thread count.  The studies take the engines (_ErrorEngine) that admitted
+their configurations.  `project` runs one cell through a pass's DOF table
+and reconstruction map (an engine) and checks the reconstruction on the
+table's own barycentric nodes.
 """
 
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -86,19 +92,71 @@ class QuadSettings:
 
 
 @dataclass(frozen=True)
+class DofGroup:
+    """The functionals of a DOF table on one (domain, density) group: the
+    domain's vertex tuple, the rule of each Dirichlet component of the
+    density (quadrature.simplex_rule's own cached objects, in node order),
+    the table rows of the group's functionals, and their weights on the
+    group's own nodes only, shape (rows, nodes of the group)."""
+
+    vertices: tuple
+    rules: tuple
+    rows: tuple
+    weights: np.ndarray
+
+
+class DenseTable(NamedTuple):
+    """A DofTable's dense nodes and weights (DofTable.dense)."""
+
+    nodes: np.ndarray
+    weights: np.ndarray
+
+
+@dataclass(frozen=True)
 class DofTable:
     """Barycentric quadrature nodes shared by a strategy's functionals.
 
     dofs(f) on a cell = weights @ f(points at nodes); shape (n_dofs, n_nodes).
-    blocks holds one (key, start, stop) per Dirichlet component of each
-    (domain, density) group, key = (vertices, component exponents, m):
+    The table stores its groups (DofGroup) in node order, each functional's
+    weights on the nodes of its own group and no others.  `nodes` (each
+    group's rules lifted to four barycentric coordinates) and `weights`
+    (zero outside each row's group) are dense arrays built on every access
+    and kept by nobody; dense() builds both once for a caller that reads
+    them together.  blocks holds one (key, start, stop) per Dirichlet
+    component of each group, key = (vertices, component exponents, m):
     nodes[start:stop] depend on the key alone, so tables with a common key
     share those nodes.
     """
 
-    nodes: np.ndarray
-    weights: np.ndarray
+    groups: tuple
     blocks: tuple
+
+    @property
+    def nodes(self):
+        return np.concatenate([self.block_nodes(start) for _, start, _ in self.blocks])
+
+    @property
+    def weights(self):
+        weights = np.zeros((sum(len(group.rows) for group in self.groups), self.blocks[-1][2]))
+        start = 0
+        for group in self.groups:
+            stop = start + group.weights.shape[1]
+            weights[list(group.rows), start:stop] = group.weights
+            start = stop
+        return weights
+
+    def dense(self):
+        """nodes and weights, each built once."""
+        return DenseTable(self.nodes, self.weights)
+
+    def block_nodes(self, start):
+        """nodes[start:stop] of the block that starts at node `start`: its
+        rule lifted to its domain's vertices, built alone."""
+        rules = [(group.vertices, rule) for group in self.groups for rule in group.rules]
+        ((vertices, rule),) = [vr for vr, (_, first, _) in zip(rules, self.blocks) if first == start]
+        nodes = np.zeros((len(rule), 4))
+        nodes[:, list(vertices)] = rule.nodes
+        return nodes
 
 
 def build_dof_table(cfg, settings=QuadSettings()):
@@ -113,9 +171,9 @@ def build_dof_table(cfg, settings=QuadSettings()):
 def _layout(functionals, m):
     """A DOF table's node layout, known before any rule is built: the
     (vertices, density, [(row, weight poly)], first node) of each (domain,
-    density) group in node order, and its blocks (see DofTable).  A group
-    holds the m^dim-point rules of its Dirichlet components, concatenated
-    as Density.rule does."""
+    density) group in node order, and its blocks (see DofTable).  A group's
+    nodes are the m^dim-point rules of its Dirichlet components, one after
+    the other."""
     members = {}
     for row, func in enumerate(functionals):
         members.setdefault((func.vertices, func.density), []).append((row, func.weight_poly))
@@ -129,23 +187,21 @@ def _layout(functionals, m):
 
 
 def _table_from_functionals(functionals, m):
-    groups, blocks = _layout(functionals, m)
-    # One rule per density, lifted to each of its domains.
-    rules = {d: d.rule(m) for d in dict.fromkeys(d for _, d, _, _ in groups)}
-    lifted = []
-    weights = np.zeros((len(functionals), blocks[-1][2]))
-    for vertices, density, rows, start in groups:
-        rule = rules[density]
-        lam = np.zeros((len(rule), 4))
-        lam[:, list(vertices)] = rule.nodes
-        lifted.append(lam)
-        # Edge quadratics are polynomials in t, the first native coordinate.
-        native = rule.nodes[:, 0] if density.space == "edge" else rule.nodes
-        for row, poly in rows:
-            weights[row, start : start + len(rule)] = (
-                rule.weights if poly is None else rule.weights * poly(native)
-            )
-    return DofTable(nodes=np.concatenate(lifted), weights=weights, blocks=blocks)
+    layout, blocks = _layout(functionals, m)
+    groups = []
+    for vertices, density, rows, _ in layout:
+        rules = tuple(simplex_rule(density.dim, exps, m) for _, exps in density.components)
+        weights = np.empty((len(rows), len(rules) * m**density.dim))
+        start = 0
+        for (coef, _), rule in zip(density.components, rules):
+            mass = coef * rule.weights  # the component's share of the density
+            # Edge quadratics are polynomials in t, the first native coordinate.
+            native = rule.nodes[:, 0] if density.space == "edge" else rule.nodes
+            for k, (_, poly) in enumerate(rows):
+                weights[k, start : start + len(rule)] = mass if poly is None else mass * poly(native)
+            start += len(rule)
+        groups.append(DofGroup(vertices, rules, tuple(row for row, _ in rows), weights))
+    return DofTable(groups=tuple(groups), blocks=blocks)
 
 
 def _chunk_slices(n_cells, block):
@@ -178,10 +234,11 @@ def _project(f, vertices, ids, nodes, out=None, slots=(0, 1, 2, 3)):
 
 def compute_dofs(f, tet, table):
     """Degrees of freedom of a function on one Tetrahedron: f at the nodes of
-    the caller's DOF table (build_dof_table of a configuration; `project`
-    passes its engine's, so its cell is evaluated at a pass's DOF nodes),
-    contracted with its weights.  Returns 10 values for the quadratic
-    strategies, 4 (the uniform face averages) for the classical one.
+    the caller's DOF table (build_dof_table of a configuration, or its
+    dense() for a caller that reads the arrays again; `project` passes its
+    engine's, so its cell is evaluated at a pass's DOF nodes), contracted
+    with its weights.  Returns 10 values for the quadratic strategies, 4
+    (the uniform face averages) for the classical one.
     """
     return (_project(f, tet.vertices, np.arange(4)[None], table.nodes) @ table.weights.T)[0]
 
@@ -227,8 +284,11 @@ class _ErrorEngine:
                 f"strategy {name} has an enriched block that is not symmetric positive definite"
             )
         # Classical reproduces the four affine monomials, the others all ten.
-        k = len(self.table.weights)
-        dofs = (self.table.weights @ lambda_basis(self.table.nodes)[:, :k]).T
+        # The dense nodes go once their basis is built, before the weights.
+        basis = lambda_basis(self.table.nodes)
+        weights = self.table.weights
+        k = len(weights)
+        dofs = (weights @ basis[:, :k]).T
         self.r = float(np.abs(self.coefficients(dofs) - np.eye(k, 10)).max())
         if not self.r <= REPRODUCTION_TOL:
             raise UnisolvenceError(
@@ -352,10 +412,10 @@ def _dof_values(f, mesh, sl, tables, plan, workspace):
     # A cell is the one domain of its volume blocks.
     held, index = {}, {((0, 1, 2, 3),): (ids, np.arange(len(ids))[:, None])}
     for i in plan.order:
-        values = workspace[:, plan.offsets[i] : plan.offsets[i] + len(tables[i].nodes)]
+        values = workspace[:, plan.offsets[i] : plan.offsets[i] + tables[i].blocks[-1][2]]
         for src, blocks in plan.fills[i].items():
-            (vertices, _, _), start, stop = blocks[0]
-            nodes, domains = tables[i].nodes[start:stop], plan.domains[src[0]]
+            (vertices, _, _), start, _ = blocks[0]
+            nodes, domains = tables[i].block_nodes(start), plan.domains[src[0]]
             if domains not in index:
                 index[domains] = _distinct(ids, domains)
             tuples, inverse = index[domains]
@@ -407,7 +467,8 @@ def _l1_errors(engines, f, mesh, threads=1):
         # DOF nodes before error nodes: the other order raises peak memory.
         for i, values in _dof_values(f, mesh, sl, tables, plan, workspace):
             # values is a row-strided view: BLAS gives it the gemm of a
-            # contiguous copy, bit for bit.
+            # contiguous copy, bit for bit.  The dense weights are built for
+            # this gemm and dropped after it.
             dofs = values @ tables[i].weights.T
             coeffs[i] = engines[i].coefficients(dofs)
             finite[i] = np.isfinite(dofs).all(axis=1)
@@ -473,36 +534,44 @@ def study_bytes(ns, configs, settings, threads=1):
     """Bytes of the arrays a study of `configs` on the meshes of grid
     parameters ns holds, counted before any is built: every mesh's three
     arrays (mesh_size; a study keeps all its meshes); every engine's DOF
-    table (4 coordinates and one weight per functional at each node); each
-    distinct rule that the process caches, keyed (dim, exponents, m) as
-    quadrature.simplex_rule is: every Dirichlet component's DOF rule and the
-    error rule, a rule they share counted once (dim + 1 coordinates and a
-    weight per node); 10 basis values per error node; a (configurations x
-    largest mesh's cells) error array; and the larger of what set-up and
-    the pass allocate for a while.  Set-up builds one rule or table at a
-    time: a rule's node and weight grids and two product scalars per node,
-    or a table's density rules and lifted nodes.  The pass runs one chunk's
-    peak per worker that can run (_Plan.workers).  The interpreter and the
-    target's temporaries at the DOF nodes come on top (f's own arrays, and
-    all mapped points of a cell of more than _SLICE_POINTS nodes); `project`
-    is a study of one cell per chunk, whose check adds no mapped point.
+    table (the weights of each functional on the nodes of its own group,
+    see DofTable); each distinct rule that the process caches, keyed (dim,
+    exponents, m) as quadrature.simplex_rule is: every Dirichlet component's
+    DOF rule and the error rule, a rule they share counted once (dim + 1
+    coordinates and a weight per node); 10 basis values per error node; a
+    (configurations x largest mesh's cells) error array; and the larger of
+    what set-up and the pass allocate for a while.  Set-up builds one rule
+    or engine at a time: a rule's node and weight grids and two product
+    scalars per node, or an engine's residual r, which holds the ten basis
+    values at its table's dense nodes beside the nodes and then beside the
+    dense weights; building a table allocates less.  The pass runs one
+    chunk's peak per worker that can run (_Plan.workers).  The interpreter
+    and the target's temporaries at the DOF nodes come on top (f's own
+    arrays, and all mapped points of a cell of more than _SLICE_POINTS
+    nodes); `project` is a study of one cell per chunk, whose check holds
+    the dense nodes and weights, the basis values and the reconstruction at
+    every node at once, in place of r.
 
     A chunk's peak is its workspace, one target slice (3 x _SLICE_POINTS
-    scalars of mapped points), every engine's coefficients and the sources
-    it holds for its DOF stage (_Plan.held), each a block's width at every
-    distinct face or edge of the largest mesh's first chunk, or per cell."""
+    scalars of mapped points), every engine's coefficients, the largest
+    engine's dense weights (each engine builds its own for its DOF gemm and
+    drops them after it) and the sources it holds for its DOF stage
+    (_Plan.held), each a block's width at every distinct face or edge of
+    the largest mesh's first chunk, or per cell."""
     m = settings.dof_points
     functionals = [build_functionals(cfg) for cfg in configs]
-    tables = [_layout(fs, m)[1] for fs in functionals]
-    densities = [dict.fromkeys(func.density for func in fs) for fs in functionals]
+    layouts = [_layout(fs, m) for fs in functionals]
+    tables = [blocks for _, blocks in layouts]
+    dense = [(len(fs), t[-1][2]) for fs, t in zip(functionals, tables)]  # (rows, nodes)
+    stored = sum(
+        len(rows) * len(d.components) * m**d.dim for groups, _ in layouts for _, d, rows, _ in groups
+    )
     e = plain_points(3, settings.error_degree)
     # quadrature.simplex_rule's keys: the DOF rules, then the error rule.
-    rules = {(d.dim, exps, m) for ds in densities for d in ds for _, exps in d.components}
+    rules = {(d.dim, exps, m) for groups, _ in layouts for _, d, _, _ in groups for _, exps in d.components}
     rules.add((3, (0.0,) * 4, e))
-    setup = [k**dim * (2 * dim + 2) for dim, _, k in rules] + [
-        sum(len(d.components) * m**d.dim * (d.dim + 2) for d in ds) + 4 * t[-1][2]
-        for ds, t in zip(densities, tables)
-    ]
+    transient = [(k + 15 if not ns else 10 + max(4, k)) * w for k, w in dense]  # project's check, or r
+    setup = [k**dim * (2 * dim + 2) for dim, _, k in rules] + transient
     error_nodes = e**3
     sizes = [mesh_size(n) for n in ns]
     meshes, cells = sum(s for _, s in sizes), max((c for c, _ in sizes), default=0)
@@ -513,10 +582,12 @@ def study_bytes(ns, configs, settings, threads=1):
     domains = {length: len(_distinct(ids, d)[0]) for length, d in plan.domains.items() if length < 4}
     domains[4] = plan.rows  # a volume source's values, one row per cell
     held = sum(domains[length] * m ** (length - 1) for length, _, _ in plan.held)
-    chunk = plan.rows * (plan.width + 10 * len(tables)) + 3 * _SLICE_POINTS + held
+    chunk = (
+        plan.rows * (plan.width + 10 * len(tables)) + 3 * _SLICE_POINTS
+        + max(k * w for k, w in dense) + held
+    )
     return 8 * (
-        meshes + sum((4 + len(fs)) * t[-1][2] for fs, t in zip(functionals, tables))
-        + sum(k**dim * (dim + 2) for dim, _, k in rules) + 10 * error_nodes
+        meshes + stored + sum(k**dim * (dim + 2) for dim, _, k in rules) + 10 * error_nodes
         + cells * len(configs) + max(max(setup), plan.workers(threads) * chunk)
     )
 

@@ -155,3 +155,28 @@ def cell_values(f, vertices, cells, nodes):
     coordinates, one cell at a time.  The reference for the point mapping of
     experiment._mapped."""
     return f(np.array([nodes @ vertices[cell] for cell in cells]))
+
+
+def dense_dof_table(functionals, m):
+    """A DOF table's (nodes, weights) built as two dense arrays: each (domain,
+    density) group's Density.rule lifted to four barycentric coordinates,
+    and each functional's weights written into its row of a zero
+    (functionals x nodes) matrix.  The reference for the dense nodes and
+    weights that experiment.DofTable builds from its groups."""
+    groups = {}
+    for row, func in enumerate(functionals):
+        groups.setdefault((func.vertices, func.density), []).append((row, func.weight_poly))
+    rules = [(vertices, density.rule(m)) for vertices, density in groups]
+    weights = np.zeros((len(functionals), sum(len(rule) for _, rule in rules)))
+    lifted, start = [], 0
+    for ((vertices, density), rows), (_, rule) in zip(groups.items(), rules):
+        lam = np.zeros((len(rule), 4))
+        lam[:, list(vertices)] = rule.nodes
+        lifted.append(lam)
+        native = rule.nodes[:, 0] if density.space == "edge" else rule.nodes
+        for row, poly in rows:
+            weights[row, start : start + len(rule)] = (
+                rule.weights if poly is None else rule.weights * poly(native)
+            )
+        start += len(rule)
+    return np.concatenate(lifted), weights

@@ -799,6 +799,8 @@ def test_project_builds_its_dof_table_once(tmp_path, capsys, monkeypatch, argv, 
     # The DOFs and the reconstruction's DOFs use one table: at --quad-m 100
     # a vol table takes most of a second to build.  Every other command
     # builds one table per configuration too, in the engine that admits it.
+    from collections import Counter
+
     from histotet import experiment
 
     built, build = [], experiment.build_dof_table
@@ -807,11 +809,21 @@ def test_project_builds_its_dof_table_once(tmp_path, capsys, monkeypatch, argv, 
         built.append(args[0])
         return build(*args, **kwargs)
 
+    dense = Counter()
+    for name in ("nodes", "weights"):
+        fget = getattr(experiment.DofTable, name).fget
+        monkeypatch.setattr(
+            experiment.DofTable, name, property(lambda t, fget=fget, name=name: dense.update([name]) or fget(t))
+        )
     monkeypatch.setattr(experiment, "build_dof_table", counted)
     assert run(argv + (["--out", str(tmp_path)] if argv[0] in ("converge", "tune") else [])) == 0
     assert built == configs
     if argv[0] == "project":
         assert "max |dofs(reconstruction) - dofs|" in capsys.readouterr().out
+        # The engine's r builds the dense nodes and weights once, and the
+        # DOFs and their check share one more build: at --quad-m 150 vol's
+        # dense weights alone take 547 MB.
+        assert dense == {"nodes": 2, "weights": 2}
 
 
 @pytest.mark.parametrize("tet", [[], ["--tet", "0,0,0,2,0,0,0,1,0,0,0,3"]], ids=["reference", "stretched"])
@@ -859,9 +871,12 @@ def test_project_refuses_non_finite_values(capsys, monkeypatch, argv, dofs, mess
 #: Functions of src/ that no command enters, each with its reason; any other
 #: function that no command enters is a helper that only tests call.
 _UNCALLED = {
-    # perfbench/ calls these seven; they leave src/ once perfbench reads the
-    # pass's own stage timings instead of patching src/.
+    # perfbench/ calls these seven and patches Density.rule, which no
+    # command calls since a DOF table keeps its component rules; they leave
+    # src/ once perfbench reads the pass's own stage timings instead of
+    # patching src/.
     "unisolvence_check",
+    "Density.rule",
     "_ErrorEngine.l1_on_mesh",
     "StrategyConfig.face_volume",
     "StrategyConfig.volumetric_blend",

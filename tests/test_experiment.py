@@ -251,9 +251,10 @@ def test_study_bytes_counts_the_arrays_of_a_pass(monkeypatch):
     from histotet.element import build_functionals, lambda_basis
     from histotet.experiment import _ErrorEngine, _Plan, study_bytes
 
-    # A study keeps every mesh, every engine's DOF table and each distinct
-    # cached rule, the error rule among them; the error array and the chunks
-    # are the largest mesh's pass, one chunk per worker that can run.
+    # A study keeps every mesh, every engine's DOF table (its groups' weight
+    # rows) and each distinct cached rule, the error rule among them; the
+    # error array and the chunks are the largest mesh's pass, one chunk per
+    # worker that can run.
     settings = QuadSettings(dof_points=4, error_degree=5)
     configs = [StrategyConfig.of("classical"), *QUADRATIC_CONFIGS, StrategyConfig.edge_face(1, 3)]
     meshes = [build_mesh(3), build_mesh(4)]
@@ -268,7 +269,7 @@ def test_study_bytes_counts_the_arrays_of_a_pass(monkeypatch):
     rule = simplex_rule(3, (0.0,) * 4, 4)
     assert rule.nodes.nbytes + rule.weights.nbytes == 64 * 5 * 8  # what a second copy would add
     study = sum(a.nbytes for a in (
-        *(a for t in tables for a in (t.nodes, t.weights)),
+        *(group.weights for t in tables for group in t.groups),
         *(a for r in (simplex_rule(*c, 4) for c in components) for a in (r.nodes, r.weights)),
         lambda_basis(rule.nodes).T,
     ))
@@ -286,15 +287,16 @@ def test_study_bytes_counts_the_arrays_of_a_pass(monkeypatch):
     plan = _Plan([t.blocks for t in tables], len(rule), len(meshes[-1]))
     assert (plan.rows, plan.chunks) == (54, 3)
     assert plan.width == 192  # vol's table; the error stage needs 2 x 64
-    # A chunk holds its workspace and one target slice, and at most, after
-    # the last engine, the coefficients of all five.  Each face or edge
-    # source is filled by one engine and scattered a slice at a time:
+    # A chunk holds its workspace and one target slice, at most, after the
+    # last engine, the coefficients of all five, and one engine's dense
+    # weights for its DOF gemm, the largest vol's 10 x 192.  Each face or
+    # edge source is filled by one engine and scattered a slice at a time:
     # classical's uniform faces (vol and ef read them in place), fv's faces
     # and each ef's edges.  fv's dirichlet(2) volume block, which vol reads
     # in place, is evaluated straight into fv's columns.  Nothing is held.
     assert not plan.held
     slice_ = 3 * experiment._SLICE_POINTS
-    assert chunk_bytes((3, 4)) == (8 * (54 * (192 + 50) + slice_), fixed)
+    assert chunk_bytes((3, 4)) == (8 * (54 * (192 + 50) + slice_ + 10 * 192), fixed)
     # Threads beyond the chunks count no chunk.
     three, many = (study_bytes((3, 4), configs, settings, threads=t) for t in (3, 100))
     assert many == three
@@ -302,18 +304,18 @@ def test_study_bytes_counts_the_arrays_of_a_pass(monkeypatch):
     # An fv grid refills each alpha's faces in the next beta group, so each
     # face source is filled by two engines and held for the chunk's DOF
     # stage: the peak has both sources (16 nodes at each distinct face of the
-    # first chunk) beside all four engines' coefficients.
+    # first chunk) beside all four engines' coefficients and dense weights.
     grid = [StrategyConfig.face_volume(a, b) for a in (1, 2) for b in (1, 2)]
     plan = _Plan([_ErrorEngine(cfg, settings).table.blocks for cfg in grid], len(rule), len(meshes[-1]))
     assert len(plan.held) == 2 and plan.width == 128 and (plan.rows, plan.chunks) == (72, 3)
     faces = len({tuple(cell[list(v)]) for cell in meshes[-1].cells[:72] for v in plan.domains[3]})
-    assert chunk_bytes((3, 4), grid)[0] == 8 * (72 * (128 + 40) + slice_ + 2 * 16 * faces)
+    assert chunk_bytes((3, 4), grid)[0] == 8 * (72 * (128 + 40) + slice_ + 10 * 128 + 2 * 16 * faces)
 
     # A chunk holds at least one cell, however small the budget, and one
     # cell shares no face.  project's study, which has no mesh, counts one
     # such chunk and one worker, whatever the thread count.
     monkeypatch.setattr(experiment, "_CHUNK_BUDGET", 10)
-    one_cell = 8 * (192 + slice_ + 50)
+    one_cell = 8 * (192 + slice_ + 50 + 10 * 192)
     assert chunk_bytes((3, 4)) == (one_cell, fixed)
     for threads in (1, 3):
         assert study_bytes((), configs, settings, threads) == study + one_cell
@@ -355,15 +357,16 @@ def test_schedule_of_the_default_methods():
     assert plan.domains == {4: ((0, 1, 2, 3),), 3: faces, 2: edges}
     assert plan.own_rows == [4_000_000 // (n + 216) for n in (256, 768, 1280, 304)]
     assert plan.rows == min(plan.own_rows) == 2673
-    # The peak is after the last engine: the workspace, one target slice and
-    # the coefficients (10) of all four.  The 16,464 cells at n = 15 make 7
-    # chunks, so two threads count two chunks and any more count 7.
+    # The peak is after the last engine: the workspace, one target slice,
+    # the coefficients (10) of all four and vol's dense weights.  The 16,464
+    # cells at n = 15 make 7 chunks, so two threads count two chunks and any
+    # more count 7.
     assert _Plan(tables, 216, 16_464).chunks == 7
     one, two, seven, many = (
         study_bytes((15,), ALL_METHODS, QuadSettings(), threads=t) for t in (1, 2, 7, 4000)
     )
     slice_ = 3 * 16_384
-    assert two - one == 8 * (plan.rows * (1280 + 40) + slice_)
+    assert two - one == 8 * (plan.rows * (1280 + 40) + slice_ + 10 * 1280)
     assert many == seven == one + 6 * (two - one)
     # n = 5's 384 cells make one chunk, which one worker runs.
     one, many = (study_bytes((5,), ALL_METHODS, QuadSettings(), threads=t) for t in (1, 4000))
@@ -498,14 +501,15 @@ def test_refusal_counts_what_a_pass_allocates(configs, monkeypatch):
 
     # The per-worker term of the --n refusal is one chunk's peak, counted as
     # threads=2 - threads=1.  A study on one thread allocates that, its
-    # engines' DOF tables and its error array; the rest is the target's
-    # temporaries.  At the default budget, which the refusal uses, the 4,374
-    # cells at n = 10 make two chunks, or one for the ef grid, whose tables
-    # are narrowest; a budget of 1,000,000 makes at least three for all.
+    # engines' DOF tables (their groups' weight rows) and its error array;
+    # the rest is the target's temporaries.  At the default budget, which
+    # the refusal uses, the 4,374 cells at n = 10 make two chunks, or one for
+    # the ef grid, whose tables are narrowest; a budget of 1,000,000 makes at
+    # least three for all.
     settings, meshes, f = QuadSettings(), {10: build_mesh(10)}, TARGETS["f1"]
     monkeypatch.setattr(experiment, "build_mesh", meshes.__getitem__)  # the pass builds no mesh
     tables = [_ErrorEngine(cfg, settings).table for cfg in configs]
-    once = sum(t.nodes.nbytes + t.weights.nbytes for t in tables) + 8 * len(configs) * len(meshes[10])
+    once = sum(g.weights.nbytes for t in tables for g in t.groups) + 8 * len(configs) * len(meshes[10])
     list(_passes(engines_of(configs, settings), [f], (10,), 1))  # builds the rules and the mesh's volumes
     default = 1 if configs[0].method_id == "ef" else 2
     for budget, at_least in ((experiment._CHUNK_BUDGET, default), (1_000_000, 3)):
@@ -658,6 +662,40 @@ def test_one_rule_per_density(monkeypatch):
     tuning = TuningGrid("fv", grid, grid, (TARGETS["f2"],), (3,))
     grid_search(tuning, grid_engines(tuning))
     assert len(calls) == 13
+
+
+def test_a_dof_table_stores_each_group_on_its_own_nodes():
+    # A table stores each functional's weights on the nodes of its own
+    # (domain, density) group and the cached rules of the group's Dirichlet
+    # components; the dense nodes and weights are built from them, bit for
+    # bit those of one dense build.
+    from histotet.cli import _PARAM_FLAGS
+    from histotet.element import METHODS, build_functionals
+    from oracles import dense_dof_table
+
+    stored = [sum(g.weights.nbytes for g in build_dof_table(cfg).groups) for cfg in ALL_METHODS]
+    # classical 4 x 64; fv 4 x 2 x 64 + 6 x 512; vol 4 x 64 + 6 x 1,024; ef 4 x 64 + 6 x 8.
+    assert stored == [2048, 12288, 51200, 2432]
+    configs = [StrategyConfig.of("classical")] + [
+        StrategyConfig.of(method, *params)
+        for method in ("fv", "vol", "ef")
+        for params in itertools.product(*(_PARAM_FLAGS[name][1] for name in METHODS[method].params))
+    ]
+    assert len(configs) == 1 + 102
+    for m in (3, 8):
+        settings = QuadSettings(dof_points=m)
+        for cfg in configs:
+            table = build_dof_table(cfg, settings)
+            rules = [rule for group in table.groups for rule in group.rules]
+            assert len(rules) == len(table.blocks)
+            for rule, ((vertices, exps, _), start, stop) in zip(rules, table.blocks):
+                assert rule is simplex_rule(len(vertices) - 1, exps, m)
+                assert table.block_nodes(start).tobytes() == table.nodes[start:stop].tobytes()
+            rows = sorted(row for group in table.groups for row in group.rows)
+            assert rows == list(range(len(build_functionals(cfg))))
+            nodes, weights = dense_dof_table(build_functionals(cfg), m)
+            assert table.nodes.shape == nodes.shape and table.nodes.tobytes() == nodes.tobytes(), (cfg, m)
+            assert table.weights.shape == weights.shape and table.weights.tobytes() == weights.tobytes(), (cfg, m)
 
 
 def test_error_rule_is_the_cached_uniform_volume_rule(monkeypatch):
